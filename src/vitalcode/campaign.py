@@ -15,13 +15,14 @@ import io
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from . import telegram as tg
 from .channel_codes import CRC_CATALOG
 from .coded_core import make_key
 from .mac import MAC_KEY_ENV, MacKey, TAG_LENGTHS
-from .stats import wilson_interval
+from .stats import (TrialCountError, check_trials, report_json, run_trials,
+                    trial_rng, wilson_interval)
 
 DEFAULT_PAYLOAD_LENGTH = 64
 
@@ -67,6 +68,13 @@ class CampaignConfig:
     mac_truncation: int = 32
 
 
+def _trial_count(value: int, path: str) -> int:
+    try:
+        return check_trials(value)
+    except TrialCountError as exc:
+        raise ConfigError(str(exc), path) from None
+
+
 def parse_config(doc: dict) -> CampaignConfig:
     """Validate a campaign configuration document."""
     if not isinstance(doc, dict):
@@ -82,10 +90,8 @@ def parse_config(doc: dict) -> CampaignConfig:
         return value
 
     schemes = require("schemes", list)
-    trials = require("trials", int)
+    trials = _trial_count(require("trials", int), "config.trials")
     seed = require("seed", int)
-    if trials < 1:
-        raise ConfigError("must be >= 1", "config.trials")
     threats = []
     for i, entry in enumerate(require("threats", list)):
         path = f"config.threats[{i}]"
@@ -94,11 +100,14 @@ def parse_config(doc: dict) -> CampaignConfig:
         kind = entry["kind"]
         if kind not in NOISE_THREATS + ATTACK_THREATS:
             raise ConfigError(f"unknown threat kind {kind!r}", path)
+        attempts = int(entry.get("attempts", 0))
+        if kind == "brute_force":
+            _trial_count(attempts, f"{path}.attempts")
         threats.append(Threat(
             kind=kind,
             rate=float(entry.get("rate", 0.0)),
             length=int(entry.get("length", 0)),
-            attempts=int(entry.get("attempts", 0)),
+            attempts=attempts,
             payload=bytes.fromhex(entry.get("payload_hex", ""))))
     config = CampaignConfig(
         schemes=[str(s) for s in schemes],
@@ -147,7 +156,10 @@ def build_scheme(name: str, config: CampaignConfig) -> tg.ProtectionScheme:
     if name.startswith("hmac"):
         t = config.mac_truncation
         if "-" in name:
-            t = int(name.split("-", 1)[1])
+            try:
+                t = int(name.split("-", 1)[1])
+            except ValueError:
+                t = None
         if t not in TAG_LENGTHS:
             raise ConfigError(f"hmac truncation must be one of {TAG_LENGTHS}",
                               f"config.schemes[{name}]")
@@ -169,12 +181,12 @@ def resolve_mac_key(config: CampaignConfig) -> MacKey | None:
 class CellResult:
     scheme: str
     threat: str
-    delivered: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    corrected: int = 0
-    accepted_but_wrong: int = 0
-    miscorrected: int = 0  # corrected to content the sender never emitted
+    delivered: int
+    accepted: int
+    rejected: int
+    corrected: int
+    accepted_but_wrong: int
+    miscorrected: int  # corrected to content the sender never emitted
 
     def rates(self) -> dict:
         n = self.delivered
@@ -191,35 +203,20 @@ class CellResult:
 @dataclass
 class ChannelReport:
     cells: list[CellResult]
-    config_echo: dict
+    config: dict  # echo of the campaign configuration, key redacted
     seed: int
 
     def to_json(self) -> str:
-        doc = {
-            "seed": self.seed,
-            "config": self.config_echo,
-            "cells": [
-                {"scheme": c.scheme, "threat": c.threat,
-                 "delivered": c.delivered, "accepted": c.accepted,
-                 "rejected": c.rejected, "corrected": c.corrected,
-                 "accepted_but_wrong": c.accepted_but_wrong,
-                 "miscorrected": c.miscorrected,
-                 "rates": c.rates()}
-                for c in self.cells
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        doc = asdict(self)
+        for row, cell in zip(doc["cells"], self.cells):
+            row["rates"] = cell.rates()
+        return report_json(doc)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["scheme", "threat", "delivered", "accepted",
-                         "rejected", "corrected", "accepted_but_wrong",
-                         "miscorrected"])
-        for c in self.cells:
-            writer.writerow([c.scheme, c.threat, c.delivered, c.accepted,
-                             c.rejected, c.corrected, c.accepted_but_wrong,
-                             c.miscorrected])
+        writer = csv.DictWriter(buf, [f.name for f in fields(CellResult)])
+        writer.writeheader()
+        writer.writerows(asdict(c) for c in self.cells)
         return buf.getvalue()
 
     def cell(self, scheme: str, threat: str) -> CellResult:
@@ -233,24 +230,22 @@ def _flip_tag_bits(wire: bytes, rng: random.Random) -> bytes:
     """One random bit flip per tag byte (per Hamming codeword)."""
     telegram, scheme_id, tag = tg.parse_wire(wire)
     flipped = bytes(b ^ (1 << rng.randrange(7)) for b in tag)
-    return tg._reassemble(telegram, scheme_id, flipped)
+    return tg.serialize_wire(telegram, scheme_id, flipped)
 
 
 def _replace_payload(wire: bytes, payload: bytes) -> bytes:
     telegram, scheme_id, tag = tg.parse_wire(wire)
     forged = tg.Telegram(telegram.seq, telegram.date, payload)
-    return tg._reassemble(forged, scheme_id, tag)
+    return tg.serialize_wire(forged, scheme_id, tag)
 
 
 def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
               config: CampaignConfig, mac_key: MacKey | None) -> CellResult:
-    cell = CellResult(scheme=scheme_name, threat=threat.label)
     knowledge = tg.AttackerKnowledge(scheme)
-    trials = threat.attempts if threat.kind == "brute_force" else config.trials
+    stream = f"vitalcode-channel:{config.seed}:{scheme_name}:{threat.label}"
 
-    for i in range(trials):
-        rng = random.Random(f"vitalcode-channel:{config.seed}:"
-                            f"{scheme_name}:{threat.label}:{i}")
+    def trial(i):
+        rng = trial_rng(stream, i)
 
         if threat.kind == "brute_force":
             # Tag guessing: the attacker fabricates frames for one chosen
@@ -261,13 +256,11 @@ def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
             carrier = tg.Telegram(1, 1, forged)
             wire = tg.protect_telegram(carrier, scheme, mac_key)
             window = tg.ReceiverWindow(min_seq=0, current_date=1)
-            original = None
             delivered = tg.apply_attack(
                 wire, tg.AttackSpec(tg.BRUTE_FORCE_TAG, payload=forged),
                 knowledge, rng)
-            _tally(cell, tg.verify_telegram(delivered, scheme, mac_key,
-                                            window), original, threat)
-            continue
+            return _outcome(tg.verify_telegram(delivered, scheme, mac_key,
+                                               window), None, threat)
 
         seq = i + 1
         date = i + 1
@@ -307,29 +300,35 @@ def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
                 donor_wire, tg.AttackSpec(tg.SPLICE_SIGNATURE, donor=wire),
                 knowledge, rng)
 
-        _tally(cell, tg.verify_telegram(delivered, scheme, mac_key, window),
-               original, threat)
-    return cell
+        return _outcome(tg.verify_telegram(delivered, scheme, mac_key,
+                                           window), original, threat)
+
+    trials = threat.attempts if threat.kind == "brute_force" else config.trials
+    tally = run_trials(trials, trial)
+    return CellResult(
+        scheme=scheme_name, threat=threat.label, delivered=trials,
+        accepted=tally["accepted"] + tally["accepted_but_wrong"],
+        rejected=tally["rejected"],
+        corrected=tally["corrected"] + tally["miscorrected"],
+        accepted_but_wrong=tally["accepted_but_wrong"],
+        miscorrected=tally["miscorrected"])
 
 
-def _tally(cell: CellResult, result: tg.VerifyResult,
-           original: tg.Telegram | None, threat: Threat) -> None:
-    cell.delivered += 1
+def _outcome(result: tg.VerifyResult, original: tg.Telegram | None,
+             threat: Threat) -> str:
     if result.status == tg.REJECT:
-        cell.rejected += 1
-    elif result.status == tg.CORRECTED:
-        cell.corrected += 1
+        return "rejected"
+    if result.status == tg.CORRECTED:
         if original is None or result.telegram.payload != original.payload:
-            cell.miscorrected += 1
-    else:
-        cell.accepted += 1
-        # A replayed or tag-spliced frame is unauthorized even when its
-        # content matches something the sender once emitted; a fabricated
-        # brute-force frame (original None) was never sent at all.
-        wrong = (original is None or result.telegram != original
-                 or threat.kind in ("replay", "splice"))
-        if wrong:
-            cell.accepted_but_wrong += 1
+            return "miscorrected"
+        return "corrected"
+    # A replayed or tag-spliced frame is unauthorized even when its
+    # content matches something the sender once emitted; a fabricated
+    # brute-force frame (original None) was never sent at all.
+    if (original is None or result.telegram != original
+            or threat.kind in ("replay", "splice")):
+        return "accepted_but_wrong"
+    return "accepted"
 
 
 def run_channel_campaign(config: CampaignConfig) -> ChannelReport:
@@ -356,4 +355,4 @@ def run_channel_campaign(config: CampaignConfig) -> ChannelReport:
         "mac_truncation": config.mac_truncation,
         "mac_key": "<configured>" if mac_key is not None else None,
     }
-    return ChannelReport(cells=cells, config_echo=echo, seed=config.seed)
+    return ChannelReport(cells=cells, config=echo, seed=config.seed)

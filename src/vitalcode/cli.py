@@ -18,6 +18,7 @@ from .mac import MacKey, hash_digest, hmac_tag
 from .redundancy import POLICIES, VoteConfig, redundancy_campaign
 from .sigtool import (CodedProgram, SigtoolError, build, emit_prom,
                       load_prom)
+from .stats import TrialCountError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -213,7 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TrialCountError as exc:  # --trials below one
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

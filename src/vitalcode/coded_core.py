@@ -69,10 +69,9 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class CodeKey:
-    """Prime modulus of the arithmetic code."""
+    """Prime modulus of the arithmetic code, validated on construction."""
 
     modulus: int
-    bit_width: int
 
     def __post_init__(self):
         if not (MIN_KEY <= self.modulus < (1 << MAX_KEY_BITS)):
@@ -80,14 +79,14 @@ class CodeKey:
         if not _is_prime(self.modulus):
             raise NotPrimeError(f"key {self.modulus} is not prime")
 
+    @property
+    def bit_width(self) -> int:
+        """Bits of a code residue: residues lie in [0, modulus)."""
+        return (self.modulus - 1).bit_length()
 
-def make_key(modulus: int) -> CodeKey:
-    """Validate a candidate key and derive its bit width."""
-    if not (MIN_KEY <= modulus < (1 << MAX_KEY_BITS)):
-        raise OutOfRangeError(f"key {modulus} outside [3, 2^48)")
-    if not _is_prime(modulus):
-        raise NotPrimeError(f"key {modulus} is not prime")
-    return CodeKey(modulus=modulus, bit_width=(modulus - 1).bit_length())
+
+# Keys are built as make_key(modulus); CodeKey validates the modulus.
+make_key = CodeKey
 
 
 def residue(n: int, key: CodeKey) -> int:

@@ -24,16 +24,16 @@ Fault models (one mutation per trial):
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, replace
 
 from .coded_core import (CodeKey, CodedValue, CompensationConstant,
                          FunctionalOverflow, MULTIPLICATIVE, check, encode,
                          opel_add, opel_mul, opel_sub, opel_move)
 from .dsl import ADD, MOVE, MUL, SUB, ProgramIR, interpret
 from .sigtool import CodedProgram, InstructionConstants, SignatureTable
-from .stats import wilson_interval
+from .stats import report_json, run_trials, trial_rng, wilson_interval
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -63,9 +63,9 @@ class UnresolvableTarget(CodedRuntimeError):
 class FaultSpec:
     """One accidental fault to inject into one cycle.
 
-    Unset selectors are resolved uniformly at random by the engine:
-    F1/F2 pick any variable (and bit), F3/F4/F6 pick a declared output,
-    F5 picks an instruction.  `bit` addresses the functional field's
+    `run_cycle` draws every unset selector uniformly before the cycle
+    runs: F1/F2 pick any variable (and bit), F3/F4/F6 pick a declared
+    output (F3 also a donor), F5 picks an instruction.  `bit` addresses the functional field's
     two's-complement word for F1 and the code residue for F2.
     """
 
@@ -115,86 +115,84 @@ def _flip_functional_bit(v: CodedValue, bit: int) -> CodedValue:
     return CodedValue(word, v.c)
 
 
+def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
+                   rng: random.Random | None) -> FaultSpec:
+    """Fill every unset selector of `spec`, drawing from `rng`.
+
+    Draw order per model: F1/F2 variable then bit; F3 output then donor
+    from the other variables in sorted order; F4 and F6 output; F5
+    instruction.  Raises UnresolvableTarget for selectors the program
+    cannot satisfy.
+    """
+    names = program.ir.variables()
+
+    def pick(selected, candidates, allowed, what):
+        if selected is None:
+            if not candidates:
+                raise UnresolvableTarget(f"no candidate {what}")
+            return candidates[rng.randrange(len(candidates))]
+        if selected not in allowed:
+            raise UnresolvableTarget(f"no {what} {selected!r}")
+        return selected
+
+    variable, donor, bit = spec.variable, spec.donor, spec.bit
+    instruction = spec.instruction
+    if spec.model in (F1, F2):
+        variable = pick(variable, names, names, "variable")
+        if bit is None:
+            bit = rng.randrange(FUNCTIONAL_BITS if spec.model == F1
+                                else key.bit_width)
+    elif spec.model in (F3, F4, F6):
+        variable = pick(variable, program.ir.outputs, names, "variable")
+        if spec.model == F3:
+            others = sorted(n for n in names if n != variable)
+            donor = pick(donor, others, names, "donor")
+    elif spec.model == F5:
+        indices = range(len(program.constants))
+        instruction = pick(instruction, indices, indices, "instruction")
+    else:
+        raise UnresolvableTarget(f"unknown fault model {spec.model!r}")
+    return FaultSpec(spec.model, variable, donor, instruction, bit,
+                     spec.staleness)
+
+
 def inject_fault(state: CycleState, program: CodedProgram,
                  table: SignatureTable, key: CodeKey, spec: FaultSpec,
-                 rng: random.Random) -> list[InstructionConstants]:
-    """Apply one state-level fault (F1-F4, F6) to `state` in place.
+                 rng: random.Random | None) -> list[InstructionConstants]:
+    """Apply one resolved fault (every selector set) at its injection point.
 
-    Returns the constants list to execute with: unchanged except for F5,
-    where one instruction's constant is replaced by a different uniform
-    residue.  Raises UnresolvableTarget for selectors the program cannot
-    satisfy.
+    F1-F4 and F6 mutate `state` in place.  Returns the constants list to
+    execute with: unchanged except for F5, where one instruction's
+    constant moves by a uniform nonzero residue.  The only draws are the
+    fault's values: F5's MUL field and delta, F6's functional and code
+    fields.
     """
     a = key.modulus
     constants = list(program.constants)
-
-    def pick_variable(candidates):
-        if spec.variable is not None:
-            if spec.variable not in state.values:
-                raise UnresolvableTarget(f"no variable {spec.variable!r}")
-            return spec.variable
-        if not candidates:
-            raise UnresolvableTarget("no candidate variable")
-        return candidates[rng.randrange(len(candidates))]
-
-    if spec.model in (F1, F2):
-        name = pick_variable(sorted(state.values))
+    name = spec.variable
+    if spec.model == F1:
+        state.values[name] = _flip_functional_bit(state.values[name],
+                                                   spec.bit)
+    elif spec.model == F2:
         v = state.values[name]
-        if spec.model == F1:
-            bit = spec.bit if spec.bit is not None \
-                else rng.randrange(FUNCTIONAL_BITS)
-            state.values[name] = _flip_functional_bit(v, bit)
-        else:
-            bit = spec.bit if spec.bit is not None \
-                else rng.randrange(key.bit_width)
-            state.values[name] = CodedValue(v.x, v.c ^ (1 << bit))
+        state.values[name] = CodedValue(v.x, v.c ^ (1 << spec.bit))
     elif spec.model == F3:
-        outputs = [o for o in program.ir.outputs if o in state.values]
-        name = pick_variable(outputs)
-        if spec.donor is not None:
-            donor = spec.donor
-            if donor not in state.values:
-                raise UnresolvableTarget(f"no donor {donor!r}")
-        else:
-            others = sorted(n for n in state.values if n != name)
-            if not others:
-                raise UnresolvableTarget("no donor variable available")
-            donor = others[rng.randrange(len(others))]
-        state.values[name] = state.values[donor]
+        state.values[name] = state.values[spec.donor]
     elif spec.model == F4:
-        outputs = [o for o in program.ir.outputs if o in state.values]
-        name = pick_variable(outputs)
         v = state.values[name]
         stale_term = (state.cycle - spec.staleness) % a
         state.values[name] = CodedValue(
             v.x, (v.x + table.signatures[name] + stale_term) % a)
     elif spec.model == F5:
-        if not constants:
-            raise UnresolvableTarget("program has no instructions")
-        idx = spec.instruction if spec.instruction is not None \
-            else rng.randrange(len(constants))
-        if not (0 <= idx < len(constants)):
-            raise UnresolvableTarget(f"no instruction {idx}")
-        old = constants[idx]
+        old = constants[spec.instruction]
+        which = "kappa_sig"
         if old.opcode == MUL:
-            fields = ("src1_sig", "src2_sig", "dest_sig")
-            which = fields[rng.randrange(3)]
-            current = getattr(old, which)
-            replaced = dict(src1_sig=old.src1_sig, src2_sig=old.src2_sig,
-                            dest_sig=old.dest_sig)
-            replaced[which] = (current + rng.randrange(1, a)) % a
-            constants[idx] = InstructionConstants(MUL, **replaced)
-        else:
-            constants[idx] = InstructionConstants(
-                old.opcode,
-                kappa_sig=(old.kappa_sig + rng.randrange(1, a)) % a)
-    elif spec.model == F6:
-        outputs = [o for o in program.ir.outputs if o in state.values]
-        name = pick_variable(outputs)
+            which = ("src1_sig", "src2_sig", "dest_sig")[rng.randrange(3)]
+        shifted = (getattr(old, which) + rng.randrange(1, a)) % a
+        constants[spec.instruction] = replace(old, **{which: shifted})
+    else:  # F6
         x = rng.getrandbits(FUNCTIONAL_BITS) - (1 << (FUNCTIONAL_BITS - 1))
         state.values[name] = CodedValue(x, rng.randrange(a))
-    else:
-        raise UnresolvableTarget(f"unknown fault model {spec.model!r}")
     return constants
 
 
@@ -205,7 +203,8 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
               check_intermediates: bool = False) -> CycleResult:
     """Execute one cycle; publish outputs only if every check accepts.
 
-    With a fault spec, exactly one mutation is applied at the model's
+    With a fault spec, its unset selectors are drawn from `rng` before
+    execution starts, and exactly one mutation is applied at the model's
     injection point (F5 before execution, F1/F2 after the target's
     definition, F3/F4/F6 at cycle end before the checks).
     """
@@ -215,40 +214,26 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     date_term = cycle % a
     state = CycleState(values={}, cycle=cycle)
 
-    mid_cycle = fault is not None and fault.model in (F1, F2)
-    end_cycle = fault is not None and fault.model in (F3, F4, F6)
-    constants = list(program.constants)
-    if fault is not None and fault.model == F5:
-        constants = inject_fault(state, program, table, key, fault, rng)
-
-    # Mid-cycle faults strike right after the target variable's
-    # definition; resolve the target before execution starts.
-    mid_target = None
-    if mid_cycle:
-        if fault.variable is not None:
-            if fault.variable not in ir.variables():
-                raise UnresolvableTarget(f"no variable {fault.variable!r}")
-            mid_target = fault.variable
-        else:
-            names = ir.variables()
-            mid_target = names[rng.randrange(len(names))]
-
-    def strike(name):
-        if mid_cycle and name == mid_target:
-            inject_fault(state, program, table, key,
-                         FaultSpec(fault.model, variable=name,
-                                   bit=fault.bit),
-                         rng)
+    constants = program.constants
+    struck = None  # F1/F2 strike right after this variable's definition
+    if fault is not None:
+        fault = _resolve_fault(fault, program, key, rng)
+        if fault.model == F5:
+            constants = inject_fault(state, program, table, key, fault, rng)
+        elif fault.model in (F1, F2):
+            struck = fault.variable
 
     for name in ir.inputs:
         if name not in inputs:
             raise KeyError(f"missing input {name!r}")
         state.values[name] = encode(int(inputs[name]), sigs[name],
                                     cycle, key)
-        strike(name)
+        if name == struck:
+            inject_fault(state, program, table, key, fault, rng)
     for name, value in ir.consts.items():
         state.values[name] = encode(value, sigs[name], cycle, key)
-        strike(name)
+        if name == struck:
+            inject_fault(state, program, table, key, fault, rng)
 
     try:
         for ins, const in zip(ir.instructions, constants):
@@ -264,7 +249,8 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
             else:
                 result = opel_move(v1, folded, key)
             state.values[ins.dest] = result
-            strike(ins.dest)
+            if ins.dest == struck:
+                inject_fault(state, program, table, key, fault, rng)
             if check_intermediates and not check(result, sigs[ins.dest],
                                                  cycle, key):
                 return CycleResult(REJECT, None,
@@ -272,7 +258,7 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     except FunctionalOverflow as exc:
         return CycleResult(SAFE_HALT, None, str(exc))
 
-    if end_cycle:
+    if fault is not None and fault.model in (F3, F4, F6):
         inject_fault(state, program, table, key, fault, rng)
 
     for name in ir.outputs:
@@ -282,12 +268,15 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     return CycleResult(ACCEPT, outputs)
 
 
+_OUTCOMES = ("detected", "undetected_wrong_output", "benign")
+
+
 @dataclass
 class ModelCounts:
-    trials: int = 0
-    detected: int = 0
-    undetected_wrong_output: int = 0
-    benign: int = 0
+    trials: int
+    detected: int
+    undetected_wrong_output: int
+    benign: int
 
 
 @dataclass
@@ -306,24 +295,7 @@ class InjectionReport:
     undetected_ci: tuple[float, float]
 
     def to_json(self) -> str:
-        doc = {
-            "trials": self.trials,
-            "detected": self.detected,
-            "undetected_wrong_output": self.undetected_wrong_output,
-            "benign": self.benign,
-            "false_alarms": self.false_alarms,
-            "seed": self.seed,
-            "key_modulus": self.key_modulus,
-            "undetected_rate": self.undetected_rate,
-            "undetected_ci": list(self.undetected_ci),
-            "per_model": {
-                m: {"trials": c.trials, "detected": c.detected,
-                    "undetected_wrong_output": c.undetected_wrong_output,
-                    "benign": c.benign}
-                for m, c in sorted(self.per_model.items())
-            },
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return report_json(asdict(self))
 
 
 def default_input_generator(ir: ProgramIR):
@@ -333,67 +305,48 @@ def default_input_generator(ir: ProgramIR):
     return gen
 
 
-def trial_rng(seed: int, trial: int) -> random.Random:
-    # String seeding hashes deterministically across runs and processes.
-    return random.Random(f"vitalcode:{seed}:{trial}")
-
-
 def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
                  models, trials: int, seed: int,
                  input_generator=None) -> InjectionReport:
     """Inject `trials` single faults drawn uniformly from `models`.
 
-    Fully reproducible: every trial derives its own generator from
-    (seed, trial index), so results are independent of execution order.
-    An empty model list runs a fault-free baseline; any rejection there
-    counts as a false alarm.
+    Trial i draws its inputs, cycle, model and fault from the engine
+    stream `vitalcode:{seed}`.  An empty model list runs a fault-free
+    baseline; any rejection there counts as a false alarm.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     models = list(models)
     if input_generator is None:
         input_generator = default_input_generator(program.ir)
+    stream = f"vitalcode:{seed}"
 
-    detected = undetected = benign = false_alarms = 0
-    per_model: dict[str, ModelCounts] = {m: ModelCounts() for m in models}
-
-    for i in range(trials):
-        rng = trial_rng(seed, i)
+    def trial(i):
+        rng = trial_rng(stream, i)
         inputs = input_generator(rng)
         cycle = rng.randrange(1, 1 << 20)
-        if models:
-            model = models[rng.randrange(len(models))]
-            spec = FaultSpec(model)
-        else:
-            model, spec = None, None
+        model = models[rng.randrange(len(models))] if models else None
         result = run_cycle(program, table, inputs, cycle, key,
-                           fault=spec, rng=rng)
+                           fault=FaultSpec(model) if model else None,
+                           rng=rng)
         reference = interpret(program.ir, inputs)
         if result.verdict != ACCEPT:
-            detected += 1
-            outcome = "detected"
-            if model is None:
-                false_alarms += 1
-        elif result.outputs != reference:
-            undetected += 1
-            outcome = "undetected"
-        else:
-            benign += 1
-            outcome = "benign"
-        if model is not None:
-            counts = per_model[model]
-            counts.trials += 1
-            if outcome == "detected":
-                counts.detected += 1
-            elif outcome == "undetected":
-                counts.undetected_wrong_output += 1
-            else:
-                counts.benign += 1
+            return model, "detected"
+        if result.outputs != reference:
+            return model, "undetected_wrong_output"
+        return model, "benign"
 
-    rate = undetected / trials
+    tally = run_trials(trials, trial)
+    per_model = {}
+    for m in models:
+        counts = [tally[m, outcome] for outcome in _OUTCOMES]
+        per_model[m] = ModelCounts(sum(counts), *counts)
+    totals = Counter()
+    for (_, outcome), n in tally.items():
+        totals[outcome] += n
+    undetected = totals["undetected_wrong_output"]
     return InjectionReport(
-        trials=trials, detected=detected,
-        undetected_wrong_output=undetected, benign=benign,
-        false_alarms=false_alarms, per_model=per_model, seed=seed,
-        key_modulus=key.modulus, undetected_rate=rate,
+        trials=trials, detected=totals["detected"],
+        undetected_wrong_output=undetected, benign=totals["benign"],
+        false_alarms=tally[None, "detected"], per_model=per_model,
+        seed=seed, key_modulus=key.modulus,
+        undetected_rate=undetected / trials,
         undetected_ci=wilson_interval(undetected, trials))

@@ -10,11 +10,9 @@ modeled as a lower common-mode rate q.
 
 from __future__ import annotations
 
-import json
-import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .stats import wilson_interval
+from .stats import report_json, run_trials, trial_rng, wilson_interval
 
 UNANIMITY = "unanimity"
 MAJORITY = "majority"
@@ -66,7 +64,9 @@ def vote(outputs, policy: str):
 
 @dataclass
 class RedundancyReport:
-    config: VoteConfig
+    policy: str
+    p: float
+    q: float
     trials: int
     seed: int
     correct: int
@@ -79,22 +79,7 @@ class RedundancyReport:
     analytic_predictions: dict
 
     def to_json(self) -> str:
-        doc = {
-            "policy": self.config.policy,
-            "p": self.config.p,
-            "q": self.config.q,
-            "trials": self.trials,
-            "seed": self.seed,
-            "correct": self.correct,
-            "safe_halt": self.safe_halt,
-            "undetected_wrong": self.undetected_wrong,
-            "rate_correct": self.rate_correct,
-            "rate_safehalt": self.rate_safehalt,
-            "rate_undetected_wrong": self.rate_undetected_wrong,
-            "undetected_ci": list(self.undetected_ci),
-            "analytic_predictions": self.analytic_predictions,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return report_json(asdict(self))
 
 
 def _predictions(cfg: VoteConfig) -> dict:
@@ -121,17 +106,16 @@ def redundancy_campaign(cfg: VoteConfig, trials: int,
 
     Per trial: with probability q a common-mode event corrupts every
     replica to one identical wrong value; independently, each replica is
-    corrupted with probability p to a uniform wrong 32-bit value.  Each
-    trial derives its own generator from (seed, trial), so sweeps over p
-    or q with a shared seed reuse the same underlying randomness.
+    corrupted with probability p to a uniform wrong 32-bit value.  Trial
+    i draws from the engine stream `vitalcode-redundancy:{seed}`, so
+    sweeps over p or q with a shared seed reuse the same randomness.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     reference = 0
-    correct = safe_halt = undetected = 0
     n = cfg.replicas
-    for i in range(trials):
-        rng = random.Random(f"vitalcode-redundancy:{seed}:{i}")
+    stream = f"vitalcode-redundancy:{seed}"
+
+    def trial(i):
+        rng = trial_rng(stream, i)
         u_common = rng.random()
         u_replica = [rng.random() for _ in range(n)]
         if u_common < cfg.q:
@@ -145,16 +129,17 @@ def redundancy_campaign(cfg: VoteConfig, trials: int,
                 values[j] = wrong
         agreed = vote(values, cfg.policy)
         if agreed is None:
-            safe_halt += 1
-        elif agreed == reference:
-            correct += 1
-        else:
-            undetected += 1
+            return "safe_halt"
+        return "correct" if agreed == reference else "undetected_wrong"
+
+    tally = run_trials(trials, trial)
+    undetected = tally["undetected_wrong"]
     return RedundancyReport(
-        config=cfg, trials=trials, seed=seed, correct=correct,
-        safe_halt=safe_halt, undetected_wrong=undetected,
-        rate_correct=correct / trials,
-        rate_safehalt=safe_halt / trials,
+        policy=cfg.policy, p=cfg.p, q=cfg.q, trials=trials, seed=seed,
+        correct=tally["correct"], safe_halt=tally["safe_halt"],
+        undetected_wrong=undetected,
+        rate_correct=tally["correct"] / trials,
+        rate_safehalt=tally["safe_halt"] / trials,
         rate_undetected_wrong=undetected / trials,
         undetected_ci=wilson_interval(undetected, trials),
         analytic_predictions=_predictions(cfg))

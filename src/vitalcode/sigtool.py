@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .coded_core import CodeKey
+from .coded_core import CodeKey, CodedCoreError
 from .dsl import (ADD, MOVE, MUL, SUB, Instruction, ProgramIR,
                   canonical_ir_bytes, ir_from_canonical)
 from .mac import hash_digest
@@ -259,8 +259,8 @@ def load_prom(data: bytes) -> tuple[SignatureTable, CodedProgram]:
     digest = r.take(32)
 
     try:
-        key = CodeKey(modulus=modulus, bit_width=(modulus - 1).bit_length())
-    except Exception as exc:
+        key = CodeKey(modulus)
+    except CodedCoreError as exc:
         raise IntegrityError(f"stored key invalid: {exc}") from None
 
     ir_bytes = r.section()

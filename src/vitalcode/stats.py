@@ -1,8 +1,45 @@
-"""Small statistics helpers shared by the campaign modules."""
+"""Monte Carlo engine shared by the campaign modules.
+
+A campaign is `trials` independent trials.  Trial i of a stream draws
+only from `trial_rng(stream, i)`, so its outcome depends on nothing but
+the stream name and its index, never on execution order.  The campaign
+modules keep only their trial bodies: `run_trials` rejects a count below
+one and tallies the outcome each body returns, and `report_json` writes
+a report as JSON with sorted keys, so a fixed seed gives a
+byte-identical report.
+"""
 
 from __future__ import annotations
 
+import json
 import math
+import random
+from collections import Counter
+
+
+class TrialCountError(ValueError):
+    """A campaign was asked for fewer than one trial."""
+
+
+def check_trials(trials: int) -> int:
+    if trials < 1:
+        raise TrialCountError(f"trial count must be >= 1, got {trials}")
+    return trials
+
+
+def trial_rng(stream: str, index: int) -> random.Random:
+    # String seeding hashes deterministically across runs and processes.
+    return random.Random(f"{stream}:{index}")
+
+
+def run_trials(trials: int, body) -> Counter:
+    """Tally `body(i)` over trials 0..trials-1."""
+    return Counter(body(i) for i in range(check_trials(trials)))
+
+
+def report_json(doc: dict) -> str:
+    """Deterministic JSON of a report document, e.g. `asdict(report)`."""
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def wilson_interval(successes: int, trials: int,

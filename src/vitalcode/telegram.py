@@ -95,7 +95,6 @@ class ProtectionScheme:
     crc_params: cc.CrcParams | None = None
     key: CodeKey | None = None          # codedsig
     signature: int = 0                  # codedsig
-    includes_date: bool = True          # codedsig
     mac_truncation: int = 32            # hmac
 
     def __post_init__(self):
@@ -132,11 +131,10 @@ def _payload_fold(payload: bytes, key: CodeKey) -> int:
 
 
 def coded_signature_residue(t: Telegram, scheme: ProtectionScheme) -> int:
-    """Code residue of a telegram: payload fold + signature (+ date)."""
+    """Code residue of a telegram: payload fold + signature + date."""
     key = scheme.key
     fold = _payload_fold(t.payload, key)
-    date_term = t.date % key.modulus if scheme.includes_date else 0
-    return (fold + scheme.signature + date_term) % key.modulus
+    return (fold + scheme.signature + t.date % key.modulus) % key.modulus
 
 
 def _hmac_message(t: Telegram) -> bytes:
@@ -174,12 +172,17 @@ def make_tag(t: Telegram, scheme: ProtectionScheme,
 def protect_telegram(t: Telegram, scheme: ProtectionScheme,
                      mac_key: MacKey | None = None) -> bytes:
     """Serialize a telegram with its protection tag appended."""
-    tag = make_tag(t, scheme, mac_key)
+    return serialize_wire(t, _SCHEME_IDS[scheme.variant],
+                          make_tag(t, scheme, mac_key))
+
+
+def serialize_wire(t: Telegram, scheme_id: int, tag: bytes) -> bytes:
+    """Frame bytes for (telegram, scheme id, tag); inverse of parse_wire."""
     out = bytearray()
     out += WIRE_MAGIC
     out += t.seq.to_bytes(4, "big")
     out += t.date.to_bytes(4, "big")
-    out.append(_SCHEME_IDS[scheme.variant])
+    out.append(scheme_id)
     out += len(t.payload).to_bytes(2, "big")
     out += t.payload
     out += len(tag).to_bytes(2, "big")
@@ -259,7 +262,7 @@ def verify_telegram(data: bytes, scheme: ProtectionScheme,
         if int.from_bytes(tag, "big") != coded_signature_residue(telegram,
                                                                  scheme):
             return VerifyResult(REJECT, reason=BAD_RESIDUE)
-        if scheme.includes_date and window is not None:
+        if window is not None:
             if abs(telegram.date - window.current_date) > window.date_tolerance:
                 return VerifyResult(REJECT, reason=STALE_DATE)
         return VerifyResult(ACCEPT, telegram)
@@ -367,25 +370,13 @@ def apply_attack(data: bytes, attack: AttackSpec,
     telegram, scheme_id, tag = parse_wire(data)
     if attack.kind == SPLICE_SIGNATURE:
         _, _, donor_tag = parse_wire(attack.donor)
-        return _reassemble(telegram, scheme_id, donor_tag)
+        return serialize_wire(telegram, scheme_id, donor_tag)
     if attack.kind in (FORGE_PAYLOAD, BRUTE_FORCE_TAG):
         forged = Telegram(telegram.seq, telegram.date,
                           attack.payload or telegram.payload)
         if scheme.variant == SCHEME_HMAC:
             random_tag = rng.randbytes(scheme.mac_truncation)
-            return _reassemble(forged, scheme_id, random_tag)
-        return _reassemble(forged, scheme_id, make_tag(forged, scheme))
+            return serialize_wire(forged, scheme_id, random_tag)
+        return serialize_wire(forged, scheme_id, make_tag(forged, scheme))
     raise ValueError(f"unknown attack kind {attack.kind!r}")
 
-
-def _reassemble(t: Telegram, scheme_id: int, tag: bytes) -> bytes:
-    out = bytearray()
-    out += WIRE_MAGIC
-    out += t.seq.to_bytes(4, "big")
-    out += t.date.to_bytes(4, "big")
-    out.append(scheme_id)
-    out += len(t.payload).to_bytes(2, "big")
-    out += t.payload
-    out += len(tag).to_bytes(2, "big")
-    out += tag
-    return bytes(out)

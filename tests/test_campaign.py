@@ -70,6 +70,15 @@ class TestConfigParsing:
                           "forge"]
         assert config.threats[3].payload == bytes.fromhex("deadbeef")
 
+    @pytest.mark.parametrize("threat", [
+        {"kind": "brute_force"},
+        {"kind": "brute_force", "attempts": 0},
+        {"kind": "brute_force", "attempts": -3},
+    ])
+    def test_brute_force_needs_attempts(self, threat):
+        with pytest.raises(ConfigError, match=r"config.threats\[1\]"):
+            make_config(threats=[{"kind": "forge"}, threat])
+
     def test_load_config_reports_json_position(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schemes": [,]}')
@@ -99,6 +108,11 @@ class TestSchemeBuilding:
     def test_bad_hmac_truncation_name(self):
         with pytest.raises(ConfigError):
             build_scheme("hmac-12", make_config())
+
+    @pytest.mark.parametrize("name", ["hmac-x", "hmac-", "hmac-8x"])
+    def test_non_integer_hmac_truncation_name(self, name):
+        with pytest.raises(ConfigError, match="hmac truncation"):
+            build_scheme(name, make_config())
 
     def test_codedsig_uses_config_key(self):
         config = make_config(key_a=13, coded_signature=20)

@@ -13,6 +13,13 @@ slack = (limit - speed) + margin;
 """
 
 
+def assert_one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
 @pytest.fixture
 def prom(tmp_path):
     src = tmp_path / "guard.vc"
@@ -104,6 +111,12 @@ class TestInject:
     def test_unknown_model(self, prom):
         assert main(["inject", str(prom), "--model", "F9"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials(self, prom, capsys, trials):
+        assert main(["inject", str(prom), "--model", "F1",
+                     "--trials", trials]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+
 
 class TestChannel:
     def test_runs_and_writes_reports(self, tmp_path, capsys):
@@ -138,6 +151,32 @@ class TestChannel:
         config = tmp_path / "campaign.json"
         config.write_text("{broken")
         assert main(["channel", "--config", str(config)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("threat", [
+        {"kind": "brute_force"},
+        {"kind": "brute_force", "attempts": 0},
+    ])
+    def test_brute_force_without_attempts(self, tmp_path, capsys, threat):
+        config = tmp_path / "campaign.json"
+        config.write_text(json.dumps({
+            "schemes": ["crc8-atm"],
+            "threats": [threat],
+            "trials": 5,
+            "seed": 0,
+        }))
+        assert main(["channel", "--config", str(config)]) == EXIT_CONFIG
+        assert "config.threats[0]" in assert_one_error_line(capsys)
+
+    def test_non_integer_hmac_truncation(self, tmp_path, capsys):
+        config = tmp_path / "campaign.json"
+        config.write_text(json.dumps({
+            "schemes": ["hmac-x"],
+            "threats": [{"kind": "forge"}],
+            "trials": 5,
+            "seed": 0,
+        }))
+        assert main(["channel", "--config", str(config)]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
 
     def test_hmac_without_key(self, tmp_path, monkeypatch):
         monkeypatch.delenv("VITALCODE_MAC_KEY", raising=False)
@@ -175,6 +214,11 @@ class TestRedundancy:
 
     def test_bad_probability(self):
         assert main(["redundancy", "--p", "1.5"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials(self, capsys, trials):
+        assert main(["redundancy", "--trials", trials]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
 
 
 class TestVectors:

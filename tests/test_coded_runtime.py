@@ -4,10 +4,11 @@ import pytest
 
 from helpers import (SAMPLE_CYCLE, SAMPLE_INPUTS, build_sample,
                      random_straight_line_program)
-from vitalcode.coded_runtime import (ACCEPT, REJECT, SAFE_HALT, FaultSpec,
+from vitalcode.coded_runtime import (ACCEPT, FAULT_MODELS, FUNCTIONAL_BITS,
+                                     REJECT, SAFE_HALT, FaultSpec,
                                      UnresolvableTarget, run_campaign,
-                                     run_cycle, trial_rng)
-from vitalcode.dsl import interpret, parse_program
+                                     run_cycle)
+from vitalcode.dsl import MUL, interpret, parse_program
 from vitalcode.sigtool import build
 from vitalcode.coded_core import make_key
 from vitalcode.stats import binomial_sigma
@@ -125,12 +126,42 @@ class TestFaultModels:
         sigma = binomial_sigma(expected, trials)
         assert abs(report.undetected_rate - expected) < 3 * sigma
 
+    @pytest.mark.parametrize("model", FAULT_MODELS)
+    def test_draw_order(self, model):
+        # Selectors are drawn before execution, which draws nothing, so
+        # the generator ends exactly where the documented draws leave it.
+        ir, key, table, program = build_sample(13)
+        rng, ref = random.Random(5), random.Random(5)
+        names = ir.variables()
+        run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
+                  fault=FaultSpec(model), rng=rng)
+        if model in ("F1", "F2"):
+            ref.randrange(len(names))
+            ref.randrange(FUNCTIONAL_BITS if model == "F1"
+                          else key.bit_width)
+        elif model == "F5":
+            idx = ref.randrange(len(program.constants))
+            if program.constants[idx].opcode == MUL:
+                ref.randrange(3)
+            ref.randrange(1, 13)
+        else:
+            ref.randrange(len(ir.outputs))
+            if model == "F3":
+                ref.randrange(len(names) - 1)
+            elif model == "F6":
+                ref.getrandbits(FUNCTIONAL_BITS)
+                ref.randrange(13)
+        assert rng.getstate() == ref.getstate()
+
     def test_unresolvable_target(self):
         ir, key, table, program = build_sample(13)
-        spec = FaultSpec("F1", variable="ghost")
-        with pytest.raises(UnresolvableTarget):
-            run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
-                      fault=spec, rng=random.Random(0))
+        for spec in (FaultSpec("F1", variable="ghost"),
+                     FaultSpec("F3", donor="ghost"),
+                     FaultSpec("F5", instruction=99),
+                     FaultSpec("F9")):
+            with pytest.raises(UnresolvableTarget):
+                run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
+                          fault=spec, rng=random.Random(0))
 
 
 class TestCampaign:
@@ -154,10 +185,6 @@ class TestCampaign:
         a = run_campaign(program, table, key, ["F6"], 500, seed=21)
         b = run_campaign(program, table, key, ["F6"], 500, seed=21)
         assert a.to_json() == b.to_json()
-
-    def test_trial_rng_stable(self):
-        assert trial_rng(1, 2).random() == trial_rng(1, 2).random()
-        assert trial_rng(1, 2).random() != trial_rng(1, 3).random()
 
 
 class TestFaultFreeEquivalence:

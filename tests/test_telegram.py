@@ -18,7 +18,8 @@ from vitalcode.telegram import (ACCEPT, BAD_CRC, BAD_PARITY, BAD_RESIDUE,
                                 ReceiverWindow, Telegram, TelegramError,
                                 apply_attack, apply_channel_noise,
                                 coded_signature_residue, parse_wire,
-                                protect_telegram, verify_telegram)
+                                protect_telegram, serialize_wire,
+                                verify_telegram)
 
 KEY = make_key(251)
 MAC = MacKey(b"test-mac-key-material")
@@ -59,10 +60,12 @@ class TestWireFormat:
     def test_parse_inverts_protect(self, seq, date, payload):
         t = Telegram(seq, date, payload)
         scheme = SCHEMES["crc32"]
-        parsed, scheme_id, tag = parse_wire(protect_telegram(t, scheme))
+        wire = protect_telegram(t, scheme)
+        parsed, scheme_id, tag = parse_wire(wire)
         assert parsed == t
         assert scheme_id == 2
         assert len(tag) == 4
+        assert serialize_wire(parsed, scheme_id, tag) == wire
 
     def test_malformed_frames(self):
         good = protect_telegram(Telegram(1, 1, b"abc"), SCHEMES["crc8"])
