@@ -13,27 +13,22 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import random
 from dataclasses import asdict, dataclass, fields
 
 from . import telegram as tg
 from .channel_codes import CRC_CATALOG
-from .coded_core import make_key
+from .coded_core import CodedCoreError, make_key
 from .mac import MAC_KEY_ENV, MacKey, TAG_LENGTHS
-from .stats import (TrialCountError, check_trials, report_json, run_trials,
-                    trial_rng, wilson_interval)
+from .stats import (ConfigError, report_json, run_trials, trial_rng,
+                    wilson_interval)
 
 DEFAULT_PAYLOAD_LENGTH = 64
 
 NOISE_THREATS = ("bit_error", "burst", "random_payload", "codeword_flip")
 ATTACK_THREATS = ("forge", "replay", "splice", "brute_force")
-
-
-class ConfigError(Exception):
-    def __init__(self, message, path="config"):
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 @dataclass(frozen=True)
@@ -68,73 +63,110 @@ class CampaignConfig:
     mac_truncation: int = 32
 
 
-def _trial_count(value: int, path: str) -> int:
+def _within(low, high=math.inf):
+    return lambda v: (None if low <= v <= high
+                      else f"must be in [{low}, {high}], got {v!r}")
+
+
+def _one_of(choices):
+    return lambda v: (None if v in choices
+                      else f"must be one of {choices}, got {v!r}")
+
+
+def _payload_hex(text):
     try:
-        return check_trials(value)
-    except TrialCountError as exc:
-        raise ConfigError(str(exc), path) from None
+        payload = bytes.fromhex(text)
+    except ValueError:
+        return "not a hex string"
+    if len(payload) > tg.MAX_PAYLOAD:
+        return f"payload longer than {tg.MAX_PAYLOAD} bytes"
+    return None
 
 
-def parse_config(doc: dict) -> CampaignConfig:
+# Field -> (JSON types, value check returning an error or None), for the
+# top-level object and each threat.  Only fields present are checked, by
+# exact type, so a bool is never a number.  `mac_key` has no value check,
+# so its material never reaches an error.
+_FIELDS = {
+    "schemes": ((list,), None),
+    "threats": ((list,), None),
+    "trials": ((int,), _within(1)),
+    "seed": ((int,), None),
+    "key_a": ((int,), None),  # primality: build_scheme
+    "coded_signature": ((int,), None),
+    "payload_length": ((int,), _within(0, tg.MAX_PAYLOAD)),
+    "mac_key": ((str, type(None)), None),
+    "mac_truncation": ((int,), _one_of(TAG_LENGTHS)),
+    "kind": ((str,), _one_of(NOISE_THREATS + ATTACK_THREATS)),
+    "rate": ((int, float), _within(0, 1)),
+    "length": ((int,), _within(0)),
+    "attempts": ((int,), _within(1)),
+    "payload_hex": ((str,), _payload_hex),
+}
+
+
+def _check_fields(doc: dict, path: str) -> None:
+    for name, value in doc.items():
+        spec = _FIELDS.get(name)
+        if spec is None:
+            continue
+        types, check = spec
+        if type(value) not in types:
+            raise ConfigError(f"bad type {type(value).__name__}",
+                              f"{path}.{name}")
+        if check is not None and (error := check(value)) is not None:
+            raise ConfigError(error, f"{path}.{name}")
+
+
+def parse_config(doc) -> CampaignConfig:
     """Validate a campaign configuration document."""
     if not isinstance(doc, dict):
         raise ConfigError("document must be a JSON object")
-
-    def require(name, types):
+    for name in ("schemes", "threats", "trials", "seed"):
         if name not in doc:
             raise ConfigError("missing field", f"config.{name}")
-        value = doc[name]
-        if not isinstance(value, types):
-            raise ConfigError(f"bad type {type(value).__name__}",
-                              f"config.{name}")
-        return value
-
-    schemes = require("schemes", list)
-    trials = _trial_count(require("trials", int), "config.trials")
-    seed = require("seed", int)
+    _check_fields(doc, "config")
     threats = []
-    for i, entry in enumerate(require("threats", list)):
+    for i, entry in enumerate(doc["threats"]):
         path = f"config.threats[{i}]"
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigError("threat needs a 'kind'", path)
-        kind = entry["kind"]
-        if kind not in NOISE_THREATS + ATTACK_THREATS:
-            raise ConfigError(f"unknown threat kind {kind!r}", path)
-        attempts = int(entry.get("attempts", 0))
-        if kind == "brute_force":
-            _trial_count(attempts, f"{path}.attempts")
+        _check_fields(entry, path)
+        if entry["kind"] == "brute_force" and "attempts" not in entry:
+            raise ConfigError("missing field", f"{path}.attempts")
         threats.append(Threat(
-            kind=kind,
+            kind=entry["kind"],
             rate=float(entry.get("rate", 0.0)),
-            length=int(entry.get("length", 0)),
-            attempts=attempts,
+            length=entry.get("length", 0),
+            attempts=entry.get("attempts", 0),
             payload=bytes.fromhex(entry.get("payload_hex", ""))))
     config = CampaignConfig(
-        schemes=[str(s) for s in schemes],
+        schemes=[str(s) for s in doc["schemes"]],
         threats=threats,
-        trials=trials,
-        seed=seed,
-        key_modulus=int(doc.get("key_a", 251)),
-        coded_signature=int(doc.get("coded_signature", 7)),
-        payload_length=int(doc.get("payload_length", DEFAULT_PAYLOAD_LENGTH)),
+        trials=doc["trials"],
+        seed=doc["seed"],
+        key_modulus=doc.get("key_a", 251),
+        coded_signature=doc.get("coded_signature", 7),
+        payload_length=doc.get("payload_length", DEFAULT_PAYLOAD_LENGTH),
         mac_key_hex=doc.get("mac_key"),
-        mac_truncation=int(doc.get("mac_truncation", 32)))
+        mac_truncation=doc.get("mac_truncation", 32))
     for name in config.schemes:
         build_scheme(name, config)  # raises ConfigError on bad names
-    if config.mac_truncation not in TAG_LENGTHS:
-        raise ConfigError(f"must be one of {TAG_LENGTHS}",
-                          "config.mac_truncation")
     return config
 
 
+def load_json(path: str):
+    """Read a JSON file; invalid JSON is a ConfigError at `path`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON at line {exc.lineno}, "
+                              f"column {exc.colno}", path) from None
+
+
 def load_config(path: str) -> CampaignConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON at line {exc.lineno}, "
-                          f"column {exc.colno}", path) from None
-    return parse_config(doc)
+    return parse_config(load_json(path))
 
 
 def build_scheme(name: str, config: CampaignConfig) -> tg.ProtectionScheme:
@@ -149,7 +181,10 @@ def build_scheme(name: str, config: CampaignConfig) -> tg.ProtectionScheme:
     if name == tg.SCHEME_HAMMING:
         return tg.ProtectionScheme(tg.SCHEME_HAMMING)
     if name == tg.SCHEME_CODEDSIG:
-        key = make_key(config.key_modulus)
+        try:
+            key = make_key(config.key_modulus)
+        except CodedCoreError as exc:
+            raise ConfigError(str(exc), "config.key_a") from None
         return tg.ProtectionScheme(
             tg.SCHEME_CODEDSIG, key=key,
             signature=config.coded_signature % key.modulus)
@@ -243,24 +278,24 @@ def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
               config: CampaignConfig, mac_key: MacKey | None) -> CellResult:
     knowledge = tg.AttackerKnowledge(scheme)
     stream = f"vitalcode-channel:{config.seed}:{scheme_name}:{threat.label}"
+    if threat.kind == "brute_force":
+        # Tag guessing: the attacker fabricates frames for one chosen
+        # message and tries a fresh random tag per attempt.  Nothing the
+        # attacker presents was ever sent, so any acceptance is a wrong
+        # acceptance.  The carrier frame is the same for every attempt.
+        forged = threat.payload or b"\x00" * config.payload_length
+        carrier = tg.protect_telegram(tg.Telegram(1, 1, forged), scheme,
+                                      mac_key)
+        carrier_window = tg.ReceiverWindow(min_seq=0, current_date=1)
+        guess = tg.AttackSpec(tg.BRUTE_FORCE_TAG, payload=forged)
 
     def trial(i):
         rng = trial_rng(stream, i)
 
         if threat.kind == "brute_force":
-            # Tag guessing: the attacker fabricates frames for one chosen
-            # message and tries a fresh random tag per attempt.  Nothing
-            # the attacker presents was ever sent, so any acceptance is a
-            # wrong acceptance.
-            forged = threat.payload or b"\x00" * config.payload_length
-            carrier = tg.Telegram(1, 1, forged)
-            wire = tg.protect_telegram(carrier, scheme, mac_key)
-            window = tg.ReceiverWindow(min_seq=0, current_date=1)
-            delivered = tg.apply_attack(
-                wire, tg.AttackSpec(tg.BRUTE_FORCE_TAG, payload=forged),
-                knowledge, rng)
+            delivered = tg.apply_attack(carrier, guess, knowledge, rng)
             return _outcome(tg.verify_telegram(delivered, scheme, mac_key,
-                                               window), None, threat)
+                                               carrier_window), None, threat)
 
         seq = i + 1
         date = i + 1

@@ -1,43 +1,39 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 on any acceptance-relevant failure (a rejected
-cycle, a failed known-answer vector), 2 on configuration errors.
+cycle, a failed known-answer vector), 2 on configuration errors.  `main`
+is the only place that turns an error into exit code 2; every other
+exception is a fault in the program and ends in a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import campaign as ch
 from . import coded_runtime as rt
-from .coded_core import CodedCoreError, make_key
+from .coded_core import NotPrimeError, OutOfRangeError, make_key
 from .dsl import DslError, parse_program
-from .mac import MacKey, hash_digest, hmac_tag
+from .mac import MacKey, MacKeyError, hash_digest, hmac_tag
 from .redundancy import POLICIES, VoteConfig, redundancy_campaign
-from .sigtool import (CodedProgram, SigtoolError, build, emit_prom,
-                      load_prom)
-from .stats import TrialCountError
+from .sigtool import SigtoolError, build, emit_prom, load_prom
+from .stats import ConfigError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
+# Errors of outside input: files, arguments, configs, images and keys.
+CONFIG_ERRORS = (OSError, UnicodeDecodeError, ConfigError, DslError,
+                 SigtoolError, MacKeyError, NotPrimeError, OutOfRangeError)
+
 
 def _cmd_sign(args) -> int:
-    try:
-        with open(args.program, "r", encoding="utf-8") as fh:
-            source = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        key = make_key(args.key)
-        ir = parse_program(source)
-    except (CodedCoreError, DslError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with open(args.program, "r", encoding="utf-8") as fh:
+        source = fh.read()
+    key = make_key(args.key)
+    ir = parse_program(source)
     table, program = build(ir, key, args.seed)
     image = emit_prom(table, program)
     with open(args.output, "wb") as fh:
@@ -49,26 +45,17 @@ def _cmd_sign(args) -> int:
     return EXIT_OK
 
 
-def _load_image(path: str):
-    try:
-        with open(path, "rb") as fh:
-            return load_prom(fh.read())
-    except (OSError, SigtoolError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
 def _cmd_run(args) -> int:
-    loaded = _load_image(args.prom)
-    if loaded is None:
-        return EXIT_CONFIG
-    table, program = loaded
-    try:
-        with open(args.inputs, "r", encoding="utf-8") as fh:
-            inputs = {k: int(v) for k, v in json.load(fh).items()}
-    except (OSError, ValueError) as exc:
-        print(f"error: bad inputs file: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.cycles < 1:
+        raise ConfigError(f"must be >= 1, got {args.cycles}", "--cycles")
+    with open(args.prom, "rb") as fh:
+        table, program = load_prom(fh.read())
+    inputs = ch.load_json(args.inputs)
+    names = program.ir.inputs
+    if not (isinstance(inputs, dict)
+            and all(type(inputs.get(n)) is int for n in names)):
+        raise ConfigError(f"must be a JSON object giving an integer for "
+                          f"each input of {names}", args.inputs)
     status = EXIT_OK
     for cycle in range(args.cycles):
         result = rt.run_cycle(program, table, inputs, cycle, table.key)
@@ -83,15 +70,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    loaded = _load_image(args.prom)
-    if loaded is None:
-        return EXIT_CONFIG
-    table, program = loaded
+    with open(args.prom, "rb") as fh:
+        table, program = load_prom(fh.read())
     models = [m.strip().upper() for m in args.model.split(",")]
     for m in models:
         if m not in rt.FAULT_MODELS:
-            print(f"error: unknown fault model {m!r}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"unknown fault model {m!r}", "--model")
     report = rt.run_campaign(program, table, table.key, models,
                              args.trials, args.seed)
     print(report.to_json())
@@ -99,12 +83,7 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_channel(args) -> int:
-    try:
-        config = ch.load_config(args.config)
-        report = ch.run_channel_campaign(config)
-    except ch.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    report = ch.run_channel_campaign(ch.load_config(args.config))
     rendered = report.to_json()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -120,11 +99,7 @@ def _cmd_channel(args) -> int:
 
 
 def _cmd_redundancy(args) -> int:
-    try:
-        cfg = VoteConfig(policy=args.policy, p=args.p, q=args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = VoteConfig(policy=args.policy, p=args.p, q=args.q)
     report = redundancy_campaign(cfg, args.trials, args.seed)
     print(report.to_json())
     return EXIT_OK
@@ -216,7 +191,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TrialCountError as exc:  # --trials below one
+    except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, replace
 from .coded_core import (CodeKey, CodedValue, CompensationConstant,
                          FunctionalOverflow, MULTIPLICATIVE, check, encode,
                          opel_add, opel_mul, opel_sub, opel_move)
-from .dsl import ADD, MOVE, MUL, SUB, ProgramIR, interpret
+from .dsl import ADD, MOVE, MUL, SUB, interpret
 from .sigtool import CodedProgram, InstructionConstants, SignatureTable
 from .stats import report_json, run_trials, trial_rng, wilson_interval
 
@@ -199,14 +199,14 @@ def inject_fault(state: CycleState, program: CodedProgram,
 def run_cycle(program: CodedProgram, table: SignatureTable,
               inputs: dict[str, int], cycle: int, key: CodeKey,
               fault: FaultSpec | None = None,
-              rng: random.Random | None = None,
-              check_intermediates: bool = False) -> CycleResult:
+              rng: random.Random | None = None) -> CycleResult:
     """Execute one cycle; publish outputs only if every check accepts.
 
     With a fault spec, its unset selectors are drawn from `rng` before
     execution starts, and exactly one mutation is applied at the model's
     injection point (F5 before execution, F1/F2 after the target's
-    definition, F3/F4/F6 at cycle end before the checks).
+    definition, F3/F4/F6 at cycle end before the checks).  A value
+    outside the 64-bit range, input or result, is a safe halt.
     """
     a = key.modulus
     ir = program.ir
@@ -223,19 +223,19 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
         elif fault.model in (F1, F2):
             struck = fault.variable
 
-    for name in ir.inputs:
-        if name not in inputs:
-            raise KeyError(f"missing input {name!r}")
-        state.values[name] = encode(int(inputs[name]), sigs[name],
-                                    cycle, key)
-        if name == struck:
-            inject_fault(state, program, table, key, fault, rng)
-    for name, value in ir.consts.items():
-        state.values[name] = encode(value, sigs[name], cycle, key)
-        if name == struck:
-            inject_fault(state, program, table, key, fault, rng)
-
     try:
+        for name in ir.inputs:
+            if name not in inputs:
+                raise KeyError(f"missing input {name!r}")
+            state.values[name] = encode(int(inputs[name]), sigs[name],
+                                        cycle, key)
+            if name == struck:
+                inject_fault(state, program, table, key, fault, rng)
+        for name, value in ir.consts.items():
+            state.values[name] = encode(value, sigs[name], cycle, key)
+            if name == struck:
+                inject_fault(state, program, table, key, fault, rng)
+
         for ins, const in zip(ir.instructions, constants):
             folded = _constants_at_date(const, date_term, a)
             v1 = state.values[ins.src1]
@@ -251,10 +251,6 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
             state.values[ins.dest] = result
             if ins.dest == struck:
                 inject_fault(state, program, table, key, fault, rng)
-            if check_intermediates and not check(result, sigs[ins.dest],
-                                                 cycle, key):
-                return CycleResult(REJECT, None,
-                                   f"intermediate {ins.dest!r} incoherent")
     except FunctionalOverflow as exc:
         return CycleResult(SAFE_HALT, None, str(exc))
 
@@ -298,39 +294,31 @@ class InjectionReport:
         return report_json(asdict(self))
 
 
-def default_input_generator(ir: ProgramIR):
-    """Uniform small inputs, safe from 64-bit overflow in short programs."""
-    def gen(rng: random.Random) -> dict[str, int]:
-        return {name: rng.randrange(-100, 101) for name in ir.inputs}
-    return gen
-
-
 def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
-                 models, trials: int, seed: int,
-                 input_generator=None) -> InjectionReport:
+                 models, trials: int, seed: int) -> InjectionReport:
     """Inject `trials` single faults drawn uniformly from `models`.
 
-    Trial i draws its inputs, cycle, model and fault from the engine
+    Trial i draws its inputs (uniform in [-100, 100], safe from 64-bit
+    overflow in short programs), cycle, model and fault from the engine
     stream `vitalcode:{seed}`.  An empty model list runs a fault-free
-    baseline; any rejection there counts as a false alarm.
+    baseline; any rejection there counts as a false alarm.  Only
+    accepted cycles are compared with the `interpret` oracle.
     """
     models = list(models)
-    if input_generator is None:
-        input_generator = default_input_generator(program.ir)
+    ir = program.ir
     stream = f"vitalcode:{seed}"
 
     def trial(i):
         rng = trial_rng(stream, i)
-        inputs = input_generator(rng)
+        inputs = {name: rng.randrange(-100, 101) for name in ir.inputs}
         cycle = rng.randrange(1, 1 << 20)
         model = models[rng.randrange(len(models))] if models else None
         result = run_cycle(program, table, inputs, cycle, key,
                            fault=FaultSpec(model) if model else None,
                            rng=rng)
-        reference = interpret(program.ir, inputs)
         if result.verdict != ACCEPT:
             return model, "detected"
-        if result.outputs != reference:
+        if result.outputs != interpret(ir, inputs):
             return model, "undetected_wrong_output"
         return model, "benign"
 

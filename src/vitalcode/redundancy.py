@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .stats import report_json, run_trials, trial_rng, wilson_interval
+from .stats import (ConfigError, report_json, run_trials, trial_rng,
+                    wilson_interval)
 
 UNANIMITY = "unanimity"
 MAJORITY = "majority"
@@ -30,9 +31,10 @@ class VoteConfig:
 
     def __post_init__(self):
         if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
+            raise ConfigError(f"must be one of {POLICIES}", "policy")
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
-            raise ValueError("p and q must be probabilities")
+            raise ConfigError(f"must be probabilities, got p={self.p}, "
+                              f"q={self.q}", "p, q")
 
     @property
     def replicas(self) -> int:

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .coded_core import CodeKey, CodedCoreError
-from .dsl import (ADD, MOVE, MUL, SUB, Instruction, ProgramIR,
+from .dsl import (ADD, MOVE, MUL, SUB, DslError, ProgramIR,
                   canonical_ir_bytes, ir_from_canonical)
 from .mac import hash_digest
 
@@ -28,6 +28,10 @@ class SigtoolError(Exception):
 
 class MissingSignatureError(SigtoolError):
     pass
+
+
+class SeedRangeError(SigtoolError):
+    """Signature seed outside [0, 2^64): it is stored as a u64."""
 
 
 class PromFormatError(SigtoolError):
@@ -51,7 +55,8 @@ class TruncatedError(PromFormatError):
 
 
 class IntegrityError(PromFormatError):
-    """Stored table or constants disagree with recomputation from (IR, key, seed)."""
+    """Image disagrees with its rebuild from (IR, key, seed), or its key or
+    IR is ill-formed."""
 
 
 class DuplicateSignatureWarning(UserWarning):
@@ -111,6 +116,8 @@ def assign_signatures(ir: ProgramIR, key: CodeKey, seed: int) -> SignatureTable:
     table.  Duplicate signatures (unavoidable for small keys) raise a
     DuplicateSignatureWarning but do not fail.
     """
+    if not 0 <= seed < 1 << 64:
+        raise SeedRangeError(f"seed {seed} outside [0, 2^64)")
     signatures = {name: _draw_signature(seed, name, key)
                   for name in ir.variables()}
     by_value: dict[int, list[str]] = {}
@@ -164,7 +171,6 @@ def build(ir: ProgramIR, key: CodeKey, seed: int):
 
 
 _OPCODE_IDS = {ADD: 1, SUB: 2, MUL: 3, MOVE: 4}
-_OPCODE_NAMES = {v: k for k, v in _OPCODE_IDS.items()}
 
 
 def _section(payload: bytes) -> bytes:
@@ -228,9 +234,6 @@ class _Reader:
     def u8(self) -> int:
         return self.take(1)[0]
 
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
-
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
 
@@ -244,9 +247,9 @@ class _Reader:
 def load_prom(data: bytes) -> tuple[SignatureTable, CodedProgram]:
     """Parse and verify a PROM image.
 
-    Beyond structural checks, the loader recomputes the signature table
-    and constants from the embedded (IR, key, seed) and requires them to
-    match the stored sections, so a corrupted image never loads silently.
+    After the header checks, the loader rebuilds the image from the
+    embedded (IR, key, seed) and requires it to equal `data` byte for
+    byte, so a corrupted image never loads silently.
     """
     r = _Reader(data)
     if r.take(len(PROM_MAGIC)) != PROM_MAGIC:
@@ -268,46 +271,12 @@ def load_prom(data: bytes) -> tuple[SignatureTable, CodedProgram]:
         raise DigestMismatchError("program digest does not match IR section")
     try:
         ir = ir_from_canonical(ir_bytes)
-    except Exception as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateSignatureWarning)
+            table, program = build(ir, key, seed)
+    except (DslError, MissingSignatureError, ValueError) as exc:
         raise IntegrityError(f"bad canonical IR: {exc}") from None
-
-    sig_section = _Reader(r.section())
-    count = sig_section.u32()
-    signatures: dict[str, int] = {}
-    for _ in range(count):
-        try:
-            name = sig_section.take(sig_section.u16()).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IntegrityError(f"bad variable name: {exc}") from None
-        signatures[name] = sig_section.u64()
-
-    const_section = _Reader(r.section())
-    count = const_section.u32()
-    constants = []
-    for _ in range(count):
-        opcode = _OPCODE_NAMES.get(const_section.u8())
-        if opcode is None:
-            raise IntegrityError("unknown opcode in constants section")
-        if opcode == MUL:
-            constants.append(InstructionConstants(
-                MUL, src1_sig=const_section.u64(),
-                src2_sig=const_section.u64(),
-                dest_sig=const_section.u64()))
-        else:
-            constants.append(InstructionConstants(
-                opcode, kappa_sig=const_section.u64()))
-    if r.pos != len(data):
-        raise IntegrityError(f"{len(data) - r.pos} trailing bytes")
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DuplicateSignatureWarning)
-        expected_table = assign_signatures(ir, key, seed)
-    expected_program = predetermine(ir, expected_table, key)
-    if signatures != expected_table.signatures:
-        raise IntegrityError("stored signatures disagree with recomputation")
-    if tuple(constants) != expected_program.constants:
-        raise IntegrityError("stored constants disagree with recomputation")
-
-    table = SignatureTable(signatures=signatures, key=key, seed=seed,
-                           program_digest=digest)
-    return table, CodedProgram(ir=ir, constants=tuple(constants))
+    if emit_prom(table, program) != data:
+        raise IntegrityError("image disagrees with its rebuild from "
+                             "(IR, key, seed)")
+    return table, program

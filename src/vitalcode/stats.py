@@ -6,7 +6,8 @@ the stream name and its index, never on execution order.  The campaign
 modules keep only their trial bodies: `run_trials` rejects a count below
 one and tallies the outcome each body returns, and `report_json` writes
 a report as JSON with sorted keys, so a fixed seed gives a
-byte-identical report.
+byte-identical report.  `ConfigError` lives here because every campaign
+module imports this one; the command line turns it into exit code 2.
 """
 
 from __future__ import annotations
@@ -17,13 +18,25 @@ import random
 from collections import Counter
 
 
-class TrialCountError(ValueError):
+class ConfigError(ValueError):
+    """Bad outside input: a config field, a file or a command-line value.
+
+    `path` names where it entered, e.g. `config.threats[0].rate`.
+    """
+
+    def __init__(self, message, path="config"):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+
+
+class TrialCountError(ConfigError):
     """A campaign was asked for fewer than one trial."""
 
 
 def check_trials(trials: int) -> int:
     if trials < 1:
-        raise TrialCountError(f"trial count must be >= 1, got {trials}")
+        raise TrialCountError(f"trial count must be >= 1, got {trials}",
+                              "trials")
     return trials
 
 

@@ -3,11 +3,21 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vitalcode.campaign import (CampaignConfig, ConfigError, Threat,
                                 build_scheme, load_config, parse_config,
                                 resolve_mac_key, run_channel_campaign)
 from vitalcode.mac import MAC_KEY_ENV
+
+# Every field a config document or a threat may hold.
+FIELDS = ("schemes", "threats", "trials", "seed", "key_a", "coded_signature",
+          "payload_length", "mac_key", "mac_truncation", "kind", "rate",
+          "length", "attempts", "payload_hex")
+
+# Scheme and threat names, so generated documents are often nearly valid.
+NAMES = ("crc8-atm", "codedsig", "hmac-8", "forge", "burst", "bit_error",
+         "brute_force", "replay")
 
 BASE_DOC = {
     "schemes": ["crc8-atm"],
@@ -79,6 +89,54 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"config.threats\[1\]"):
             make_config(threats=[{"kind": "forge"}, threat])
 
+    @pytest.mark.parametrize("overrides, where", [
+        ({"trials": True}, "config.trials"),
+        ({"seed": 1.5}, "config.seed"),
+        ({"payload_length": 5000}, "config.payload_length"),
+        ({"payload_length": -1}, "config.payload_length"),
+        ({"key_a": "251"}, "config.key_a"),
+        ({"mac_key": 5}, "config.mac_key"),
+        ({"schemes": "crc8-atm"}, "config.schemes"),
+    ])
+    def test_bad_field(self, overrides, where):
+        with pytest.raises(ConfigError, match=rf"^{where}: "):
+            make_config(**overrides)
+
+    @pytest.mark.parametrize("threat, field", [
+        ({"kind": 5}, "kind"),
+        ({"kind": "bit_error", "rate": "x"}, "rate"),
+        ({"kind": "bit_error", "rate": 2}, "rate"),
+        ({"kind": "bit_error", "rate": True}, "rate"),
+        ({"kind": "bit_error", "rate": float("nan")}, "rate"),
+        ({"kind": "burst", "length": -2}, "length"),
+        ({"kind": "brute_force", "attempts": "x"}, "attempts"),
+        ({"kind": "forge", "payload_hex": "zz"}, "payload_hex"),
+        ({"kind": "forge", "payload_hex": "00" * 1025}, "payload_hex"),
+    ])
+    def test_bad_threat_field(self, threat, field):
+        with pytest.raises(ConfigError,
+                           match=rf"^config\.threats\[1\]\.{field}: "):
+            make_config(threats=[{"kind": "forge"}, threat])
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(max_size=8) | st.sampled_from(NAMES),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(FIELDS), inner, max_size=6)
+        | st.fixed_dictionaries(
+            {name: st.just(value) | inner
+             for name, value in BASE_DOC.items()},
+            optional={name: inner for name in FIELDS
+                      if name not in BASE_DOC}),
+        max_leaves=16))
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_is_config_or_config_error(self, doc):
+        try:
+            config = parse_config(doc)
+        except ConfigError:
+            return
+        assert isinstance(config, CampaignConfig)
+
     def test_load_config_reports_json_position(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schemes": [,]}')
@@ -113,6 +171,11 @@ class TestSchemeBuilding:
     def test_non_integer_hmac_truncation_name(self, name):
         with pytest.raises(ConfigError, match="hmac truncation"):
             build_scheme(name, make_config())
+
+    @pytest.mark.parametrize("key_a", [12, 2, 2**48 + 21])
+    def test_codedsig_bad_key(self, key_a):
+        with pytest.raises(ConfigError, match=r"^config\.key_a: "):
+            make_config(schemes=["codedsig"], key_a=key_a)
 
     def test_codedsig_uses_config_key(self):
         config = make_config(key_a=13, coded_signature=20)

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from vitalcode.campaign import load_config
 from vitalcode.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
+from vitalcode.dsl import parse_program
+from vitalcode.sigtool import load_prom
 
 PROGRAM = """\
 input speed;
@@ -66,6 +74,19 @@ class TestSign:
         assert main(["sign", str(src), "--key", "251",
                      "-o", str(tmp_path / "x.prom")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("source, seed", [
+        (PROGRAM.encode(), "-1"),
+        (PROGRAM.encode(), str(2**64)),
+        (b"input \xff;", "0"),
+    ], ids=["seed-negative", "seed-2^64", "source-not-utf8"])
+    def test_config_error(self, tmp_path, capsys, source, seed):
+        src = tmp_path / "p.vc"
+        src.write_bytes(source)
+        assert main(["sign", str(src), "--key", "251", "--seed", seed,
+                     "-o", str(tmp_path / "x.prom")]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "x.prom").exists()
+
 
 class TestRun:
     def test_accepting_cycles(self, prom, tmp_path, capsys):
@@ -83,6 +104,13 @@ class TestRun:
                      str(inputs)]) == EXIT_FAILURE
         assert "safe_halt" in capsys.readouterr().out
 
+    def test_overflowing_input_is_safe_halt(self, prom, tmp_path, capsys):
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps({"speed": 1, "limit": 2**63}))
+        assert main(["run", str(prom), "--inputs",
+                     str(inputs)]) == EXIT_FAILURE
+        assert "cycle 0: safe_halt" in capsys.readouterr().out
+
     def test_corrupted_image_refused(self, prom, tmp_path):
         data = bytearray(prom.read_bytes())
         data[len(data) // 2] ^= 0x01
@@ -99,6 +127,23 @@ class TestRun:
         assert main(["run", str(prom), "--inputs",
                      str(inputs)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("inputs_text, cycles", [
+        ('{"speed": 1}', "1"),                 # an input missing
+        ("[1, 2]", "1"),                       # not an object
+        ('{"speed": 1, "limit": "2"}', "1"),   # not an integer
+        ('{"speed": 1, "limit": true}', "1"),
+        ('{"speed": 1, "limit": 2}', "-1"),
+        ('{"speed": 1, "limit": 2}', "0"),
+    ])
+    def test_config_error(self, prom, tmp_path, capsys, inputs_text,
+                          cycles):
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(inputs_text)
+        assert main(["run", str(prom), "--inputs", str(inputs),
+                     "--cycles", cycles]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+        assert capsys.readouterr().out == ""
+
 
 class TestInject:
     def test_report_printed(self, prom, capsys):
@@ -108,8 +153,9 @@ class TestInject:
         assert doc["trials"] == 500
         assert set(doc["per_model"]) == {"F1", "F6"}
 
-    def test_unknown_model(self, prom):
+    def test_unknown_model(self, prom, capsys):
         assert main(["inject", str(prom), "--model", "F9"]) == EXIT_CONFIG
+        assert "--model" in assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_no_trials(self, prom, capsys, trials):
@@ -178,6 +224,50 @@ class TestChannel:
         assert main(["channel", "--config", str(config)]) == EXIT_CONFIG
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("overrides, where", [
+        ({"key_a": 12}, "config.key_a"),
+        ({"threats": [{"kind": "bit_error", "rate": "x"}]},
+         "config.threats[0].rate"),
+        ({"threats": [{"kind": "bit_error", "rate": 2}]},
+         "config.threats[0].rate"),
+        ({"threats": [{"kind": "brute_force", "attempts": "x"}]},
+         "config.threats[0].attempts"),
+        ({"threats": [{"kind": "forge", "payload_hex": "zz"}]},
+         "config.threats[0].payload_hex"),
+        ({"payload_length": 5000}, "config.payload_length"),
+        ({"trials": True}, "config.trials"),
+        ({"threats": [{"kind": "burst", "length": -2}]},
+         "config.threats[0].length"),
+    ])
+    def test_bad_config_value(self, tmp_path, capsys, overrides, where):
+        doc = {"schemes": ["crc8-atm", "codedsig"],
+               "threats": [{"kind": "forge"}], "trials": 3, "seed": 0}
+        config = tmp_path / "campaign.json"
+        config.write_text(json.dumps(dict(doc, **overrides)))
+        assert main(["channel", "--config", str(config)]) == EXIT_CONFIG
+        assert assert_one_error_line(capsys).startswith(f"error: {where}:")
+
+    @pytest.mark.parametrize("content", [None, b'{"schemes": "\xff"}'])
+    def test_unreadable_config(self, tmp_path, capsys, content):
+        config = tmp_path / "campaign.json"
+        if content is not None:
+            config.write_bytes(content)
+        assert main(["channel", "--config", str(config)]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+
+    def test_bad_mac_key_in_env(self, tmp_path, monkeypatch, capsys):
+        secret = "ab" * 16
+        monkeypatch.setenv("VITALCODE_MAC_KEY", secret + "zz")
+        config = tmp_path / "campaign.json"
+        config.write_text(json.dumps({
+            "schemes": ["hmac"],
+            "threats": [{"kind": "forge"}],
+            "trials": 3,
+            "seed": 0,
+        }))
+        assert main(["channel", "--config", str(config)]) == EXIT_CONFIG
+        assert secret not in assert_one_error_line(capsys)
+
     def test_hmac_without_key(self, tmp_path, monkeypatch):
         monkeypatch.delenv("VITALCODE_MAC_KEY", raising=False)
         config = tmp_path / "campaign.json"
@@ -219,6 +309,76 @@ class TestRedundancy:
     def test_no_trials(self, capsys, trials):
         assert main(["redundancy", "--trials", trials]) == EXIT_CONFIG
         assert_one_error_line(capsys)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+GARBAGE = st.one_of(
+    st.binary(max_size=80),
+    JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.text("inputoc ab=+*-;()0123456789\n", max_size=40).map(str.encode))
+
+
+def _valid(command: str, path: Path) -> bool:
+    """Whether `path` is a valid file for `command`'s file argument."""
+    try:
+        if command == "sign":
+            parse_program(path.read_text(encoding="utf-8"))
+        elif command == "run --inputs":
+            inputs = json.loads(path.read_bytes())
+            return all(type(inputs[n]) is int for n in ("speed", "limit"))
+        elif command == "channel":
+            load_config(str(path))
+        else:
+            load_prom(path.read_bytes())
+        return True
+    except Exception:
+        return False
+
+
+@pytest.fixture(scope="module")
+def garbage_prom(tmp_path_factory):
+    root = tmp_path_factory.mktemp("garbage")
+    src = root / "guard.vc"
+    src.write_text(PROGRAM)
+    image = root / "guard.prom"
+    inputs = root / "inputs.json"
+    inputs.write_text(json.dumps({"speed": 1, "limit": 2}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sign", str(src), "--key", "251",
+                     "-o", str(image)]) == EXIT_OK
+    return str(image), str(inputs)
+
+
+@pytest.mark.parametrize("command", ["sign", "run", "run --inputs",
+                                     "inject", "channel"])
+@given(data=GARBAGE)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_garbage_file_exits_2(garbage_prom, command, data):
+    image, inputs = garbage_prom
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        assume(not _valid(command, path))
+        argv = {
+            "sign": ["sign", str(path), "--key", "251",
+                     "-o", str(Path(tmp) / "out.prom")],
+            "run": ["run", str(path), "--inputs", inputs],
+            "run --inputs": ["run", image, "--inputs", str(path)],
+            "inject": ["inject", str(path), "--model", "F1", "--trials", "1"],
+            "channel": ["channel", "--config", str(path)],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_CONFIG
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestVectors:

@@ -51,6 +51,14 @@ class TestRunCycle:
         assert result.verdict == SAFE_HALT
         assert result.outputs is None
 
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    def test_overflowing_input_is_safe_halt(self, value):
+        ir, key, table, program = build_sample(13)
+        inputs = dict(SAMPLE_INPUTS, limit=value)
+        result = run_cycle(program, table, inputs, SAMPLE_CYCLE, key)
+        assert result.verdict == SAFE_HALT
+        assert result.outputs is None
+
     def test_reject_suppresses_outputs(self):
         ir, key, table, program = build_sample(13)
         spec = FaultSpec("F1", variable="alarm", bit=0)

@@ -1,16 +1,20 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vitalcode.coded_core import make_key
 from vitalcode.dsl import ADD, MOVE, MUL, parse_program
-from vitalcode.sigtool import (BadMagicError, DigestMismatchError,
+from vitalcode.mac import hash_digest
+from vitalcode.sigtool import (PROM_MAGIC, PROM_VERSION, BadMagicError,
+                               DigestMismatchError,
                                DuplicateSignatureWarning,
                                InstructionConstants, IntegrityError,
                                MissingSignatureError, PromFormatError,
-                               SignatureTable, TruncatedError,
-                               VersionMismatchError, assign_signatures,
-                               build, emit_prom, load_prom, predetermine)
+                               SeedRangeError, SignatureTable,
+                               TruncatedError, VersionMismatchError,
+                               assign_signatures, build, emit_prom,
+                               load_prom, predetermine)
 
 A13 = make_key(13)
 
@@ -52,6 +56,11 @@ class TestAssignSignatures:
                     break
             else:
                 pytest.fail("ten reseeds never changed the table")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(SeedRangeError):
+            assign_signatures(parse_program(SRC), A13, seed)
 
     def test_pigeonhole_duplicate_warning(self):
         lines = ["input x0;"] + [f"v{i} = x0 + {i};" for i in range(14)]
@@ -149,3 +158,74 @@ class TestPromImage:
         _, table, program = quiet_build(SRC, key, 42)
         loaded_table, loaded_program = load_prom(emit_prom(table, program))
         assert loaded_table == table and loaded_program == program
+
+    @pytest.mark.parametrize("section", [1, 2])  # signatures, constants
+    def test_junk_inside_section_detected(self, section):
+        _, table, program = quiet_build(SRC, A13, 1)
+        image = emit_prom(table, program)
+        start = section_offsets(image)[section]
+        length = int.from_bytes(image[start:start + 4], "big")
+        end = start + 4 + length
+        bumped = (image[:start] + (length + 3).to_bytes(4, "big")
+                  + image[start + 4:end] + b"\x00\x01\x02" + image[end:])
+        with pytest.raises(IntegrityError):
+            load_prom(bumped)
+
+    @pytest.mark.parametrize("ir_bytes", [
+        b"ADD out a b\n",         # operands never defined
+        b"input \xff\n",          # not UTF-8
+        b"const k x\n",           # not an integer
+        b"NOP a\n",
+    ])
+    def test_ill_formed_ir_with_matching_digest(self, ir_bytes):
+        image = (PROM_MAGIC + bytes([PROM_VERSION])
+                 + (13).to_bytes(8, "big") + (0).to_bytes(8, "big")
+                 + hash_digest(ir_bytes)
+                 + len(ir_bytes).to_bytes(4, "big") + ir_bytes
+                 + 2 * ((4).to_bytes(4, "big") + bytes(4)))  # empty tables
+        with pytest.raises(IntegrityError):
+            load_prom(image)
+
+
+def section_offsets(image: bytes) -> list[int]:
+    """Offsets of the IR, signatures and constants length prefixes."""
+    offsets = [len(PROM_MAGIC) + 1 + 8 + 8 + 32]
+    for _ in range(2):
+        start = offsets[-1]
+        offsets.append(start + 4 + int.from_bytes(image[start:start + 4],
+                                                  "big"))
+    return offsets
+
+
+def _mutations(image: bytes):
+    n = len(image)
+    flip = st.tuples(st.integers(0, n - 1), st.integers(1, 255)).map(
+        lambda t: image[:t[0]] + bytes([image[t[0]] ^ t[1]])
+        + image[t[0] + 1:])
+    truncate = st.integers(0, n - 1).map(lambda cut: image[:cut])
+    insert = st.tuples(st.integers(0, n),
+                       st.binary(min_size=1, max_size=4)).map(
+        lambda t: image[:t[0]] + t[1] + image[t[0]:])
+
+    def edit_length(choice):
+        section, delta = choice
+        start = section_offsets(image)[section]
+        old = int.from_bytes(image[start:start + 4], "big")
+        new = (old + delta) % (1 << 32)
+        return image[:start] + new.to_bytes(4, "big") + image[start + 4:]
+
+    length = st.tuples(st.integers(0, 2),
+                       st.integers(1, (1 << 32) - 1)
+                       | st.integers(-8, 8).filter(bool)).map(edit_length)
+    return st.one_of(flip, truncate, insert, length)
+
+
+_, _TABLE, _PROGRAM = quiet_build(SRC, A13, 1)
+_IMAGE = emit_prom(_TABLE, _PROGRAM)
+
+
+@given(_mutations(_IMAGE))
+@settings(max_examples=200, deadline=None)
+def test_any_mutation_is_prom_format_error(mutated):
+    with pytest.raises(PromFormatError):
+        load_prom(mutated)
