@@ -105,7 +105,8 @@ def _cmd_redundancy(args) -> int:
     return EXIT_OK
 
 
-# Known-answer vectors: FIPS 180-4 examples and RFC 4231 test case 1.
+# Known-answer vectors: FIPS 180-4 examples and RFC 4231 test cases 1
+# and 6 (a 131-byte key, hashed before use).
 _HASH_VECTORS = (
     (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (b"abc",
@@ -117,6 +118,9 @@ _HASH_VECTORS = (
 _HMAC_VECTORS = (
     (bytes([0x0B] * 20), b"Hi There",
      "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+    (bytes([0xAA] * 131),
+     b"Test Using Larger Than Block-Size Key - Hash Key First",
+     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
 )
 
 

@@ -33,7 +33,8 @@ from .coded_core import (CodeKey, CodedValue, CompensationConstant,
                          opel_add, opel_mul, opel_sub, opel_move)
 from .dsl import ADD, MOVE, MUL, SUB, interpret
 from .sigtool import CodedProgram, InstructionConstants, SignatureTable
-from .stats import report_json, run_trials, trial_rng, wilson_interval
+from .stats import (ConfigError, report_json, run_trials, trial_rng,
+                    wilson_interval)
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -302,9 +303,17 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
     overflow in short programs), cycle, model and fault from the engine
     stream `vitalcode:{seed}`.  An empty model list runs a fault-free
     baseline; any rejection there counts as a false alarm.  Only
-    accepted cycles are compared with the `interpret` oracle.
+    accepted cycles are compared with the `interpret` oracle.  A model
+    the program cannot host (e.g. F5 without instructions) raises
+    ConfigError before the first trial.
     """
     models = list(models)
+    for m in models:
+        try:
+            _resolve_fault(FaultSpec(m), program, key, random.Random(0))
+        except UnresolvableTarget as exc:
+            raise ConfigError(f"fault model {m} cannot strike this program "
+                              f"({exc})", "models") from None
     ir = program.ir
     stream = f"vitalcode:{seed}"
 

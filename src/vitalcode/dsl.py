@@ -193,8 +193,15 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "punct" and tok.text == "-":
             self.next()
-            return -int(self.expect("int").text)
-        return int(self.expect("int").text)
+            return -self.int_value(self.expect("int"))
+        return self.int_value(self.expect("int"))
+
+    def int_value(self, tok: _Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"integer literal of {len(tok.text)} digits is "
+                             f"too long", tok.line, tok.col) from None
 
     # Expression AST nodes are ("op", opcode, left, right), ("var", name)
     # or ("lit", value).
@@ -217,7 +224,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            return ("lit", int(tok.text))
+            return ("lit", self.int_value(tok))
         if tok.kind == "id":
             self.next()
             if tok.text not in self.defined:

@@ -1,15 +1,25 @@
-"""Keyed message authentication: in-repo SHA-256 and HMAC.
+"""Keyed message authentication: HMAC over the built-in SHA-256.
 
-The hash is implemented from scratch (FIPS 180-4 compatible) so the whole
-authentication path is auditable without an external cryptographic
-dependency; the test suite cross-checks it against an independent
-reference implementation.  HMAC follows the FIPS 198 construction with
-optional truncation to 8, 16 or 32 bytes.
+The hash is the interpreter's own SHA-256, taken from its lean internal
+module so that OpenSSL (which `hashlib` and `hmac` load) stays out of the
+process; `vitalcode vectors` and the test suite check it against the
+FIPS 180-4 and RFC 4231 known answers.  HMAC follows the FIPS 198 /
+RFC 2104 construction with optional truncation to 8, 16 or 32 bytes; the
+keyed inner and outer pad states are computed once per key (RFC 2104
+section 4), not once per tag.
 """
 
 from __future__ import annotations
 
 import os
+
+try:  # hashlib is heavy to load: try the lean internal module first
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 DIGEST_SIZE = 32
 BLOCK_SIZE = 64
@@ -18,63 +28,13 @@ TAG_LENGTHS = (8, 16, 32)
 
 MAC_KEY_ENV = "VITALCODE_MAC_KEY"
 
-_K = (
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5,
-    0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc,
-    0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-    0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3,
-    0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5,
-    0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-)
-
-_H0 = (
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
-)
-
-_MASK = 0xffffffff
-
-
-def _compress(state, block):
-    w = list(int.from_bytes(block[i:i + 4], "big") for i in range(0, 64, 4))
-    for i in range(16, 64):
-        x = w[i - 15]
-        s0 = ((x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ (x >> 3)) & _MASK
-        x = w[i - 2]
-        s1 = ((x >> 17 | x << 15) ^ (x >> 19 | x << 13) ^ (x >> 10)) & _MASK
-        w.append((w[i - 16] + s0 + w[i - 7] + s1) & _MASK)
-    a, b, c, d, e, f, g, h = state
-    for i in range(64):
-        s1 = ((e >> 6 | e << 26) ^ (e >> 11 | e << 21) ^ (e >> 25 | e << 7)) & _MASK
-        ch = (e & f) ^ (~e & g)
-        t1 = (h + s1 + ch + _K[i] + w[i]) & _MASK
-        s0 = ((a >> 2 | a << 30) ^ (a >> 13 | a << 19) ^ (a >> 22 | a << 10)) & _MASK
-        maj = (a & b) ^ (a & c) ^ (b & c)
-        t2 = (s0 + maj) & _MASK
-        a, b, c, d, e, f, g, h = (t1 + t2) & _MASK, a, b, c, (d + t1) & _MASK, e, f, g
-    return tuple((s + v) & _MASK for s, v in zip(state, (a, b, c, d, e, f, g, h)))
+_TRANS_36 = bytes(x ^ 0x36 for x in range(256))
+_TRANS_5C = bytes(x ^ 0x5C for x in range(256))
 
 
 def hash_digest(message: bytes) -> bytes:
     """256-bit digest of the message."""
-    length = len(message)
-    padded = message + b"\x80"
-    padded += b"\x00" * ((55 - length) % 64)
-    padded += (length * 8).to_bytes(8, "big")
-    state = _H0
-    for i in range(0, len(padded), 64):
-        state = _compress(state, padded[i:i + 64])
-    return b"".join(s.to_bytes(4, "big") for s in state)
+    return sha256(message).digest()
 
 
 class MacKeyError(Exception):
@@ -88,12 +48,17 @@ class MacKey:
     into reports or logs.
     """
 
-    __slots__ = ("_material",)
+    __slots__ = ("_inner", "_outer")
 
     def __init__(self, material: bytes):
         if not isinstance(material, (bytes, bytearray)):
             raise MacKeyError("key material must be bytes")
-        self._material = bytes(material)
+        if len(material) > BLOCK_SIZE:
+            material = hash_digest(material)
+        block_key = bytes(material).ljust(BLOCK_SIZE, b"\x00")
+        # Only the keyed pad states are kept, never the material itself.
+        self._inner = sha256(block_key.translate(_TRANS_36))
+        self._outer = sha256(block_key.translate(_TRANS_5C))
 
     @classmethod
     def from_hex(cls, text: str) -> "MacKey":
@@ -109,12 +74,6 @@ class MacKey:
             raise MacKeyError(f"environment variable {name} not set")
         return cls.from_hex(value)
 
-    def _block_key(self) -> bytes:
-        k = self._material
-        if len(k) > BLOCK_SIZE:
-            k = hash_digest(k)
-        return k.ljust(BLOCK_SIZE, b"\x00")
-
     def __repr__(self):
         return "MacKey(<secret>)"
 
@@ -123,10 +82,11 @@ def hmac_tag(key: MacKey, message: bytes, t: int = DIGEST_SIZE) -> bytes:
     """HMAC tag truncated to the leading t bytes."""
     if t not in TAG_LENGTHS:
         raise ValueError(f"tag length must be one of {TAG_LENGTHS}")
-    k = key._block_key()
-    inner = hash_digest(bytes(b ^ 0x36 for b in k) + message)
-    outer = hash_digest(bytes(b ^ 0x5c for b in k) + inner)
-    return outer[:t]
+    inner = key._inner.copy()
+    inner.update(message)
+    outer = key._outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()[:t]
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

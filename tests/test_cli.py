@@ -78,7 +78,10 @@ class TestSign:
         (PROGRAM.encode(), "-1"),
         (PROGRAM.encode(), str(2**64)),
         (b"input \xff;", "0"),
-    ], ids=["seed-negative", "seed-2^64", "source-not-utf8"])
+        (b"const k = " + b"9" * 5000 + b"; output k;", "0"),
+        (b"input a; output o; o = a * " + b"9" * 5000 + b";", "0"),
+    ], ids=["seed-negative", "seed-2^64", "source-not-utf8",
+            "const-literal-5000-digits", "expr-literal-5000-digits"])
     def test_config_error(self, tmp_path, capsys, source, seed):
         src = tmp_path / "p.vc"
         src.write_bytes(source)
@@ -156,6 +159,19 @@ class TestInject:
     def test_unknown_model(self, prom, capsys):
         assert main(["inject", str(prom), "--model", "F9"]) == EXIT_CONFIG
         assert "--model" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("model", ["F3", "F5", "F1,F5"])
+    def test_model_without_target(self, tmp_path, capsys, model):
+        # One variable leaves F3 no donor; no instruction leaves F5 none.
+        src = tmp_path / "echo.vc"
+        src.write_text("input a; output a;")
+        image = tmp_path / "echo.prom"
+        assert main(["sign", str(src), "--key", "251",
+                     "-o", str(image)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["inject", str(image), "--model", model,
+                     "--trials", "3"]) == EXIT_CONFIG
+        assert model[-2:] in assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_no_trials(self, prom, capsys, trials):
@@ -385,5 +401,5 @@ class TestVectors:
     def test_all_pass(self, capsys):
         assert main(["vectors"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
         assert "FAIL" not in out

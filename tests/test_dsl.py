@@ -60,6 +60,18 @@ class TestParse:
             parse_program("input a;\nout = a + ;")
         assert exc.value.line == 2 and exc.value.col is not None
 
+    @pytest.mark.parametrize("source, col", [
+        ("const k = " + "9" * 5000 + "; output k;", 11),
+        ("const k = -" + "9" * 5000 + "; output k;", 12),
+        ("input a; output o;\no = a * " + "9" * 5000 + ";", 9),
+    ], ids=["const", "negative-const", "expression"])
+    def test_overlong_literal_carries_position(self, source, col):
+        # More digits than int() converts: a diagnostic, not a ValueError.
+        with pytest.raises(ParseError) as exc:
+            parse_program(source)
+        assert (exc.value.line, exc.value.col) == (source.count("\n") + 1,
+                                                   col)
+
     def test_precedence(self):
         ir = parse_program("input a; input b; output o; o = a + b * 2;")
         assert interpret(ir, {"a": 1, "b": 3}) == {"o": 7}

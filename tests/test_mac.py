@@ -1,10 +1,14 @@
 import hashlib
 import hmac as stdlib_hmac
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vitalcode
 from vitalcode.mac import (MacKey, MacKeyError, constant_time_equal,
                            hash_digest, hmac_tag, hmac_verify)
 
@@ -27,7 +31,15 @@ RFC4231 = [
      "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
     (bytes(range(1, 26)), bytes([0xCD] * 50),
      "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+    (bytes([0xAA] * 131),
+     b"Test Using Larger Than Block-Size Key - Hash Key First",
+     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
 ]
+
+# Key and message lengths either side of the 64-byte block and of the
+# 55/56-byte padding boundary; keys above 64 bytes are hashed first.
+KEY_LENGTHS = (0, 1, 63, 64, 65, 131)
+MESSAGE_LENGTHS = (0, 55, 56, 63, 64, 119, 1000)
 
 
 class TestHash:
@@ -41,8 +53,8 @@ class TestHash:
         assert hash_digest(message) == hashlib.sha256(message).digest()
 
     def test_block_boundary_lengths(self):
-        for n in (54, 55, 56, 57, 63, 64, 65, 119, 120, 128):
-            message = bytes(range(256))[:n] * 1
+        for n in (0, 54, 55, 56, 57, 63, 64, 65, 119, 120, 128, 1000):
+            message = (bytes(range(256)) * 4)[:n]
             assert hash_digest(message) == hashlib.sha256(message).digest()
 
     def test_avalanche(self):
@@ -60,7 +72,7 @@ class TestHash:
 
 class TestHmac:
     @pytest.mark.parametrize("key,message,expected", RFC4231,
-                             ids=["case1", "case2", "case3", "case4"])
+                             ids=["case1", "case2", "case3", "case4", "case6"])
     def test_rfc4231(self, key, message, expected):
         assert hmac_tag(MacKey(key), message, 32).hex() == expected
 
@@ -69,6 +81,17 @@ class TestHmac:
     def test_matches_independent_reference(self, key, message):
         assert hmac_tag(MacKey(key), message, 32) == \
             stdlib_hmac.new(key, message, hashlib.sha256).digest()
+
+    @pytest.mark.parametrize("key_length", KEY_LENGTHS)
+    def test_length_grid_matches_reference(self, key_length):
+        # One key object for every tag: its pad states must not be used up.
+        material = bytes(range(7, 7 + key_length))
+        key = MacKey(material)
+        for n in MESSAGE_LENGTHS:
+            message = bytes(i % 251 for i in range(n))
+            full = stdlib_hmac.new(material, message, hashlib.sha256).digest()
+            for t in (8, 16, 32):
+                assert hmac_tag(key, message, t) == full[:t], (n, t)
 
     def test_long_key_prehashed(self):
         key = bytes([0xAA] * 131)
@@ -151,6 +174,19 @@ class TestKeyHandling:
         monkeypatch.delenv("VITALCODE_MAC_KEY", raising=False)
         with pytest.raises(MacKeyError):
             MacKey.from_env()
+
+
+def test_openssl_not_loaded():
+    # hashlib and hmac load OpenSSL's _hashlib, which costs ~3.5 MB of
+    # resident memory in every campaign process.
+    code = ("import sys, vitalcode.cli, vitalcode.campaign, "
+            "vitalcode.telegram, vitalcode.sigtool; "
+            "print('_hashlib' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(vitalcode.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestConstantTimeEqual:

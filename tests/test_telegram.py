@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vitalcode.channel_codes import CRC8_ATM, CRC32_IEEE
 from vitalcode.coded_core import make_key
@@ -16,7 +16,7 @@ from vitalcode.telegram import (ACCEPT, BAD_CRC, BAD_PARITY, BAD_RESIDUE,
                                 KeyAccessViolation, MissingKey, NoiseModel,
                                 PayloadTooLong, ProtectionScheme,
                                 ReceiverWindow, Telegram, TelegramError,
-                                apply_attack, apply_channel_noise,
+                                VerifyResult, WIRE_MAGIC, apply_attack, apply_channel_noise,
                                 coded_signature_residue, parse_wire,
                                 protect_telegram, serialize_wire,
                                 verify_telegram)
@@ -176,6 +176,54 @@ class TestVerify:
         wire = protect_telegram(Telegram(1, 1, b"x"), scheme, MAC)
         with pytest.raises(MissingKey):
             verify_telegram(wire, scheme)
+
+
+FUZZ_SCHEMES = {**SCHEMES, **{
+    f"hmac-{t}": ProtectionScheme(SCHEME_HMAC, mac_truncation=t)
+    for t in (8, 16, 32)}}
+
+u32 = st.integers(0, 2**32 - 1)
+windows = st.none() | st.builds(ReceiverWindow, u32, u32, st.integers(0, 3))
+
+
+@st.composite
+def near_frames(draw):
+    """Well-formed frames with any scheme id and tag, then maybe cut or
+    bit-flipped, so the fuzzing reaches past the structural checks."""
+    telegram = Telegram(draw(u32), draw(u32), draw(st.binary(max_size=40)))
+    frame = bytearray(serialize_wire(telegram, draw(st.integers(0, 255)),
+                                     draw(st.binary(max_size=40))))
+    for index in draw(st.lists(st.integers(0, len(frame) - 1), max_size=3)):
+        frame[index] ^= 1 << draw(st.integers(0, 7))
+    return bytes(frame[:draw(st.integers(0, len(frame)))])
+
+
+class TestVerifyFuzz:
+    @given(st.sampled_from(sorted(FUZZ_SCHEMES)),
+           st.binary(max_size=80)
+           | st.binary(max_size=80).map(lambda b: WIRE_MAGIC + b)
+           | near_frames(),
+           windows)
+    @settings(max_examples=500)
+    def test_arbitrary_bytes_give_a_verdict(self, name, data, window):
+        result = verify_telegram(data, FUZZ_SCHEMES[name], MAC, window)
+        assert isinstance(result, VerifyResult)
+        assert result.status in (ACCEPT, CORRECTED, REJECT)
+        assert (result.status == REJECT) == (result.reason is not None)
+
+    @given(st.sampled_from((8, 16, 32)), u32, u32, st.binary(max_size=40),
+           st.binary(max_size=40), windows)
+    @settings(max_examples=300)
+    def test_hmac_wrong_tag_of_any_length_rejected(self, t, seq, date,
+                                                   payload, tag, window):
+        scheme = FUZZ_SCHEMES[f"hmac-{t}"]
+        telegram, scheme_id, true_tag = parse_wire(
+            protect_telegram(Telegram(seq, date, payload), scheme, MAC))
+        assume(tag != true_tag)
+        result = verify_telegram(serialize_wire(telegram, scheme_id, tag),
+                                 scheme, MAC, window)
+        assert result.status == REJECT
+        assert result.reason in (BAD_TAG, MALFORMED)
 
 
 class TestNoise:
