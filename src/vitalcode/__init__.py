@@ -8,10 +8,10 @@ harness contrasting accidental-fault coverage with resistance to
 malicious modification.
 """
 
-from .coded_core import (CodeKey, CodedValue, CompensationConstant,
-                         CycleDate, FunctionalOverflow, NotPrimeError,
-                         OutOfRangeError, check, encode, make_key,
-                         opel_add, opel_mul, opel_move, opel_sub, residue)
+from .coded_core import (CodeKey, CodedValue, CycleDate, FunctionalOverflow,
+                         NotPrimeError, OutOfRangeError, check, encode,
+                         make_key, opel_add, opel_mul, opel_move, opel_sub,
+                         residue)
 from .dsl import ProgramIR, interpret, parse_program
 from .sigtool import (CodedProgram, SignatureTable, assign_signatures,
                       build, emit_prom, load_prom, predetermine)

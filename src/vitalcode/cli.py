@@ -64,7 +64,8 @@ def _cmd_run(args) -> int:
                                  for k, v in sorted(result.outputs.items()))
             print(f"cycle {cycle}: accept {rendered}")
         else:
-            print(f"cycle {cycle}: {result.verdict} ({result.reject_reason})")
+            print(f"cycle {cycle}: {result.verdict} "
+                  f"({result.reason}: {result.variable})")
             status = EXIT_FAILURE
     return status
 

@@ -12,6 +12,7 @@ survives an end check only if its delta happens to be a multiple of A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -116,24 +117,11 @@ def _date_term(date, key: CodeKey) -> int:
     return int(date) % key.modulus
 
 
-@dataclass(frozen=True)
-class CodedValue:
+class CodedValue(NamedTuple):
     """Functional integer plus its code residue."""
 
     x: int
     c: int
-
-
-ADDITIVE = "additive"
-MULTIPLICATIVE = "multiplicative"
-
-
-@dataclass(frozen=True)
-class CompensationConstant:
-    """Offline-precomputed residue re-aligning the code channel."""
-
-    value: int
-    kind: str = ADDITIVE
 
 
 def encode(x: int, signature: int, date, key: CodeKey) -> CodedValue:
@@ -148,36 +136,32 @@ def check(v: CodedValue, signature: int, date, key: CodeKey) -> bool:
     return v.c == (v.x + signature + _date_term(date, key)) % key.modulus
 
 
-def _guard64(x: int) -> int:
-    if not (INT64_MIN <= x <= INT64_MAX):
-        raise FunctionalOverflow(f"result {x} outside 64-bit signed range")
-    return x
-
-
-def opel_add(v1: CodedValue, v2: CodedValue, k: CompensationConstant,
+# OPELs take their compensation residues as plain ints and range-test
+# every functional result.
+def opel_add(v1: CodedValue, v2: CodedValue, k: int,
              key: CodeKey) -> CodedValue:
     """Coded addition.
 
     k must be residue(B3 - B1 - B2 - D).  The code field is computed from
     c1, c2 and k only; the functional fields never enter the code channel.
     """
-    if k.kind != ADDITIVE:
-        raise ValueError("opel_add needs an additive constant")
-    return CodedValue(_guard64(v1.x + v2.x),
-                      (v1.c + v2.c + k.value) % key.modulus)
+    x = v1.x + v2.x
+    if not INT64_MIN <= x <= INT64_MAX:
+        raise FunctionalOverflow(f"result {x} outside 64-bit signed range")
+    return CodedValue(x, (v1.c + v2.c + k) % key.modulus)
 
 
-def opel_sub(v1: CodedValue, v2: CodedValue, k: CompensationConstant,
+def opel_sub(v1: CodedValue, v2: CodedValue, k: int,
              key: CodeKey) -> CodedValue:
     """Coded subtraction; k must be residue(B3 - B1 + B2 + D)."""
-    if k.kind != ADDITIVE:
-        raise ValueError("opel_sub needs an additive constant")
-    return CodedValue(_guard64(v1.x - v2.x),
-                      (v1.c - v2.c + k.value) % key.modulus)
+    x = v1.x - v2.x
+    if not INT64_MIN <= x <= INT64_MAX:
+        raise FunctionalOverflow(f"result {x} outside 64-bit signed range")
+    return CodedValue(x, (v1.c - v2.c + k) % key.modulus)
 
 
-def opel_mul(v1: CodedValue, v2: CodedValue, t1: int, t2: int,
-             km: CompensationConstant, key: CodeKey) -> CodedValue:
+def opel_mul(v1: CodedValue, v2: CodedValue, t1: int, t2: int, km: int,
+             key: CodeKey) -> CodedValue:
     """Coded multiplication.
 
     Residue codes are not multiplicatively closed under additive
@@ -187,15 +171,13 @@ def opel_mul(v1: CodedValue, v2: CodedValue, t1: int, t2: int,
     of x1 by delta leaves a residual delta*c2 mod A in the end check,
     nonzero for prime A whenever c2 is not a multiple of A.
     """
-    if km.kind != MULTIPLICATIVE:
-        raise ValueError("opel_mul needs a multiplicative constant")
-    a = key.modulus
-    return CodedValue(_guard64(v1.x * v2.x),
-                      (v1.c * v2.c - v1.x * t2 - v2.x * t1 + km.value) % a)
+    x = v1.x * v2.x
+    if not INT64_MIN <= x <= INT64_MAX:
+        raise FunctionalOverflow(f"result {x} outside 64-bit signed range")
+    return CodedValue(x, (v1.c * v2.c - v1.x * t2 - v2.x * t1 + km)
+                      % key.modulus)
 
 
-def opel_move(v: CodedValue, k: CompensationConstant, key: CodeKey) -> CodedValue:
+def opel_move(v: CodedValue, k: int, key: CodeKey) -> CodedValue:
     """Re-signature on assignment; k must be residue(B_dst - B_src)."""
-    if k.kind != ADDITIVE:
-        raise ValueError("opel_move needs an additive constant")
-    return CodedValue(v.x, (v.c + k.value) % key.modulus)
+    return CodedValue(v.x, (v.c + k) % key.modulus)

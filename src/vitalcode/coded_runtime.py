@@ -28,17 +28,20 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
-from .coded_core import (CodeKey, CodedValue, CompensationConstant,
-                         FunctionalOverflow, MULTIPLICATIVE, check, encode,
-                         opel_add, opel_mul, opel_sub, opel_move)
-from .dsl import ADD, MOVE, MUL, SUB, interpret
-from .sigtool import CodedProgram, InstructionConstants, SignatureTable
+from .coded_core import (CodeKey, CodedValue, FunctionalOverflow, check,
+                         encode, opel_add, opel_mul, opel_sub, opel_move)
+from .dsl import ADD, MUL, SUB, interpret
+from .sigtool import CodedProgram, SignatureTable, instruction_row
 from .stats import (ConfigError, report_json, run_trials, trial_rng,
                     wilson_interval)
 
 ACCEPT = "accept"
 REJECT = "reject"
 SAFE_HALT = "safe_halt"
+
+# CycleResult.reason of a reject and of a safe halt.
+OUTPUT_INCOHERENT = "output_incoherent"
+OVERFLOW = "overflow"
 
 F1 = "F1"
 F2 = "F2"
@@ -90,22 +93,8 @@ class CycleState:
 class CycleResult:
     verdict: str
     outputs: dict[str, int] | None  # published only on accept
-    reject_reason: str | None = None
-
-
-def _constants_at_date(const: InstructionConstants, date_term: int,
-                       a: int):
-    """Fold the cycle-date term into an instruction's stored constants."""
-    if const.opcode == ADD:
-        return CompensationConstant((const.kappa_sig - date_term) % a)
-    if const.opcode == SUB:
-        return CompensationConstant((const.kappa_sig + date_term) % a)
-    if const.opcode == MOVE:
-        return CompensationConstant(const.kappa_sig % a)
-    t1 = (const.src1_sig + date_term) % a
-    t2 = (const.src2_sig + date_term) % a
-    km = (const.dest_sig + date_term - t1 * t2) % a
-    return t1, t2, CompensationConstant(km, MULTIPLICATIVE)
+    reason: str | None = None       # OUTPUT_INCOHERENT or OVERFLOW
+    variable: str | None = None     # the output, input, const or result
 
 
 def _flip_functional_bit(v: CodedValue, bit: int) -> CodedValue:
@@ -125,7 +114,7 @@ def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
     instruction.  Raises UnresolvableTarget for selectors the program
     cannot satisfy.
     """
-    names = program.ir.variables()
+    names = program.variables
 
     def pick(selected, candidates, allowed, what):
         if selected is None:
@@ -145,11 +134,11 @@ def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
                                 else key.bit_width)
     elif spec.model in (F3, F4, F6):
         variable = pick(variable, program.ir.outputs, names, "variable")
-        if spec.model == F3:
-            others = sorted(n for n in names if n != variable)
+        if spec.model == F3:  # an explicit target need not be an output
+            others = [n for n in program.sorted_variables if n != variable]
             donor = pick(donor, others, names, "donor")
     elif spec.model == F5:
-        indices = range(len(program.constants))
+        indices = range(len(program.rows))
         instruction = pick(instruction, indices, indices, "instruction")
     else:
         raise UnresolvableTarget(f"unknown fault model {spec.model!r}")
@@ -159,17 +148,17 @@ def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
 
 def inject_fault(state: CycleState, program: CodedProgram,
                  table: SignatureTable, key: CodeKey, spec: FaultSpec,
-                 rng: random.Random | None) -> list[InstructionConstants]:
+                 rng: random.Random | None) -> tuple[tuple, ...]:
     """Apply one resolved fault (every selector set) at its injection point.
 
-    F1-F4 and F6 mutate `state` in place.  Returns the constants list to
-    execute with: unchanged except for F5, where one instruction's
-    constant moves by a uniform nonzero residue.  The only draws are the
-    fault's values: F5's MUL field and delta, F6's functional and code
-    fields.
+    F1-F4 and F6 mutate `state` in place.  Returns the instruction rows
+    to execute with: the program's own except for F5, where one
+    instruction's constant moves by a uniform nonzero residue and only
+    that row is rebuilt.  The only draws are the fault's values: F5's
+    MUL field and delta, F6's functional and code fields.
     """
     a = key.modulus
-    constants = list(program.constants)
+    rows = program.rows
     name = spec.variable
     if spec.model == F1:
         state.values[name] = _flip_functional_bit(state.values[name],
@@ -185,16 +174,19 @@ def inject_fault(state: CycleState, program: CodedProgram,
         state.values[name] = CodedValue(
             v.x, (v.x + table.signatures[name] + stale_term) % a)
     elif spec.model == F5:
-        old = constants[spec.instruction]
+        i = spec.instruction
+        old = program.constants[i]
         which = "kappa_sig"
         if old.opcode == MUL:
             which = ("src1_sig", "src2_sig", "dest_sig")[rng.randrange(3)]
         shifted = (getattr(old, which) + rng.randrange(1, a)) % a
-        constants[spec.instruction] = replace(old, **{which: shifted})
+        row = instruction_row(program.ir.instructions[i],
+                              replace(old, **{which: shifted}))
+        rows = rows[:i] + (row,) + rows[i + 1:]
     else:  # F6
         x = rng.getrandbits(FUNCTIONAL_BITS) - (1 << (FUNCTIONAL_BITS - 1))
         state.values[name] = CodedValue(x, rng.randrange(a))
-    return constants
+    return rows
 
 
 def run_cycle(program: CodedProgram, table: SignatureTable,
@@ -212,15 +204,16 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     a = key.modulus
     ir = program.ir
     sigs = table.signatures
-    date_term = cycle % a
+    d = cycle % a
     state = CycleState(values={}, cycle=cycle)
+    values = state.values
 
-    constants = program.constants
+    rows = program.rows
     struck = None  # F1/F2 strike right after this variable's definition
     if fault is not None:
         fault = _resolve_fault(fault, program, key, rng)
         if fault.model == F5:
-            constants = inject_fault(state, program, table, key, fault, rng)
+            rows = inject_fault(state, program, table, key, fault, rng)
         elif fault.model in (F1, F2):
             struck = fault.variable
 
@@ -228,41 +221,40 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
         for name in ir.inputs:
             if name not in inputs:
                 raise KeyError(f"missing input {name!r}")
-            state.values[name] = encode(int(inputs[name]), sigs[name],
-                                        cycle, key)
+            values[name] = encode(int(inputs[name]), sigs[name], cycle, key)
             if name == struck:
                 inject_fault(state, program, table, key, fault, rng)
         for name, value in ir.consts.items():
-            state.values[name] = encode(value, sigs[name], cycle, key)
+            values[name] = encode(value, sigs[name], cycle, key)
             if name == struck:
                 inject_fault(state, program, table, key, fault, rng)
 
-        for ins, const in zip(ir.instructions, constants):
-            folded = _constants_at_date(const, date_term, a)
-            v1 = state.values[ins.src1]
-            if ins.opcode == ADD:
-                result = opel_add(v1, state.values[ins.src2], folded, key)
-            elif ins.opcode == SUB:
-                result = opel_sub(v1, state.values[ins.src2], folded, key)
-            elif ins.opcode == MUL:
-                t1, t2, km = folded
-                result = opel_mul(v1, state.values[ins.src2], t1, t2, km, key)
+        # Fold the date term d in, as documented on InstructionConstants.
+        for op, name, src1, src2, kappa, b1, b2, b3 in rows:
+            if op == ADD:
+                values[name] = opel_add(values[src1], values[src2],
+                                        (kappa - d) % a, key)
+            elif op == SUB:
+                values[name] = opel_sub(values[src1], values[src2],
+                                        (kappa + d) % a, key)
+            elif op == MUL:
+                t1, t2 = (b1 + d) % a, (b2 + d) % a
+                values[name] = opel_mul(values[src1], values[src2], t1, t2,
+                                        (b3 + d - t1 * t2) % a, key)
             else:
-                result = opel_move(v1, folded, key)
-            state.values[ins.dest] = result
-            if ins.dest == struck:
+                values[name] = opel_move(values[src1], kappa, key)
+            if name == struck:
                 inject_fault(state, program, table, key, fault, rng)
-    except FunctionalOverflow as exc:
-        return CycleResult(SAFE_HALT, None, str(exc))
+    except FunctionalOverflow:  # `name` is the variable being defined
+        return CycleResult(SAFE_HALT, None, OVERFLOW, name)
 
     if fault is not None and fault.model in (F3, F4, F6):
         inject_fault(state, program, table, key, fault, rng)
 
     for name in ir.outputs:
-        if not check(state.values[name], sigs[name], cycle, key):
-            return CycleResult(REJECT, None, f"output {name!r} incoherent")
-    outputs = {name: state.values[name].x for name in ir.outputs}
-    return CycleResult(ACCEPT, outputs)
+        if not check(values[name], sigs[name], cycle, key):
+            return CycleResult(REJECT, None, OUTPUT_INCOHERENT, name)
+    return CycleResult(ACCEPT, {name: values[name].x for name in ir.outputs})
 
 
 _OUTCOMES = ("detected", "undetected_wrong_output", "benign")

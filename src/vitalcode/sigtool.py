@@ -11,10 +11,10 @@ process never influences it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coded_core import CodeKey, CodedCoreError
-from .dsl import (ADD, MOVE, MUL, SUB, DslError, ProgramIR,
+from .dsl import (ADD, MOVE, MUL, SUB, DslError, Instruction, ProgramIR,
                   canonical_ir_bytes, ir_from_canonical)
 from .mac import hash_digest
 
@@ -92,12 +92,36 @@ class InstructionConstants:
     dest_sig: int = 0        # MUL only
 
 
+def instruction_row(ins: Instruction, const: InstructionConstants) -> tuple:
+    """One flat execution row: (opcode, dest, src1, src2, kappa_sig,
+    src1_sig, src2_sig, dest_sig)."""
+    return (ins.opcode, ins.dest, ins.src1, ins.src2, const.kappa_sig,
+            const.src1_sig, const.src2_sig, const.dest_sig)
+
+
 @dataclass(frozen=True)
 class CodedProgram:
-    """Program IR plus its offline-predetermined constants."""
+    """Program IR plus its offline-predetermined constants.
+
+    Derived on construction: `rows`, one `instruction_row` per
+    instruction; `variables`, in canonical order; `sorted_variables`,
+    the same names sorted (F3 draws its donors from these).
+    """
 
     ir: ProgramIR
     constants: tuple[InstructionConstants, ...]
+    rows: tuple = field(init=False, repr=False, compare=False)
+    variables: tuple = field(init=False, repr=False, compare=False)
+    sorted_variables: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        names = tuple(self.ir.variables())
+        for attr, value in (
+                ("rows", tuple(map(instruction_row, self.ir.instructions,
+                                   self.constants))),
+                ("variables", names),
+                ("sorted_variables", tuple(sorted(names)))):
+            object.__setattr__(self, attr, value)
 
 
 def _draw_signature(seed: int, name: str, key: CodeKey) -> int:

@@ -114,6 +114,19 @@ class TestRun:
                      str(inputs)]) == EXIT_FAILURE
         assert "cycle 0: safe_halt" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("values, line", [
+        ({"speed": 1, "limit": 2**63}, "cycle 0: safe_halt (overflow: limit)"),
+        ({"speed": -(2**63), "limit": 2**62},
+         "cycle 0: safe_halt (overflow: $t0)"),
+    ])
+    def test_safe_halt_names_variable(self, prom, tmp_path, capsys, values,
+                                      line):
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps(values))
+        assert main(["run", str(prom), "--inputs",
+                     str(inputs)]) == EXIT_FAILURE
+        assert capsys.readouterr().out.splitlines()[0] == line
+
     def test_corrupted_image_refused(self, prom, tmp_path):
         data = bytearray(prom.read_bytes())
         data[len(data) // 2] ^= 0x01

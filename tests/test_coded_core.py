@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from vitalcode.coded_core import (CodedValue, CompensationConstant,
-                                  FunctionalOverflow, MULTIPLICATIVE,
+from vitalcode.coded_core import (CodedValue, FunctionalOverflow,
                                   NotPrimeError, OutOfRangeError, check,
                                   encode, make_key, opel_add, opel_move,
                                   opel_mul, opel_sub, residue)
@@ -70,18 +69,17 @@ class TestEncodeCheck:
 
 
 def kadd(b3, b1, b2, d, key=A13):
-    return CompensationConstant((b3 - b1 - b2 - d) % key.modulus)
+    return (b3 - b1 - b2 - d) % key.modulus
 
 
 def ksub(b3, b1, b2, d, key=A13):
-    return CompensationConstant((b3 - b1 + b2 + d) % key.modulus)
+    return (b3 - b1 + b2 + d) % key.modulus
 
 
 def kmul(b3, b1, b2, d, key=A13):
     a = key.modulus
     t1, t2 = (b1 + d) % a, (b2 + d) % a
-    return t1, t2, CompensationConstant((b3 + d - t1 * t2) % a,
-                                        MULTIPLICATIVE)
+    return t1, t2, (b3 + d - t1 * t2) % a
 
 
 class TestOpelAdd:
@@ -93,8 +91,7 @@ class TestOpelAdd:
         assert check(out, 9, 0, A13)
 
     def test_all_zero(self):
-        out = opel_add(CodedValue(0, 0), CodedValue(0, 0),
-                       CompensationConstant(0), A13)
+        out = opel_add(CodedValue(0, 0), CodedValue(0, 0), 0, A13)
         assert out == CodedValue(0, 0)
 
     def test_with_date(self):
@@ -109,7 +106,7 @@ class TestOpelAdd:
         big = encode(2**63 - 1, 0, 0, A13)
         one = encode(1, 0, 0, A13)
         with pytest.raises(FunctionalOverflow):
-            opel_add(big, one, CompensationConstant(0), A13)
+            opel_add(big, one, 0, A13)
 
     def test_code_channel_ignores_functional_fields(self):
         # Same code fields with different functional fields must produce
@@ -125,14 +122,14 @@ class TestOpelSub:
         v1 = encode(7, 5, 0, A13)
         v2 = encode(3, 2, 0, A13)
         k = ksub(1, 5, 2, 0)
-        assert k.value == 11
+        assert k == 11
         out = opel_sub(v1, v2, k, A13)
         assert out == CodedValue(4, 5)
         assert check(out, 1, 0, A13)
 
     def test_self_difference(self):
         v = encode(9, 0, 0, A13)
-        assert opel_sub(v, v, CompensationConstant(0), A13) == CodedValue(0, 0)
+        assert opel_sub(v, v, 0, A13) == CodedValue(0, 0)
 
     def test_date_shift_detected(self):
         v1 = encode(7, 5, 1, A13)
@@ -147,15 +144,14 @@ class TestOpelMul:
         v1 = encode(7, 5, 0, A13)
         v2 = encode(3, 2, 0, A13)
         t1, t2, km = kmul(4, 5, 2, 0)
-        assert (t1, t2, km.value) == (5, 2, 7)
+        assert (t1, t2, km) == (5, 2, 7)
         out = opel_mul(v1, v2, t1, t2, km, A13)
         assert out == CodedValue(21, 12)
         assert check(out, 4, 0, A13)
 
     def test_zero_signature_identity(self):
         one = CodedValue(1, 1)
-        out = opel_mul(one, one, 0, 0, CompensationConstant(0, MULTIPLICATIVE),
-                       A13)
+        out = opel_mul(one, one, 0, 0, 0, A13)
         assert out == CodedValue(1, 1)
 
     def test_corrupted_operand_detected(self):
@@ -170,17 +166,17 @@ class TestOpelMul:
 class TestOpelMove:
     def test_resignature(self):
         v = encode(7, 5, 0, A13)
-        out = opel_move(v, CompensationConstant(4), A13)
+        out = opel_move(v, 4, A13)
         assert out == CodedValue(7, 3)
         assert check(out, 9, 0, A13)
 
     def test_identity_move(self):
         v = encode(7, 5, 0, A13)
-        assert opel_move(v, CompensationConstant(0), A13) == v
+        assert opel_move(v, 0, A13) == v
 
     def test_old_signature_rejected_after_move(self):
         v = encode(7, 5, 0, A13)
-        out = opel_move(v, CompensationConstant(4), A13)
+        out = opel_move(v, 4, A13)
         assert not check(out, 5, 0, A13)
 
 
@@ -201,7 +197,7 @@ class TestSoundness:
         assert check(opel_sub(v1, v2, ksub(b3, b1, b2, d), A13), b3, d, A13)
         t1, t2, km = kmul(b3, b1, b2, d)
         assert check(opel_mul(v1, v2, t1, t2, km, A13), b3, d, A13)
-        move_k = CompensationConstant((b3 - b1) % 13)
+        move_k = (b3 - b1) % 13
         assert check(opel_move(v1, move_k, A13), b3, d, A13)
 
     def test_exhaustive_small_key(self):

@@ -1,16 +1,21 @@
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (SAMPLE_CYCLE, SAMPLE_INPUTS, build_sample,
                      random_straight_line_program)
 from vitalcode.coded_runtime import (ACCEPT, FAULT_MODELS, FUNCTIONAL_BITS,
-                                     REJECT, SAFE_HALT, FaultSpec,
-                                     UnresolvableTarget, run_campaign,
-                                     run_cycle)
+                                     OUTPUT_INCOHERENT, OVERFLOW, REJECT,
+                                     SAFE_HALT, FaultSpec,
+                                     UnresolvableTarget, _resolve_fault,
+                                     run_campaign, run_cycle)
 from vitalcode.dsl import MUL, interpret, parse_program
-from vitalcode.sigtool import build
-from vitalcode.coded_core import make_key
+from vitalcode.sigtool import DuplicateSignatureWarning, build
+from vitalcode.coded_core import (INT64_MAX, INT64_MIN, FunctionalOverflow,
+                                  check, encode, make_key, opel_add,
+                                  opel_move, opel_mul, opel_sub)
 from vitalcode.stats import binomial_sigma
 
 
@@ -208,3 +213,148 @@ class TestFaultFreeEquivalence:
             result = run_cycle(program, table, inputs, cycle, key)
             assert result.verdict == ACCEPT, src
             assert result.outputs == interpret(ir, inputs), src
+
+
+class TestCycleReasons:
+    def test_accept_has_no_reason(self):
+        ir, key, table, program = build_sample(13)
+        result = run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key)
+        assert (result.reason, result.variable) == (None, None)
+
+    def test_reject_names_incoherent_output(self):
+        ir, key, table, program = build_sample(13)
+        spec = FaultSpec("F1", variable="alarm", bit=0)
+        result = run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
+                           fault=spec, rng=random.Random(0))
+        assert result.verdict == REJECT
+        assert (result.reason, result.variable) == (OUTPUT_INCOHERENT,
+                                                    "alarm")
+
+    def test_safe_halt_names_input(self):
+        ir, key, table, program = build_sample(13)
+        inputs = dict(SAMPLE_INPUTS, limit=2**63)
+        result = run_cycle(program, table, inputs, SAMPLE_CYCLE, key)
+        assert (result.verdict, result.reason, result.variable) == (
+            SAFE_HALT, OVERFLOW, "limit")
+
+    def test_safe_halt_names_result(self):
+        ir = parse_program("input a; output o; p = a + a; o = a * p;")
+        key = make_key(13)
+        table, program = build(ir, key, 0)
+        result = run_cycle(program, table, {"a": 2**61}, 0, key)
+        assert (result.verdict, result.reason, result.variable) == (
+            SAFE_HALT, OVERFLOW, "o")
+
+    def test_safe_halt_names_constant(self):
+        ir = parse_program("input a; const k = 9223372036854775808; "
+                           "output o; o = a + k;")
+        key = make_key(13)
+        table, program = build(ir, key, 0)
+        result = run_cycle(program, table, {"a": 1}, 0, key)
+        assert (result.verdict, result.reason, result.variable) == (
+            SAFE_HALT, OVERFLOW, "k")
+
+
+class TestFaultTargetsBuiltOnce:
+    def test_program_holds_variables(self):
+        ir, key, table, program = build_sample(13)
+        assert program.variables == tuple(ir.variables())
+        assert program.sorted_variables == tuple(sorted(ir.variables()))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_f3_donor_drawn_from_other_variables_sorted(self, seed):
+        # Any explicit target, output or not, and a drawn output: the
+        # donor is drawn from the other variables in sorted order.
+        ir, key, table, program = build_sample(13)
+        names = ir.variables()
+        for target in [None, *names]:
+            ref = random.Random(seed)
+            variable = target
+            if variable is None:
+                variable = ir.outputs[ref.randrange(len(ir.outputs))]
+            others = sorted(n for n in names if n != variable)
+            spec = _resolve_fault(FaultSpec("F3", variable=target), program,
+                                  key, random.Random(seed))
+            assert (spec.variable, spec.donor) == (
+                variable, others[ref.randrange(len(others))])
+
+
+KEYS = (13, 251, 2**31 - 1)
+INT64 = st.integers(INT64_MIN, INT64_MAX)
+# Mostly small values, plus values at and just beyond the int64 bounds,
+# so both accepted cycles and safe halts are common.
+VALUES = st.one_of(st.integers(-1000, 1000), INT64,
+                   st.sampled_from([INT64_MIN, INT64_MAX, INT64_MIN - 1,
+                                    INT64_MAX + 1, 1 << 62, -(1 << 62)]))
+
+
+@st.composite
+def straight_line_programs(draw):
+    """(source, inputs): every variable is declared an output."""
+    names = [f"i{n}" for n in range(draw(st.integers(1, 3)))]
+    lines = [f"input {n};" for n in names]
+    inputs = {n: draw(VALUES) for n in names}
+    for n in range(draw(st.integers(0, 2))):
+        value = draw(VALUES)
+        lines.append(f"const k{n} = {value};")
+        names.append(f"k{n}")
+    for n in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(["+", "-", "*", None]))
+        src1 = draw(st.sampled_from(names))
+        if op is None:
+            lines.append(f"v{n} = {src1};")
+        else:
+            lines.append(f"v{n} = {src1} {op} {draw(st.sampled_from(names))};")
+        names.append(f"v{n}")
+    lines.extend(f"output {n};" for n in names)
+    return "\n".join(lines), inputs
+
+
+class TestCodedExecutionProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(straight_line_programs(), st.sampled_from(KEYS),
+           st.integers(0, 1 << 40), st.integers(0, (1 << 64) - 1))
+    def test_fault_free_cycle(self, program_inputs, modulus, cycle, seed):
+        # Every variable is an output, so an accepted cycle has checked
+        # every OPEL result against its destination signature.
+        source, inputs = program_inputs
+        ir = parse_program(source)
+        key = make_key(modulus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateSignatureWarning)
+            table, program = build(ir, key, seed)
+        result = run_cycle(program, table, inputs, cycle, key)
+        reference = interpret(ir, inputs)
+        outside = [n for n in ir.variables()
+                   if not INT64_MIN <= reference[n] <= INT64_MAX]
+        if outside:
+            assert (result.verdict, result.outputs) == (SAFE_HALT, None)
+            assert (result.reason, result.variable) == (OVERFLOW, outside[0])
+        else:
+            assert result.verdict == ACCEPT, source
+            assert result.outputs == reference
+
+    @given(st.sampled_from(KEYS), INT64, INT64,
+           st.integers(0, 1 << 40), st.data())
+    def test_opel_results_are_well_formed(self, modulus, x1, x2, cycle,
+                                          data):
+        key = make_key(modulus)
+        a = modulus
+        b1, b2, b3 = (data.draw(st.integers(0, a - 1)) for _ in range(3))
+        d = cycle % a
+        v1, v2 = encode(x1, b1, cycle, key), encode(x2, b2, cycle, key)
+        t1, t2 = (b1 + d) % a, (b2 + d) % a
+        results = [opel_move(v1, (b3 - b1) % a, key)]
+        for x, opel, args in (
+                (x1 + x2, opel_add, ((b3 - b1 - b2 - d) % a,)),
+                (x1 - x2, opel_sub, ((b3 - b1 + b2 + d) % a,)),
+                (x1 * x2, opel_mul, (t1, t2, (b3 + d - t1 * t2) % a))):
+            if INT64_MIN <= x <= INT64_MAX:
+                results.append(opel(v1, v2, *args, key))
+                assert results[-1].x == x
+            else:
+                with pytest.raises(FunctionalOverflow):
+                    opel(v1, v2, *args, key)
+        for v in results:
+            assert v.c == (v.x + b3 + d) % a
+            assert check(v, b3, cycle, key)

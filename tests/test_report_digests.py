@@ -5,21 +5,76 @@ alters a random stream or the report format changes these digests; such
 a change must say so and update them deliberately.
 """
 
+import contextlib
 import hashlib
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
 
 from helpers import build_sample
 from vitalcode.campaign import parse_config, run_channel_campaign
+from vitalcode.cli import main
+from vitalcode.coded_core import make_key
 from vitalcode.coded_runtime import FAULT_MODELS, run_campaign
 from vitalcode.redundancy import (MAJORITY, UNANIMITY, VoteConfig,
                                   redundancy_campaign)
-from vitalcode.sigtool import emit_prom
+from vitalcode.dsl import parse_program
+from vitalcode.sigtool import DuplicateSignatureWarning, build, emit_prom
+
+# Sixteen instructions over every opcode, so F1-F6 also strike MOVEs
+# (F5 included) and every variable reaches a checked output.
+MIXED_PROGRAM = """
+input u; input v; input w;
+const k = 7; const m = -3;
+s = u + v; d = u - w; p = s * k; q = d * m; r = p + q; t = r;
+e = t - v; f = e * w; g = f + k; h = g; i = h - s; j = i * m;
+l = j + d; n = l; o = n - p; z = o;
+output z; output t; output n; output f;
+"""
+
+# The MUL leaves int64 unless a is in [-2, 1], so most cycles safe-halt.
+OVERFLOW_PROGRAM = """
+input a; input b;
+const big = 4611686018427387904;
+x = a * big; y = x + b; c = y; o = c - a;
+output o; output c;
+"""
 
 
 def inject(modulus, models):
     _, key, table, program = build_sample(modulus, seed=4)
     return run_campaign(program, table, key, models, 1000, seed=3).to_json()
+
+
+def inject_source(source, modulus):
+    key = make_key(modulus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DuplicateSignatureWarning)
+        table, program = build(parse_program(source), key, 6)
+    return run_campaign(program, table, key, FAULT_MODELS, 1000,
+                        seed=5).to_json()
+
+
+def run_stdout(source, inputs):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, image = Path(tmp, "p.vc"), Path(tmp, "p.prom")
+        values = Path(tmp, "inputs.json")
+        src.write_text(source)
+        values.write_text(json.dumps(inputs))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateSignatureWarning)
+            main(["sign", str(src), "--key", "251", "--seed", "8",
+                  "-o", str(image)])
+            out.truncate(0)
+            out.seek(0)
+            main(["run", str(image), "--inputs", str(values),
+                  "--cycles", "3"])
+        return out.getvalue()
 
 
 def channel():
@@ -46,6 +101,14 @@ CASES = {
     "channel-json": lambda: channel().to_json(),
     "channel-csv": lambda: channel().to_csv(),
     "prom-251": lambda: emit_prom(*build_sample(251, seed=4)[2:]),
+    "inject-mixed-251": lambda: inject_source(MIXED_PROGRAM, 251),
+    "inject-mixed-mersenne": lambda: inject_source(MIXED_PROGRAM, 2**31 - 1),
+    "inject-overflow-251": lambda: inject_source(OVERFLOW_PROGRAM, 251),
+    "inject-overflow-mersenne":
+        lambda: inject_source(OVERFLOW_PROGRAM, 2**31 - 1),
+    "run-accept": lambda: run_stdout(MIXED_PROGRAM,
+                                     {"u": 12, "v": -5, "w": 9}),
+    "run-safe-halt": lambda: run_stdout(OVERFLOW_PROGRAM, {"a": 5, "b": 1}),
 }
 
 DIGESTS = {
@@ -59,6 +122,18 @@ DIGESTS = {
         "7fa323374732c69b16b7b24b8e1fdf569293a634704bd447b5ed6c803b558927",
     "inject-mersenne-none":
         "ac689a21985a2ea385a78e94d9041cb5fca3a5b1fb888e3ce50f78e0fcffdd07",
+    "inject-mixed-251":
+        "02274d8113051d8599f88a019f17b61250d7881580100ccf355ced1ad71273a5",
+    "inject-mixed-mersenne":
+        "b970fb02488c956cbbbcec8b9eba2b660a06676aa2438401fb02ad0d0b080cd2",
+    "inject-overflow-251":
+        "f2b6f4dc3d3e6df064feea45b8273adf18c32fc1bb7e7181f24684e482bc2dcb",
+    "inject-overflow-mersenne":
+        "72e7be8201042b6de413288aeff5e91b79a528155a6bf0ba81658b2acbe849f0",
+    "run-accept":
+        "393aace4b9bd7b85f3edb805429d50348c0195ed72a0cd770cd799f4bc11b176",
+    "run-safe-halt":
+        "0c6933e9548c10a9621fea0973e4f5ea8e27c76ccd42e21ea182d2a0bf951eeb",
     "prom-251":
         "6030069281cd0549a97e0d5c01288de539f73f0584175e43ff088af00a429ac1",
     "redundancy-majority":
