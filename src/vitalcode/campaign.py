@@ -17,6 +17,7 @@ import math
 import os
 import random
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 from . import telegram as tg
 from .channel_codes import CRC_CATALOG
@@ -39,7 +40,7 @@ class Threat:
     attempts: int = 0          # brute_force
     payload: bytes = b""       # forge
 
-    @property
+    @cached_property
     def label(self) -> str:
         if self.kind == "bit_error":
             return f"bit_error({self.rate:g})"
@@ -212,7 +213,7 @@ def resolve_mac_key(config: CampaignConfig) -> MacKey | None:
     return None
 
 
-@dataclass
+@dataclass(slots=True)
 class CellResult:
     scheme: str
     threat: str

@@ -1,6 +1,10 @@
 """Channel protections against accidental corruption: parity, CRC,
 Hamming(7,4) single-error correction.
 
+CRC and the Hamming byte codec are table-driven; the Hamming tables are
+built at import from the per-word `hamming74_encode`/`hamming74_decode`,
+which remain the reference.
+
 The CRC follows the usual width/poly/init/xorout/reflect parameter model;
 two parameter sets are built in: "crc8-atm" (poly 0x07, no reflection,
 its 8-bit residual makes undetected rates measurable in small campaigns)
@@ -16,10 +20,7 @@ from functools import lru_cache
 
 def parity_bit(payload: bytes) -> int:
     """Even parity: XOR of all payload bits."""
-    acc = 0
-    for b in payload:
-        acc ^= b
-    return bin(acc).count("1") & 1
+    return int.from_bytes(payload, "big").bit_count() & 1
 
 
 def parity_check(payload: bytes, bit: int) -> bool:
@@ -149,12 +150,25 @@ def hamming74_decode(word: int) -> tuple[int, int | None]:
     return data, position
 
 
+# Byte-wide tables from the reference codec: a payload byte's high- and
+# low-nibble codewords; a received word's corrected data nibble (shifted
+# into the high half for the first word of a pair) and a 1 where a bit
+# was flipped back.  Entries for bytes >= 0x80 are 0 and never read,
+# because the byte decoder rejects such words first.
+_ENC_HI = bytes(hamming74_encode(b >> 4) for b in range(256))
+_ENC_LO = bytes(hamming74_encode(b & 0xF) for b in range(256))
+_DECODED = [hamming74_decode(w) for w in range(0x80)] + [(0, None)] * 0x80
+_DEC_HI = bytes(data << 4 for data, _ in _DECODED)
+_DEC_LO = bytes(data for data, _ in _DECODED)
+_FIXED = bytes(position is not None for _, position in _DECODED)
+del _DECODED
+
+
 def hamming74_encode_bytes(payload: bytes) -> bytes:
     """One codeword per nibble, high nibble first, one byte per codeword."""
-    out = bytearray()
-    for b in payload:
-        out.append(hamming74_encode(b >> 4))
-        out.append(hamming74_encode(b & 0xF))
+    out = bytearray(2 * len(payload))
+    out[0::2] = payload.translate(_ENC_HI)
+    out[1::2] = payload.translate(_ENC_LO)
     return bytes(out)
 
 
@@ -165,11 +179,9 @@ def hamming74_decode_bytes(words: bytes) -> tuple[bytes, int]:
     """
     if len(words) % 2:
         raise ValueError("odd number of codewords")
-    out = bytearray()
-    corrections = 0
-    for i in range(0, len(words), 2):
-        hi, hi_pos = hamming74_decode(words[i])
-        lo, lo_pos = hamming74_decode(words[i + 1])
-        corrections += (hi_pos is not None) + (lo_pos is not None)
-        out.append((hi << 4) | lo)
-    return bytes(out), corrections
+    if not words.isascii():
+        raise ValueError("word must be a 7-bit value")
+    n = len(words) // 2
+    data = int.from_bytes(words[0::2].translate(_DEC_HI), "big") \
+        | int.from_bytes(words[1::2].translate(_DEC_LO), "big")
+    return data.to_bytes(n, "big"), words.translate(_FIXED).count(1)

@@ -246,7 +246,7 @@ def verify_telegram(data: bytes, scheme: ProtectionScheme,
             return VerifyResult(REJECT, reason=BAD_CRC)
         return VerifyResult(ACCEPT, telegram)
     if v == SCHEME_HAMMING:
-        if len(tag) != 2 * len(telegram.payload) or any(w > 0x7F for w in tag):
+        if len(tag) != 2 * len(telegram.payload) or not tag.isascii():
             return VerifyResult(REJECT, reason=BAD_TAG)
         decoded, corrections = cc.hamming74_decode_bytes(tag)
         if corrections == 0 and decoded == telegram.payload:
@@ -303,11 +303,12 @@ def apply_channel_noise(data: bytes, model: NoiseModel,
         eps = model.bit_error_rate
         if eps == 0.0:
             return data
+        # One draw per bit: byte by byte, least significant bit first.
         out = bytearray(data)
-        for i in range(len(out)):
-            for bit in range(8):
-                if rng.random() < eps:
-                    out[i] ^= 1 << bit
+        draw = rng.random
+        for pos in range(len(out) * 8):
+            if draw() < eps:
+                out[pos >> 3] ^= 1 << (pos & 7)
         return bytes(out)
     # Burst: one contiguous run of flipped bits at a random start.
     nbits = len(data) * 8

@@ -325,6 +325,19 @@ class TestReports:
         assert rows[1][0] == "crc8-atm"
         assert int(rows[1][2]) == 10
 
+    def test_cells_keep_no_instance_dict(self):
+        cell = run_channel_campaign(make_config(trials=5)).cells[0]
+        assert not hasattr(cell, "__dict__")
+
+    def test_threat_label_built_once(self):
+        config = make_config(threats=[{"kind": "bit_error", "rate": 0.01},
+                                      {"kind": "burst", "length": 3},
+                                      {"kind": "forge"}])
+        for threat in config.threats:
+            assert threat.label is threat.label
+        assert [t.label for t in config.threats] == \
+            ["bit_error(0.01)", "burst(3)", "forge"]
+
     def test_cell_lookup(self):
         report = run_channel_campaign(make_config(trials=5))
         assert report.cell("crc8-atm", "forge").delivered == 5

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import crc_bitwise, hamming_encode_matrix
+from vitalcode import channel_codes as cc
 from vitalcode.channel_codes import (CRC32_IEEE, CRC8_ATM, CRC_CATALOG,
                                      CrcParams, crc_check, crc_compute,
                                      hamming74_decode, hamming74_encode,
@@ -29,6 +30,15 @@ class TestParity:
                 corrupted = bytes([value ^ pattern])
                 detects = not parity_check(corrupted, bit)
                 assert detects == (bin(pattern).count("1") % 2 == 1)
+
+    @pytest.mark.parametrize("length", [0, 1, 64, 1024])
+    def test_matches_xor_fold(self, length):
+        for seed in range(20):
+            payload = random.Random(seed).randbytes(length)
+            acc = 0
+            for b in payload:
+                acc ^= b
+            assert parity_bit(payload) == bin(acc).count("1") & 1
 
 
 class TestCrc:
@@ -168,3 +178,86 @@ class TestHamming:
         decoded, corrections = hamming74_decode_bytes(bytes(words))
         assert decoded == payload
         assert corrections == len(words)
+
+
+def encode_per_word(payload):
+    """hamming74_encode_bytes as a loop over the per-word reference."""
+    out = bytearray()
+    for b in payload:
+        out += bytes([hamming74_encode(b >> 4), hamming74_encode(b & 0xF)])
+    return bytes(out)
+
+
+def decode_per_word(words):
+    """hamming74_decode_bytes as a loop over the per-word reference."""
+    out = bytearray()
+    corrections = 0
+    for i in range(0, len(words), 2):
+        hi, hi_pos = hamming74_decode(words[i])
+        lo, lo_pos = hamming74_decode(words[i + 1])
+        corrections += (hi_pos is not None) + (lo_pos is not None)
+        out.append((hi << 4) | lo)
+    return bytes(out), corrections
+
+
+@st.composite
+def noisy_codewords(draw):
+    """Codewords of an arbitrary payload with 0-2 random flips each."""
+    payload = draw(st.binary(max_size=100))
+    words = bytearray(encode_per_word(payload))
+    for i in range(len(words)):
+        for position in draw(st.lists(st.integers(0, 6), max_size=2)):
+            words[i] ^= 1 << position
+    return bytes(words)
+
+
+class TestHammingTables:
+    def test_encode_tables_match_reference(self):
+        for byte in range(256):
+            assert cc._ENC_HI[byte] == hamming74_encode(byte >> 4)
+            assert cc._ENC_LO[byte] == hamming74_encode(byte & 0xF)
+
+    def test_decode_tables_match_reference(self):
+        for word in range(128):
+            data, position = hamming74_decode(word)
+            assert cc._DEC_HI[word] == data << 4
+            assert cc._DEC_LO[word] == data
+            assert cc._FIXED[word] == (position is not None)
+
+    @given(st.binary(max_size=200))
+    def test_encode_matches_per_word_loop(self, payload):
+        assert hamming74_encode_bytes(payload) == encode_per_word(payload)
+
+    @given(noisy_codewords())
+    def test_decode_matches_per_word_loop(self, words):
+        assert hamming74_decode_bytes(words) == decode_per_word(words)
+
+    def test_odd_word_count_rejected(self):
+        words = hamming74_encode_bytes(b"ab")
+        with pytest.raises(ValueError):
+            hamming74_decode_bytes(words[:-1])
+        with pytest.raises(ValueError):
+            hamming74_decode_bytes(b"\x00")
+
+    @pytest.mark.parametrize("bad", [0x80, 0xC3, 0xFF])
+    def test_word_outside_code_rejected(self, bad):
+        words = bytearray(hamming74_encode_bytes(b"abc"))
+        for i in range(len(words)):
+            corrupted = bytearray(words)
+            corrupted[i] = bad
+            with pytest.raises(ValueError):
+                hamming74_decode_bytes(bytes(corrupted))
+
+    def test_bytearray_input_same_as_bytes(self):
+        words = bytearray(hamming74_encode_bytes(b"vital frame"))
+        words[3] ^= 0x04
+        assert hamming74_decode_bytes(words) == \
+            hamming74_decode_bytes(bytes(words))
+        result, _ = hamming74_decode_bytes(words)
+        assert type(result) is bytes
+        assert hamming74_encode_bytes(bytearray(b"xyz")) == \
+            hamming74_encode_bytes(b"xyz")
+
+    def test_empty(self):
+        assert hamming74_encode_bytes(b"") == b""
+        assert hamming74_decode_bytes(b"") == (b"", 0)

@@ -270,6 +270,26 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseModel("erasure")
 
+    @pytest.mark.parametrize("length", [0, 1, 64, 1024])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.5, 1.0])
+    def test_bit_error_matches_per_bit_loop(self, eps, length):
+        # Reference: one draw per bit, byte by byte, bit 0 first.  Equal
+        # generator states afterwards mean every bit cost exactly one draw.
+        data = random.Random(length).randbytes(length)
+        model = NoiseModel("bit_error", bit_error_rate=eps)
+        for seed in range(3):
+            rng = random.Random(seed)
+            noisy = apply_channel_noise(data, model, rng)
+            reference = random.Random(seed)
+            expected = bytearray(data)
+            if eps:
+                for i in range(len(expected)):
+                    for bit in range(8):
+                        if reference.random() < eps:
+                            expected[i] ^= 1 << bit
+            assert noisy == bytes(expected)
+            assert rng.getstate() == reference.getstate()
+
 
 class TestAttacks:
     def test_forge_succeeds_against_keyless_schemes(self):
