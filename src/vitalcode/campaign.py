@@ -16,8 +16,7 @@ import json
 import math
 import os
 import random
-from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from dataclasses import asdict, dataclass, field, fields
 
 from . import telegram as tg
 from .channel_codes import CRC_CATALOG
@@ -32,23 +31,27 @@ NOISE_THREATS = ("bit_error", "burst", "random_payload", "codeword_flip")
 ATTACK_THREATS = ("forge", "replay", "splice", "brute_force")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Threat:
     kind: str
     rate: float = 0.0          # bit_error
     length: int = 0            # burst
     attempts: int = 0          # brute_force
     payload: bytes = b""       # forge
+    # Names the cell and its random stream.  Built with the threat, as
+    # `parse_config` reads it to reject repeated labels; a threat is not
+    # changed after parsing.
+    label: str = field(init=False, compare=False)
 
-    @cached_property
-    def label(self) -> str:
+    def __post_init__(self):
+        label = self.kind
         if self.kind == "bit_error":
-            return f"bit_error({self.rate:g})"
-        if self.kind == "burst":
-            return f"burst({self.length})"
-        if self.kind == "brute_force":
-            return f"brute_force({self.attempts})"
-        return self.kind
+            label = f"bit_error({self.rate:g})"
+        elif self.kind == "burst":
+            label = f"burst({self.length})"
+        elif self.kind == "brute_force":
+            label = f"brute_force({self.attempts})"
+        self.label = label
 
 
 @dataclass
@@ -127,7 +130,7 @@ def parse_config(doc) -> CampaignConfig:
         if name not in doc:
             raise ConfigError("missing field", f"config.{name}")
     _check_fields(doc, "config")
-    threats = []
+    threats, labels = [], set()
     for i, entry in enumerate(doc["threats"]):
         path = f"config.threats[{i}]"
         if not isinstance(entry, dict) or "kind" not in entry:
@@ -135,12 +138,16 @@ def parse_config(doc) -> CampaignConfig:
         _check_fields(entry, path)
         if entry["kind"] == "brute_force" and "attempts" not in entry:
             raise ConfigError("missing field", f"{path}.attempts")
-        threats.append(Threat(
+        threat = Threat(
             kind=entry["kind"],
             rate=float(entry.get("rate", 0.0)),
             length=entry.get("length", 0),
             attempts=entry.get("attempts", 0),
-            payload=bytes.fromhex(entry.get("payload_hex", ""))))
+            payload=bytes.fromhex(entry.get("payload_hex", "")))
+        if threat.label in labels:
+            raise ConfigError(f"repeated threat {threat.label!r}", path)
+        labels.add(threat.label)
+        threats.append(threat)
     config = CampaignConfig(
         schemes=[str(s) for s in doc["schemes"]],
         threats=threats,
@@ -151,8 +158,11 @@ def parse_config(doc) -> CampaignConfig:
         payload_length=doc.get("payload_length", DEFAULT_PAYLOAD_LENGTH),
         mac_key_hex=doc.get("mac_key"),
         mac_truncation=doc.get("mac_truncation", 32))
-    for name in config.schemes:
+    for i, name in enumerate(config.schemes):
         build_scheme(name, config)  # raises ConfigError on bad names
+        if name in config.schemes[:i]:
+            raise ConfigError(f"repeated scheme {name!r}",
+                              f"config.schemes[{i}]")
     return config
 
 
@@ -170,17 +180,18 @@ def load_config(path: str) -> CampaignConfig:
     return parse_config(load_json(path))
 
 
+# Exact HMAC scheme names that fix the truncation; plain `hmac` takes
+# `mac_truncation` from the config.
+_HMAC_NAMES = {f"hmac-{t}": t for t in TAG_LENGTHS}
+
+
 def build_scheme(name: str, config: CampaignConfig) -> tg.ProtectionScheme:
-    """Instantiate a protection scheme from its config name."""
-    if name == tg.SCHEME_NONE:
-        return tg.ProtectionScheme(tg.SCHEME_NONE)
-    if name == tg.SCHEME_PARITY:
-        return tg.ProtectionScheme(tg.SCHEME_PARITY)
+    """Instantiate a protection scheme from its exact config name."""
+    if name in (tg.SCHEME_NONE, tg.SCHEME_PARITY, tg.SCHEME_HAMMING):
+        return tg.ProtectionScheme(name)
     if name in CRC_CATALOG:
         return tg.ProtectionScheme(tg.SCHEME_CRC,
                                    crc_params=CRC_CATALOG[name])
-    if name == tg.SCHEME_HAMMING:
-        return tg.ProtectionScheme(tg.SCHEME_HAMMING)
     if name == tg.SCHEME_CODEDSIG:
         try:
             key = make_key(config.key_modulus)
@@ -189,17 +200,13 @@ def build_scheme(name: str, config: CampaignConfig) -> tg.ProtectionScheme:
         return tg.ProtectionScheme(
             tg.SCHEME_CODEDSIG, key=key,
             signature=config.coded_signature % key.modulus)
-    if name.startswith("hmac"):
-        t = config.mac_truncation
-        if "-" in name:
-            try:
-                t = int(name.split("-", 1)[1])
-            except ValueError:
-                t = None
-        if t not in TAG_LENGTHS:
-            raise ConfigError(f"hmac truncation must be one of {TAG_LENGTHS}",
-                              f"config.schemes[{name}]")
-        return tg.ProtectionScheme(tg.SCHEME_HMAC, mac_truncation=t)
+    if name == tg.SCHEME_HMAC or name in _HMAC_NAMES:
+        return tg.ProtectionScheme(
+            tg.SCHEME_HMAC,
+            mac_truncation=_HMAC_NAMES.get(name, config.mac_truncation))
+    if name.startswith("hmac-"):
+        raise ConfigError(f"hmac truncation must be one of {TAG_LENGTHS}",
+                          f"config.schemes[{name}]")
     raise ConfigError(f"unknown scheme {name!r}", f"config.schemes[{name}]")
 
 
@@ -312,7 +319,10 @@ def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
         elif threat.kind == "burst":
             delivered = tg.apply_channel_noise(
                 wire, tg.NoiseModel("burst", burst_length=threat.length), rng)
-        elif threat.kind == "random_payload":
+        elif threat.kind in ("random_payload", "splice"):
+            # A splice moves this frame's tag onto a fresh payload, which
+            # gives exactly these bytes; `_outcome` still counts an
+            # accepted splice as unauthorized.
             delivered = _replace_payload(
                 wire, rng.randbytes(config.payload_length))
         elif threat.kind == "codeword_flip":
@@ -322,19 +332,12 @@ def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
             delivered = tg.apply_attack(
                 wire, tg.AttackSpec(tg.FORGE_PAYLOAD, payload=forged),
                 knowledge, rng)
-        elif threat.kind == "replay":
+        else:  # replay
             # The genuine frame was already accepted; the receiver's
             # sequence window has moved past it.
             window = tg.ReceiverWindow(min_seq=seq, current_date=date)
             delivered = tg.apply_attack(wire, tg.AttackSpec(tg.REPLAY),
                                         knowledge, rng)
-        else:  # splice
-            donor = tg.Telegram(seq, date,
-                                rng.randbytes(config.payload_length))
-            donor_wire = tg.protect_telegram(donor, scheme, mac_key)
-            delivered = tg.apply_attack(
-                donor_wire, tg.AttackSpec(tg.SPLICE_SIGNATURE, donor=wire),
-                knowledge, rng)
 
         return _outcome(tg.verify_telegram(delivered, scheme, mac_key,
                                            window), original, threat)
@@ -370,14 +373,13 @@ def _outcome(result: tg.VerifyResult, original: tg.Telegram | None,
 def run_channel_campaign(config: CampaignConfig) -> ChannelReport:
     """Run the full schemes x threats grid; reproducible under its seed."""
     mac_key = resolve_mac_key(config)
-    needs_key = any(name.startswith("hmac") for name in config.schemes)
-    if needs_key and mac_key is None:
+    schemes = [build_scheme(name, config) for name in config.schemes]
+    if mac_key is None and any(s.variant == tg.SCHEME_HMAC for s in schemes):
         raise ConfigError(f"hmac scheme configured but no MAC key in "
                           f"config.mac_key or ${MAC_KEY_ENV}",
                           "config.mac_key")
     cells = []
-    for scheme_name in config.schemes:
-        scheme = build_scheme(scheme_name, config)
+    for scheme_name, scheme in zip(config.schemes, schemes):
         for threat in config.threats:
             cells.append(_run_cell(scheme_name, scheme, threat, config,
                                    mac_key))

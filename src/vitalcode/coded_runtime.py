@@ -82,14 +82,6 @@ class FaultSpec:
 
 
 @dataclass
-class CycleState:
-    """Live coded values of one cycle, keyed by variable name."""
-
-    values: dict[str, CodedValue]
-    cycle: int
-
-
-@dataclass
 class CycleResult:
     verdict: str
     outputs: dict[str, int] | None  # published only on accept
@@ -146,32 +138,32 @@ def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
                      spec.staleness)
 
 
-def inject_fault(state: CycleState, program: CodedProgram,
-                 table: SignatureTable, key: CodeKey, spec: FaultSpec,
+def inject_fault(values: dict[str, CodedValue], cycle: int,
+                 program: CodedProgram, table: SignatureTable, key: CodeKey,
+                 spec: FaultSpec,
                  rng: random.Random | None) -> tuple[tuple, ...]:
     """Apply one resolved fault (every selector set) at its injection point.
 
-    F1-F4 and F6 mutate `state` in place.  Returns the instruction rows
-    to execute with: the program's own except for F5, where one
-    instruction's constant moves by a uniform nonzero residue and only
-    that row is rebuilt.  The only draws are the fault's values: F5's
-    MUL field and delta, F6's functional and code fields.
+    F1-F4 and F6 mutate the cycle's live `values` in place.  Returns the
+    instruction rows to execute with: the program's own except for F5,
+    where one instruction's constant moves by a uniform nonzero residue
+    and only that row is rebuilt.  The only draws are the fault's values:
+    F5's MUL field and delta, F6's functional and code fields.
     """
     a = key.modulus
     rows = program.rows
     name = spec.variable
     if spec.model == F1:
-        state.values[name] = _flip_functional_bit(state.values[name],
-                                                   spec.bit)
+        values[name] = _flip_functional_bit(values[name], spec.bit)
     elif spec.model == F2:
-        v = state.values[name]
-        state.values[name] = CodedValue(v.x, v.c ^ (1 << spec.bit))
+        v = values[name]
+        values[name] = CodedValue(v.x, v.c ^ (1 << spec.bit))
     elif spec.model == F3:
-        state.values[name] = state.values[spec.donor]
+        values[name] = values[spec.donor]
     elif spec.model == F4:
-        v = state.values[name]
-        stale_term = (state.cycle - spec.staleness) % a
-        state.values[name] = CodedValue(
+        v = values[name]
+        stale_term = (cycle - spec.staleness) % a
+        values[name] = CodedValue(
             v.x, (v.x + table.signatures[name] + stale_term) % a)
     elif spec.model == F5:
         i = spec.instruction
@@ -185,7 +177,7 @@ def inject_fault(state: CycleState, program: CodedProgram,
         rows = rows[:i] + (row,) + rows[i + 1:]
     else:  # F6
         x = rng.getrandbits(FUNCTIONAL_BITS) - (1 << (FUNCTIONAL_BITS - 1))
-        state.values[name] = CodedValue(x, rng.randrange(a))
+        values[name] = CodedValue(x, rng.randrange(a))
     return rows
 
 
@@ -205,15 +197,14 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     ir = program.ir
     sigs = table.signatures
     d = cycle % a
-    state = CycleState(values={}, cycle=cycle)
-    values = state.values
+    values = {}
 
     rows = program.rows
     struck = None  # F1/F2 strike right after this variable's definition
     if fault is not None:
         fault = _resolve_fault(fault, program, key, rng)
         if fault.model == F5:
-            rows = inject_fault(state, program, table, key, fault, rng)
+            rows = inject_fault(values, cycle, program, table, key, fault, rng)
         elif fault.model in (F1, F2):
             struck = fault.variable
 
@@ -223,11 +214,11 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
                 raise KeyError(f"missing input {name!r}")
             values[name] = encode(int(inputs[name]), sigs[name], cycle, key)
             if name == struck:
-                inject_fault(state, program, table, key, fault, rng)
+                inject_fault(values, cycle, program, table, key, fault, rng)
         for name, value in ir.consts.items():
             values[name] = encode(value, sigs[name], cycle, key)
             if name == struck:
-                inject_fault(state, program, table, key, fault, rng)
+                inject_fault(values, cycle, program, table, key, fault, rng)
 
         # Fold the date term d in, as documented on InstructionConstants.
         for op, name, src1, src2, kappa, b1, b2, b3 in rows:
@@ -244,12 +235,12 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
             else:
                 values[name] = opel_move(values[src1], kappa, key)
             if name == struck:
-                inject_fault(state, program, table, key, fault, rng)
+                inject_fault(values, cycle, program, table, key, fault, rng)
     except FunctionalOverflow:  # `name` is the variable being defined
         return CycleResult(SAFE_HALT, None, OVERFLOW, name)
 
     if fault is not None and fault.model in (F3, F4, F6):
-        inject_fault(state, program, table, key, fault, rng)
+        inject_fault(values, cycle, program, table, key, fault, rng)
 
     for name in ir.outputs:
         if not check(values[name], sigs[name], cycle, key):

@@ -12,6 +12,11 @@ section 4), not once per tag.
 from __future__ import annotations
 
 import os
+# The interpreter's own C compare (what `hmac.compare_digest` falls back
+# to), without the OpenSSL that importing `hmac` loads: its time does not
+# depend on where the first mismatch lies, and inputs of unequal length
+# compare unequal.
+from _operator import _compare_digest as constant_time_equal
 
 try:  # hashlib is heavy to load: try the lean internal module first
     from _sha2 import sha256  # Python 3.12+
@@ -87,16 +92,6 @@ def hmac_tag(key: MacKey, message: bytes, t: int = DIGEST_SIZE) -> bytes:
     outer = key._outer.copy()
     outer.update(inner.digest())
     return outer.digest()[:t]
-
-
-def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Compare all bytes regardless of the first mismatch."""
-    if len(a) != len(b):
-        return False
-    acc = 0
-    for x, y in zip(a, b):
-        acc |= x ^ y
-    return acc == 0
 
 
 def hmac_verify(key: MacKey, message: bytes, tag: bytes) -> bool:

@@ -4,9 +4,12 @@ adversarial transformations.
 A telegram is a sequence-numbered, dated message.  The protection tag is
 appended per scheme: parity, CRC and Hamming cover the payload only
 (their historical role); the coded-signature scheme covers the payload
-fold plus the date; HMAC covers seq, date and payload.  The attacker has
-full read/write on the channel and knows every algorithm and non-secret
-parameter; only the MAC key is withheld.
+fold plus the date; HMAC covers seq, date and payload.  Every tag but
+Hamming's is deterministic, so the receiver verifies a frame by
+recomputing its tag and comparing, in constant time; Hamming instead
+decodes and corrects.  The attacker has full read/write on the channel
+and knows every algorithm and non-secret parameter; only the MAC key is
+withheld.
 """
 
 from __future__ import annotations
@@ -29,15 +32,6 @@ SCHEME_HAMMING = "hamming74"
 SCHEME_CODEDSIG = "codedsig"
 SCHEME_HMAC = "hmac"
 
-_SCHEME_IDS = {
-    SCHEME_NONE: 0,
-    SCHEME_PARITY: 1,
-    SCHEME_CRC: 2,
-    SCHEME_HAMMING: 3,
-    SCHEME_CODEDSIG: 4,
-    SCHEME_HMAC: 5,
-}
-
 ACCEPT = "accept"
 CORRECTED = "corrected"
 REJECT = "reject"
@@ -49,6 +43,19 @@ BAD_RESIDUE = "BadResidue"
 STALE_DATE = "StaleDate"
 REPLAYED_SEQ = "ReplayedSeq"
 MALFORMED = "Malformed"
+
+# Variant -> (wire id, reason for a tag of the right length that does not
+# match, whether the tag covers seq, whether it covers the date).  Only
+# covered fields are checked for freshness.  A `none` tag is empty, so
+# it cannot mismatch at the right length.
+_VARIANTS = {
+    SCHEME_NONE: (0, MALFORMED, False, False),
+    SCHEME_PARITY: (1, BAD_PARITY, False, False),
+    SCHEME_CRC: (2, BAD_CRC, False, False),
+    SCHEME_HAMMING: (3, BAD_TAG, False, False),
+    SCHEME_CODEDSIG: (4, BAD_RESIDUE, False, True),
+    SCHEME_HMAC: (5, BAD_TAG, True, True),
+}
 
 
 class TelegramError(Exception):
@@ -98,7 +105,7 @@ class ProtectionScheme:
     mac_truncation: int = 32            # hmac
 
     def __post_init__(self):
-        if self.variant not in _SCHEME_IDS:
+        if self.variant not in _VARIANTS:
             raise TelegramError(f"unknown scheme {self.variant!r}")
         if self.variant == SCHEME_CRC and self.crc_params is None:
             raise TelegramError("crc scheme needs parameters")
@@ -172,7 +179,7 @@ def make_tag(t: Telegram, scheme: ProtectionScheme,
 def protect_telegram(t: Telegram, scheme: ProtectionScheme,
                      mac_key: MacKey | None = None) -> bytes:
     """Serialize a telegram with its protection tag appended."""
-    return serialize_wire(t, _SCHEME_IDS[scheme.variant],
+    return serialize_wire(t, _VARIANTS[scheme.variant][0],
                           make_tag(t, scheme, mac_key))
 
 
@@ -218,34 +225,21 @@ def verify_telegram(data: bytes, scheme: ProtectionScheme,
                     window: ReceiverWindow | None = None) -> VerifyResult:
     """Check a received frame against the configured scheme.
 
-    All failures are verdicts, never exceptions.  Freshness (seq
-    monotonicity, date window) is enforced only for schemes that
-    authenticate those fields: HMAC covers both, CodedSig the date only.
+    All failures are verdicts, never exceptions.  A tag of the wrong
+    length is malformed; one of the right length must equal the tag
+    recomputed from the received telegram.  Freshness (seq monotonicity,
+    date window) is then enforced only for the fields the tag covers:
+    HMAC covers both, CodedSig the date only.
     """
     try:
         telegram, scheme_id, tag = parse_wire(data)
     except TelegramError:
         return VerifyResult(REJECT, reason=MALFORMED)
-    if scheme_id != _SCHEME_IDS[scheme.variant]:
+    wire_id, bad_tag, covers_seq, covers_date = _VARIANTS[scheme.variant]
+    if scheme_id != wire_id:
         return VerifyResult(REJECT, reason=MALFORMED)
 
-    v = scheme.variant
-    if v == SCHEME_NONE:
-        return VerifyResult(ACCEPT, telegram)
-    if v == SCHEME_PARITY:
-        if len(tag) != 1 or tag[0] > 1:
-            return VerifyResult(REJECT, reason=MALFORMED)
-        if not cc.parity_check(telegram.payload, tag[0]):
-            return VerifyResult(REJECT, reason=BAD_PARITY)
-        return VerifyResult(ACCEPT, telegram)
-    if v == SCHEME_CRC:
-        p = scheme.crc_params
-        if len(tag) != p.width // 8:
-            return VerifyResult(REJECT, reason=MALFORMED)
-        if not cc.crc_check(telegram.payload, int.from_bytes(tag, "big"), p):
-            return VerifyResult(REJECT, reason=BAD_CRC)
-        return VerifyResult(ACCEPT, telegram)
-    if v == SCHEME_HAMMING:
+    if scheme.variant == SCHEME_HAMMING:
         if len(tag) != 2 * len(telegram.payload) or not tag.isascii():
             return VerifyResult(REJECT, reason=BAD_TAG)
         decoded, corrections = cc.hamming74_decode_bytes(tag)
@@ -256,27 +250,17 @@ def verify_telegram(data: bytes, scheme: ProtectionScheme,
         # tag.  Double flips within one codeword miscorrect silently.
         fixed = Telegram(telegram.seq, telegram.date, decoded)
         return VerifyResult(CORRECTED, fixed)
-    if v == SCHEME_CODEDSIG:
-        if len(tag) != 8:
-            return VerifyResult(REJECT, reason=MALFORMED)
-        if int.from_bytes(tag, "big") != coded_signature_residue(telegram,
-                                                                 scheme):
-            return VerifyResult(REJECT, reason=BAD_RESIDUE)
-        if window is not None:
-            if abs(telegram.date - window.current_date) > window.date_tolerance:
-                return VerifyResult(REJECT, reason=STALE_DATE)
-        return VerifyResult(ACCEPT, telegram)
-    # HMAC
-    if mac_key is None:
-        raise MissingKey("hmac scheme needs a MAC key")
-    expected = _cached_tag(mac_key, _hmac_message(telegram),
-                           scheme.mac_truncation)
+
+    expected = make_tag(telegram, scheme, mac_key)
+    if len(tag) != len(expected):
+        return VerifyResult(REJECT, reason=MALFORMED)
     if not constant_time_equal(tag, expected):
-        return VerifyResult(REJECT, reason=BAD_TAG)
+        return VerifyResult(REJECT, reason=bad_tag)
     if window is not None:
-        if telegram.seq <= window.min_seq:
+        if covers_seq and telegram.seq <= window.min_seq:
             return VerifyResult(REJECT, reason=REPLAYED_SEQ)
-        if abs(telegram.date - window.current_date) > window.date_tolerance:
+        if (covers_date and abs(telegram.date - window.current_date)
+                > window.date_tolerance):
             return VerifyResult(REJECT, reason=STALE_DATE)
     return VerifyResult(ACCEPT, telegram)
 

@@ -137,6 +137,18 @@ class TestConfigParsing:
             return
         assert isinstance(config, CampaignConfig)
 
+    def test_repeated_scheme(self):
+        with pytest.raises(ConfigError, match=r"^config\.schemes\[2\]: "):
+            make_config(schemes=["crc8-atm", "hmac", "crc8-atm"])
+
+    def test_repeated_threat_label(self):
+        # Both rates print as bit_error(0.001), the label that names the
+        # cell and its random stream.
+        with pytest.raises(ConfigError, match=r"^config\.threats\[1\]: "):
+            make_config(threats=[{"kind": "bit_error", "rate": 0.001},
+                                 {"kind": "bit_error",
+                                  "rate": 0.0010000001}])
+
     def test_load_config_reports_json_position(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schemes": [,]}')
@@ -167,9 +179,15 @@ class TestSchemeBuilding:
         with pytest.raises(ConfigError):
             build_scheme("hmac-12", make_config())
 
-    @pytest.mark.parametrize("name", ["hmac-x", "hmac-", "hmac-8x"])
+    @pytest.mark.parametrize("name", ["hmac-x", "hmac-", "hmac-8x",
+                                      "hmac-08", "hmac- 8", "hmac-8 "])
     def test_non_integer_hmac_truncation_name(self, name):
         with pytest.raises(ConfigError, match="hmac truncation"):
+            build_scheme(name, make_config())
+
+    @pytest.mark.parametrize("name", ["hmacfoo", "hmac_x", "HMAC", "crc"])
+    def test_unknown_scheme_name(self, name):
+        with pytest.raises(ConfigError, match="unknown scheme"):
             build_scheme(name, make_config())
 
     @pytest.mark.parametrize("key_a", [12, 2, 2**48 + 21])
@@ -243,6 +261,19 @@ class TestCampaignSemantics:
         # probability ~5e-10; every splice should be caught.
         assert report.cell("codedsig", "splice").accepted_but_wrong == 0
         assert report.cell("hmac", "splice").accepted_but_wrong == 0
+
+    def test_splice_of_identical_content_is_unauthorized(self):
+        # With empty payloads the spliced frame equals the genuine one;
+        # it is still a frame the sender did not emit with that tag.
+        config = make_config(schemes=["none", "crc8-atm"],
+                             threats=[{"kind": "splice"},
+                                      {"kind": "random_payload"}],
+                             trials=20, payload_length=0)
+        report = run_channel_campaign(config)
+        for name in config.schemes:
+            assert report.cell(name, "splice").accepted_but_wrong == 20
+            assert report.cell(name, "random_payload").accepted_but_wrong \
+                == 0
 
     def test_brute_force_uses_attempts(self):
         config = make_config(

@@ -267,6 +267,11 @@ class TestChannel:
         ({"trials": True}, "config.trials"),
         ({"threats": [{"kind": "burst", "length": -2}]},
          "config.threats[0].length"),
+        ({"schemes": ["crc8-atm", "codedsig", "crc8-atm"]},
+         "config.schemes[2]"),
+        ({"threats": [{"kind": "bit_error", "rate": 0.001},
+                      {"kind": "bit_error", "rate": 0.0010000001}]},
+         "config.threats[1]"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, overrides, where):
         doc = {"schemes": ["crc8-atm", "codedsig"],

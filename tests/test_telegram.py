@@ -17,7 +17,7 @@ from vitalcode.telegram import (ACCEPT, BAD_CRC, BAD_PARITY, BAD_RESIDUE,
                                 PayloadTooLong, ProtectionScheme,
                                 ReceiverWindow, Telegram, TelegramError,
                                 VerifyResult, WIRE_MAGIC, apply_attack, apply_channel_noise,
-                                coded_signature_residue, parse_wire,
+                                coded_signature_residue, make_tag, parse_wire,
                                 protect_telegram, serialize_wire,
                                 verify_telegram)
 
@@ -182,6 +182,78 @@ FUZZ_SCHEMES = {**SCHEMES, **{
     f"hmac-{t}": ProtectionScheme(SCHEME_HMAC, mac_truncation=t)
     for t in (8, 16, 32)}}
 
+# Every scheme whose tag is recomputed and compared, with the reason a
+# right-length tag that does not match is rejected for.
+RECOMPUTED = {"none": None, "parity": BAD_PARITY, "crc8": BAD_CRC,
+              "crc32": BAD_CRC, "codedsig": BAD_RESIDUE,
+              "hmac-8": BAD_TAG, "hmac-16": BAD_TAG, "hmac-32": BAD_TAG}
+GENUINE = Telegram(4, 9, b"vital payload")
+
+
+def retagged(name, tag, telegram=GENUINE):
+    """The frame of `telegram` under scheme `name`, carrying `tag`."""
+    wire = protect_telegram(telegram, FUZZ_SCHEMES[name], MAC)
+    parsed, scheme_id, _ = parse_wire(wire)
+    return serialize_wire(parsed, scheme_id, tag)
+
+
+class TestVerifyContract:
+    @pytest.mark.parametrize("name", list(RECOMPUTED))
+    def test_wrong_length_tag_is_malformed(self, name):
+        # Before tags were recomputed, `none` accepted any tag and HMAC
+        # called a tag of the wrong length BadTag.
+        scheme = FUZZ_SCHEMES[name]
+        right = len(make_tag(GENUINE, scheme, MAC))
+        for length in {0, right - 1, right + 1, 40} - {-1, right}:
+            wire = retagged(name, bytes(range(length)))
+            result = verify_telegram(wire, scheme, MAC)
+            assert (result.status, result.reason) == (REJECT, MALFORMED)
+
+    @pytest.mark.parametrize("name", list(RECOMPUTED))
+    def test_every_tag_bit_flip_gets_the_scheme_reason(self, name):
+        scheme = FUZZ_SCHEMES[name]
+        true_tag = make_tag(GENUINE, scheme, MAC)
+        # The window accepts the genuine frame, so only the tag decides.
+        window = ReceiverWindow(min_seq=3, current_date=9)
+        for bit in range(8 * len(true_tag)):
+            tag = bytearray(true_tag)
+            tag[bit // 8] ^= 1 << (bit % 8)
+            result = verify_telegram(retagged(name, bytes(tag)), scheme, MAC,
+                                     window)
+            assert (result.status, result.reason) \
+                == (REJECT, RECOMPUTED[name]), bit
+
+    def test_bad_tag_outranks_freshness(self):
+        window = ReceiverWindow(min_seq=5, current_date=100)
+        for name in ("codedsig", "hmac-8"):
+            scheme = FUZZ_SCHEMES[name]
+            tag = bytearray(make_tag(GENUINE, scheme, MAC))
+            tag[-1] ^= 1
+            result = verify_telegram(retagged(name, bytes(tag)), scheme, MAC,
+                                     window)
+            assert result.reason == RECOMPUTED[name]
+
+    @pytest.mark.parametrize("name", list(RECOMPUTED))
+    def test_freshness_only_for_covered_fields(self, name):
+        scheme = FUZZ_SCHEMES[name]
+        wire = protect_telegram(GENUINE, scheme, MAC)
+        replayed = ReceiverWindow(min_seq=10, current_date=9)
+        stale = ReceiverWindow(min_seq=0, current_date=100)
+        for window, reason in ((replayed, REPLAYED_SEQ), (stale, STALE_DATE)):
+            covered = name.startswith("hmac") or (
+                name == "codedsig" and reason == STALE_DATE)
+            result = verify_telegram(wire, scheme, MAC, window)
+            assert result.reason == (reason if covered else None)
+
+    def test_parity_tag_byte_above_one_is_bad_parity(self):
+        # Formerly Malformed: any one-byte tag has the right length.
+        scheme = FUZZ_SCHEMES["parity"]
+        for byte in range(2, 256):
+            result = verify_telegram(retagged("parity", bytes([byte])),
+                                     scheme)
+            assert (result.status, result.reason) == (REJECT, BAD_PARITY)
+
+
 u32 = st.integers(0, 2**32 - 1)
 windows = st.none() | st.builds(ReceiverWindow, u32, u32, st.integers(0, 3))
 
@@ -223,7 +295,7 @@ class TestVerifyFuzz:
         result = verify_telegram(serialize_wire(telegram, scheme_id, tag),
                                  scheme, MAC, window)
         assert result.status == REJECT
-        assert result.reason in (BAD_TAG, MALFORMED)
+        assert result.reason == (BAD_TAG if len(tag) == t else MALFORMED)
 
 
 class TestNoise:
