@@ -21,9 +21,8 @@ from .channel_codes import (CRC_CATALOG, CrcParams, crc_check, crc_compute,
                             hamming74_decode, hamming74_encode, parity_bit)
 from .mac import MacKey, hash_digest, hmac_tag, hmac_verify
 from .redundancy import VoteConfig, redundancy_campaign, vote
-from .telegram import (AttackSpec, NoiseModel, ProtectionScheme, Telegram,
-                       apply_attack, apply_channel_noise, protect_telegram,
-                       verify_telegram)
+from .telegram import (ProtectionScheme, Telegram, Threat, apply_attack,
+                       apply_channel_noise, protect_telegram, verify_telegram)
 from .campaign import CampaignConfig, run_channel_campaign
 
 __version__ = "0.1.0"

@@ -1,11 +1,12 @@
 """Channel campaign: schemes x threats, with JSON/CSV reports.
 
 Each campaign cell sends `trials` telegrams under one protection scheme,
-applies one threat (accidental noise or adversarial transformation) to
-every frame, and tallies the receiver verdicts.  `accepted_but_wrong` is
-the safety/security failure metric: frames the receiver accepted whose
-content differs from what the sender emitted (or that the sender never
-emitted at all, as with replays).
+passes every frame through one `Threat` (accidental noise through
+`telegram.apply_channel_noise`, an adversarial move through
+`telegram.apply_attack`), and tallies the receiver verdicts.
+`accepted_but_wrong` is the safety/security failure metric: frames the
+receiver accepted whose content differs from what the sender emitted (or
+that the sender never emitted at all, as with replays).
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import io
 import json
 import math
 import os
-import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import telegram as tg
 from .channel_codes import CRC_CATALOG
@@ -24,34 +24,10 @@ from .coded_core import CodedCoreError, make_key
 from .mac import MAC_KEY_ENV, MacKey, TAG_LENGTHS
 from .stats import (ConfigError, report_json, run_trials, trial_rng,
                     wilson_interval)
+# Defined with the transforms that apply them; re-exported for configs.
+from .telegram import ATTACK_THREATS, NOISE_THREATS, Threat
 
 DEFAULT_PAYLOAD_LENGTH = 64
-
-NOISE_THREATS = ("bit_error", "burst", "random_payload", "codeword_flip")
-ATTACK_THREATS = ("forge", "replay", "splice", "brute_force")
-
-
-@dataclass(slots=True)
-class Threat:
-    kind: str
-    rate: float = 0.0          # bit_error
-    length: int = 0            # burst
-    attempts: int = 0          # brute_force
-    payload: bytes = b""       # forge
-    # Names the cell and its random stream.  Built with the threat, as
-    # `parse_config` reads it to reject repeated labels; a threat is not
-    # changed after parsing.
-    label: str = field(init=False, compare=False)
-
-    def __post_init__(self):
-        label = self.kind
-        if self.kind == "bit_error":
-            label = f"bit_error({self.rate:g})"
-        elif self.kind == "burst":
-            label = f"burst({self.length})"
-        elif self.kind == "brute_force":
-            label = f"brute_force({self.attempts})"
-        self.label = label
 
 
 @dataclass
@@ -159,10 +135,10 @@ def parse_config(doc) -> CampaignConfig:
         mac_key_hex=doc.get("mac_key"),
         mac_truncation=doc.get("mac_truncation", 32))
     for i, name in enumerate(config.schemes):
-        build_scheme(name, config)  # raises ConfigError on bad names
+        where = f"config.schemes[{i}]"
+        build_scheme(name, config, where)  # raises ConfigError on bad names
         if name in config.schemes[:i]:
-            raise ConfigError(f"repeated scheme {name!r}",
-                              f"config.schemes[{i}]")
+            raise ConfigError(f"repeated scheme {name!r}", where)
     return config
 
 
@@ -185,8 +161,10 @@ def load_config(path: str) -> CampaignConfig:
 _HMAC_NAMES = {f"hmac-{t}": t for t in TAG_LENGTHS}
 
 
-def build_scheme(name: str, config: CampaignConfig) -> tg.ProtectionScheme:
-    """Instantiate a protection scheme from its exact config name."""
+def build_scheme(name: str, config: CampaignConfig,
+                 where: str = "config.schemes") -> tg.ProtectionScheme:
+    """Instantiate a protection scheme from its exact config name; a bad
+    name is a ConfigError at `where`."""
     if name in (tg.SCHEME_NONE, tg.SCHEME_PARITY, tg.SCHEME_HAMMING):
         return tg.ProtectionScheme(name)
     if name in CRC_CATALOG:
@@ -206,8 +184,8 @@ def build_scheme(name: str, config: CampaignConfig) -> tg.ProtectionScheme:
             mac_truncation=_HMAC_NAMES.get(name, config.mac_truncation))
     if name.startswith("hmac-"):
         raise ConfigError(f"hmac truncation must be one of {TAG_LENGTHS}",
-                          f"config.schemes[{name}]")
-    raise ConfigError(f"unknown scheme {name!r}", f"config.schemes[{name}]")
+                          where)
+    raise ConfigError(f"unknown scheme {name!r}", where)
 
 
 def resolve_mac_key(config: CampaignConfig) -> MacKey | None:
@@ -269,76 +247,39 @@ class ChannelReport:
         raise KeyError((scheme, threat))
 
 
-def _flip_tag_bits(wire: bytes, rng: random.Random) -> bytes:
-    """One random bit flip per tag byte (per Hamming codeword)."""
-    telegram, scheme_id, tag = tg.parse_wire(wire)
-    flipped = bytes(b ^ (1 << rng.randrange(7)) for b in tag)
-    return tg.serialize_wire(telegram, scheme_id, flipped)
-
-
-def _replace_payload(wire: bytes, payload: bytes) -> bytes:
-    telegram, scheme_id, tag = tg.parse_wire(wire)
-    forged = tg.Telegram(telegram.seq, telegram.date, payload)
-    return tg.serialize_wire(forged, scheme_id, tag)
-
-
 def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
               config: CampaignConfig, mac_key: MacKey | None) -> CellResult:
     knowledge = tg.AttackerKnowledge(scheme)
     stream = f"vitalcode-channel:{config.seed}:{scheme_name}:{threat.label}"
+    noise = threat.kind in NOISE_THREATS
     if threat.kind == "brute_force":
         # Tag guessing: the attacker fabricates frames for one chosen
         # message and tries a fresh random tag per attempt.  Nothing the
         # attacker presents was ever sent, so any acceptance is a wrong
         # acceptance.  The carrier frame is the same for every attempt.
-        forged = threat.payload or b"\x00" * config.payload_length
-        carrier = tg.protect_telegram(tg.Telegram(1, 1, forged), scheme,
-                                      mac_key)
+        carrier = tg.protect_telegram(
+            tg.Telegram(1, 1, threat.payload or bytes(config.payload_length)),
+            scheme, mac_key)
         carrier_window = tg.ReceiverWindow(min_seq=0, current_date=1)
-        guess = tg.AttackSpec(tg.BRUTE_FORCE_TAG, payload=forged)
 
     def trial(i):
         rng = trial_rng(stream, i)
-
         if threat.kind == "brute_force":
-            delivered = tg.apply_attack(carrier, guess, knowledge, rng)
-            return _outcome(tg.verify_telegram(delivered, scheme, mac_key,
-                                               carrier_window), None, threat)
-
-        seq = i + 1
-        date = i + 1
-        payload = rng.randbytes(config.payload_length)
-        original = tg.Telegram(seq, date, payload)
-        wire = tg.protect_telegram(original, scheme, mac_key)
-        window = tg.ReceiverWindow(min_seq=seq - 1, current_date=date)
-
-        if threat.kind == "bit_error":
-            delivered = tg.apply_channel_noise(
-                wire, tg.NoiseModel("bit_error", bit_error_rate=threat.rate),
-                rng)
-        elif threat.kind == "burst":
-            delivered = tg.apply_channel_noise(
-                wire, tg.NoiseModel("burst", burst_length=threat.length), rng)
-        elif threat.kind in ("random_payload", "splice"):
-            # A splice moves this frame's tag onto a fresh payload, which
-            # gives exactly these bytes; `_outcome` still counts an
-            # accepted splice as unauthorized.
-            delivered = _replace_payload(
-                wire, rng.randbytes(config.payload_length))
-        elif threat.kind == "codeword_flip":
-            delivered = _flip_tag_bits(wire, rng)
-        elif threat.kind == "forge":
-            forged = threat.payload or rng.randbytes(config.payload_length)
-            delivered = tg.apply_attack(
-                wire, tg.AttackSpec(tg.FORGE_PAYLOAD, payload=forged),
-                knowledge, rng)
-        else:  # replay
-            # The genuine frame was already accepted; the receiver's
+            wire, original, window = carrier, None, carrier_window
+        else:
+            seq = date = i + 1
+            original = tg.Telegram(seq, date,
+                                   rng.randbytes(config.payload_length))
+            wire = tg.protect_telegram(original, scheme, mac_key)
+            # A replayed frame was already accepted, so the receiver's
             # sequence window has moved past it.
-            window = tg.ReceiverWindow(min_seq=seq, current_date=date)
-            delivered = tg.apply_attack(wire, tg.AttackSpec(tg.REPLAY),
-                                        knowledge, rng)
-
+            window = tg.ReceiverWindow(
+                min_seq=seq if threat.kind == "replay" else seq - 1,
+                current_date=date)
+        if noise:
+            delivered = tg.apply_channel_noise(wire, threat, rng)
+        else:
+            delivered = tg.apply_attack(wire, threat, knowledge, rng)
         return _outcome(tg.verify_telegram(delivered, scheme, mac_key,
                                            window), original, threat)
 

@@ -1,5 +1,5 @@
-"""Telegram wire format, pluggable protection schemes, channel noise and
-adversarial transformations.
+"""Telegram wire format, pluggable protection schemes, and the threats
+of the channel.
 
 A telegram is a sequence-numbered, dated message.  The protection tag is
 appended per scheme: parity, CRC and Hamming cover the payload only
@@ -7,15 +7,20 @@ appended per scheme: parity, CRC and Hamming cover the payload only
 fold plus the date; HMAC covers seq, date and payload.  Every tag but
 Hamming's is deterministic, so the receiver verifies a frame by
 recomputing its tag and comparing, in constant time; Hamming instead
-decodes and corrects.  The attacker has full read/write on the channel
-and knows every algorithm and non-secret parameter; only the MAC key is
-withheld.
+decodes and corrects.
+
+A `Threat` is one of two families.  Accidental corruption
+(`apply_channel_noise`) flips bits or replaces the payload at random; the
+keyless codes are there to catch it.  Adversarial moves (`apply_attack`)
+replay, splice, forge or guess: the attacker has full read/write on the
+channel and knows every algorithm and non-secret parameter; only the
+MAC key is withheld.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import channel_codes as cc
@@ -265,26 +270,61 @@ def verify_telegram(data: bytes, scheme: ProtectionScheme,
     return VerifyResult(ACCEPT, telegram)
 
 
-# --- channel noise -------------------------------------------------------
+# --- threats ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoiseModel:
-    kind: str                 # "bit_error" or "burst"
-    bit_error_rate: float = 0.0
-    burst_length: int = 0
+# Accidental corruption, which the keyless codes are there to catch, and
+# adversarial moves, which only a keyed tag resists.
+NOISE_THREATS = ("bit_error", "burst", "random_payload", "codeword_flip")
+ATTACK_THREATS = ("forge", "replay", "splice", "brute_force")
+
+
+@dataclass(slots=True)
+class Threat:
+    """One channel threat: a kind from NOISE_THREATS or ATTACK_THREATS
+    and the parameters that kind reads."""
+
+    kind: str
+    rate: float = 0.0          # bit_error
+    length: int = 0            # burst
+    attempts: int = 0          # brute_force
+    payload: bytes = b""       # forge
+    # Names the cell and its random stream.  Built with the threat, as
+    # `parse_config` reads it to reject repeated labels; a threat is not
+    # changed after parsing.
+    label: str = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("bit_error", "burst"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not (0.0 <= self.bit_error_rate <= 1.0):
+        if not 0.0 <= self.rate <= 1.0:
             raise ValueError("bit error rate must be a probability")
+        label = self.kind
+        if self.kind == "bit_error":
+            label = f"bit_error({self.rate:g})"
+        elif self.kind == "burst":
+            label = f"burst({self.length})"
+        elif self.kind == "brute_force":
+            label = f"brute_force({self.attempts})"
+        self.label = label
 
 
-def apply_channel_noise(data: bytes, model: NoiseModel,
+def _fresh_payload(telegram: Telegram, rng: random.Random) -> Telegram:
+    return Telegram(telegram.seq, telegram.date,
+                    rng.randbytes(len(telegram.payload)))
+
+
+def apply_channel_noise(data: bytes, threat: Threat,
                         rng: random.Random) -> bytes:
-    """Flip bits per the noise model; deterministic under a seeded rng."""
-    if model.kind == "bit_error":
-        eps = model.bit_error_rate
+    """Accidental corruption of the wire bytes; deterministic under a
+    seeded rng.
+
+    `bit_error` flips each bit with probability `rate`; `burst` flips one
+    contiguous run of `length` bits; `random_payload` replaces the
+    payload with random bytes of the same length and keeps the tag;
+    `codeword_flip` flips one of the low 7 bits of every tag byte, one
+    error per Hamming codeword.
+    """
+    kind = threat.kind
+    if kind == "bit_error":
+        eps = threat.rate
         if eps == 0.0:
             return data
         # One draw per bit: byte by byte, least significant bit first.
@@ -294,32 +334,24 @@ def apply_channel_noise(data: bytes, model: NoiseModel,
             if draw() < eps:
                 out[pos >> 3] ^= 1 << (pos & 7)
         return bytes(out)
-    # Burst: one contiguous run of flipped bits at a random start.
-    nbits = len(data) * 8
-    length = min(model.burst_length, nbits)
-    if length == 0:
-        return data
-    start = rng.randrange(nbits - length + 1)
-    out = bytearray(data)
-    for offset in range(length):
-        pos = start + offset
-        out[pos // 8] ^= 1 << (7 - pos % 8)
-    return bytes(out)
-
-
-# --- adversarial transformations -----------------------------------------
-
-FORGE_PAYLOAD = "forge_payload"
-REPLAY = "replay"
-SPLICE_SIGNATURE = "splice_signature"
-BRUTE_FORCE_TAG = "brute_force_tag"
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    kind: str
-    payload: bytes = b""       # forge
-    donor: bytes = b""         # splice / replay: recorded wire bytes
+    if kind == "burst":
+        nbits = len(data) * 8
+        length = min(threat.length, nbits)
+        if length == 0:
+            return data
+        start = rng.randrange(nbits - length + 1)
+        out = bytearray(data)
+        for offset in range(length):
+            pos = start + offset
+            out[pos // 8] ^= 1 << (7 - pos % 8)
+        return bytes(out)
+    if kind not in NOISE_THREATS:
+        raise ValueError(f"not a noise threat: {kind!r}")
+    telegram, scheme_id, tag = parse_wire(data)
+    if kind == "random_payload":
+        return serialize_wire(_fresh_payload(telegram, rng), scheme_id, tag)
+    flipped = bytes(b ^ (1 << rng.randrange(7)) for b in tag)
+    return serialize_wire(telegram, scheme_id, flipped)
 
 
 @dataclass(frozen=True)
@@ -336,32 +368,32 @@ class AttackerKnowledge:
         raise KeyAccessViolation("attacker must never read the MAC key")
 
 
-def apply_attack(data: bytes, attack: AttackSpec,
-                 knowledge: AttackerKnowledge,
+def apply_attack(data: bytes, threat: Threat, knowledge: AttackerKnowledge,
                  rng: random.Random) -> bytes:
-    """One adversarial transformation of the wire bytes.
+    """One adversarial transformation of the recorded wire bytes.
 
-    ForgePayload rewrites the payload and recomputes any keyless tag
-    (parity, CRC, Hamming, coded signature: no secret exists, the
+    `replay` redelivers them; `splice` puts their tag on a fresh random
+    payload.  `forge` sends `threat.payload`, or a random one, and
+    `brute_force` keeps the recorded payload; both recompute a keyless
+    tag (parity, CRC, Hamming, coded signature: no secret exists, the
     attacker just reruns the public algorithm).  Against HMAC the
-    attacker cannot recompute and emits one uniformly random tag per
-    call; brute force is that same move repeated.  Replay and splice
-    reuse recorded bytes.
+    attacker cannot recompute and sends one uniformly random tag per
+    call; brute force is that same move repeated.
     """
-    scheme = knowledge.scheme
-    if attack.kind == REPLAY:
-        return attack.donor if attack.donor else data
-
+    kind = threat.kind
+    if kind not in ATTACK_THREATS:
+        raise ValueError(f"not an attack threat: {kind!r}")
+    if kind == "replay":
+        return data
     telegram, scheme_id, tag = parse_wire(data)
-    if attack.kind == SPLICE_SIGNATURE:
-        _, _, donor_tag = parse_wire(attack.donor)
-        return serialize_wire(telegram, scheme_id, donor_tag)
-    if attack.kind in (FORGE_PAYLOAD, BRUTE_FORCE_TAG):
-        forged = Telegram(telegram.seq, telegram.date,
-                          attack.payload or telegram.payload)
-        if scheme.variant == SCHEME_HMAC:
-            random_tag = rng.randbytes(scheme.mac_truncation)
-            return serialize_wire(forged, scheme_id, random_tag)
-        return serialize_wire(forged, scheme_id, make_tag(forged, scheme))
-    raise ValueError(f"unknown attack kind {attack.kind!r}")
-
+    if kind == "splice":
+        return serialize_wire(_fresh_payload(telegram, rng), scheme_id, tag)
+    if kind == "forge":
+        telegram = Telegram(telegram.seq, telegram.date, threat.payload
+                            or rng.randbytes(len(telegram.payload)))
+    scheme = knowledge.scheme
+    if scheme.variant == SCHEME_HMAC:
+        tag = rng.randbytes(scheme.mac_truncation)
+    else:
+        tag = make_tag(telegram, scheme)
+    return serialize_wire(telegram, scheme_id, tag)

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from vitalcode.campaign import (CampaignConfig, ConfigError, Threat,
                                 build_scheme, load_config, parse_config,
                                 resolve_mac_key, run_channel_campaign)
+from vitalcode import telegram
 from vitalcode.mac import MAC_KEY_ENV
 
 # Every field a config document or a threat may hold.
@@ -63,6 +66,25 @@ class TestConfigParsing:
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError, match="crc16"):
             make_config(schemes=["crc16"])
+
+    @pytest.mark.parametrize("name", ["crc16", "hmac-12"])
+    def test_bad_scheme_name_located_by_index(self, name):
+        with pytest.raises(ConfigError, match=r"^config\.schemes\[1\]: "):
+            make_config(schemes=["crc8-atm", name])
+
+    def test_threat_is_the_telegram_threat(self):
+        assert Threat is telegram.Threat
+        assert make_config().threats[0] == telegram.Threat("forge")
+
+    def test_readme_config_is_valid(self):
+        # The channel config documented in README.md must stay valid.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"```json\n(.*?)```",
+                          readme.read_text(encoding="utf-8"), re.S)
+        config = parse_config(json.loads(block.group(1)))
+        assert config.threats
+        assert all(t.kind in telegram.NOISE_THREATS + telegram.ATTACK_THREATS
+                   for t in config.threats)
 
     def test_bad_mac_truncation(self):
         with pytest.raises(ConfigError, match="config.mac_truncation"):

@@ -6,17 +6,17 @@ from hypothesis import assume, given, settings, strategies as st
 from vitalcode.channel_codes import CRC8_ATM, CRC32_IEEE
 from vitalcode.coded_core import make_key
 from vitalcode.mac import MacKey
-from vitalcode.telegram import (ACCEPT, BAD_CRC, BAD_PARITY, BAD_RESIDUE,
-                                BAD_TAG, BRUTE_FORCE_TAG, CORRECTED,
-                                FORGE_PAYLOAD, MALFORMED, REJECT, REPLAY,
-                                REPLAYED_SEQ, SCHEME_CODEDSIG, SCHEME_CRC,
-                                SCHEME_HAMMING, SCHEME_HMAC, SCHEME_NONE,
-                                SCHEME_PARITY, SPLICE_SIGNATURE, STALE_DATE,
-                                AttackSpec, AttackerKnowledge,
-                                KeyAccessViolation, MissingKey, NoiseModel,
+from vitalcode.telegram import (ACCEPT, ATTACK_THREATS, BAD_CRC, BAD_PARITY,
+                                BAD_RESIDUE, BAD_TAG, CORRECTED, MALFORMED,
+                                NOISE_THREATS, REJECT, REPLAYED_SEQ,
+                                SCHEME_CODEDSIG, SCHEME_CRC, SCHEME_HAMMING,
+                                SCHEME_HMAC, SCHEME_NONE, SCHEME_PARITY,
+                                STALE_DATE, AttackerKnowledge,
+                                KeyAccessViolation, MissingKey,
                                 PayloadTooLong, ProtectionScheme,
                                 ReceiverWindow, Telegram, TelegramError,
-                                VerifyResult, WIRE_MAGIC, apply_attack, apply_channel_noise,
+                                Threat, VerifyResult, WIRE_MAGIC,
+                                apply_attack, apply_channel_noise,
                                 coded_signature_residue, make_tag, parse_wire,
                                 protect_telegram, serialize_wire,
                                 verify_telegram)
@@ -301,29 +301,29 @@ class TestVerifyFuzz:
 class TestNoise:
     def test_zero_rate_is_identity(self):
         data = bytes(range(64))
-        model = NoiseModel("bit_error", bit_error_rate=0.0)
-        assert apply_channel_noise(data, model, random.Random(0)) == data
+        threat = Threat("bit_error", rate=0.0)
+        assert apply_channel_noise(data, threat, random.Random(0)) == data
 
     def test_rate_one_flips_everything(self):
         data = bytes(64)
-        model = NoiseModel("bit_error", bit_error_rate=1.0)
-        assert apply_channel_noise(data, model, random.Random(0)) \
+        threat = Threat("bit_error", rate=1.0)
+        assert apply_channel_noise(data, threat, random.Random(0)) \
             == bytes([0xFF] * 64)
 
     def test_bit_error_rate_is_binomial(self):
         data = bytes(1000)
-        model = NoiseModel("bit_error", bit_error_rate=0.01)
+        threat = Threat("bit_error", rate=0.01)
         rng = random.Random(3)
         flipped = sum(bin(b).count("1")
-                      for b in apply_channel_noise(data, model, rng))
+                      for b in apply_channel_noise(data, threat, rng))
         # 8000 bits at 1%: expect 80, sigma ~ 8.9.
         assert 40 <= flipped <= 120
 
     def test_burst_is_contiguous(self):
         data = bytes(32)
-        model = NoiseModel("burst", burst_length=9)
+        threat = Threat("burst", length=9)
         for seed in range(20):
-            noisy = apply_channel_noise(data, model, random.Random(seed))
+            noisy = apply_channel_noise(data, threat, random.Random(seed))
             bits = int.from_bytes(bytes(a ^ b for a, b in zip(data, noisy)),
                                   "big")
             assert bin(bits).count("1") == 9
@@ -334,13 +334,19 @@ class TestNoise:
 
     def test_deterministic_under_seed(self):
         data = bytes(range(100))
-        model = NoiseModel("bit_error", bit_error_rate=0.05)
-        assert apply_channel_noise(data, model, random.Random(7)) \
-            == apply_channel_noise(data, model, random.Random(7))
+        threat = Threat("bit_error", rate=0.05)
+        assert apply_channel_noise(data, threat, random.Random(7)) \
+            == apply_channel_noise(data, threat, random.Random(7))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            NoiseModel("erasure")
+            apply_channel_noise(bytes(8), Threat("erasure"),
+                                random.Random(0))
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+    def test_rate_must_be_a_probability(self, rate):
+        with pytest.raises(ValueError):
+            Threat("bit_error", rate=rate)
 
     @pytest.mark.parametrize("length", [0, 1, 64, 1024])
     @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.5, 1.0])
@@ -348,10 +354,10 @@ class TestNoise:
         # Reference: one draw per bit, byte by byte, bit 0 first.  Equal
         # generator states afterwards mean every bit cost exactly one draw.
         data = random.Random(length).randbytes(length)
-        model = NoiseModel("bit_error", bit_error_rate=eps)
+        threat = Threat("bit_error", rate=eps)
         for seed in range(3):
             rng = random.Random(seed)
-            noisy = apply_channel_noise(data, model, rng)
+            noisy = apply_channel_noise(data, threat, rng)
             reference = random.Random(seed)
             expected = bytearray(data)
             if eps:
@@ -362,6 +368,33 @@ class TestNoise:
             assert noisy == bytes(expected)
             assert rng.getstate() == reference.getstate()
 
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_random_payload_keeps_tag(self, name):
+        t = Telegram(3, 5, bytes(range(16)))
+        wire = protect_telegram(t, SCHEMES[name], MAC)
+        rng = random.Random(5)
+        got, _, tag = parse_wire(apply_channel_noise(
+            wire, Threat("random_payload"), rng))
+        assert tag == parse_wire(wire)[2]
+        assert (got.seq, got.date) == (t.seq, t.date)
+        # One draw: a fresh payload of the frame's own length.
+        reference = random.Random(5)
+        assert got.payload == reference.randbytes(len(t.payload))
+        assert rng.getstate() == reference.getstate()
+
+    def test_codeword_flip_flips_one_low_bit_per_tag_byte(self):
+        wire = protect_telegram(Telegram(1, 1, bytes(range(32))),
+                                SCHEMES["hamming"])
+        for seed in range(20):
+            noisy = apply_channel_noise(wire, Threat("codeword_flip"),
+                                        random.Random(seed))
+            got, _, tag = parse_wire(noisy)
+            assert got == Telegram(1, 1, bytes(range(32)))
+            true_tag = parse_wire(wire)[2]
+            assert len(tag) == len(true_tag)
+            assert all(a ^ b in (1, 2, 4, 8, 16, 32, 64)
+                       for a, b in zip(tag, true_tag))
+
 
 class TestAttacks:
     def test_forge_succeeds_against_keyless_schemes(self):
@@ -371,8 +404,8 @@ class TestAttacks:
         for name in ("parity", "crc8", "crc32", "codedsig"):
             scheme = SCHEMES[name]
             wire = protect_telegram(t, scheme)
-            attack = AttackSpec(FORGE_PAYLOAD, payload=b"injected")
-            forged = apply_attack(wire, attack, AttackerKnowledge(scheme),
+            forged = apply_attack(wire, Threat("forge", payload=b"injected"),
+                                  AttackerKnowledge(scheme),
                                   random.Random(0))
             result = verify_telegram(forged, scheme,
                                      window=ReceiverWindow(current_date=6))
@@ -383,9 +416,8 @@ class TestAttacks:
         t = Telegram(2, 6, b"original")
         scheme = SCHEMES["hamming"]
         wire = protect_telegram(t, scheme)
-        attack = AttackSpec(FORGE_PAYLOAD, payload=b"injected")
-        forged = apply_attack(wire, attack, AttackerKnowledge(scheme),
-                              random.Random(0))
+        forged = apply_attack(wire, Threat("forge", payload=b"injected"),
+                              AttackerKnowledge(scheme), random.Random(0))
         result = verify_telegram(forged, scheme)
         assert result.status == ACCEPT
         assert result.telegram.payload == b"injected"
@@ -396,44 +428,81 @@ class TestAttacks:
         wire = protect_telegram(t, scheme, MAC)
         rng = random.Random(1)
         for _ in range(1000):
-            attack = AttackSpec(FORGE_PAYLOAD, payload=b"injected")
-            forged = apply_attack(wire, attack, AttackerKnowledge(scheme),
-                                  rng)
+            forged = apply_attack(wire, Threat("forge", payload=b"injected"),
+                                  AttackerKnowledge(scheme), rng)
             assert verify_telegram(forged, scheme, MAC).status == REJECT
+
+    def test_forge_without_payload_draws_one_of_frame_length(self):
+        scheme = SCHEMES["crc8"]
+        wire = protect_telegram(Telegram(2, 6, b"original"), scheme)
+        forged = apply_attack(wire, Threat("forge"),
+                              AttackerKnowledge(scheme), random.Random(6))
+        result = verify_telegram(forged, scheme)
+        assert result.status == ACCEPT
+        assert result.telegram.payload == random.Random(6).randbytes(8)
 
     def test_replay_uses_recorded_bytes(self):
         scheme = SCHEMES["crc8"]
         donor = protect_telegram(Telegram(1, 1, b"old"), scheme)
-        attack = AttackSpec(REPLAY, donor=donor)
-        replayed = apply_attack(b"current traffic", attack,
+        replayed = apply_attack(donor, Threat("replay"),
                                 AttackerKnowledge(scheme), random.Random(0))
         assert replayed == donor
-        # CRC has no freshness notion: the replay is accepted.
-        assert verify_telegram(replayed, scheme).status == ACCEPT
+        # CRC has no freshness notion: the recorded frame sent again is
+        # accepted, even past the sequence window.
+        result = verify_telegram(donor, scheme,
+                                 window=ReceiverWindow(min_seq=5))
+        assert result.status == ACCEPT
 
     def test_splice_moves_tag_between_frames(self):
         scheme = SCHEMES["codedsig"]
         donor = protect_telegram(Telegram(1, 1, b"aaaa"), scheme)
-        victim = protect_telegram(Telegram(2, 1, b"bbbb"), scheme)
-        attack = AttackSpec(SPLICE_SIGNATURE, donor=donor)
-        spliced = apply_attack(victim, attack, AttackerKnowledge(scheme),
-                               random.Random(0))
-        t, _, tag = parse_wire(spliced)
-        assert t.payload == b"bbbb"
+        victim, scheme_id, _ = parse_wire(
+            protect_telegram(Telegram(2, 1, b"bbbb"), scheme))
         _, _, donor_tag = parse_wire(donor)
-        assert tag == donor_tag
+        spliced = serialize_wire(victim, scheme_id, donor_tag)
         # Residues differ, so the mismatch is caught.
         assert verify_telegram(spliced, scheme).status == REJECT
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_splice_keeps_tag_on_fresh_payload(self, name):
+        scheme = SCHEMES[name]
+        t = Telegram(2, 1, bytes(range(12)))
+        wire = protect_telegram(t, scheme, MAC)
+        rng = random.Random(8)
+        spliced = apply_attack(wire, Threat("splice"),
+                               AttackerKnowledge(scheme), rng)
+        got, _, tag = parse_wire(spliced)
+        assert tag == parse_wire(wire)[2]
+        assert (got.seq, got.date) == (t.seq, t.date)
+        assert got.payload == random.Random(8).randbytes(12)
+        # The same draws give the same bytes as random-payload noise.
+        assert spliced == apply_channel_noise(
+            wire, Threat("random_payload"), random.Random(8))
 
     def test_brute_force_tags_are_random(self):
         scheme = SCHEMES["hmac"]
         wire = protect_telegram(Telegram(1, 1, b"x"), scheme, MAC)
         rng = random.Random(2)
-        attack = AttackSpec(BRUTE_FORCE_TAG)
-        tags = {parse_wire(apply_attack(wire, attack,
-                                        AttackerKnowledge(scheme), rng))[2]
-                for _ in range(100)}
-        assert len(tags) == 100
+        threat = Threat("brute_force", attempts=100)
+        frames = [parse_wire(apply_attack(wire, threat,
+                                          AttackerKnowledge(scheme), rng))
+                  for _ in range(100)]
+        assert len({tag for _, _, tag in frames}) == 100
+        # Every guess keeps the carrier's payload and draws only a tag.
+        assert {t.payload for t, _, _ in frames} == {b"x"}
+        reference = random.Random(2)
+        for _ in range(100):
+            reference.randbytes(scheme.mac_truncation)
+        assert rng.getstate() == reference.getstate()
+
+    def test_brute_force_recomputes_keyless_tag(self):
+        scheme = SCHEMES["codedsig"]
+        wire = protect_telegram(Telegram(1, 1, b"carrier"), scheme)
+        rng = random.Random(3)
+        guess = apply_attack(wire, Threat("brute_force", attempts=1),
+                             AttackerKnowledge(scheme), rng)
+        assert guess == wire
+        assert rng.getstate() == random.Random(3).getstate()
 
     def test_attacker_cannot_read_mac_key(self):
         with pytest.raises(KeyAccessViolation):
@@ -443,8 +512,40 @@ class TestAttacks:
         scheme = SCHEMES["none"]
         wire = protect_telegram(Telegram(1, 1, b"x"), scheme)
         with pytest.raises(ValueError):
-            apply_attack(wire, AttackSpec("downgrade"),
+            apply_attack(wire, Threat("downgrade"),
                          AttackerKnowledge(scheme), random.Random(0))
+
+
+class TestThreatDispatch:
+    WIRE = protect_telegram(Telegram(7, 7, bytes(range(10))),
+                            SCHEMES["hamming"])
+
+    @pytest.mark.parametrize("kind", NOISE_THREATS)
+    def test_noise_kinds_are_noise(self, kind):
+        threat = Threat(kind, rate=0.5, length=3)
+        noisy = apply_channel_noise(self.WIRE, threat, random.Random(0))
+        assert noisy != self.WIRE
+
+    @pytest.mark.parametrize("kind", ATTACK_THREATS)
+    def test_attack_kinds_are_attacks(self, kind):
+        sent = apply_attack(self.WIRE, Threat(kind, attempts=1),
+                            AttackerKnowledge(SCHEMES["hamming"]),
+                            random.Random(0))
+        assert parse_wire(sent)[1] == parse_wire(self.WIRE)[1]
+
+    @pytest.mark.parametrize("kind", NOISE_THREATS + ATTACK_THREATS
+                             + ("erasure",))
+    def test_other_kind_rejected_before_parsing(self, kind):
+        # Bytes that are no frame: the kind check must come first.
+        rng = random.Random(0)
+        if kind not in NOISE_THREATS:
+            with pytest.raises(ValueError, match="not a noise threat"):
+                apply_channel_noise(b"garbage", Threat(kind), rng)
+        if kind not in ATTACK_THREATS:
+            with pytest.raises(ValueError, match="not an attack threat"):
+                apply_attack(b"garbage", Threat(kind),
+                             AttackerKnowledge(SCHEMES["none"]), rng)
+        assert rng.getstate() == random.Random(0).getstate()
 
 
 class TestSchemeValidation:
