@@ -8,7 +8,7 @@ harness contrasting accidental-fault coverage with resistance to
 malicious modification.
 """
 
-from .coded_core import (CodeKey, CodedValue, CycleDate, FunctionalOverflow,
+from .coded_core import (CodeKey, CodedValue, FunctionalOverflow,
                          NotPrimeError, OutOfRangeError, check, encode,
                          make_key, opel_add, opel_mul, opel_move, opel_sub,
                          residue)

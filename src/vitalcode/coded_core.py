@@ -2,7 +2,9 @@
 
 A coded value carries its functional integer x alongside a code residue
 c = (x + B + D) mod A, where A is a prime code key, B a per-variable
-static signature and D the cycle-date term.  Every elementary operation
+static signature and D the cycle-date term, the integer cycle counter
+mod A.  Dates A cycles apart alias, so data staler than that is invisible
+to the date mechanism by construction.  Every elementary operation
 (add, sub, mul, move) updates the code channel with offline-precomputed
 compensation constants so that a well-formed input yields a well-formed
 output for the destination signature.  A corruption of either channel
@@ -95,28 +97,6 @@ def residue(n: int, key: CodeKey) -> int:
     return n % key.modulus
 
 
-@dataclass(frozen=True)
-class CycleDate:
-    """Cycle counter feeding the freshness term of the code channel."""
-
-    cycle: int
-
-    def __post_init__(self):
-        if self.cycle < 0:
-            raise ValueError("cycle must be non-negative")
-
-    def term(self, key: CodeKey) -> int:
-        # Aliases every A cycles; stale data older than that is invisible
-        # to the date mechanism by construction.
-        return self.cycle % key.modulus
-
-
-def _date_term(date, key: CodeKey) -> int:
-    if isinstance(date, CycleDate):
-        return date.term(key)
-    return int(date) % key.modulus
-
-
 class CodedValue(NamedTuple):
     """Functional integer plus its code residue."""
 
@@ -124,16 +104,16 @@ class CodedValue(NamedTuple):
     c: int
 
 
-def encode(x: int, signature: int, date, key: CodeKey) -> CodedValue:
-    """Attach the code residue for a trusted plain value."""
+def encode(x: int, signature: int, date: int, key: CodeKey) -> CodedValue:
+    """Attach the code residue for a trusted plain value at cycle `date`."""
     if not (INT64_MIN <= x <= INT64_MAX):
         raise FunctionalOverflow(f"value {x} outside 64-bit signed range")
-    return CodedValue(x, (x + signature + _date_term(date, key)) % key.modulus)
+    return CodedValue(x, (x + signature + date) % key.modulus)
 
 
-def check(v: CodedValue, signature: int, date, key: CodeKey) -> bool:
-    """True iff v is well-formed for the given signature and date."""
-    return v.c == (v.x + signature + _date_term(date, key)) % key.modulus
+def check(v: CodedValue, signature: int, date: int, key: CodeKey) -> bool:
+    """True iff v is well-formed for the given signature and cycle date."""
+    return v.c == (v.x + signature + date) % key.modulus
 
 
 # OPELs take their compensation residues as plain ints and range-test

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .coded_core import (CodeKey, CodedValue, FunctionalOverflow, check,
                          encode, opel_add, opel_mul, opel_sub, opel_move)
 from .dsl import ADD, MUL, SUB, interpret
-from .sigtool import CodedProgram, SignatureTable, instruction_row
+from .sigtool import CodedProgram, SignatureTable
 from .stats import (ConfigError, report_json, run_trials, trial_rng,
                     wilson_interval)
 
@@ -69,8 +69,10 @@ class FaultSpec:
 
     `run_cycle` draws every unset selector uniformly before the cycle
     runs: F1/F2 pick any variable (and bit), F3/F4/F6 pick a declared
-    output (F3 also a donor), F5 picks an instruction.  `bit` addresses the functional field's
-    two's-complement word for F1 and the code residue for F2.
+    output (F3 also a donor), F5 picks an instruction.  `bit` addresses
+    the functional field's two's-complement word for F1, in [0, 64), and
+    the code residue for F2, in [0, key.bit_width); a set selector outside
+    its range raises UnresolvableTarget.
     """
 
     model: str
@@ -104,7 +106,7 @@ def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
     Draw order per model: F1/F2 variable then bit; F3 output then donor
     from the other variables in sorted order; F4 and F6 output; F5
     instruction.  Raises UnresolvableTarget for selectors the program
-    cannot satisfy.
+    or the key cannot satisfy.
     """
     names = program.variables
 
@@ -121,9 +123,8 @@ def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
     instruction = spec.instruction
     if spec.model in (F1, F2):
         variable = pick(variable, names, names, "variable")
-        if bit is None:
-            bit = rng.randrange(FUNCTIONAL_BITS if spec.model == F1
-                                else key.bit_width)
+        bits = range(FUNCTIONAL_BITS if spec.model == F1 else key.bit_width)
+        bit = pick(bit, bits, bits, "bit")
     elif spec.model in (F3, F4, F6):
         variable = pick(variable, program.ir.outputs, names, "variable")
         if spec.model == F3:  # an explicit target need not be an output
@@ -146,9 +147,10 @@ def inject_fault(values: dict[str, CodedValue], cycle: int,
 
     F1-F4 and F6 mutate the cycle's live `values` in place.  Returns the
     instruction rows to execute with: the program's own except for F5,
-    where one instruction's constant moves by a uniform nonzero residue
-    and only that row is rebuilt.  The only draws are the fault's values:
-    F5's MUL field and delta, F6's functional and code fields.
+    where one residue slot of one row (kappa_sig, or for MUL one of
+    src1_sig, src2_sig, dest_sig) moves by a uniform nonzero residue.
+    The only draws are the fault's values: F5's MUL slot and delta, F6's
+    functional and code fields.
     """
     a = key.modulus
     rows = program.rows
@@ -167,14 +169,10 @@ def inject_fault(values: dict[str, CodedValue], cycle: int,
             v.x, (v.x + table.signatures[name] + stale_term) % a)
     elif spec.model == F5:
         i = spec.instruction
-        old = program.constants[i]
-        which = "kappa_sig"
-        if old.opcode == MUL:
-            which = ("src1_sig", "src2_sig", "dest_sig")[rng.randrange(3)]
-        shifted = (getattr(old, which) + rng.randrange(1, a)) % a
-        row = instruction_row(program.ir.instructions[i],
-                              replace(old, **{which: shifted}))
-        rows = rows[:i] + (row,) + rows[i + 1:]
+        row = list(rows[i])
+        slot = 5 + rng.randrange(3) if row[0] == MUL else 4
+        row[slot] = (row[slot] + rng.randrange(1, a)) % a
+        rows = rows[:i] + (tuple(row),) + rows[i + 1:]
     else:  # F6
         x = rng.getrandbits(FUNCTIONAL_BITS) - (1 << (FUNCTIONAL_BITS - 1))
         values[name] = CodedValue(x, rng.randrange(a))
@@ -220,7 +218,7 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
             if name == struck:
                 inject_fault(values, cycle, program, table, key, fault, rng)
 
-        # Fold the date term d in, as documented on InstructionConstants.
+        # Fold the date term d in, as documented on sigtool.predetermine.
         for op, name, src1, src2, kappa, b1, b2, b3 in rows:
             if op == ADD:
                 values[name] = opel_add(values[src1], values[src2],

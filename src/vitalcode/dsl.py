@@ -335,8 +335,20 @@ def canonical_ir_bytes(ir: ProgramIR) -> bytes:
 
 
 def ir_from_canonical(data: bytes) -> ProgramIR:
-    """Inverse of canonical_ir_bytes."""
+    """Inverse of canonical_ir_bytes.
+
+    Accepts only IR the parser can emit: every name defined once, every
+    operand defined before its use, every output defined and declared
+    once.  Anything else raises ParseError.
+    """
     ir = ProgramIR()
+    defined = set()
+
+    def define(name, lineno):
+        if name in defined:
+            raise ParseError(f"variable {name!r} defined twice", lineno, 1)
+        defined.add(name)
+
     text = data.decode("utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
@@ -344,16 +356,28 @@ def ir_from_canonical(data: bytes) -> ProgramIR:
             raise ParseError("blank line in canonical IR", lineno, 1)
         head = parts[0]
         if head == "input" and len(parts) == 2:
+            define(parts[1], lineno)
             ir.inputs.append(parts[1])
         elif head == "const" and len(parts) == 3:
-            ir.consts[parts[1]] = int(parts[2])
+            value = int(parts[2])
+            define(parts[1], lineno)
+            ir.consts[parts[1]] = value
         elif head == "output" and len(parts) == 2:
+            if parts[1] in ir.outputs:
+                raise ParseError(f"output {parts[1]!r} declared twice",
+                                 lineno, 1)
             ir.outputs.append(parts[1])
-        elif head == MOVE and len(parts) == 3:
-            ir.instructions.append(Instruction(MOVE, parts[1], parts[2]))
-        elif head in (ADD, SUB, MUL) and len(parts) == 4:
-            ir.instructions.append(
-                Instruction(head, parts[1], parts[2], parts[3]))
+        elif ((head == MOVE and len(parts) == 3)
+              or (head in (ADD, SUB, MUL) and len(parts) == 4)):
+            for name in parts[2:]:
+                if name not in defined:
+                    raise ParseError(f"operand {name!r} used before its "
+                                     f"definition", lineno, 1)
+            define(parts[1], lineno)
+            ir.instructions.append(Instruction(*parts))
         else:
             raise ParseError(f"bad canonical IR line {line!r}", lineno, 1)
+    for name in ir.outputs:
+        if name not in defined:
+            raise ParseError(f"output {name!r} is never defined")
     return ir

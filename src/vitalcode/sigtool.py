@@ -2,8 +2,9 @@
 
 Runs before deployment, in parallel with compilation: every variable of a
 parsed program receives a random static signature, every instruction gets
-the compensation constants that keep the code channel coherent, and the
-result is serialized into a byte-deterministic PROM image.  The image is
+one execution row carrying the compensation constants that keep the code
+channel coherent, and the result is serialized into a byte-deterministic
+PROM image.  The same rows are what `run_cycle` executes.  The image is
 a function of (program, key, seed) only; the data the program will later
 process never influences it.
 """
@@ -14,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .coded_core import CodeKey, CodedCoreError
-from .dsl import (ADD, MOVE, MUL, SUB, DslError, Instruction, ProgramIR,
+from .dsl import (ADD, MOVE, MUL, SUB, DslError, ProgramIR,
                   canonical_ir_bytes, ir_from_canonical)
 from .mac import hash_digest
 
@@ -74,54 +75,24 @@ class SignatureTable:
 
 
 @dataclass(frozen=True)
-class InstructionConstants:
-    """Signature-only parts of one instruction's compensation constants.
-
-    The cycle-date term is folded in at runtime:
-      ADD:  kappa = kappa_sig - D      (kappa_sig = B3 - B1 - B2)
-      SUB:  kappa = kappa_sig + D      (kappa_sig = B3 - B1 + B2)
-      MOVE: kappa = kappa_sig          (kappa_sig = B_dst - B_src)
-      MUL:  t1 = src1_sig + D, t2 = src2_sig + D,
-            km = dest_sig + D - t1*t2
-    """
-
-    opcode: str
-    kappa_sig: int = 0       # ADD / SUB / MOVE
-    src1_sig: int = 0        # MUL only
-    src2_sig: int = 0        # MUL only
-    dest_sig: int = 0        # MUL only
-
-
-def instruction_row(ins: Instruction, const: InstructionConstants) -> tuple:
-    """One flat execution row: (opcode, dest, src1, src2, kappa_sig,
-    src1_sig, src2_sig, dest_sig)."""
-    return (ins.opcode, ins.dest, ins.src1, ins.src2, const.kappa_sig,
-            const.src1_sig, const.src2_sig, const.dest_sig)
-
-
-@dataclass(frozen=True)
 class CodedProgram:
-    """Program IR plus its offline-predetermined constants.
+    """Program IR plus its offline-predetermined execution rows.
 
-    Derived on construction: `rows`, one `instruction_row` per
-    instruction; `variables`, in canonical order; `sorted_variables`,
-    the same names sorted (F3 draws its donors from these).
+    `rows` holds one row per instruction, as built by `predetermine`.
+    Derived on construction: `variables`, in canonical order;
+    `sorted_variables`, the same names sorted (F3 draws its donors from
+    these).
     """
 
     ir: ProgramIR
-    constants: tuple[InstructionConstants, ...]
-    rows: tuple = field(init=False, repr=False, compare=False)
+    rows: tuple[tuple, ...]
     variables: tuple = field(init=False, repr=False, compare=False)
     sorted_variables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(self.ir.variables())
-        for attr, value in (
-                ("rows", tuple(map(instruction_row, self.ir.instructions,
-                                   self.constants))),
-                ("variables", names),
-                ("sorted_variables", tuple(sorted(names)))):
-            object.__setattr__(self, attr, value)
+        object.__setattr__(self, "variables", names)
+        object.__setattr__(self, "sorted_variables", tuple(sorted(names)))
 
 
 def _draw_signature(seed: int, name: str, key: CodeKey) -> int:
@@ -158,40 +129,46 @@ def assign_signatures(ir: ProgramIR, key: CodeKey, seed: int) -> SignatureTable:
                           program_digest=hash_digest(canonical_ir_bytes(ir)))
 
 
-def predetermine(ir: ProgramIR, table: SignatureTable,
-                 key: CodeKey) -> CodedProgram:
-    """Compute every instruction's compensation constants offline.
+def predetermine(ir: ProgramIR, table: SignatureTable) -> CodedProgram:
+    """Compute every instruction's execution row offline.
 
-    Depends only on the signature table, never on runtime data.
+    A row is (opcode, dest, src1, src2, kappa_sig, src1_sig, src2_sig,
+    dest_sig): the instruction plus the signature-only residues of its
+    compensation constants, 0 in the slots its opcode does not use.
+    They depend only on the signature table, never on runtime data;
+    `run_cycle` folds in the cycle-date term D:
+      ADD:  kappa = kappa_sig - D      (kappa_sig = B3 - B1 - B2)
+      SUB:  kappa = kappa_sig + D      (kappa_sig = B3 - B1 + B2)
+      MOVE: kappa = kappa_sig          (kappa_sig = B_dst - B_src)
+      MUL:  t1 = src1_sig + D, t2 = src2_sig + D,
+            km = dest_sig + D - t1*t2
     """
-    a = key.modulus
+    a = table.key.modulus
     sigs = table.signatures
-    constants = []
+    rows = []
     for ins in ir.instructions:
-        for name in (ins.dest, ins.src1, ins.src2):
+        op, dest, src1, src2 = ins.opcode, ins.dest, ins.src1, ins.src2
+        for name in (dest, src1, src2):
             if name is not None and name not in sigs:
                 raise MissingSignatureError(f"no signature for {name!r}")
-        b_dst = sigs[ins.dest]
-        b1 = sigs[ins.src1]
-        if ins.opcode == ADD:
-            constants.append(InstructionConstants(
-                ADD, kappa_sig=(b_dst - b1 - sigs[ins.src2]) % a))
-        elif ins.opcode == SUB:
-            constants.append(InstructionConstants(
-                SUB, kappa_sig=(b_dst - b1 + sigs[ins.src2]) % a))
-        elif ins.opcode == MUL:
-            constants.append(InstructionConstants(
-                MUL, src1_sig=b1, src2_sig=sigs[ins.src2], dest_sig=b_dst))
+        if op == MUL:
+            rows.append((op, dest, src1, src2, 0, sigs[src1], sigs[src2],
+                         sigs[dest]))
+            continue
+        if op == ADD:
+            kappa = sigs[dest] - sigs[src1] - sigs[src2]
+        elif op == SUB:
+            kappa = sigs[dest] - sigs[src1] + sigs[src2]
         else:
-            constants.append(InstructionConstants(
-                MOVE, kappa_sig=(b_dst - b1) % a))
-    return CodedProgram(ir=ir, constants=tuple(constants))
+            kappa = sigs[dest] - sigs[src1]
+        rows.append((op, dest, src1, src2, kappa % a, 0, 0, 0))
+    return CodedProgram(ir, tuple(rows))
 
 
 def build(ir: ProgramIR, key: CodeKey, seed: int):
     """Convenience: signatures plus predetermined program in one call."""
     table = assign_signatures(ir, key, seed)
-    return table, predetermine(ir, table, key)
+    return table, predetermine(ir, table)
 
 
 _OPCODE_IDS = {ADD: 1, SUB: 2, MUL: 3, MOVE: 4}
@@ -206,8 +183,9 @@ def emit_prom(table: SignatureTable, program: CodedProgram) -> bytes:
 
     Layout (all integers big-endian, no padding): magic "VCPROM1",
     version u8, key u64, seed u64, program digest (32 bytes), then three
-    length-prefixed sections: canonical IR, signatures, per-instruction
-    constants.
+    length-prefixed sections: canonical IR, signatures, and per row its
+    opcode id and residues (kappa_sig, or for MUL src1_sig, src2_sig,
+    dest_sig).
     """
     out = bytearray()
     out += PROM_MAGIC
@@ -228,15 +206,11 @@ def emit_prom(table: SignatureTable, program: CodedProgram) -> bytes:
     out += _section(bytes(sig_payload))
 
     const_payload = bytearray()
-    const_payload += len(program.constants).to_bytes(4, "big")
-    for c in program.constants:
-        const_payload.append(_OPCODE_IDS[c.opcode])
-        if c.opcode == MUL:
-            const_payload += c.src1_sig.to_bytes(8, "big")
-            const_payload += c.src2_sig.to_bytes(8, "big")
-            const_payload += c.dest_sig.to_bytes(8, "big")
-        else:
-            const_payload += c.kappa_sig.to_bytes(8, "big")
+    const_payload += len(program.rows).to_bytes(4, "big")
+    for row in program.rows:
+        const_payload.append(_OPCODE_IDS[row[0]])
+        for residue in (row[5:] if row[0] == MUL else row[4:5]):
+            const_payload += residue.to_bytes(8, "big")
     out += _section(bytes(const_payload))
     return bytes(out)
 

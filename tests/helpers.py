@@ -25,6 +25,17 @@ alarm = guard * gain;
 output adj; output alarm;
 """
 
+# Sixteen instructions over every opcode, so F1-F6 also strike MOVEs
+# (F5 included) and every variable reaches a checked output.
+MIXED_PROGRAM = """
+input u; input v; input w;
+const k = 7; const m = -3;
+s = u + v; d = u - w; p = s * k; q = d * m; r = p + q; t = r;
+e = t - v; f = e * w; g = f + k; h = g; i = h - s; j = i * m;
+l = j + d; n = l; o = n - p; z = o;
+output z; output t; output n; output f;
+"""
+
 SAMPLE_INPUTS = {"speed": 17, "limit": 40, "gain": 5}
 SAMPLE_CYCLE = 9
 SAMPLE_SEED = 0

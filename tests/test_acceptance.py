@@ -17,8 +17,7 @@ from vitalcode.channel_codes import (CRC32_IEEE, CRC8_ATM, crc_check,
                                      crc_compute, hamming74_decode,
                                      hamming74_encode)
 from vitalcode.cli import EXIT_OK, main
-from vitalcode.coded_core import (CodedValue, CycleDate, check, encode,
-                                  make_key)
+from vitalcode.coded_core import CodedValue, check, encode, make_key
 from vitalcode.coded_runtime import (ACCEPT, REJECT, FaultSpec, run_campaign,
                                      run_cycle)
 from vitalcode.dsl import interpret, parse_program
@@ -57,7 +56,7 @@ def test_01_undetected_rate_one_over_key(capfd):
         # 13 (the residue cannot tell x from x + 13k).
         small = make_key(13)
         signature = 7
-        date = CycleDate(9)
+        date = 9
         value = encode(1005, signature, date, small)
         for delta in range(-2600, 2601):
             corrupted = CodedValue(value.x + delta, value.c)
@@ -109,7 +108,7 @@ def test_03_substitution_detected_iff_signatures_distinct(capfd):
         forced = SignatureTable(
             signatures={"a": 5, "b": 7, "o": 5},  # a and o collide
             key=key13, seed=0, program_digest=natural.program_digest)
-        coded = predetermine(small_ir, forced, key13)
+        coded = predetermine(small_ir, forced)
         inputs = {"a": 3, "b": 4}
         for donor, colliding in (("a", True), ("b", False)):
             spec = FaultSpec("F3", variable="o", donor=donor)

@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from vitalcode.campaign import load_config
 from vitalcode.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
-from vitalcode.dsl import parse_program
-from vitalcode.sigtool import load_prom
+from vitalcode.coded_core import make_key
+from vitalcode.dsl import ProgramIR, parse_program
+from vitalcode.sigtool import build, emit_prom, load_prom
 
 PROGRAM = """\
 input speed;
@@ -136,6 +137,17 @@ class TestRun:
         inputs.write_text(json.dumps({"speed": 1, "limit": 2}))
         assert main(["run", str(bad), "--inputs",
                      str(inputs)]) == EXIT_CONFIG
+
+    def test_image_of_undefined_output_refused(self, tmp_path, capsys):
+        # Digest and rebuild match: the IR itself is what is ill-formed.
+        image = tmp_path / "crafted.prom"
+        image.write_bytes(emit_prom(*build(
+            ProgramIR(inputs=["a"], outputs=["z"]), make_key(13), 0)))
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps({"a": 3}))
+        assert main(["run", str(image), "--inputs",
+                     str(inputs)]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
 
     def test_bad_inputs_file(self, prom, tmp_path):
         inputs = tmp_path / "inputs.json"

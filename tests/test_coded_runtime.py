@@ -4,13 +4,13 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (SAMPLE_CYCLE, SAMPLE_INPUTS, build_sample,
-                     random_straight_line_program)
+from helpers import (MIXED_PROGRAM, SAMPLE_CYCLE, SAMPLE_INPUTS,
+                     build_sample, random_straight_line_program)
 from vitalcode.coded_runtime import (ACCEPT, FAULT_MODELS, FUNCTIONAL_BITS,
                                      OUTPUT_INCOHERENT, OVERFLOW, REJECT,
                                      SAFE_HALT, FaultSpec,
                                      UnresolvableTarget, _resolve_fault,
-                                     run_campaign, run_cycle)
+                                     inject_fault, run_campaign, run_cycle)
 from vitalcode.dsl import MUL, interpret, parse_program
 from vitalcode.sigtool import DuplicateSignatureWarning, build
 from vitalcode.coded_core import (INT64_MAX, INT64_MIN, FunctionalOverflow,
@@ -125,11 +125,31 @@ class TestFaultModels:
     def test_f5_corrupt_constant_detected(self):
         ir, key, table, program = build_sample(13)
         rng = random.Random(1)
-        for idx in range(len(program.constants)):
+        for idx in range(len(program.rows)):
             spec = FaultSpec("F5", instruction=idx)
             r = run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
                           fault=spec, rng=rng)
             assert r.verdict == REJECT, idx
+
+    def test_f5_patches_one_residue_slot(self):
+        key = make_key(251)
+        table, program = build(parse_program(MIXED_PROGRAM), key, 6)
+        for idx, old in enumerate(program.rows):
+            for seed in range(5):
+                rows = inject_fault({}, SAMPLE_CYCLE, program, table, key,
+                                    FaultSpec("F5", instruction=idx),
+                                    random.Random(seed))
+                changed = [(i, slot)
+                           for i, (new_row, old_row)
+                           in enumerate(zip(rows, program.rows))
+                           for slot in range(8)
+                           if new_row[slot] != old_row[slot]]
+                assert len(rows) == len(program.rows)
+                assert len(changed) == 1, (idx, seed, changed)
+                i, slot = changed[0]
+                assert i == idx
+                assert slot in ((5, 6, 7) if old[0] == MUL else (4,))
+                assert (rows[i][slot] - old[slot]) % 251 != 0
 
     def test_f6_undetected_fraction_near_one_over_key(self):
         ir, key, table, program = build_sample(13)
@@ -153,8 +173,8 @@ class TestFaultModels:
             ref.randrange(FUNCTIONAL_BITS if model == "F1"
                           else key.bit_width)
         elif model == "F5":
-            idx = ref.randrange(len(program.constants))
-            if program.constants[idx].opcode == MUL:
+            idx = ref.randrange(len(program.rows))
+            if program.rows[idx][0] == MUL:
                 ref.randrange(3)
             ref.randrange(1, 13)
         else:
@@ -171,7 +191,11 @@ class TestFaultModels:
         for spec in (FaultSpec("F1", variable="ghost"),
                      FaultSpec("F3", donor="ghost"),
                      FaultSpec("F5", instruction=99),
-                     FaultSpec("F9")):
+                     FaultSpec("F9"),
+                     FaultSpec("F1", variable="adj", bit=64),
+                     FaultSpec("F1", variable="adj", bit=-1),
+                     FaultSpec("F1", variable="speed", bit=70),
+                     FaultSpec("F2", variable="adj", bit=key.bit_width)):
             with pytest.raises(UnresolvableTarget):
                 run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
                           fault=spec, rng=random.Random(0))

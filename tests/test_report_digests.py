@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import build_sample
+from helpers import MIXED_PROGRAM, build_sample
 from vitalcode.campaign import parse_config, run_channel_campaign
 from vitalcode.cli import main
 from vitalcode.coded_core import make_key
@@ -24,17 +24,6 @@ from vitalcode.redundancy import (MAJORITY, UNANIMITY, VoteConfig,
                                   redundancy_campaign)
 from vitalcode.dsl import parse_program
 from vitalcode.sigtool import DuplicateSignatureWarning, build, emit_prom
-
-# Sixteen instructions over every opcode, so F1-F6 also strike MOVEs
-# (F5 included) and every variable reaches a checked output.
-MIXED_PROGRAM = """
-input u; input v; input w;
-const k = 7; const m = -3;
-s = u + v; d = u - w; p = s * k; q = d * m; r = p + q; t = r;
-e = t - v; f = e * w; g = f + k; h = g; i = h - s; j = i * m;
-l = j + d; n = l; o = n - p; z = o;
-output z; output t; output n; output f;
-"""
 
 # The MUL leaves int64 unless a is in [-2, 1], so most cycles safe-halt.
 OVERFLOW_PROGRAM = """
@@ -50,11 +39,15 @@ def inject(modulus, models):
     return run_campaign(program, table, key, models, 1000, seed=3).to_json()
 
 
-def inject_source(source, modulus):
+def build_source(source, modulus):
     key = make_key(modulus)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DuplicateSignatureWarning)
-        table, program = build(parse_program(source), key, 6)
+        return (key, *build(parse_program(source), key, 6))
+
+
+def inject_source(source, modulus):
+    key, table, program = build_source(source, modulus)
     return run_campaign(program, table, key, FAULT_MODELS, 1000,
                         seed=5).to_json()
 
@@ -101,6 +94,8 @@ CASES = {
     "channel-json": lambda: channel().to_json(),
     "channel-csv": lambda: channel().to_csv(),
     "prom-251": lambda: emit_prom(*build_sample(251, seed=4)[2:]),
+    "prom-mixed-mersenne":
+        lambda: emit_prom(*build_source(MIXED_PROGRAM, 2**31 - 1)[1:]),
     "inject-mixed-251": lambda: inject_source(MIXED_PROGRAM, 251),
     "inject-mixed-mersenne": lambda: inject_source(MIXED_PROGRAM, 2**31 - 1),
     "inject-overflow-251": lambda: inject_source(OVERFLOW_PROGRAM, 251),
@@ -136,6 +131,8 @@ DIGESTS = {
         "0c6933e9548c10a9621fea0973e4f5ea8e27c76ccd42e21ea182d2a0bf951eeb",
     "prom-251":
         "6030069281cd0549a97e0d5c01288de539f73f0584175e43ff088af00a429ac1",
+    "prom-mixed-mersenne":
+        "7ae4e577b87c399e545969bb5617b53c792072d84648dd36d7d37d058c74cfe1",
     "redundancy-majority":
         "f8b7a1dad89719ebaa9dac78c717d54296cb5321de657efc22e3f66ce0baab90",
     "redundancy-unanimity":

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vitalcode.coded_core import make_key
-from vitalcode.dsl import ADD, MOVE, MUL, parse_program
+from vitalcode.dsl import (ADD, MOVE, MUL, Instruction, ProgramIR,
+                          parse_program)
 from vitalcode.mac import hash_digest
 from vitalcode.sigtool import (PROM_MAGIC, PROM_VERSION, BadMagicError,
                                DigestMismatchError,
                                DuplicateSignatureWarning,
-                               InstructionConstants, IntegrityError,
+                               IntegrityError,
                                MissingSignatureError, PromFormatError,
                                SeedRangeError, SignatureTable,
                                TruncatedError, VersionMismatchError,
@@ -75,31 +76,30 @@ class TestPredetermine:
         ir, table, program = quiet_build("input a; input b; out = a + b;",
                                          A13, 1)
         sigs = table.signatures
-        const = program.constants[0]
-        assert const.opcode == ADD
-        assert const.kappa_sig == (sigs["out"] - sigs["a"] - sigs["b"]) % 13
+        row = program.rows[0]
+        assert row[0] == ADD
+        assert row[4] == (sigs["out"] - sigs["a"] - sigs["b"]) % 13
 
     def test_move_same_signature_is_zero(self):
         ir = parse_program("input a; out = a;")
         table = SignatureTable(signatures={"a": 5, "out": 5}, key=A13,
                                seed=0, program_digest=b"\0" * 32)
-        program = predetermine(ir, table, A13)
-        assert program.constants == (InstructionConstants(MOVE, kappa_sig=0),)
+        program = predetermine(ir, table)
+        assert program.rows == ((MOVE, "out", "a", None, 0, 0, 0, 0),)
 
     def test_mul_stores_signature_parts(self):
         ir = parse_program("input a; input b; out = a * b;")
         table = SignatureTable(signatures={"a": 5, "b": 2, "out": 4},
                                key=A13, seed=0, program_digest=b"\0" * 32)
-        program = predetermine(ir, table, A13)
-        assert program.constants == (
-            InstructionConstants(MUL, src1_sig=5, src2_sig=2, dest_sig=4),)
+        program = predetermine(ir, table)
+        assert program.rows == ((MUL, "out", "a", "b", 0, 5, 2, 4),)
 
     def test_missing_signature(self):
         ir = parse_program("input a; out = a;")
         table = SignatureTable(signatures={"a": 5}, key=A13, seed=0,
                                program_digest=b"\0" * 32)
         with pytest.raises(MissingSignatureError):
-            predetermine(ir, table, A13)
+            predetermine(ir, table)
 
 
 class TestPromImage:
@@ -183,6 +183,23 @@ class TestPromImage:
                  + hash_digest(ir_bytes)
                  + len(ir_bytes).to_bytes(4, "big") + ir_bytes
                  + 2 * ((4).to_bytes(4, "big") + bytes(4)))  # empty tables
+        with pytest.raises(IntegrityError):
+            load_prom(image)
+
+    @pytest.mark.parametrize("ir", [
+        ProgramIR(inputs=["a"], outputs=["z"]),            # z never defined
+        ProgramIR(inputs=["a"], consts={"a": 5}, outputs=["a"]),
+        ProgramIR(inputs=["a"], outputs=["a"],
+                  instructions=[Instruction(ADD, "a", "a", "a")]),
+        ProgramIR(inputs=["a"], outputs=["a", "a"]),
+    ], ids=["undefined-output", "const-redefines-input",
+            "instruction-redefines-input", "output-twice"])
+    def test_ir_the_parser_never_emits(self, ir):
+        # The digest is unkeyed, so build + emit_prom of a hand-made IR
+        # gives an image whose digest and rebuild both match.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateSignatureWarning)
+            image = emit_prom(*build(ir, A13, 0))
         with pytest.raises(IntegrityError):
             load_prom(image)
 
