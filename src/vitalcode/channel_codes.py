@@ -1,9 +1,10 @@
 """Channel protections against accidental corruption: parity, CRC,
 Hamming(7,4) single-error correction.
 
-CRC and the Hamming byte codec are table-driven; the Hamming tables are
-built at import from the per-word `hamming74_encode`/`hamming74_decode`,
-which remain the reference.
+CRC-32/IEEE is the interpreter's `binascii.crc32`; every other CRC and
+the Hamming byte codec are table-driven.  The Hamming tables are built at
+import from the per-word `hamming74_encode`/`hamming74_decode`, which
+remain the reference.
 
 The CRC follows the usual width/poly/init/xorout/reflect parameter model;
 two parameter sets are built in: "crc8-atm" (poly 0x07, no reflection,
@@ -14,6 +15,7 @@ published check value 0xCBF43926 for "123456789").
 
 from __future__ import annotations
 
+from binascii import crc32
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,7 +83,10 @@ def _crc_table(params: CrcParams) -> tuple:
 
 
 def crc_compute(payload: bytes, params: CrcParams) -> int:
-    """Table-driven CRC, bit-exact per the parameter set."""
+    """CRC, bit-exact per the parameter set: CRC-32/IEEE through the
+    interpreter's `binascii.crc32`, every other set table-driven."""
+    if params == CRC32_IEEE:
+        return crc32(payload)
     table = _crc_table(params)
     mask = (1 << params.width) - 1
     if params.reflect_in:

@@ -72,7 +72,10 @@ class FaultSpec:
     output (F3 also a donor), F5 picks an instruction.  `bit` addresses
     the functional field's two's-complement word for F1, in [0, 64), and
     the code residue for F2, in [0, key.bit_width); a set selector outside
-    its range raises UnresolvableTarget.
+    its range raises UnresolvableTarget.  So does a spec that would strike
+    nothing: an F3 `donor` equal to its target, or an F4 `staleness`
+    below 1 (a staleness that is a positive multiple of A is allowed: it
+    is a real fault that the code cannot see).
     """
 
     model: str
@@ -129,7 +132,9 @@ def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
         variable = pick(variable, program.ir.outputs, names, "variable")
         if spec.model == F3:  # an explicit target need not be an output
             others = [n for n in program.sorted_variables if n != variable]
-            donor = pick(donor, others, names, "donor")
+            donor = pick(donor, others, others, "donor")
+        elif spec.model == F4 and spec.staleness < 1:
+            raise UnresolvableTarget(f"no staleness {spec.staleness!r}")
     elif spec.model == F5:
         indices = range(len(program.rows))
         instruction = pick(instruction, indices, indices, "instruction")

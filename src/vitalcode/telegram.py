@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import log, log1p
 
 from . import channel_codes as cc
 from .coded_core import CodeKey
@@ -316,24 +317,35 @@ def apply_channel_noise(data: bytes, threat: Threat,
     """Accidental corruption of the wire bytes; deterministic under a
     seeded rng.
 
-    `bit_error` flips each bit with probability `rate`; `burst` flips one
-    contiguous run of `length` bits; `random_payload` replaces the
-    payload with random bytes of the same length and keeps the tag;
-    `codeword_flip` flips one of the low 7 bits of every tag byte, one
-    error per Hamming codeword.
+    `bit_error` flips each bit independently with probability `rate`;
+    `burst` flips one contiguous run of `length` bits; `random_payload`
+    replaces the payload with random bytes of the same length and keeps
+    the tag; `codeword_flip` flips one of the low 7 bits of every tag
+    byte, one error per Hamming codeword.
     """
     kind = threat.kind
     if kind == "bit_error":
         eps = threat.rate
-        if eps == 0.0:
+        nbits = len(data) * 8
+        if eps == 0.0 or nbits == 0:
             return data
-        # One draw per bit: byte by byte, least significant bit first.
+        if eps == 1.0:
+            return bytes(b ^ 0xFF for b in data)
+        # Bit `pos` is bit pos & 7 (least significant first) of byte
+        # pos >> 3.  Draw the gap to the next flipped bit, geometric as
+        # floor(ln U / ln(1 - eps)) (Devroye 1986, X.2): one draw per flip
+        # plus one.  Compare before int(): a subnormal eps makes the gap
+        # infinite.
         out = bytearray(data)
         draw = rng.random
-        for pos in range(len(out) * 8):
-            if draw() < eps:
-                out[pos >> 3] ^= 1 << (pos & 7)
-        return bytes(out)
+        log_keep = log1p(-eps)
+        pos = -1
+        while True:
+            gap = log(1.0 - draw()) / log_keep
+            if gap >= nbits - 1 - pos:
+                return bytes(out)
+            pos += 1 + int(gap)
+            out[pos >> 3] ^= 1 << (pos & 7)
     if kind == "burst":
         nbits = len(data) * 8
         length = min(threat.length, nbits)

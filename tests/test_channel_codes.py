@@ -59,6 +59,16 @@ class TestCrc:
             assert crc_compute(payload, params) == \
                 crc_bitwise(payload, params)
 
+    @given(st.binary(max_size=2048))
+    def test_crc32_fast_path_matches_table_and_oracle(self, payload):
+        # An equal-valued parameter set under another name takes the
+        # table path; CRC32_IEEE itself takes binascii.crc32.
+        table = CrcParams("crc32-table", 32, CRC32_IEEE.polynomial,
+                          CRC32_IEEE.init, CRC32_IEEE.xorout, True, True)
+        fast = crc_compute(payload, CRC32_IEEE)
+        assert fast == crc_bitwise(payload, CRC32_IEEE)
+        assert fast == crc_compute(payload, table)
+
     def test_round_trip(self):
         payload = b"telegram body"
         for params in CRC_CATALOG.values():

@@ -195,7 +195,10 @@ class TestFaultModels:
                      FaultSpec("F1", variable="adj", bit=64),
                      FaultSpec("F1", variable="adj", bit=-1),
                      FaultSpec("F1", variable="speed", bit=70),
-                     FaultSpec("F2", variable="adj", bit=key.bit_width)):
+                     FaultSpec("F2", variable="adj", bit=key.bit_width),
+                     FaultSpec("F3", variable="adj", donor="adj"),
+                     FaultSpec("F4", variable="alarm", staleness=0),
+                     FaultSpec("F4", variable="alarm", staleness=-13)):
             with pytest.raises(UnresolvableTarget):
                 run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
                           fault=spec, rng=random.Random(0))

@@ -108,9 +108,9 @@ CASES = {
 
 DIGESTS = {
     "channel-csv":
-        "57677c24f94cd3a36e841e05d21be3e95e4ca48e0fda4a9488f45c1f06369716",
+        "74dfffc59262edce21453d2bd342125ccef4beab26f219144c0824e0a1b66c66",
     "channel-json":
-        "943b742ff027288e848086798eda28b1c5a02a87e65b4b8304f9305560364897",
+        "ac387865008802df27f9bbcbf2c5011badcc297e4875fd08f297949e0ab6f7b9",
     "inject-13-all":
         "5a74e85977c5cabd73785f41c59a99c5256174dbaf8dd3338a0a80b2affb5e16",
     "inject-251-F3F5":

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from vitalcode.channel_codes import CRC8_ATM, CRC32_IEEE
 from vitalcode.coded_core import make_key
 from vitalcode.mac import MacKey
+from vitalcode.stats import wilson_interval
 from vitalcode.telegram import (ACCEPT, ATTACK_THREATS, BAD_CRC, BAD_PARITY,
                                 BAD_RESIDUE, BAD_TAG, CORRECTED, MALFORMED,
                                 NOISE_THREATS, REJECT, REPLAYED_SEQ,
@@ -350,23 +352,86 @@ class TestNoise:
 
     @pytest.mark.parametrize("length", [0, 1, 64, 1024])
     @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.5, 1.0])
-    def test_bit_error_matches_per_bit_loop(self, eps, length):
-        # Reference: one draw per bit, byte by byte, bit 0 first.  Equal
-        # generator states afterwards mean every bit cost exactly one draw.
+    def test_bit_error_matches_gap_loop(self, eps, length):
+        # Reference: draw the gap to the next flipped bit, byte by byte,
+        # bit 0 first.  Equal generator states afterwards mean one draw
+        # per flip plus one, and none at eps 0 or 1 or on empty data.
         data = random.Random(length).randbytes(length)
         threat = Threat("bit_error", rate=eps)
+        nbits = 8 * length
         for seed in range(3):
             rng = random.Random(seed)
             noisy = apply_channel_noise(data, threat, rng)
             reference = random.Random(seed)
+            flips = []
+            if eps == 1.0:
+                flips = list(range(nbits))
+            elif eps and nbits:
+                pos = -1
+                while True:
+                    gap = (math.log(1.0 - reference.random())
+                           / math.log1p(-eps))
+                    pos += 1 + math.floor(gap)
+                    if pos >= nbits:
+                        break
+                    flips.append(pos)
             expected = bytearray(data)
-            if eps:
-                for i in range(len(expected)):
-                    for bit in range(8):
-                        if reference.random() < eps:
-                            expected[i] ^= 1 << bit
+            for pos in flips:
+                expected[pos // 8] ^= 1 << (pos % 8)
             assert noisy == bytes(expected)
             assert rng.getstate() == reference.getstate()
+
+    @staticmethod
+    def _flip_masks(eps, length, frames, seed):
+        # Per-frame masks of flipped bits on all-zero frames.
+        rng = random.Random(seed)
+        threat = Threat("bit_error", rate=eps)
+        return [int.from_bytes(apply_channel_noise(bytes(length), threat,
+                                                   rng), "little")
+                for _ in range(frames)]
+
+    @pytest.mark.parametrize("eps, frames", [(1e-3, 500), (1e-1, 20)])
+    def test_bit_error_rate_in_wilson_interval(self, eps, frames):
+        length = 256
+        masks = self._flip_masks(eps, length, frames, seed=41)
+        flipped = sum(m.bit_count() for m in masks)
+        lo, hi = wilson_interval(flipped, frames * length * 8)
+        assert lo <= eps <= hi
+
+    def test_end_bits_flip_at_rate(self):
+        # One-byte frames: bit 0 is the first gap, bit 7 the last slot
+        # before the stop test; an off-by-one at either end shows here.
+        frames = 20_000
+        masks = self._flip_masks(0.1, 1, frames, seed=42)
+        for bit in (0, 7):
+            hits = sum(m >> bit & 1 for m in masks)
+            lo, hi = wilson_interval(hits, frames)
+            assert lo <= 0.1 <= hi, bit
+
+    def test_adjacent_pairs_flip_at_rate_squared(self):
+        # P(gap = 0) = eps: bits i and i+1 both flip with probability eps^2.
+        eps, length, frames = 0.1, 64, 200
+        masks = self._flip_masks(eps, length, frames, seed=43)
+        pairs = sum((m & m >> 1).bit_count() for m in masks)
+        lo, hi = wilson_interval(pairs, frames * (length * 8 - 1))
+        assert lo <= eps * eps <= hi
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_certain_rates_make_no_draw(self, eps):
+        data = random.Random(1).randbytes(1024)
+        rng = random.Random(5)
+        state = rng.getstate()
+        noisy = apply_channel_noise(data, Threat("bit_error", rate=eps), rng)
+        assert rng.getstate() == state
+        assert noisy == (data if eps == 0.0 else bytes(b ^ 0xFF for b in data))
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-300])
+    def test_vanishing_rate_flips_nothing(self, eps):
+        data = random.Random(2).randbytes(1024)
+        threat = Threat("bit_error", rate=eps)
+        for seed in range(20):
+            assert apply_channel_noise(data, threat,
+                                       random.Random(seed)) == data
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_random_payload_keeps_tag(self, name):
