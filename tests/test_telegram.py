@@ -381,6 +381,51 @@ class TestNoise:
             assert noisy == bytes(expected)
             assert rng.getstate() == reference.getstate()
 
+    @pytest.mark.parametrize("length", [0, 1, 64, 1024])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.5, 1.0])
+    def test_bit_error_matches_per_bit_loop(self, eps, length):
+        # Reference: one draw per bit, byte by byte, bit 0 first.  The
+        # sampler draws a different stream, so the two must give the same
+        # bytes where the outcome is certain, and otherwise the same flip
+        # rate in each of the 8 bit lanes (two-proportion z-test, z = 3.89).
+        data = random.Random(length).randbytes(length)
+        threat = Threat("bit_error", rate=eps)
+
+        def per_bit_loop(rng):
+            out = bytearray(data)
+            for i in range(len(out)):
+                for bit in range(8):
+                    if rng.random() < eps:
+                        out[i] ^= 1 << bit
+            return bytes(out)
+
+        if eps in (0.0, 1.0) or length == 0:
+            for seed in range(3):
+                assert apply_channel_noise(data, threat, random.Random(seed)) \
+                    == per_bit_loop(random.Random(seed))
+            return
+        frames = -(-160_000 // (8 * length))
+        lanes = [int.from_bytes(bytes([1 << bit]) * length, "little")
+                 for bit in range(8)]
+
+        def lane_counts(transform, seed):
+            rng = random.Random(seed)
+            counts = [0] * 8
+            for _ in range(frames):
+                mask = int.from_bytes(data, "little") ^ int.from_bytes(
+                    transform(rng), "little")
+                for bit, lane in enumerate(lanes):
+                    counts[bit] += (mask & lane).bit_count()
+            return counts
+
+        sampled = lane_counts(lambda rng: apply_channel_noise(data, threat,
+                                                              rng), 44)
+        reference = lane_counts(per_bit_loop, 45)
+        n = frames * length
+        for bit, (k1, k2) in enumerate(zip(sampled, reference)):
+            p = (k1 + k2) / (2 * n)
+            assert abs(k1 - k2) <= 3.89 * math.sqrt(2 * n * p * (1 - p)), bit
+
     @staticmethod
     def _flip_masks(eps, length, frames, seed):
         # Per-frame masks of flipped bits on all-zero frames.
