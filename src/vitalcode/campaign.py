@@ -32,7 +32,7 @@ DEFAULT_PAYLOAD_LENGTH = 64
 
 @dataclass
 class CampaignConfig:
-    schemes: list[str]
+    schemes: dict[str, tg.ProtectionScheme]  # exact name -> built, in order
     threats: list[Threat]
     trials: int
     seed: int
@@ -125,7 +125,7 @@ def parse_config(doc) -> CampaignConfig:
         labels.add(threat.label)
         threats.append(threat)
     config = CampaignConfig(
-        schemes=[str(s) for s in doc["schemes"]],
+        schemes={},
         threats=threats,
         trials=doc["trials"],
         seed=doc["seed"],
@@ -134,11 +134,12 @@ def parse_config(doc) -> CampaignConfig:
         payload_length=doc.get("payload_length", DEFAULT_PAYLOAD_LENGTH),
         mac_key_hex=doc.get("mac_key"),
         mac_truncation=doc.get("mac_truncation", 32))
-    for i, name in enumerate(config.schemes):
+    for i, name in enumerate(map(str, doc["schemes"])):
         where = f"config.schemes[{i}]"
-        build_scheme(name, config, where)  # raises ConfigError on bad names
-        if name in config.schemes[:i]:
+        scheme = build_scheme(name, config, where)  # ConfigError if bad
+        if name in config.schemes:
             raise ConfigError(f"repeated scheme {name!r}", where)
+        config.schemes[name] = scheme
     return config
 
 
@@ -314,18 +315,18 @@ def _outcome(result: tg.VerifyResult, original: tg.Telegram | None,
 def run_channel_campaign(config: CampaignConfig) -> ChannelReport:
     """Run the full schemes x threats grid; reproducible under its seed."""
     mac_key = resolve_mac_key(config)
-    schemes = [build_scheme(name, config) for name in config.schemes]
-    if mac_key is None and any(s.variant == tg.SCHEME_HMAC for s in schemes):
+    if mac_key is None and any(s.variant == tg.SCHEME_HMAC
+                               for s in config.schemes.values()):
         raise ConfigError(f"hmac scheme configured but no MAC key in "
                           f"config.mac_key or ${MAC_KEY_ENV}",
                           "config.mac_key")
     cells = []
-    for scheme_name, scheme in zip(config.schemes, schemes):
+    for scheme_name, scheme in config.schemes.items():
         for threat in config.threats:
             cells.append(_run_cell(scheme_name, scheme, threat, config,
                                    mac_key))
     echo = {
-        "schemes": config.schemes,
+        "schemes": list(config.schemes),
         "threats": [t.label for t in config.threats],
         "trials": config.trials,
         "key_a": config.key_modulus,

@@ -1,16 +1,19 @@
 """Channel protections against accidental corruption: parity, CRC,
 Hamming(7,4) single-error correction.
 
-CRC-32/IEEE is the interpreter's `binascii.crc32`; every other CRC and
-the Hamming byte codec are table-driven.  The Hamming tables are built at
+CRC-32/IEEE is the interpreter's `binascii.crc32`; every other CRC is
+linear algebra over GF(2): per payload length, w row masks and a
+constant, and each output bit is one parity of the payload against its
+row.  The Hamming byte codec is table-driven; its tables are built at
 import from the per-word `hamming74_encode`/`hamming74_decode`, which
 remain the reference.
 
-The CRC follows the usual width/poly/init/xorout/reflect parameter model;
-two parameter sets are built in: "crc8-atm" (poly 0x07, no reflection,
-its 8-bit residual makes undetected rates measurable in small campaigns)
-and "crc32-ieee" (the reflected 0x04C11DB7 standard, anchored against the
-published check value 0xCBF43926 for "123456789").
+The CRC follows the usual width/poly/init/xorout/reflect parameter model,
+for any width from 1 to 32; two parameter sets are built in: "crc8-atm"
+(poly 0x07, no reflection, its 8-bit residual makes undetected rates
+measurable in small campaigns) and "crc32-ieee" (the reflected 0x04C11DB7
+standard, anchored against the published check value 0xCBF43926 for
+"123456789").
 """
 
 from __future__ import annotations
@@ -51,59 +54,46 @@ CRC32_IEEE = CrcParams("crc32-ieee", 32, 0x04C11DB7, 0xFFFFFFFF,
 CRC_CATALOG = {p.name: p for p in (CRC8_ATM, CRC32_IEEE)}
 
 
-def _reflect(value: int, width: int) -> int:
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
-
-
-@lru_cache(maxsize=None)
-def _crc_table(params: CrcParams) -> tuple:
-    top = 1 << (params.width - 1)
-    mask = (1 << params.width) - 1
-    table = []
-    for byte in range(256):
-        if params.reflect_in:
-            byte = _reflect(byte, 8)
-        reg = byte << (params.width - 8) if params.width >= 8 \
-            else byte >> (8 - params.width)
-        for _ in range(8):
-            if reg & top:
-                reg = ((reg << 1) ^ params.polynomial) & mask
-            else:
-                reg = (reg << 1) & mask
-        if params.reflect_in:
-            # Table entries are stored pre-reflected so the byte loop
-            # stays a single shift/xor in the reflected domain.
-            reg = _reflect(reg, params.width)
-        table.append(reg)
-    return tuple(table)
+@lru_cache(maxsize=64)
+def _crc_rows(params: CrcParams, length: int) -> tuple[tuple[int, ...], int]:
+    """The CRC of a `length`-byte payload as an affine map over GF(2):
+    crc(m) = M·m ⊕ crc(0ᴸ) (Williams, "A Painless Guide to CRC Error
+    Detection Algorithms", 1993), with m the payload read as one
+    big-endian integer.  Returns the w row masks of M, row k giving
+    output bit k as the parity of `m & row`, and the constant crc(0ᴸ).
+    Rows hold public parameters only."""
+    w, poly, n = params.width, params.polynomial, 8 * length
+    top, mask, fmt = 1 << (w - 1), (1 << w) - 1, f"0{w}b"
+    # Message bit t (processing order) leaves poly·x^(n-1-t) mod P in the
+    # register: one zero-input step per later bit, so walk back from the
+    # last bit; cols[i] is then the column of bit i of m.  The zero
+    # message steps `init` n times.
+    cols, col, reg = [], poly, params.init
+    for _ in range(n):
+        cols.append(col)
+        col = ((col << 1) & mask) ^ (poly if col & top else 0)
+        reg = ((reg << 1) & mask) ^ (poly if reg & top else 0)
+    if params.reflect_in:  # each byte is read LSB first
+        cols = [cols[i ^ 7] for i in range(n)]
+    bits = "".join(format(c, fmt) for c in reversed(cols))
+    rows = [int(bits[w - 1 - k::w] or "0", 2) for k in range(w)]
+    if params.reflect_out:
+        rows.reverse()
+        reg = int(format(reg, fmt)[::-1], 2)
+    return tuple(rows), reg ^ params.xorout
 
 
 def crc_compute(payload: bytes, params: CrcParams) -> int:
     """CRC, bit-exact per the parameter set: CRC-32/IEEE through the
-    interpreter's `binascii.crc32`, every other set table-driven."""
+    interpreter's `binascii.crc32`, every other set as w parities of the
+    payload against the rows of `_crc_rows`."""
     if params == CRC32_IEEE:
         return crc32(payload)
-    table = _crc_table(params)
-    mask = (1 << params.width) - 1
-    if params.reflect_in:
-        # Reflected domain: register is kept output-reflected throughout.
-        reg = _reflect(params.init, params.width)
-        for b in payload:
-            reg = (reg >> 8) ^ table[(reg ^ b) & 0xFF]
-        if not params.reflect_out:
-            reg = _reflect(reg, params.width)
-    else:
-        reg = params.init
-        shift = params.width - 8
-        for b in payload:
-            reg = ((reg << 8) ^ table[((reg >> shift) ^ b) & 0xFF]) & mask
-        if params.reflect_out:
-            reg = _reflect(reg, params.width)
-    return reg ^ params.xorout
+    rows, crc = _crc_rows(params, len(payload))
+    m = int.from_bytes(payload, "big")
+    for k, row in enumerate(rows):
+        crc ^= ((m & row).bit_count() & 1) << k
+    return crc
 
 
 def crc_check(payload: bytes, checksum: int, params: CrcParams) -> bool:

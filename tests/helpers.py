@@ -51,7 +51,7 @@ def build_sample(modulus: int, seed: int = SAMPLE_SEED):
 
 
 def crc_bitwise(payload: bytes, params) -> int:
-    """Bit-serial long-division CRC; independent of the table-driven path."""
+    """Bit-serial long-division CRC; independent of the row-parity path."""
     mask = (1 << params.width) - 1
     top = 1 << (params.width - 1)
     reg = params.init

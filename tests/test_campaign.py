@@ -39,7 +39,7 @@ def make_config(**overrides) -> CampaignConfig:
 class TestConfigParsing:
     def test_minimal(self):
         config = make_config()
-        assert config.schemes == ["crc8-atm"]
+        assert list(config.schemes) == ["crc8-atm"]
         assert config.trials == 10
         assert config.threats[0].kind == "forge"
 

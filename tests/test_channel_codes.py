@@ -41,6 +41,16 @@ class TestParity:
             assert parity_bit(payload) == bin(acc).count("1") & 1
 
 
+@st.composite
+def random_crc_params(draw) -> CrcParams:
+    """Any width 1-32, any polynomial, init and xorout, either reflection."""
+    width = draw(st.integers(1, 32))
+    word = st.integers(0, (1 << width) - 1)
+    return CrcParams("random", width, draw(st.integers(1, (1 << width) - 1)),
+                     draw(word), draw(word), draw(st.booleans()),
+                     draw(st.booleans()))
+
+
 class TestCrc:
     def test_crc32_published_check_value(self):
         assert crc_compute(b"123456789", CRC32_IEEE) == 0xCBF43926
@@ -53,21 +63,20 @@ class TestCrc:
     def test_crc8_empty(self):
         assert crc_compute(b"", CRC8_ATM) == 0x00
 
-    @given(st.binary(max_size=200))
-    def test_table_matches_bitwise_oracle(self, payload):
-        for params in CRC_CATALOG.values():
-            assert crc_compute(payload, params) == \
-                crc_bitwise(payload, params)
+    @given(random_crc_params(), st.binary(max_size=256))
+    def test_matches_bitwise_oracle(self, params, payload):
+        for p in (params, *CRC_CATALOG.values()):
+            assert crc_compute(payload, p) == crc_bitwise(payload, p)
 
     @given(st.binary(max_size=2048))
-    def test_crc32_fast_path_matches_table_and_oracle(self, payload):
+    def test_crc32_fast_path_matches_rows_and_oracle(self, payload):
         # An equal-valued parameter set under another name takes the
-        # table path; CRC32_IEEE itself takes binascii.crc32.
-        table = CrcParams("crc32-table", 32, CRC32_IEEE.polynomial,
-                          CRC32_IEEE.init, CRC32_IEEE.xorout, True, True)
+        # row path; CRC32_IEEE itself takes binascii.crc32.
+        rows = CrcParams("crc32-rows", 32, CRC32_IEEE.polynomial,
+                         CRC32_IEEE.init, CRC32_IEEE.xorout, True, True)
         fast = crc_compute(payload, CRC32_IEEE)
         assert fast == crc_bitwise(payload, CRC32_IEEE)
-        assert fast == crc_compute(payload, table)
+        assert fast == crc_compute(payload, rows)
 
     def test_round_trip(self):
         payload = b"telegram body"
