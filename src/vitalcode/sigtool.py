@@ -11,6 +11,7 @@ process never influences it.
 
 from __future__ import annotations
 
+import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,6 +22,8 @@ from .mac import hash_digest
 
 PROM_MAGIC = b"VCPROM1"
 PROM_VERSION = 1
+_HEADER = struct.Struct(">7sBQQ32s")  # magic, version, key, seed, digest
+_U32 = struct.Struct(">I")            # section lengths and counts
 
 
 class SigtoolError(Exception):
@@ -175,29 +178,25 @@ _OPCODE_IDS = {ADD: 1, SUB: 2, MUL: 3, MOVE: 4}
 
 
 def _section(payload: bytes) -> bytes:
-    return len(payload).to_bytes(4, "big") + payload
+    return _U32.pack(len(payload)) + payload
 
 
 def emit_prom(table: SignatureTable, program: CodedProgram) -> bytes:
     """Serialize the PROM image.
 
-    Layout (all integers big-endian, no padding): magic "VCPROM1",
-    version u8, key u64, seed u64, program digest (32 bytes), then three
-    length-prefixed sections: canonical IR, signatures, and per row its
-    opcode id and residues (kappa_sig, or for MUL src1_sig, src2_sig,
-    dest_sig).
+    Layout (all integers big-endian, no padding): the `_HEADER` struct
+    (magic "VCPROM1", version u8, key u64, seed u64, program digest of
+    32 bytes), then three sections, each a `_U32` length and its bytes:
+    canonical IR, signatures, and per row its opcode id and residues
+    (kappa_sig, or for MUL src1_sig, src2_sig, dest_sig).
     """
-    out = bytearray()
-    out += PROM_MAGIC
-    out.append(PROM_VERSION)
-    out += table.key.modulus.to_bytes(8, "big")
-    out += table.seed.to_bytes(8, "big")
-    out += table.program_digest
-
+    out = bytearray(_HEADER.pack(PROM_MAGIC, PROM_VERSION,
+                                 table.key.modulus, table.seed,
+                                 table.program_digest))
     out += _section(canonical_ir_bytes(program.ir))
 
     sig_payload = bytearray()
-    sig_payload += len(table.signatures).to_bytes(4, "big")
+    sig_payload += _U32.pack(len(table.signatures))
     for name in program.ir.variables():
         encoded = name.encode("utf-8")
         sig_payload += len(encoded).to_bytes(2, "big")
@@ -206,40 +205,13 @@ def emit_prom(table: SignatureTable, program: CodedProgram) -> bytes:
     out += _section(bytes(sig_payload))
 
     const_payload = bytearray()
-    const_payload += len(program.rows).to_bytes(4, "big")
+    const_payload += _U32.pack(len(program.rows))
     for row in program.rows:
         const_payload.append(_OPCODE_IDS[row[0]])
         for residue in (row[5:] if row[0] == MUL else row[4:5]):
             const_payload += residue.to_bytes(8, "big")
     out += _section(bytes(const_payload))
     return bytes(out)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedError(
-                f"need {n} bytes at offset {self.pos}, have "
-                f"{len(self.data) - self.pos}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
-
-    def section(self) -> bytes:
-        return self.take(self.u32())
 
 
 def load_prom(data: bytes) -> tuple[SignatureTable, CodedProgram]:
@@ -249,22 +221,29 @@ def load_prom(data: bytes) -> tuple[SignatureTable, CodedProgram]:
     embedded (IR, key, seed) and requires it to equal `data` byte for
     byte, so a corrupted image never loads silently.
     """
-    r = _Reader(data)
-    if r.take(len(PROM_MAGIC)) != PROM_MAGIC:
+    # Magic and version are judged on as many bytes as are present, so
+    # a short file of the wrong kind is named as such, not as truncated.
+    magic_len = len(PROM_MAGIC)
+    if len(data) >= magic_len and data[:magic_len] != PROM_MAGIC:
         raise BadMagicError("not a PROM image")
-    version = r.u8()
-    if version != PROM_VERSION:
-        raise VersionMismatchError(f"unsupported version {version}")
-    modulus = r.u64()
-    seed = r.u64()
-    digest = r.take(32)
+    if len(data) > magic_len and data[magic_len] != PROM_VERSION:
+        raise VersionMismatchError(f"unsupported version {data[magic_len]}")
+    if len(data) < _HEADER.size:
+        raise TruncatedError("image ends inside the header")
+    _, _, modulus, seed, digest = _HEADER.unpack_from(data)
 
     try:
         key = CodeKey(modulus)
     except CodedCoreError as exc:
         raise IntegrityError(f"stored key invalid: {exc}") from None
 
-    ir_bytes = r.section()
+    start = _HEADER.size + _U32.size
+    if len(data) < start:
+        raise TruncatedError("image ends inside the IR section length")
+    end = start + _U32.unpack_from(data, _HEADER.size)[0]
+    if len(data) < end:
+        raise TruncatedError("image ends inside the IR section")
+    ir_bytes = data[start:end]
     if hash_digest(ir_bytes) != digest:
         raise DigestMismatchError("program digest does not match IR section")
     try:

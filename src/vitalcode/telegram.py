@@ -1,13 +1,15 @@
 """Telegram wire format, pluggable protection schemes, and the threats
 of the channel.
 
-A telegram is a sequence-numbered, dated message.  The protection tag is
-appended per scheme: parity, CRC and Hamming cover the payload only
-(their historical role); the coded-signature scheme covers the payload
-fold plus the date; HMAC covers seq, date and payload.  Every tag but
-Hamming's is deterministic, so the receiver verifies a frame by
-recomputing its tag and comparing, in constant time; Hamming instead
-decodes and corrects.
+A telegram is a sequence-numbered, dated message.  On the wire a frame
+is, big-endian and unpadded: magic "VT01", seq u32, date u32, scheme id
+u8 and payload length u16 (the `_HEAD` struct), the payload, tag length
+u16 (`_TAGLEN`) and the tag.  The protection tag is computed per scheme:
+parity, CRC and Hamming cover the payload only (their historical role);
+the coded-signature scheme covers the payload fold plus the date; HMAC
+covers seq, date and payload.  Every tag but Hamming's is deterministic,
+so the receiver verifies a frame by recomputing its tag and comparing,
+in constant time; Hamming instead decodes and corrects.
 
 A `Threat` is one of two families.  Accidental corruption
 (`apply_channel_noise`) flips bits or replaces the payload at random; the
@@ -20,6 +22,7 @@ MAC key is withheld.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import log, log1p
@@ -30,6 +33,8 @@ from .mac import MacKey, constant_time_equal, hmac_tag
 
 WIRE_MAGIC = b"VT01"
 MAX_PAYLOAD = 1024
+_HEAD = struct.Struct(">4sIIBH")
+_TAGLEN = struct.Struct(">H")
 
 SCHEME_NONE = "none"
 SCHEME_PARITY = "parity"
@@ -172,7 +177,8 @@ def make_tag(t: Telegram, scheme: ProtectionScheme,
         return bytes([cc.parity_bit(t.payload)])
     if v == SCHEME_CRC:
         p = scheme.crc_params
-        return cc.crc_compute(t.payload, p).to_bytes(p.width // 8, "big")
+        return cc.crc_compute(t.payload, p).to_bytes((p.width + 7) // 8,
+                                                     "big")
     if v == SCHEME_HAMMING:
         return cc.hamming74_encode_bytes(t.payload)
     if v == SCHEME_CODEDSIG:
@@ -190,40 +196,27 @@ def protect_telegram(t: Telegram, scheme: ProtectionScheme,
 
 
 def serialize_wire(t: Telegram, scheme_id: int, tag: bytes) -> bytes:
-    """Frame bytes for (telegram, scheme id, tag); inverse of parse_wire."""
-    out = bytearray()
-    out += WIRE_MAGIC
-    out += t.seq.to_bytes(4, "big")
-    out += t.date.to_bytes(4, "big")
-    out.append(scheme_id)
-    out += len(t.payload).to_bytes(2, "big")
-    out += t.payload
-    out += len(tag).to_bytes(2, "big")
-    out += tag
-    return bytes(out)
+    """Frame bytes for (telegram, scheme id, tag), laid out by `_HEAD` and
+    `_TAGLEN`; inverse of parse_wire."""
+    return (_HEAD.pack(WIRE_MAGIC, t.seq, t.date, scheme_id, len(t.payload))
+            + t.payload + _TAGLEN.pack(len(tag)) + tag)
 
 
 def parse_wire(data: bytes) -> tuple[Telegram, int, bytes]:
     """Split wire bytes into (telegram, scheme id, tag); raises
     TelegramError on any structural problem."""
-    if len(data) < 4 + 4 + 4 + 1 + 2:
+    if len(data) < _HEAD.size:
         raise TelegramError("frame too short")
-    if data[:4] != WIRE_MAGIC:
+    magic, seq, date, scheme_id, plen = _HEAD.unpack_from(data)
+    if magic != WIRE_MAGIC:
         raise TelegramError("bad magic")
-    seq = int.from_bytes(data[4:8], "big")
-    date = int.from_bytes(data[8:12], "big")
-    scheme_id = data[12]
-    plen = int.from_bytes(data[13:15], "big")
-    pos = 15
-    if len(data) < pos + plen + 2:
+    end = _HEAD.size + plen
+    if len(data) < end + _TAGLEN.size:
         raise TelegramError("truncated payload")
-    payload = data[pos:pos + plen]
-    pos += plen
-    taglen = int.from_bytes(data[pos:pos + 2], "big")
-    pos += 2
-    if len(data) != pos + taglen:
+    if len(data) != end + _TAGLEN.size + _TAGLEN.unpack_from(data, end)[0]:
         raise TelegramError("bad tag length")
-    return Telegram(seq, date, payload), scheme_id, data[pos:]
+    return (Telegram(seq, date, data[_HEAD.size:end]), scheme_id,
+            data[end + _TAGLEN.size:])
 
 
 def verify_telegram(data: bytes, scheme: ProtectionScheme,
@@ -352,11 +345,10 @@ def apply_channel_noise(data: bytes, threat: Threat,
         if length == 0:
             return data
         start = rng.randrange(nbits - length + 1)
-        out = bytearray(data)
-        for offset in range(length):
-            pos = start + offset
-            out[pos // 8] ^= 1 << (7 - pos % 8)
-        return bytes(out)
+        # Bits count from the most significant bit of byte 0.
+        mask = ((1 << length) - 1) << (nbits - start - length)
+        noisy = int.from_bytes(data, "big") ^ mask
+        return noisy.to_bytes(len(data), "big")
     if kind not in NOISE_THREATS:
         raise ValueError(f"not a noise threat: {kind!r}")
     telegram, scheme_id, tag = parse_wire(data)

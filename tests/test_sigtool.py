@@ -125,16 +125,21 @@ class TestPromImage:
     def test_truncation_detected(self):
         _, table, program = quiet_build(SRC, A13, 1)
         image = emit_prom(table, program)
-        for cut in (0, 5, 10, len(image) // 2, len(image) - 1):
-            with pytest.raises(PromFormatError):
+        ir_end = 60 + int.from_bytes(image[56:60], "big")
+        for cut in range(len(image)):
+            # Once the IR section is whole, the rebuild tells the rest.
+            error = TruncatedError if cut < ir_end else IntegrityError
+            with pytest.raises(PromFormatError) as caught:
                 load_prom(image[:cut])
+            assert type(caught.value) is error, cut
 
     def test_bad_magic(self):
         _, table, program = quiet_build(SRC, A13, 1)
         image = bytearray(emit_prom(table, program))
         image[0] ^= 0xFF
-        with pytest.raises(BadMagicError):
-            load_prom(bytes(image))
+        for data in (bytes(image), b'{"speed": 17, "limit": 40}\n'):
+            with pytest.raises(BadMagicError):
+                load_prom(data)
 
     def test_version_mismatch(self):
         _, table, program = quiet_build(SRC, A13, 1)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vitalcode.channel_codes import CRC8_ATM, CRC32_IEEE
+from vitalcode.channel_codes import CRC8_ATM, CRC32_IEEE, CrcParams
 from vitalcode.coded_core import make_key
 from vitalcode.mac import MacKey
 from vitalcode.stats import wilson_interval
@@ -57,9 +57,10 @@ class TestTelegram:
 
 class TestWireFormat:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
-           st.binary(max_size=64))
+           st.binary(max_size=1024), st.integers(0, 255),
+           st.binary(max_size=2048))
     @settings(max_examples=50)
-    def test_parse_inverts_protect(self, seq, date, payload):
+    def test_parse_inverts_protect(self, seq, date, payload, any_id, any_tag):
         t = Telegram(seq, date, payload)
         scheme = SCHEMES["crc32"]
         wire = protect_telegram(t, scheme)
@@ -68,6 +69,13 @@ class TestWireFormat:
         assert scheme_id == 2
         assert len(tag) == 4
         assert serialize_wire(parsed, scheme_id, tag) == wire
+        # The layout spelled out field by field, apart from its struct.
+        frame = serialize_wire(t, any_id, any_tag)
+        assert frame == (WIRE_MAGIC + seq.to_bytes(4, "big")
+                         + date.to_bytes(4, "big") + bytes([any_id])
+                         + len(payload).to_bytes(2, "big") + payload
+                         + len(any_tag).to_bytes(2, "big") + any_tag)
+        assert parse_wire(frame) == (t, any_id, any_tag)
 
     def test_malformed_frames(self):
         good = protect_telegram(Telegram(1, 1, b"abc"), SCHEMES["crc8"])
@@ -182,12 +190,19 @@ class TestVerify:
 
 FUZZ_SCHEMES = {**SCHEMES, **{
     f"hmac-{t}": ProtectionScheme(SCHEME_HMAC, mac_truncation=t)
-    for t in (8, 16, 32)}}
+    for t in (8, 16, 32)},
+    # Widths that are not a multiple of 8 leave the top bits of the tag's
+    # first byte zero.
+    "crc12": ProtectionScheme(SCHEME_CRC, crc_params=CrcParams(
+        "crc12", 12, 0x80F, 0, 0, False, False)),
+    "crc5": ProtectionScheme(SCHEME_CRC, crc_params=CrcParams(
+        "crc5", 5, 0x05, 0x1F, 0x1F, True, True))}
 
 # Every scheme whose tag is recomputed and compared, with the reason a
 # right-length tag that does not match is rejected for.
 RECOMPUTED = {"none": None, "parity": BAD_PARITY, "crc8": BAD_CRC,
-              "crc32": BAD_CRC, "codedsig": BAD_RESIDUE,
+              "crc32": BAD_CRC, "crc12": BAD_CRC, "crc5": BAD_CRC,
+              "codedsig": BAD_RESIDUE,
               "hmac-8": BAD_TAG, "hmac-16": BAD_TAG, "hmac-32": BAD_TAG}
 GENUINE = Telegram(4, 9, b"vital payload")
 
@@ -333,6 +348,24 @@ class TestNoise:
             while bits % 2 == 0:
                 bits //= 2
             assert bits == (1 << 9) - 1
+        # The exact bytes and stream of the per-bit loop, bit 0 being the
+        # most significant bit of byte 0.
+        for size in (0, 1, 2, 8, 85):
+            nbits = 8 * size
+            for length in (0, 1, 7, 8, 9, 17, 64, nbits, nbits + 5):
+                threat = Threat("burst", length=length)
+                for seed in range(30):
+                    data = random.Random(seed).randbytes(size)
+                    rng, ref_rng = random.Random(seed), random.Random(seed)
+                    noisy = apply_channel_noise(data, threat, rng)
+                    run = min(length, nbits)
+                    expected = bytearray(data)
+                    if run:
+                        start = ref_rng.randrange(nbits - run + 1)
+                        for pos in range(start, start + run):
+                            expected[pos // 8] ^= 1 << (7 - pos % 8)
+                    assert noisy == bytes(expected), (size, length, seed)
+                    assert rng.getstate() == ref_rng.getstate()
 
     def test_deterministic_under_seed(self):
         data = bytes(range(100))
