@@ -29,7 +29,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .coded_core import (CodeKey, CodedValue, FunctionalOverflow, check,
-                         encode, opel_add, opel_mul, opel_sub, opel_move)
+                         coded_value, encode, opel_add, opel_mul, opel_sub,
+                         opel_move)
 from .dsl import ADD, MUL, SUB, interpret
 from .sigtool import CodedProgram, SignatureTable
 from .stats import (ConfigError, report_json, run_trials, trial_rng,
@@ -99,7 +100,7 @@ def _flip_functional_bit(v: CodedValue, bit: int) -> CodedValue:
     word ^= 1 << bit
     if word >= 1 << (FUNCTIONAL_BITS - 1):
         word -= 1 << FUNCTIONAL_BITS
-    return CodedValue(word, v.c)
+    return coded_value(word, v.c)
 
 
 def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
@@ -164,13 +165,13 @@ def inject_fault(values: dict[str, CodedValue], cycle: int,
         values[name] = _flip_functional_bit(values[name], spec.bit)
     elif spec.model == F2:
         v = values[name]
-        values[name] = CodedValue(v.x, v.c ^ (1 << spec.bit))
+        values[name] = coded_value(v.x, v.c ^ (1 << spec.bit))
     elif spec.model == F3:
         values[name] = values[spec.donor]
     elif spec.model == F4:
         v = values[name]
         stale_term = (cycle - spec.staleness) % a
-        values[name] = CodedValue(
+        values[name] = coded_value(
             v.x, (v.x + table.signatures[name] + stale_term) % a)
     elif spec.model == F5:
         i = spec.instruction
@@ -180,7 +181,7 @@ def inject_fault(values: dict[str, CodedValue], cycle: int,
         rows = rows[:i] + (tuple(row),) + rows[i + 1:]
     else:  # F6
         x = rng.getrandbits(FUNCTIONAL_BITS) - (1 << (FUNCTIONAL_BITS - 1))
-        values[name] = CodedValue(x, rng.randrange(a))
+        values[name] = coded_value(x, rng.randrange(a))
     return rows
 
 

@@ -2,7 +2,11 @@
 
 A campaign is `trials` independent trials.  Trial i of a stream draws
 only from `trial_rng(stream, i)`, so its outcome depends on nothing but
-the stream name and its index, never on execution order.  The campaign
+the stream name and its index, never on execution order.  That generator
+is counter-mode BLAKE2b keyed by `"{stream}:{i}"` (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), not a seeded
+Mersenne Twister: deriving it costs one hash, not a 624-word seeding,
+and any trial can be computed alone, on any worker.  The campaign
 modules keep only their trial bodies: `run_trials` rejects a count below
 one and tallies the outcome each body returns, and `report_json` writes
 a report as JSON with sorted keys, so a fixed seed gives a
@@ -14,8 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from collections import Counter
+
+# The built-in module, not hashlib: hashlib loads OpenSSL's _hashlib.
+from _blake2 import blake2b
 
 
 class ConfigError(ValueError):
@@ -40,9 +46,87 @@ def check_trials(trials: int) -> int:
     return trials
 
 
-def trial_rng(stream: str, index: int) -> random.Random:
-    # String seeding hashes deterministically across runs and processes.
-    return random.Random(f"{stream}:{index}")
+_BLOCK_0 = bytes(8)  # the counter of block 0
+
+
+class TrialStream:
+    """The random bits of one trial: BLAKE2b in counter mode.
+
+    Block n is the 64-byte BLAKE2b digest of the key followed by n as
+    8 little-endian bytes.  The stream is the blocks' bits in order, each
+    block read as a little-endian integer, and draws take them least
+    significant first.  The methods are the subset of `random.Random`
+    that the campaigns call, with CPython's conversions for `random` and
+    `randbytes`, so functions taking an rng accept either.
+    """
+
+    __slots__ = ("_key", "_counter", "_pool", "_bits")
+
+    def __init__(self, key: bytes):
+        # Every trial draws, so block 0 is hashed up front.  The digest
+        # size is left at blake2b's default, 64 bytes: passing it as a
+        # keyword nearly doubles the cost of a block.
+        self._key = key
+        self._counter = 1
+        self._pool = int.from_bytes(blake2b(key + _BLOCK_0).digest(),
+                                    "little")
+        self._bits = 512
+
+    def getrandbits(self, k: int) -> int:
+        """The next k bits of the stream as an integer in [0, 2**k)."""
+        bits = self._bits
+        if 0 <= k <= bits:
+            pool = self._pool
+            self._pool = pool >> k
+            self._bits = bits - k
+            return pool & ((1 << k) - 1)
+        if k < 0:
+            raise ValueError("number of bits must be non-negative")
+        pool, key, n = self._pool, self._key, self._counter
+        while bits < k:
+            block = blake2b(key + n.to_bytes(8, "little")).digest()
+            pool |= int.from_bytes(block, "little") << bits
+            bits += 512
+            n += 1
+        self._counter = n
+        self._pool = pool >> k
+        self._bits = bits - k
+        return pool & ((1 << k) - 1)
+
+    def random(self) -> float:
+        """Uniform float in [0, 1) from the next 53 bits."""
+        bits = self._bits
+        if bits >= 53:
+            pool = self._pool
+            self._pool = pool >> 53
+            self._bits = bits - 53
+            return (pool & 0x1FFFFFFFFFFFFF) * 2 ** -53
+        return self.getrandbits(53) * 2 ** -53
+
+    def randrange(self, start: int, stop: int | None = None) -> int:
+        """Uniform integer in [start, stop), or [0, start) given one bound.
+
+        Rejection sampling on (stop - start - 1).bit_length() bits keeps
+        every value equally likely.
+        """
+        if stop is None:
+            start, stop = 0, start
+        n = stop - start
+        if n <= 0:
+            raise ValueError(f"empty range in randrange({start}, {stop})")
+        k = (n - 1).bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return start + r
+
+    def randbytes(self, n: int) -> bytes:
+        """The next 8 * n bits as n little-endian bytes."""
+        return self.getrandbits(8 * n).to_bytes(n, "little")
+
+
+def trial_rng(stream: str, index: int) -> TrialStream:
+    return TrialStream(f"{stream}:{index}".encode())
 
 
 def run_trials(trials: int, body) -> Counter:

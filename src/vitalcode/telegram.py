@@ -300,6 +300,11 @@ class Threat:
         self.label = label
 
 
+# Random byte b -> codeword_flip mask.  b % 7 is uniform for b < 252;
+# a byte at or above 252 maps to 0 and is drawn again.
+_CODEWORD_FLIP = bytes(1 << b % 7 if b < 252 else 0 for b in range(256))
+
+
 def _fresh_payload(telegram: Telegram, rng: random.Random) -> Telegram:
     return Telegram(telegram.seq, telegram.date,
                     rng.randbytes(len(telegram.payload)))
@@ -354,8 +359,14 @@ def apply_channel_noise(data: bytes, threat: Threat,
     telegram, scheme_id, tag = parse_wire(data)
     if kind == "random_payload":
         return serialize_wire(_fresh_payload(telegram, rng), scheme_id, tag)
-    flipped = bytes(b ^ (1 << rng.randrange(7)) for b in tag)
-    return serialize_wire(telegram, scheme_id, flipped)
+    masks = bytearray(rng.randbytes(len(tag)).translate(_CODEWORD_FLIP))
+    i = masks.find(0)
+    while i >= 0:
+        masks[i] = _CODEWORD_FLIP[rng.getrandbits(8)]
+        i = masks.find(0, i)
+    flipped = int.from_bytes(tag, "little") ^ int.from_bytes(masks, "little")
+    return serialize_wire(telegram, scheme_id,
+                          flipped.to_bytes(len(tag), "little"))
 
 
 @dataclass(frozen=True)

@@ -178,10 +178,27 @@ class TestKeyHandling:
 
 def test_openssl_not_loaded():
     # hashlib and hmac load OpenSSL's _hashlib, which costs ~3.5 MB of
-    # resident memory in every campaign process.
-    code = ("import sys, vitalcode.cli, vitalcode.campaign, "
-            "vitalcode.telegram, vitalcode.sigtool; "
-            "print('_hashlib' in sys.modules)")
+    # resident memory in every campaign process.  Running one campaign of
+    # each kind exercises every trial generator and MAC path.
+    code = """
+import sys, vitalcode.cli, vitalcode.telegram
+from vitalcode import campaign, coded_runtime, dsl, redundancy, sigtool
+from vitalcode.coded_core import make_key
+key = make_key(251)
+table, program = sigtool.build(
+    dsl.parse_program("input a; input b; s = a * b; output s;"), key, 1)
+coded_runtime.run_campaign(program, table, key, coded_runtime.FAULT_MODELS,
+                           20, seed=1)
+redundancy.redundancy_campaign(
+    redundancy.VoteConfig(redundancy.MAJORITY, 0.1, 0.1), 20, seed=1)
+campaign.run_channel_campaign(campaign.parse_config({
+    "schemes": ["crc32-ieee", "hamming74", "hmac-32"],
+    "threats": [{"kind": "bit_error", "rate": 0.01},
+                {"kind": "codeword_flip"}, {"kind": "forge"},
+                {"kind": "brute_force", "attempts": 5}],
+    "trials": 5, "seed": 1, "mac_key": "0c" * 16}))
+print('_hashlib' in sys.modules)
+"""
     src = os.path.dirname(os.path.dirname(vitalcode.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -108,23 +108,23 @@ CASES = {
 
 DIGESTS = {
     "channel-csv":
-        "74dfffc59262edce21453d2bd342125ccef4beab26f219144c0824e0a1b66c66",
+        "06f5f5ec6f8d46352c56ed8a6dad6d04606ce0d33cc4dac6a16d6847b86731cc",
     "channel-json":
-        "ac387865008802df27f9bbcbf2c5011badcc297e4875fd08f297949e0ab6f7b9",
+        "de54e6470701eef2c738ebd630d52cf06a72fda9358e810609fe9d3909c08623",
     "inject-13-all":
-        "5a74e85977c5cabd73785f41c59a99c5256174dbaf8dd3338a0a80b2affb5e16",
+        "9fb02008da1e0645a793307d5900f3dd2a60fcdcd3c1cddd6d12477eab8e5c79",
     "inject-251-F3F5":
-        "7fa323374732c69b16b7b24b8e1fdf569293a634704bd447b5ed6c803b558927",
+        "9c2cf2e1538a9ddeb9ee1f6f513e5c01a81e180c8120f4563c197ac20d9619f7",
     "inject-mersenne-none":
         "ac689a21985a2ea385a78e94d9041cb5fca3a5b1fb888e3ce50f78e0fcffdd07",
     "inject-mixed-251":
-        "02274d8113051d8599f88a019f17b61250d7881580100ccf355ced1ad71273a5",
+        "bc4c8c572b87f9a09b8547d59f0e554c904a5b0e7cb5e0d20dcc8229c9bdd4be",
     "inject-mixed-mersenne":
-        "b970fb02488c956cbbbcec8b9eba2b660a06676aa2438401fb02ad0d0b080cd2",
+        "e532aa64df78396fca04cc73f60d01aeca2b7e14e2d051f17cec012780fb500c",
     "inject-overflow-251":
-        "f2b6f4dc3d3e6df064feea45b8273adf18c32fc1bb7e7181f24684e482bc2dcb",
+        "50451784586295c8d9e835bdf4e28dab379065728c96d9500ac05df3479aee32",
     "inject-overflow-mersenne":
-        "72e7be8201042b6de413288aeff5e91b79a528155a6bf0ba81658b2acbe849f0",
+        "778263820506fda56f68372cc426987606163b06a6a61518ae38a465946d7c79",
     "run-accept":
         "393aace4b9bd7b85f3edb805429d50348c0195ed72a0cd770cd799f4bc11b176",
     "run-safe-halt":
@@ -134,9 +134,9 @@ DIGESTS = {
     "prom-mixed-mersenne":
         "7ae4e577b87c399e545969bb5617b53c792072d84648dd36d7d37d058c74cfe1",
     "redundancy-majority":
-        "f8b7a1dad89719ebaa9dac78c717d54296cb5321de657efc22e3f66ce0baab90",
+        "e2ec8b0c9c7eb8a9e2a9e7707f1553521ef9b93f15bf369665c06ad6d4734217",
     "redundancy-unanimity":
-        "4db188af352459103c22167a182c11cb99fc2bc9d514ec645a231b8e25c091cf",
+        "9227275ebb0a93e8c5e26cc7e16299ee0f913f94216ea8c6af9fc983df4ae113",
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from vitalcode.channel_codes import CRC8_ATM, CRC32_IEEE, CrcParams
 from vitalcode.coded_core import make_key
 from vitalcode.mac import MacKey
-from vitalcode.stats import wilson_interval
+from vitalcode.stats import trial_rng, wilson_interval
 from vitalcode.telegram import (ACCEPT, ATTACK_THREATS, BAD_CRC, BAD_PARITY,
                                 BAD_RESIDUE, BAD_TAG, CORRECTED, MALFORMED,
                                 NOISE_THREATS, REJECT, REPLAYED_SEQ,
@@ -537,6 +537,22 @@ class TestNoise:
             assert len(tag) == len(true_tag)
             assert all(a ^ b in (1, 2, 4, 8, 16, 32, 64)
                        for a, b in zip(tag, true_tag))
+
+    def test_codeword_flip_bit_positions_uniform(self):
+        # 3,000 frames of 128 tag bytes under the campaigns' generator:
+        # each of the 7 low bits is the flipped one in 1/7 of the bytes.
+        wire = protect_telegram(Telegram(1, 1, bytes(64)),
+                                SCHEMES["hamming"])
+        true_tag = parse_wire(wire)[2]
+        counts = [0] * 7
+        for i in range(3000):
+            noisy = apply_channel_noise(wire, Threat("codeword_flip"),
+                                        trial_rng("codeword-flip", i))
+            for a, b in zip(parse_wire(noisy)[2], true_tag):
+                counts[(a ^ b).bit_length() - 1] += 1
+        for bit, k in enumerate(counts):
+            lo, hi = wilson_interval(k, 3000 * len(true_tag), z=3.89)
+            assert lo <= 1 / 7 <= hi, bit
 
 
 class TestAttacks:
