@@ -1,12 +1,13 @@
 """Arithmetic-coded data and the elementary operations that preserve it.
 
-A coded value carries its functional integer x alongside a code residue
-c = (x + B + D) mod A, where A is a prime code key, B a per-variable
-static signature and D the cycle-date term, the integer cycle counter
-mod A.  Dates A cycles apart alias, so data staler than that is invisible
-to the date mechanism by construction.  Every elementary operation
-(add, sub, mul, move) updates the code channel with offline-precomputed
-compensation constants so that a well-formed input yields a well-formed
+A coded value is the plain tuple (x, c): the functional integer x and
+its code residue c = (x + B + D) mod A, where A is a prime code key, B a
+per-variable static signature and D the cycle-date term, the integer
+cycle counter mod A.  Dates A cycles apart alias, so data staler than
+that is invisible to the date mechanism by construction.  Every
+elementary operation (add, sub, mul, move) updates the code channel with
+offline-precomputed compensation constants, each needed only up to
+congruence mod A, so that a well-formed input yields a well-formed
 output for the destination signature.  A corruption of either channel
 survives an end check only if its delta happens to be a multiple of A.
 """
@@ -14,7 +15,6 @@ survives an end check only if its delta happens to be a multiple of A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -97,54 +97,49 @@ def residue(n: int, key: CodeKey) -> int:
     return n % key.modulus
 
 
-class CodedValue(NamedTuple):
-    """Functional integer plus its code residue."""
-
-    x: int
-    c: int
-
-
-def coded_value(x: int, c: int) -> CodedValue:
-    """CodedValue(x, c) for about two thirds of the cost of calling the
-    class, whose generated `__new__` runs behind `type.__call__`; every
-    cycle builds dozens."""
-    return tuple.__new__(CodedValue, (x, c))
+# A coded value is the plain pair (x, c): an exact tuple, because
+# CPython builds and unpacks those without a call.
+CodedValue = tuple[int, int]
 
 
 def encode(x: int, signature: int, date: int, key: CodeKey) -> CodedValue:
     """Attach the code residue for a trusted plain value at cycle `date`."""
     if not (INT64_MIN <= x <= INT64_MAX):
         raise FunctionalOverflow(f"value {x} outside 64-bit signed range")
-    return coded_value(x, (x + signature + date) % key.modulus)
+    return x, (x + signature + date) % key.modulus
 
 
 def check(v: CodedValue, signature: int, date: int, key: CodeKey) -> bool:
     """True iff v is well-formed for the given signature and cycle date."""
-    return v.c == (v.x + signature + date) % key.modulus
+    x, c = v
+    return c == (x + signature + date) % key.modulus
 
 
-# OPELs take their compensation residues as plain ints and range-test
-# every functional result.
+# OPELs take their compensation constants as plain ints, range-test every
+# functional result and reduce the code field once, so a constant need
+# only be congruent to its residue mod A.
 def opel_add(v1: CodedValue, v2: CodedValue, k: int,
              key: CodeKey) -> CodedValue:
     """Coded addition.
 
-    k must be residue(B3 - B1 - B2 - D).  The code field is computed from
-    c1, c2 and k only; the functional fields never enter the code channel.
+    k ≡ B3 - B1 - B2 - D (mod A).  The code field is computed from c1, c2
+    and k only; the functional fields never enter the code channel.
     """
-    x = v1.x + v2.x
+    (x1, c1), (x2, c2) = v1, v2
+    x = x1 + x2
     if not INT64_MIN <= x <= INT64_MAX:
         raise FunctionalOverflow(f"result {x} outside 64-bit signed range")
-    return coded_value(x, (v1.c + v2.c + k) % key.modulus)
+    return x, (c1 + c2 + k) % key.modulus
 
 
 def opel_sub(v1: CodedValue, v2: CodedValue, k: int,
              key: CodeKey) -> CodedValue:
-    """Coded subtraction; k must be residue(B3 - B1 + B2 + D)."""
-    x = v1.x - v2.x
+    """Coded subtraction; k ≡ B3 - B1 + B2 + D (mod A)."""
+    (x1, c1), (x2, c2) = v1, v2
+    x = x1 - x2
     if not INT64_MIN <= x <= INT64_MAX:
         raise FunctionalOverflow(f"result {x} outside 64-bit signed range")
-    return coded_value(x, (v1.c - v2.c + k) % key.modulus)
+    return x, (c1 - c2 + k) % key.modulus
 
 
 def opel_mul(v1: CodedValue, v2: CodedValue, t1: int, t2: int, km: int,
@@ -153,18 +148,19 @@ def opel_mul(v1: CodedValue, v2: CodedValue, t1: int, t2: int, km: int,
 
     Residue codes are not multiplicatively closed under additive
     signatures, so the code channel consumes the functional values through
-    the cross terms x1*t2 and x2*t1, with t1 = residue(B1 + D),
-    t2 = residue(B2 + D) and km = residue(B3 + D - t1*t2).  A corruption
-    of x1 by delta leaves a residual delta*c2 mod A in the end check,
-    nonzero for prime A whenever c2 is not a multiple of A.
+    the cross terms x1*t2 and x2*t1, with t1 ≡ B1 + D, t2 ≡ B2 + D and
+    km ≡ B3 + D - t1*t2 (mod A).  A corruption of x1 by delta leaves a
+    residual delta*c2 mod A in the end check, nonzero for prime A whenever
+    c2 is not a multiple of A.
     """
-    x = v1.x * v2.x
+    (x1, c1), (x2, c2) = v1, v2
+    x = x1 * x2
     if not INT64_MIN <= x <= INT64_MAX:
         raise FunctionalOverflow(f"result {x} outside 64-bit signed range")
-    return coded_value(x, (v1.c * v2.c - v1.x * t2 - v2.x * t1 + km)
-                       % key.modulus)
+    return x, (c1 * c2 - x1 * t2 - x2 * t1 + km) % key.modulus
 
 
 def opel_move(v: CodedValue, k: int, key: CodeKey) -> CodedValue:
-    """Re-signature on assignment; k must be residue(B_dst - B_src)."""
-    return coded_value(v.x, (v.c + k) % key.modulus)
+    """Re-signature on assignment; k ≡ B_dst - B_src (mod A)."""
+    x, c = v
+    return x, (c + k) % key.modulus

@@ -24,17 +24,15 @@ Fault models (one mutation per trial):
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .coded_core import (CodeKey, CodedValue, FunctionalOverflow, check,
-                         coded_value, encode, opel_add, opel_mul, opel_sub,
-                         opel_move)
+                         encode, opel_add, opel_mul, opel_sub, opel_move)
 from .dsl import ADD, MUL, SUB, interpret
 from .sigtool import CodedProgram, SignatureTable
-from .stats import (ConfigError, report_json, run_trials, trial_rng,
-                    wilson_interval)
+from .stats import (ConfigError, TrialStream, report_json, run_trials,
+                    trial_rng, wilson_interval)
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -96,15 +94,15 @@ class CycleResult:
 
 
 def _flip_functional_bit(v: CodedValue, bit: int) -> CodedValue:
-    word = v.x & ((1 << FUNCTIONAL_BITS) - 1)
-    word ^= 1 << bit
+    x, c = v
+    word = (x & ((1 << FUNCTIONAL_BITS) - 1)) ^ (1 << bit)
     if word >= 1 << (FUNCTIONAL_BITS - 1):
         word -= 1 << FUNCTIONAL_BITS
-    return coded_value(word, v.c)
+    return word, c
 
 
 def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
-                   rng: random.Random | None) -> FaultSpec:
+                   rng: TrialStream | None) -> FaultSpec:
     """Fill every unset selector of `spec`, drawing from `rng`.
 
     Draw order per model: F1/F2 variable then bit; F3 output then donor
@@ -148,7 +146,7 @@ def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
 def inject_fault(values: dict[str, CodedValue], cycle: int,
                  program: CodedProgram, table: SignatureTable, key: CodeKey,
                  spec: FaultSpec,
-                 rng: random.Random | None) -> tuple[tuple, ...]:
+                 rng: TrialStream | None) -> tuple[tuple, ...]:
     """Apply one resolved fault (every selector set) at its injection point.
 
     F1-F4 and F6 mutate the cycle's live `values` in place.  Returns the
@@ -164,15 +162,14 @@ def inject_fault(values: dict[str, CodedValue], cycle: int,
     if spec.model == F1:
         values[name] = _flip_functional_bit(values[name], spec.bit)
     elif spec.model == F2:
-        v = values[name]
-        values[name] = coded_value(v.x, v.c ^ (1 << spec.bit))
+        x, c = values[name]
+        values[name] = x, c ^ (1 << spec.bit)
     elif spec.model == F3:
         values[name] = values[spec.donor]
     elif spec.model == F4:
-        v = values[name]
-        stale_term = (cycle - spec.staleness) % a
-        values[name] = coded_value(
-            v.x, (v.x + table.signatures[name] + stale_term) % a)
+        x = values[name][0]
+        values[name] = x, (x + table.signatures[name] + cycle
+                           - spec.staleness) % a
     elif spec.model == F5:
         i = spec.instruction
         row = list(rows[i])
@@ -181,14 +178,14 @@ def inject_fault(values: dict[str, CodedValue], cycle: int,
         rows = rows[:i] + (tuple(row),) + rows[i + 1:]
     else:  # F6
         x = rng.getrandbits(FUNCTIONAL_BITS) - (1 << (FUNCTIONAL_BITS - 1))
-        values[name] = coded_value(x, rng.randrange(a))
+        values[name] = x, rng.randrange(a)
     return rows
 
 
 def run_cycle(program: CodedProgram, table: SignatureTable,
               inputs: dict[str, int], cycle: int, key: CodeKey,
               fault: FaultSpec | None = None,
-              rng: random.Random | None = None) -> CycleResult:
+              rng: TrialStream | None = None) -> CycleResult:
     """Execute one cycle; publish outputs only if every check accepts.
 
     With a fault spec, its unset selectors are drawn from `rng` before
@@ -225,17 +222,18 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
                 inject_fault(values, cycle, program, table, key, fault, rng)
 
         # Fold the date term d in, as documented on sigtool.predetermine.
+        # The OPELs reduce their results, so the constants stay unreduced.
         for op, name, src1, src2, kappa, b1, b2, b3 in rows:
             if op == ADD:
                 values[name] = opel_add(values[src1], values[src2],
-                                        (kappa - d) % a, key)
+                                        kappa - d, key)
             elif op == SUB:
                 values[name] = opel_sub(values[src1], values[src2],
-                                        (kappa + d) % a, key)
+                                        kappa + d, key)
             elif op == MUL:
                 t1, t2 = (b1 + d) % a, (b2 + d) % a
                 values[name] = opel_mul(values[src1], values[src2], t1, t2,
-                                        (b3 + d - t1 * t2) % a, key)
+                                        b3 + d - t1 * t2, key)
             else:
                 values[name] = opel_move(values[src1], kappa, key)
             if name == struck:
@@ -249,7 +247,7 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     for name in ir.outputs:
         if not check(values[name], sigs[name], cycle, key):
             return CycleResult(REJECT, None, OUTPUT_INCOHERENT, name)
-    return CycleResult(ACCEPT, {name: values[name].x for name in ir.outputs})
+    return CycleResult(ACCEPT, {name: values[name][0] for name in ir.outputs})
 
 
 _OUTCOMES = ("detected", "undetected_wrong_output", "benign")
@@ -295,14 +293,14 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
     ConfigError before the first trial.
     """
     models = list(models)
+    stream = f"vitalcode:{seed}"
     for m in models:
         try:
-            _resolve_fault(FaultSpec(m), program, key, random.Random(0))
+            _resolve_fault(FaultSpec(m), program, key, trial_rng(stream, 0))
         except UnresolvableTarget as exc:
             raise ConfigError(f"fault model {m} cannot strike this program "
                               f"({exc})", "models") from None
     ir = program.ir
-    stream = f"vitalcode:{seed}"
 
     def trial(i):
         rng = trial_rng(stream, i)

@@ -17,7 +17,7 @@ from vitalcode.channel_codes import (CRC32_IEEE, CRC8_ATM, crc_check,
                                      crc_compute, hamming74_decode,
                                      hamming74_encode)
 from vitalcode.cli import EXIT_OK, main
-from vitalcode.coded_core import CodedValue, check, encode, make_key
+from vitalcode.coded_core import check, encode, make_key
 from vitalcode.coded_runtime import (ACCEPT, REJECT, FaultSpec, run_campaign,
                                      run_cycle)
 from vitalcode.dsl import interpret, parse_program
@@ -57,9 +57,9 @@ def test_01_undetected_rate_one_over_key(capfd):
         small = make_key(13)
         signature = 7
         date = 9
-        value = encode(1005, signature, date, small)
+        x, c = encode(1005, signature, date, small)
         for delta in range(-2600, 2601):
-            corrupted = CodedValue(value.x + delta, value.c)
+            corrupted = (x + delta, c)
             passes = check(corrupted, signature, date, small)
             assert passes == (delta % 13 == 0), delta
 

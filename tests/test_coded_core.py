@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from vitalcode.coded_core import (CodedValue, FunctionalOverflow,
-                                  NotPrimeError, OutOfRangeError, check,
-                                  encode, make_key, opel_add, opel_move,
-                                  opel_mul, opel_sub, residue)
+from vitalcode.coded_core import (FunctionalOverflow, NotPrimeError,
+                                  OutOfRangeError, check, encode, make_key,
+                                  opel_add, opel_move, opel_mul, opel_sub,
+                                  residue)
 
 A13 = make_key(13)
 
@@ -46,20 +46,20 @@ class TestMakeKey:
 
 class TestEncodeCheck:
     def test_encode_example(self):
-        assert encode(7, 5, 0, A13) == CodedValue(7, 12)
+        assert encode(7, 5, 0, A13) == (7, 12)
 
     def test_all_zero(self):
-        assert encode(0, 0, 0, A13) == CodedValue(0, 0)
+        assert encode(0, 0, 0, A13) == (0, 0)
 
     def test_with_date(self):
-        assert encode(20, 5, 3, A13) == CodedValue(20, 2)
+        assert encode(20, 5, 3, A13) == (20, 2)
 
     def test_check_accepts_encode(self):
-        assert check(CodedValue(7, 12), 5, 0, A13)
-        assert check(CodedValue(0, 0), 0, 0, A13)
+        assert check((7, 12), 5, 0, A13)
+        assert check((0, 0), 0, 0, A13)
 
     def test_check_rejects_corruption(self):
-        assert not check(CodedValue(8, 12), 5, 0, A13)
+        assert not check((8, 12), 5, 0, A13)
 
     @given(st.integers(min_value=-10**6, max_value=10**6),
            st.integers(min_value=0, max_value=12),
@@ -87,19 +87,19 @@ class TestOpelAdd:
         v1 = encode(7, 5, 0, A13)
         v2 = encode(3, 2, 0, A13)
         out = opel_add(v1, v2, kadd(9, 5, 2, 0), A13)
-        assert out == CodedValue(10, 6)
+        assert out == (10, 6)
         assert check(out, 9, 0, A13)
 
     def test_all_zero(self):
-        out = opel_add(CodedValue(0, 0), CodedValue(0, 0), 0, A13)
-        assert out == CodedValue(0, 0)
+        out = opel_add((0, 0), (0, 0), 0, A13)
+        assert out == (0, 0)
 
     def test_with_date(self):
         v1 = encode(4, 3, 1, A13)
         v2 = encode(6, 7, 1, A13)
-        assert v1 == CodedValue(4, 8) and v2 == CodedValue(6, 1)
+        assert v1 == (4, 8) and v2 == (6, 1)
         out = opel_add(v1, v2, kadd(2, 3, 7, 1), A13)
-        assert out == CodedValue(10, 0)
+        assert out == (10, 0)
         assert check(out, 2, 1, A13)
 
     def test_overflow_raises(self):
@@ -112,9 +112,9 @@ class TestOpelAdd:
         # Same code fields with different functional fields must produce
         # identical output codes.
         k = kadd(9, 5, 2, 0)
-        a = opel_add(CodedValue(7, 12), CodedValue(3, 5), k, A13)
-        b = opel_add(CodedValue(70, 12), CodedValue(31, 5), k, A13)
-        assert a.c == b.c
+        _, c_a = opel_add((7, 12), (3, 5), k, A13)
+        _, c_b = opel_add((70, 12), (31, 5), k, A13)
+        assert c_a == c_b
 
 
 class TestOpelSub:
@@ -124,12 +124,12 @@ class TestOpelSub:
         k = ksub(1, 5, 2, 0)
         assert k == 11
         out = opel_sub(v1, v2, k, A13)
-        assert out == CodedValue(4, 5)
+        assert out == (4, 5)
         assert check(out, 1, 0, A13)
 
     def test_self_difference(self):
         v = encode(9, 0, 0, A13)
-        assert opel_sub(v, v, 0, A13) == CodedValue(0, 0)
+        assert opel_sub(v, v, 0, A13) == (0, 0)
 
     def test_date_shift_detected(self):
         v1 = encode(7, 5, 1, A13)
@@ -146,16 +146,16 @@ class TestOpelMul:
         t1, t2, km = kmul(4, 5, 2, 0)
         assert (t1, t2, km) == (5, 2, 7)
         out = opel_mul(v1, v2, t1, t2, km, A13)
-        assert out == CodedValue(21, 12)
+        assert out == (21, 12)
         assert check(out, 4, 0, A13)
 
     def test_zero_signature_identity(self):
-        one = CodedValue(1, 1)
+        one = (1, 1)
         out = opel_mul(one, one, 0, 0, 0, A13)
-        assert out == CodedValue(1, 1)
+        assert out == (1, 1)
 
     def test_corrupted_operand_detected(self):
-        v1 = CodedValue(8, 12)  # functional corrupted from 7
+        v1 = (8, 12)  # functional corrupted from 7
         v2 = encode(3, 2, 0, A13)
         t1, t2, km = kmul(4, 5, 2, 0)
         out = opel_mul(v1, v2, t1, t2, km, A13)
@@ -167,7 +167,7 @@ class TestOpelMove:
     def test_resignature(self):
         v = encode(7, 5, 0, A13)
         out = opel_move(v, 4, A13)
-        assert out == CodedValue(7, 3)
+        assert out == (7, 3)
         assert check(out, 9, 0, A13)
 
     def test_identity_move(self):
@@ -189,16 +189,29 @@ class TestSoundness:
            st.integers(min_value=0, max_value=12),
            st.integers(min_value=0, max_value=12),
            st.integers(min_value=0, max_value=12),
-           st.integers(min_value=0, max_value=12))
-    def test_every_opel_preserves_coherence(self, x1, x2, b1, b2, b3, d):
+           st.integers(min_value=0, max_value=12),
+           st.integers(min_value=-3, max_value=3))
+    def test_every_opel_preserves_coherence(self, x1, x2, b1, b2, b3, d, m):
+        # Each compensation constant is also passed as k + m*A: an OPEL
+        # reduces its result once, so a congruent constant gives the same
+        # exact pair.  run_cycle passes its constants unreduced.
         v1 = encode(x1, b1, d, A13)
         v2 = encode(x2, b2, d, A13)
-        assert check(opel_add(v1, v2, kadd(b3, b1, b2, d), A13), b3, d, A13)
-        assert check(opel_sub(v1, v2, ksub(b3, b1, b2, d), A13), b3, d, A13)
         t1, t2, km = kmul(b3, b1, b2, d)
-        assert check(opel_mul(v1, v2, t1, t2, km, A13), b3, d, A13)
+        for opel, ks in ((opel_add, (kadd(b3, b1, b2, d),)),
+                         (opel_sub, (ksub(b3, b1, b2, d),)),
+                         (opel_mul, (t1, t2, km))):
+            out = opel(v1, v2, *ks, A13)
+            assert check(out, b3, d, A13)
+            shifted = opel(v1, v2, *(k + m * 13 for k in ks), A13)
+            assert type(shifted) is tuple and shifted == out
+            assert 0 <= shifted[1] < 13
         move_k = (b3 - b1) % 13
-        assert check(opel_move(v1, move_k, A13), b3, d, A13)
+        out = opel_move(v1, move_k, A13)
+        assert check(out, b3, d, A13)
+        shifted = opel_move(v1, move_k + m * 13, A13)
+        assert type(shifted) is tuple and shifted == out
+        assert 0 <= shifted[1] < 13
 
     def test_exhaustive_small_key(self):
         # All x in a band, all signature triples, fixed date: ADD stays
@@ -216,9 +229,9 @@ class TestSoundness:
 
 class TestErrorDetection:
     def test_delta_detected_iff_not_multiple_of_key(self):
-        v = encode(42, 7, 4, A13)
+        x, c = encode(42, 7, 4, A13)
         for delta in range(-260, 261):
-            corrupted = CodedValue(v.x + delta, v.c)
+            corrupted = (x + delta, c)
             assert check(corrupted, 7, 4, A13) == (delta % 13 == 0)
 
     def test_operand_substitution(self):

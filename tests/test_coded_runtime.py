@@ -16,7 +16,7 @@ from vitalcode.sigtool import DuplicateSignatureWarning, build
 from vitalcode.coded_core import (INT64_MAX, INT64_MIN, FunctionalOverflow,
                                   check, encode, make_key, opel_add,
                                   opel_move, opel_mul, opel_sub)
-from vitalcode.stats import binomial_sigma
+from vitalcode.stats import binomial_sigma, trial_rng
 
 
 class TestRunCycle:
@@ -150,6 +150,55 @@ class TestFaultModels:
                 assert i == idx
                 assert slot in ((5, 6, 7) if old[0] == MUL else (4,))
                 assert (rows[i][slot] - old[slot]) % 251 != 0
+
+    def test_inject_fault_mutates_the_pair(self):
+        # Each model's effect on the coded pairs, checked field by field
+        # on a resolved spec; F1-F4 draw nothing from the stream.
+        ir, key, table, program = build_sample(2**31 - 1)
+        a, sigs, cycle = key.modulus, table.signatures, 1_000_003
+        names = program.sorted_variables
+        plain = [INT64_MIN, -1, 0, 1, INT64_MAX, -123456789, 987654321]
+        before = {name: encode(plain[i % len(plain)], sigs[name], cycle, key)
+                  for i, name in enumerate(names)}
+        word = (1 << FUNCTIONAL_BITS) - 1
+
+        def strike(spec, stream="inject"):
+            values = dict(before)
+            rng = trial_rng(stream, 0)
+            rows = inject_fault(values, cycle, program, table, key, spec, rng)
+            assert rows is program.rows
+            assert {n: v for n, v in values.items() if n != spec.variable} \
+                == {n: v for n, v in before.items() if n != spec.variable}
+            struck = values[spec.variable]
+            assert type(struck) is tuple
+            if spec.model != "F6":
+                assert rng.getrandbits(64) \
+                    == trial_rng(stream, 0).getrandbits(64)
+            return struck
+
+        for name in names:
+            x, c = before[name]
+            for bit in (0, 1, 31, 62, 63):
+                fx, fc = strike(FaultSpec("F1", variable=name, bit=bit))
+                assert INT64_MIN <= fx <= INT64_MAX
+                assert fx & word == (x & word) ^ (1 << bit) and fc == c
+            for bit in range(key.bit_width):
+                assert strike(FaultSpec("F2", variable=name, bit=bit)) \
+                    == (x, c ^ (1 << bit))
+            for donor in names:
+                if donor != name:
+                    assert strike(FaultSpec("F3", variable=name,
+                                            donor=donor)) == before[donor]
+            for staleness in (1, 2, a - 1, a, a + 5):
+                stale = encode(x, sigs[name], cycle - staleness, key)
+                assert strike(FaultSpec("F4", variable=name,
+                                        staleness=staleness)) == stale
+            for i in range(3):
+                ref = trial_rng(f"F6:{i}", 0)
+                fx, fc = strike(FaultSpec("F6", variable=name), f"F6:{i}")
+                assert INT64_MIN <= fx <= INT64_MAX and 0 <= fc < a
+                assert fx == ref.getrandbits(FUNCTIONAL_BITS) - (1 << 63)
+                assert fc == ref.randrange(a)
 
     def test_f6_undetected_fraction_near_one_over_key(self):
         ir, key, table, program = build_sample(13)
@@ -378,10 +427,10 @@ class TestCodedExecutionProperty:
                 (x1 * x2, opel_mul, (t1, t2, (b3 + d - t1 * t2) % a))):
             if INT64_MIN <= x <= INT64_MAX:
                 results.append(opel(v1, v2, *args, key))
-                assert results[-1].x == x
+                assert results[-1][0] == x
             else:
                 with pytest.raises(FunctionalOverflow):
                     opel(v1, v2, *args, key)
-        for v in results:
-            assert v.c == (v.x + b3 + d) % a
-            assert check(v, b3, cycle, key)
+        for x, c in results:
+            assert c == (x + b3 + d) % a
+            assert check((x, c), b3, cycle, key)
