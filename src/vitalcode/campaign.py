@@ -16,14 +16,13 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 from . import telegram as tg
 from .channel_codes import CRC_CATALOG
 from .coded_core import CodedCoreError, make_key
 from .mac import MAC_KEY_ENV, MacKey, TAG_LENGTHS
-from .stats import (ConfigError, report_json, run_trials, trial_rng,
-                    wilson_interval)
+from .stats import ConfigError, Outcomes, report_json, run_trials, trial_rng
 # Defined with the transforms that apply them; re-exported for configs.
 from .telegram import ATTACK_THREATS, NOISE_THREATS, Threat
 
@@ -199,27 +198,20 @@ def resolve_mac_key(config: CampaignConfig) -> MacKey | None:
     return None
 
 
-@dataclass(slots=True)
-class CellResult:
-    scheme: str
-    threat: str
-    delivered: int
-    accepted: int
-    rejected: int
-    corrected: int
-    accepted_but_wrong: int
-    miscorrected: int  # corrected to content the sender never emitted
+class CellResult(Outcomes):
+    """The receiver's verdicts on the frames of one (scheme, threat) cell.
 
-    def rates(self) -> dict:
-        n = self.delivered
-        lo, hi = wilson_interval(self.accepted_but_wrong, n)
-        return {
-            "accepted": self.accepted / n,
-            "rejected": self.rejected / n,
-            "corrected": self.corrected / n,
-            "accepted_but_wrong": self.accepted_but_wrong / n,
-            "accepted_but_wrong_ci": [lo, hi],
-        }
+    `accepted` includes `accepted_but_wrong`, and `corrected` includes
+    `miscorrected`: corrected to content the sender never emitted.
+    """
+
+    names = ("accepted", "rejected", "corrected", "accepted_but_wrong",
+             "miscorrected")
+    __slots__ = names + ("scheme", "threat")
+
+    @property
+    def delivered(self) -> int:
+        return self.trials
 
 
 @dataclass
@@ -228,17 +220,20 @@ class ChannelReport:
     config: dict  # echo of the campaign configuration, key redacted
     seed: int
 
+    def rows(self) -> list[dict]:
+        return [{"scheme": c.scheme, "threat": c.threat, **c.row()}
+                for c in self.cells]
+
     def to_json(self) -> str:
-        doc = asdict(self)
-        for row, cell in zip(doc["cells"], self.cells):
-            row["rates"] = cell.rates()
-        return report_json(doc)
+        return report_json(self.config, self.seed, cells=self.rows())
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, [f.name for f in fields(CellResult)])
-        writer.writeheader()
-        writer.writerows(asdict(c) for c in self.cells)
+        writer = csv.writer(buf)
+        writer.writerow(["scheme", "threat", "delivered", *CellResult.names])
+        writer.writerows([r["scheme"], r["threat"], r["trials"],
+                          *(r[name]["count"] for name in CellResult.names)]
+                         for r in self.rows())
         return buf.getvalue()
 
     def cell(self, scheme: str, threat: str) -> CellResult:
@@ -286,13 +281,9 @@ def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
 
     trials = threat.attempts if threat.kind == "brute_force" else config.trials
     tally = run_trials(trials, trial)
-    return CellResult(
-        scheme=scheme_name, threat=threat.label, delivered=trials,
-        accepted=tally["accepted"] + tally["accepted_but_wrong"],
-        rejected=tally["rejected"],
-        corrected=tally["corrected"] + tally["miscorrected"],
-        accepted_but_wrong=tally["accepted_but_wrong"],
-        miscorrected=tally["miscorrected"])
+    tally["accepted"] += tally["accepted_but_wrong"]
+    tally["corrected"] += tally["miscorrected"]
+    return CellResult(trials, tally, scheme=scheme_name, threat=threat.label)
 
 
 def _outcome(result: tg.VerifyResult, original: tg.Telegram | None,

@@ -25,14 +25,14 @@ Fault models (one mutation per trial):
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .coded_core import (CodeKey, CodedValue, FunctionalOverflow, check,
                          encode, opel_add, opel_mul, opel_sub, opel_move)
 from .dsl import ADD, MUL, SUB, interpret
 from .sigtool import CodedProgram, SignatureTable
-from .stats import (ConfigError, TrialStream, report_json, run_trials,
-                    trial_rng, wilson_interval)
+from .stats import (ConfigError, Outcomes, TrialStream, report_json,
+                    run_trials, trial_rng)
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -250,34 +250,32 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     return CycleResult(ACCEPT, {name: values[name][0] for name in ir.outputs})
 
 
-_OUTCOMES = ("detected", "undetected_wrong_output", "benign")
+class FaultOutcomes(Outcomes):
+    """How each injected cycle ended, over one fault model or all."""
+
+    names = ("detected", "undetected_wrong_output", "benign")
+    __slots__ = names
 
 
-@dataclass
-class ModelCounts:
-    trials: int
-    detected: int
-    undetected_wrong_output: int
-    benign: int
+class InjectionReport(FaultOutcomes):
+    """Aggregated outcome of a fault-injection campaign: the totals, and
+    one group per fault model in `per_model`."""
 
+    __slots__ = ("per_model", "seed", "key_modulus")
 
-@dataclass
-class InjectionReport:
-    """Aggregated outcome of a fault-injection campaign."""
+    @property
+    def undetected_rate(self) -> float:
+        return self.undetected_wrong_output / self.trials
 
-    trials: int
-    detected: int
-    undetected_wrong_output: int
-    benign: int
-    false_alarms: int
-    per_model: dict[str, ModelCounts]
-    seed: int
-    key_modulus: int
-    undetected_rate: float
-    undetected_ci: tuple[float, float]
+    @property
+    def false_alarms(self) -> int:
+        """Rejections without a fault: only a fault-free run has them."""
+        return 0 if self.per_model else self.detected
 
     def to_json(self) -> str:
-        return report_json(asdict(self))
+        return report_json(
+            {"key_modulus": self.key_modulus}, self.seed, totals=self.row(),
+            per_model={m: g.row() for m, g in self.per_model.items()})
 
 
 def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
@@ -319,16 +317,10 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
     tally = run_trials(trials, trial)
     per_model = {}
     for m in models:
-        counts = [tally[m, outcome] for outcome in _OUTCOMES]
-        per_model[m] = ModelCounts(sum(counts), *counts)
+        counts = {o: tally[m, o] for o in FaultOutcomes.names}
+        per_model[m] = FaultOutcomes(sum(counts.values()), counts)
     totals = Counter()
     for (_, outcome), n in tally.items():
         totals[outcome] += n
-    undetected = totals["undetected_wrong_output"]
-    return InjectionReport(
-        trials=trials, detected=totals["detected"],
-        undetected_wrong_output=undetected, benign=totals["benign"],
-        false_alarms=tally[None, "detected"], per_model=per_model,
-        seed=seed, key_modulus=key.modulus,
-        undetected_rate=undetected / trials,
-        undetected_ci=wilson_interval(undetected, trials))
+    return InjectionReport(trials, totals, per_model=per_model, seed=seed,
+                           key_modulus=key.modulus)

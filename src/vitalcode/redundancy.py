@@ -10,10 +10,9 @@ modeled as a lower common-mode rate q.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from .stats import (ConfigError, report_json, run_trials, trial_rng,
-                    wilson_interval)
+from .stats import ConfigError, Outcomes, report_json, run_trials, trial_rng
 
 UNANIMITY = "unanimity"
 MAJORITY = "majority"
@@ -64,42 +63,31 @@ def vote(outputs, policy: str):
     raise ValueError(f"unknown policy {policy!r}")
 
 
-@dataclass
-class RedundancyReport:
-    policy: str
-    p: float
-    q: float
-    trials: int
-    seed: int
-    correct: int
-    safe_halt: int
-    undetected_wrong: int
-    rate_correct: float
-    rate_safehalt: float
-    rate_undetected_wrong: float
-    undetected_ci: tuple[float, float]
-    analytic_predictions: dict
+class RedundancyReport(Outcomes):
+    """How each voted cycle ended, with the vote configuration."""
+
+    names = ("correct", "safe_halt", "undetected_wrong")
+    __slots__ = names + ("policy", "p", "q", "seed")
+
+    @property
+    def rate_undetected_wrong(self) -> float:
+        return self.undetected_wrong / self.trials
+
+    def predicted(self) -> dict[str, float]:
+        # Agreement between independently wrong replicas (~2^-32 per pair)
+        # is neglected; these are the leading-order rates.
+        p, q = self.p, self.q
+        if self.policy == UNANIMITY:
+            correct = (1 - q) * (1 - p) ** 2
+        else:
+            # Majority tolerates one independent wrong replica.
+            correct = (1 - q) * ((1 - p) ** 3 + 3 * p * (1 - p) ** 2)
+        return {"correct": correct, "undetected_wrong": q,
+                "safe_halt": 1 - correct - q}
 
     def to_json(self) -> str:
-        return report_json(asdict(self))
-
-
-def _predictions(cfg: VoteConfig) -> dict:
-    # Agreement between independently wrong replicas (~2^-32 per pair)
-    # is neglected; these are the leading-order rates.
-    p, q = cfg.p, cfg.q
-    if cfg.policy == UNANIMITY:
-        correct = (1 - q) * (1 - p) ** 2
-        undetected = q
-    else:
-        # Majority tolerates one independent wrong replica.
-        correct = (1 - q) * ((1 - p) ** 3 + 3 * p * (1 - p) ** 2)
-        undetected = q
-    return {
-        "rate_correct": correct,
-        "rate_undetected_wrong": undetected,
-        "rate_safehalt": 1 - correct - undetected,
-    }
+        return report_json({"policy": self.policy, "p": self.p, "q": self.q},
+                           self.seed, totals=self.row())
 
 
 def redundancy_campaign(cfg: VoteConfig, trials: int,
@@ -134,14 +122,5 @@ def redundancy_campaign(cfg: VoteConfig, trials: int,
             return "safe_halt"
         return "correct" if agreed == reference else "undetected_wrong"
 
-    tally = run_trials(trials, trial)
-    undetected = tally["undetected_wrong"]
-    return RedundancyReport(
-        policy=cfg.policy, p=cfg.p, q=cfg.q, trials=trials, seed=seed,
-        correct=tally["correct"], safe_halt=tally["safe_halt"],
-        undetected_wrong=undetected,
-        rate_correct=tally["correct"] / trials,
-        rate_safehalt=tally["safe_halt"] / trials,
-        rate_undetected_wrong=undetected / trials,
-        undetected_ci=wilson_interval(undetected, trials),
-        analytic_predictions=_predictions(cfg))
+    return RedundancyReport(trials, run_trials(trials, trial),
+                            policy=cfg.policy, p=cfg.p, q=cfg.q, seed=seed)

@@ -8,10 +8,11 @@ is counter-mode BLAKE2b keyed by `"{stream}:{i}"` (Salmon et al.,
 Mersenne Twister: deriving it costs one hash, not a 624-word seeding,
 and any trial can be computed alone, on any worker.  The campaign
 modules keep only their trial bodies: `run_trials` rejects a count below
-one and tallies the outcome each body returns, and `report_json` writes
-a report as JSON with sorted keys, so a fixed seed gives a
-byte-identical report.  `ConfigError` lives here because every campaign
-module imports this one; the command line turns it into exit code 2.
+one and tallies the outcome each body returns, `Outcomes` groups keep
+and write the counts, and `report_json` writes a report as JSON with
+sorted keys, so a fixed seed gives a byte-identical report.
+`ConfigError` lives here because every campaign module imports this
+one; the command line turns it into exit code 2.
 """
 
 from __future__ import annotations
@@ -37,13 +38,6 @@ class ConfigError(ValueError):
 
 class TrialCountError(ConfigError):
     """A campaign was asked for fewer than one trial."""
-
-
-def check_trials(trials: int) -> int:
-    if trials < 1:
-        raise TrialCountError(f"trial count must be >= 1, got {trials}",
-                              "trials")
-    return trials
 
 
 _BLOCK_0 = bytes(8)  # the counter of block 0
@@ -131,12 +125,53 @@ def trial_rng(stream: str, index: int) -> TrialStream:
 
 def run_trials(trials: int, body) -> Counter:
     """Tally `body(i)` over trials 0..trials-1."""
-    return Counter(body(i) for i in range(check_trials(trials)))
+    if trials < 1:
+        raise TrialCountError(f"trial count must be >= 1, got {trials}",
+                              "trials")
+    return Counter(body(i) for i in range(trials))
 
 
-def report_json(doc: dict) -> str:
-    """Deterministic JSON of a report document, e.g. `asdict(report)`."""
-    return json.dumps(doc, indent=2, sort_keys=True)
+class Outcomes:
+    """A group of trials: `trials` and one count per outcome in `names`.
+
+    A subclass declares its outcomes and labels as `__slots__`, e.g.
+    `names + ("scheme",)`, so it keeps no instance dict and no rates.
+    """
+
+    __slots__ = ("trials",)
+    names: tuple[str, ...] = ()
+
+    def __init__(self, trials: int, counts, **labels):
+        self.trials = trials
+        for name in self.names:
+            setattr(self, name, counts[name])
+        for label, value in labels.items():
+            setattr(self, label, value)
+
+    def predicted(self) -> dict[str, float]:
+        """Outcome -> rate where the theory gives one; none by default."""
+        return {}
+
+    def row(self) -> dict:
+        """`trials`, and per outcome its count, rate, 95% Wilson interval
+        and any predicted rate: the only writer of a group."""
+        n, predicted = self.trials, self.predicted()
+        row = {"trials": n}
+        for name in self.names:
+            count = getattr(self, name)
+            row[name] = entry = {"count": count,
+                                 "rate": count / n if n else None,
+                                 "ci": wilson_interval(count, n)}
+            if name in predicted:
+                entry["predicted"] = predicted[name]
+        return row
+
+
+def report_json(config: dict, seed: int, **groups) -> str:
+    """Deterministic JSON of a report: its configuration echo, its seed
+    and the rows of its named groups."""
+    return json.dumps({"config": config, "seed": seed, **groups}, indent=2,
+                      sort_keys=True)
 
 
 def wilson_interval(successes: int, trials: int,

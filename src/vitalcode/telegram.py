@@ -21,7 +21,6 @@ MAC key is withheld.
 
 from __future__ import annotations
 
-import random
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -30,6 +29,7 @@ from math import log, log1p
 from . import channel_codes as cc
 from .coded_core import CodeKey
 from .mac import MacKey, constant_time_equal, hmac_tag
+from .stats import TrialStream
 
 WIRE_MAGIC = b"VT01"
 MAX_PAYLOAD = 1024
@@ -305,13 +305,13 @@ class Threat:
 _CODEWORD_FLIP = bytes(1 << b % 7 if b < 252 else 0 for b in range(256))
 
 
-def _fresh_payload(telegram: Telegram, rng: random.Random) -> Telegram:
+def _fresh_payload(telegram: Telegram, rng: TrialStream) -> Telegram:
     return Telegram(telegram.seq, telegram.date,
                     rng.randbytes(len(telegram.payload)))
 
 
 def apply_channel_noise(data: bytes, threat: Threat,
-                        rng: random.Random) -> bytes:
+                        rng: TrialStream) -> bytes:
     """Accidental corruption of the wire bytes; deterministic under a
     seeded rng.
 
@@ -384,7 +384,7 @@ class AttackerKnowledge:
 
 
 def apply_attack(data: bytes, threat: Threat, knowledge: AttackerKnowledge,
-                 rng: random.Random) -> bytes:
+                 rng: TrialStream) -> bytes:
     """One adversarial transformation of the recorded wire bytes.
 
     `replay` redelivers them; `splice` puts their tag on a fresh random

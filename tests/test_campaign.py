@@ -7,11 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import build_sample
 from vitalcode.campaign import (CampaignConfig, ConfigError, Threat,
                                 build_scheme, load_config, parse_config,
                                 resolve_mac_key, run_channel_campaign)
 from vitalcode import telegram
+from vitalcode.coded_runtime import run_campaign
 from vitalcode.mac import MAC_KEY_ENV
+from vitalcode.redundancy import MAJORITY, VoteConfig, redundancy_campaign
 
 # Every field a config document or a threat may hold.
 FIELDS = ("schemes", "threats", "trials", "seed", "key_a", "coded_signature",
@@ -34,6 +37,21 @@ def make_config(**overrides) -> CampaignConfig:
     doc = dict(BASE_DOC)
     doc.update(overrides)
     return parse_config(doc)
+
+
+def inject_report():
+    _, key, table, program = build_sample(251)
+    return run_campaign(program, table, key, ["F6"], 5, seed=1)
+
+
+# One report or group of each kind, each an `Outcomes` subclass.
+GROUPS = {
+    "InjectionReport": inject_report,
+    "per_model": lambda: inject_report().per_model["F6"],
+    "RedundancyReport": lambda: redundancy_campaign(
+        VoteConfig(MAJORITY, 0.1, 0.1), 5, seed=1),
+    "CellResult": lambda: run_channel_campaign(make_config(trials=5)).cells[0],
+}
 
 
 class TestConfigParsing:
@@ -365,10 +383,9 @@ class TestReports:
         doc = json.loads(run_channel_campaign(config).to_json())
         assert doc["config"]["mac_key"] == "<configured>"
         assert "ab" * 16 not in json.dumps(doc)
-        cell = doc["cells"][0]
-        rates = cell["rates"]
-        lo, hi = rates["accepted_but_wrong_ci"]
-        assert 0.0 <= lo <= rates["accepted_but_wrong"] <= hi <= 1.0
+        wrong = doc["cells"][0]["accepted_but_wrong"]
+        lo, hi = wrong["ci"]
+        assert 0.0 <= lo <= wrong["rate"] <= hi <= 1.0
 
     def test_csv_shape(self):
         config = make_config(trials=10)
@@ -378,9 +395,11 @@ class TestReports:
         assert rows[1][0] == "crc8-atm"
         assert int(rows[1][2]) == 10
 
-    def test_cells_keep_no_instance_dict(self):
-        cell = run_channel_campaign(make_config(trials=5)).cells[0]
-        assert not hasattr(cell, "__dict__")
+    @pytest.mark.parametrize("group", sorted(GROUPS))
+    def test_groups_keep_no_instance_dict(self, group):
+        # The benchmark keeps every batch's reports, so the groups' slots
+        # bound its peak RSS.
+        assert not hasattr(GROUPS[group](), "__dict__")
 
     def test_threat_label_built_once(self):
         config = make_config(threats=[{"kind": "bit_error", "rate": 0.01},

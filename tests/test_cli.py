@@ -178,8 +178,15 @@ class TestInject:
         assert main(["inject", str(prom), "--model", "F1,F6",
                      "--trials", "500", "--seed", "3"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert doc["trials"] == 500
+        assert doc["totals"]["trials"] == 500
         assert set(doc["per_model"]) == {"F1", "F6"}
+
+    def test_groups_without_trials(self, prom, capsys):
+        # One trial over six models leaves five per-model groups empty.
+        assert main(["inject", str(prom), "--model", "F1,F2,F3,F4,F5,F6",
+                     "--trials", "1"]) == EXIT_OK
+        groups = json.loads(capsys.readouterr().out)["per_model"].values()
+        assert sorted(g["trials"] for g in groups) == [0, 0, 0, 0, 0, 1]
 
     def test_unknown_model(self, prom, capsys):
         assert main(["inject", str(prom), "--model", "F9"]) == EXIT_CONFIG
@@ -345,8 +352,8 @@ class TestRedundancy:
                      "--q", "0.001", "--trials", "2000",
                      "--seed", "1"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert doc["trials"] == 2000
-        assert doc["policy"] == "majority"
+        assert doc["totals"]["trials"] == 2000
+        assert doc["config"]["policy"] == "majority"
 
     def test_bad_probability(self):
         assert main(["redundancy", "--p", "1.5"]) == EXIT_CONFIG

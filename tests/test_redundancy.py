@@ -94,12 +94,14 @@ class TestCampaign:
                                   trials=50_000, seed=5)
         una = redundancy_campaign(VoteConfig(UNANIMITY, p, 0.0),
                                   trials=50_000, seed=5)
-        assert maj.rate_correct > una.rate_correct
-        pred_maj = maj.analytic_predictions["rate_correct"]
-        pred_una = una.analytic_predictions["rate_correct"]
-        assert abs(maj.rate_correct - pred_maj) \
+        rate_maj = maj.correct / maj.trials
+        rate_una = una.correct / una.trials
+        assert rate_maj > rate_una
+        pred_maj = maj.predicted()["correct"]
+        pred_una = una.predicted()["correct"]
+        assert abs(rate_maj - pred_maj) \
             < 3 * binomial_sigma(pred_maj, maj.trials)
-        assert abs(una.rate_correct - pred_una) \
+        assert abs(rate_una - pred_una) \
             < 3 * binomial_sigma(pred_una, una.trials)
 
     def test_undetected_monotone_in_q(self):
@@ -121,12 +123,13 @@ class TestCampaign:
         report = redundancy_campaign(VoteConfig(MAJORITY, 0.01, 1e-3),
                                      trials=1000, seed=8)
         doc = json.loads(report.to_json())
-        assert doc["policy"] == MAJORITY
-        assert doc["trials"] == 1000
-        assert doc["correct"] + doc["safe_halt"] + doc["undetected_wrong"] \
-            == 1000
-        lo, hi = doc["undetected_ci"]
-        assert 0.0 <= lo <= doc["rate_undetected_wrong"] <= hi <= 1.0
+        assert doc["config"]["policy"] == MAJORITY
+        totals = doc["totals"]
+        assert totals["trials"] == 1000
+        assert sum(totals[name]["count"] for name in
+                   ("correct", "safe_halt", "undetected_wrong")) == 1000
+        lo, hi = totals["undetected_wrong"]["ci"]
+        assert 0.0 <= lo <= totals["undetected_wrong"]["rate"] <= hi <= 1.0
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
@@ -135,5 +138,5 @@ class TestCampaign:
     def test_wilson_interval_covers_q(self):
         report = redundancy_campaign(VoteConfig(MAJORITY, 0.0, 1e-2),
                                      trials=100_000, seed=9)
-        lo, hi = report.undetected_ci
+        lo, hi = report.row()["undetected_wrong"]["ci"]
         assert lo <= 1e-2 <= hi

@@ -110,21 +110,21 @@ DIGESTS = {
     "channel-csv":
         "06f5f5ec6f8d46352c56ed8a6dad6d04606ce0d33cc4dac6a16d6847b86731cc",
     "channel-json":
-        "de54e6470701eef2c738ebd630d52cf06a72fda9358e810609fe9d3909c08623",
+        "3ddc83a3302a8e8bec42bea527412720ab9a2ab73bdcd7277597b3e150035cbf",
     "inject-13-all":
-        "9fb02008da1e0645a793307d5900f3dd2a60fcdcd3c1cddd6d12477eab8e5c79",
+        "25fc05fa2c65da236b7d46353c4322e084f6754f92a4ab69c6a3349e44963697",
     "inject-251-F3F5":
-        "9c2cf2e1538a9ddeb9ee1f6f513e5c01a81e180c8120f4563c197ac20d9619f7",
+        "badc4d2265436f94872a26038a6504fab7804bdd1641e5bc1562504f90596cdd",
     "inject-mersenne-none":
-        "ac689a21985a2ea385a78e94d9041cb5fca3a5b1fb888e3ce50f78e0fcffdd07",
+        "ebc0aebf0b6fc579bb3927e8b027947cd193bd3acc9bd09cbf156fa0c9a0997f",
     "inject-mixed-251":
-        "bc4c8c572b87f9a09b8547d59f0e554c904a5b0e7cb5e0d20dcc8229c9bdd4be",
+        "c65f02404f45cd1e66447735fa3f009fe356f21e82f1c8c8d9833607d681b194",
     "inject-mixed-mersenne":
-        "e532aa64df78396fca04cc73f60d01aeca2b7e14e2d051f17cec012780fb500c",
+        "616a6e795ba5d18727cf8c26ce229818bf3451415f9ef71716540e68b5f726ec",
     "inject-overflow-251":
-        "50451784586295c8d9e835bdf4e28dab379065728c96d9500ac05df3479aee32",
+        "831ca127085018480b1fc00410f684408962bf7e737dfe88a8d0fac67f4f8cd0",
     "inject-overflow-mersenne":
-        "778263820506fda56f68372cc426987606163b06a6a61518ae38a465946d7c79",
+        "57b94d5640f2507b0a0aa21ac3f1faedf14d54424880f88ac397f300b60590a8",
     "run-accept":
         "393aace4b9bd7b85f3edb805429d50348c0195ed72a0cd770cd799f4bc11b176",
     "run-safe-halt":
@@ -134,9 +134,9 @@ DIGESTS = {
     "prom-mixed-mersenne":
         "7ae4e577b87c399e545969bb5617b53c792072d84648dd36d7d37d058c74cfe1",
     "redundancy-majority":
-        "e2ec8b0c9c7eb8a9e2a9e7707f1553521ef9b93f15bf369665c06ad6d4734217",
+        "2e7be871d10cb3a877f39f0c66d3370c2da392799b0058072f3daefcc0b77688",
     "redundancy-unanimity":
-        "9227275ebb0a93e8c5e26cc7e16299ee0f913f94216ea8c6af9fc983df4ae113",
+        "0d4fb2f9e920f8ab572173c5b54ce9d4a98d2d553fd225755c27c316713fa3a0",
 }
 
 

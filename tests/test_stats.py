@@ -133,5 +133,6 @@ class TestEngine:
         assert issubclass(TrialCountError, ValueError)
 
     def test_report_json_is_sorted_and_indented(self):
-        text = report_json({"b": 1, "a": (0.5, 1.0)})
-        assert text == '{\n  "a": [\n    0.5,\n    1.0\n  ],\n  "b": 1\n}'
+        text = report_json({"b": 1}, 2, a=(0.5, 1.0))
+        assert text == ('{\n  "a": [\n    0.5,\n    1.0\n  ],\n'
+                        '  "config": {\n    "b": 1\n  },\n  "seed": 2\n}')
