@@ -1,7 +1,7 @@
 """Channel campaign: schemes x threats, with JSON/CSV reports.
 
 Each campaign cell sends `trials` telegrams under one protection scheme,
-passes every frame through one `Threat` (accidental noise through
+passes every sender's frame through one `Threat` (accidental noise through
 `telegram.apply_channel_noise`, an adversarial move through
 `telegram.apply_attack`), and tallies the receiver verdicts.
 `accepted_but_wrong` is the safety/security failure metric: frames the
@@ -248,34 +248,35 @@ def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
     knowledge = tg.AttackerKnowledge(scheme)
     stream = f"vitalcode-channel:{config.seed}:{scheme_name}:{threat.label}"
     noise = threat.kind in NOISE_THREATS
+    wire_id = scheme.wire_id
     if threat.kind == "brute_force":
         # Tag guessing: the attacker fabricates frames for one chosen
         # message and tries a fresh random tag per attempt.  Nothing the
         # attacker presents was ever sent, so any acceptance is a wrong
         # acceptance.  The carrier frame is the same for every attempt.
-        carrier = tg.protect_telegram(
-            tg.Telegram(1, 1, threat.payload or bytes(config.payload_length)),
-            scheme, mac_key)
+        message = tg.Telegram(1, 1,
+                              threat.payload or bytes(config.payload_length))
+        carrier = (message, wire_id, tg.make_tag(message, scheme, mac_key))
         carrier_window = tg.ReceiverWindow(min_seq=0, current_date=1)
 
     def trial(i):
         rng = trial_rng(stream, i)
         if threat.kind == "brute_force":
-            wire, original, window = carrier, None, carrier_window
+            frame, original, window = carrier, None, carrier_window
         else:
             seq = date = i + 1
             original = tg.Telegram(seq, date,
                                    rng.randbytes(config.payload_length))
-            wire = tg.protect_telegram(original, scheme, mac_key)
+            frame = (original, wire_id, tg.make_tag(original, scheme, mac_key))
             # A replayed frame was already accepted, so the receiver's
             # sequence window has moved past it.
             window = tg.ReceiverWindow(
                 min_seq=seq if threat.kind == "replay" else seq - 1,
                 current_date=date)
         if noise:
-            delivered = tg.apply_channel_noise(wire, threat, rng)
+            delivered = tg.apply_channel_noise(frame, threat, rng)
         else:
-            delivered = tg.apply_attack(wire, threat, knowledge, rng)
+            delivered = tg.apply_attack(frame, threat, knowledge, rng)
         return _outcome(tg.verify_telegram(delivered, scheme, mac_key,
                                            window), original, threat)
 

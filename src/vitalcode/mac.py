@@ -11,7 +11,6 @@ section 4), not once per tag.
 
 from __future__ import annotations
 
-import os
 # The interpreter's own C compare (what `hmac.compare_digest` falls back
 # to), without the OpenSSL that importing `hmac` loads: its time does not
 # depend on where the first mismatch lies, and inputs of unequal length
@@ -71,13 +70,6 @@ class MacKey:
             return cls(bytes.fromhex(text.strip()))
         except ValueError as exc:
             raise MacKeyError(f"bad hex key: {exc}") from None
-
-    @classmethod
-    def from_env(cls, name: str = MAC_KEY_ENV) -> "MacKey":
-        value = os.environ.get(name)
-        if value is None:
-            raise MacKeyError(f"environment variable {name} not set")
-        return cls.from_hex(value)
 
     def __repr__(self):
         return "MacKey(<secret>)"

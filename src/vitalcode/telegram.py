@@ -11,12 +11,12 @@ covers seq, date and payload.  Every tag but Hamming's is deterministic,
 so the receiver verifies a frame by recomputing its tag and comparing,
 in constant time; Hamming instead decodes and corrects.
 
-A `Threat` is one of two families.  Accidental corruption
-(`apply_channel_noise`) flips bits or replaces the payload at random; the
-keyless codes are there to catch it.  Adversarial moves (`apply_attack`)
-replay, splice, forge or guess: the attacker has full read/write on the
-channel and knows every algorithm and non-secret parameter; only the
-MAC key is withheld.
+A `Threat` maps the sender's `Frame` to the bytes the receiver gets.
+Accidental corruption (`apply_channel_noise`) flips bits or replaces the
+payload at random; the keyless codes are there to catch it.  Adversarial
+moves (`apply_attack`) replay, splice, forge or guess: the attacker has
+full read/write on the channel and knows every algorithm and non-secret
+parameter; only the MAC key is withheld.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class KeyAccessViolation(TelegramError):
     """An attack asked for the withheld MAC key."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Telegram:
     seq: int
     date: int
@@ -98,6 +98,10 @@ class Telegram:
             raise TelegramError("date out of u32 range")
         if len(self.payload) > MAX_PAYLOAD:
             raise PayloadTooLong(f"payload {len(self.payload)} > {MAX_PAYLOAD}")
+
+
+# A frame as the sender emits it: (telegram, scheme id, tag).
+Frame = tuple[Telegram, int, bytes]
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,13 @@ class ProtectionScheme:
         if self.variant == SCHEME_CODEDSIG and self.key is None:
             raise TelegramError("codedsig scheme needs a code key")
 
+    @property
+    def wire_id(self) -> int:
+        """The scheme id a frame of this scheme carries on the wire."""
+        return _VARIANTS[self.variant][0]
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class VerifyResult:
     status: str
     telegram: Telegram | None = None
@@ -141,7 +150,6 @@ class ReceiverWindow:
 
     min_seq: int = 0
     current_date: int = 0
-    date_tolerance: int = 1
 
 
 def _payload_fold(payload: bytes, key: CodeKey) -> int:
@@ -191,8 +199,7 @@ def make_tag(t: Telegram, scheme: ProtectionScheme,
 def protect_telegram(t: Telegram, scheme: ProtectionScheme,
                      mac_key: MacKey | None = None) -> bytes:
     """Serialize a telegram with its protection tag appended."""
-    return serialize_wire(t, _VARIANTS[scheme.variant][0],
-                          make_tag(t, scheme, mac_key))
+    return serialize_wire(t, scheme.wire_id, make_tag(t, scheme, mac_key))
 
 
 def serialize_wire(t: Telegram, scheme_id: int, tag: bytes) -> bytes:
@@ -202,7 +209,7 @@ def serialize_wire(t: Telegram, scheme_id: int, tag: bytes) -> bytes:
             + t.payload + _TAGLEN.pack(len(tag)) + tag)
 
 
-def parse_wire(data: bytes) -> tuple[Telegram, int, bytes]:
+def parse_wire(data: bytes) -> Frame:
     """Split wire bytes into (telegram, scheme id, tag); raises
     TelegramError on any structural problem."""
     if len(data) < _HEAD.size:
@@ -258,8 +265,7 @@ def verify_telegram(data: bytes, scheme: ProtectionScheme,
     if window is not None:
         if covers_seq and telegram.seq <= window.min_seq:
             return VerifyResult(REJECT, reason=REPLAYED_SEQ)
-        if (covers_date and abs(telegram.date - window.current_date)
-                > window.date_tolerance):
+        if covers_date and abs(telegram.date - window.current_date) > 1:
             return VerifyResult(REJECT, reason=STALE_DATE)
     return VerifyResult(ACCEPT, telegram)
 
@@ -274,8 +280,8 @@ ATTACK_THREATS = ("forge", "replay", "splice", "brute_force")
 
 @dataclass(slots=True)
 class Threat:
-    """One channel threat: a kind from NOISE_THREATS or ATTACK_THREATS
-    and the parameters that kind reads."""
+    """One channel threat on the sender's frame: a kind from NOISE_THREATS
+    or ATTACK_THREATS and the parameters that kind reads."""
 
     kind: str
     rate: float = 0.0          # bit_error
@@ -310,42 +316,35 @@ def _fresh_payload(telegram: Telegram, rng: TrialStream) -> Telegram:
                     rng.randbytes(len(telegram.payload)))
 
 
-def apply_channel_noise(data: bytes, threat: Threat,
+def apply_channel_noise(frame: Frame, threat: Threat,
                         rng: TrialStream) -> bytes:
-    """Accidental corruption of the wire bytes; deterministic under a
-    seeded rng.
+    """The bytes the receiver gets when accidental corruption strikes the
+    sender's frame; deterministic under a seeded rng.
 
-    `bit_error` flips each bit independently with probability `rate`;
-    `burst` flips one contiguous run of `length` bits; `random_payload`
-    replaces the payload with random bytes of the same length and keeps
-    the tag; `codeword_flip` flips one of the low 7 bits of every tag
-    byte, one error per Hamming codeword.
+    `bit_error` flips each bit of the serialized frame independently with
+    probability `rate`; `burst` flips one contiguous run of `length` bits
+    of it; `random_payload` replaces the payload with random bytes of the
+    same length and keeps the tag; `codeword_flip` flips one of the low 7
+    bits of every tag byte, one error per Hamming codeword.
     """
     kind = threat.kind
-    if kind == "bit_error":
-        eps = threat.rate
-        nbits = len(data) * 8
-        if eps == 0.0 or nbits == 0:
-            return data
-        if eps == 1.0:
-            return bytes(b ^ 0xFF for b in data)
-        # Bit `pos` is bit pos & 7 (least significant first) of byte
-        # pos >> 3.  Draw the gap to the next flipped bit, geometric as
-        # floor(ln U / ln(1 - eps)) (Devroye 1986, X.2): one draw per flip
-        # plus one.  Compare before int(): a subnormal eps makes the gap
-        # infinite.
-        out = bytearray(data)
-        draw = rng.random
-        log_keep = log1p(-eps)
-        pos = -1
-        while True:
-            gap = log(1.0 - draw()) / log_keep
-            if gap >= nbits - 1 - pos:
-                return bytes(out)
-            pos += 1 + int(gap)
-            out[pos >> 3] ^= 1 << (pos & 7)
+    if kind not in NOISE_THREATS:
+        raise ValueError(f"not a noise threat: {kind!r}")
+    telegram, scheme_id, tag = frame
+    if kind == "random_payload":
+        return serialize_wire(_fresh_payload(telegram, rng), scheme_id, tag)
+    if kind == "codeword_flip":
+        masks = bytearray(rng.randbytes(len(tag)).translate(_CODEWORD_FLIP))
+        i = masks.find(0)
+        while i >= 0:
+            masks[i] = _CODEWORD_FLIP[rng.getrandbits(8)]
+            i = masks.find(0, i)
+        tag = (int.from_bytes(tag, "little")
+               ^ int.from_bytes(masks, "little")).to_bytes(len(tag), "little")
+        return serialize_wire(telegram, scheme_id, tag)
+    data = serialize_wire(telegram, scheme_id, tag)
+    nbits = len(data) * 8
     if kind == "burst":
-        nbits = len(data) * 8
         length = min(threat.length, nbits)
         if length == 0:
             return data
@@ -354,19 +353,25 @@ def apply_channel_noise(data: bytes, threat: Threat,
         mask = ((1 << length) - 1) << (nbits - start - length)
         noisy = int.from_bytes(data, "big") ^ mask
         return noisy.to_bytes(len(data), "big")
-    if kind not in NOISE_THREATS:
-        raise ValueError(f"not a noise threat: {kind!r}")
-    telegram, scheme_id, tag = parse_wire(data)
-    if kind == "random_payload":
-        return serialize_wire(_fresh_payload(telegram, rng), scheme_id, tag)
-    masks = bytearray(rng.randbytes(len(tag)).translate(_CODEWORD_FLIP))
-    i = masks.find(0)
-    while i >= 0:
-        masks[i] = _CODEWORD_FLIP[rng.getrandbits(8)]
-        i = masks.find(0, i)
-    flipped = int.from_bytes(tag, "little") ^ int.from_bytes(masks, "little")
-    return serialize_wire(telegram, scheme_id,
-                          flipped.to_bytes(len(tag), "little"))
+    eps = threat.rate
+    if eps == 0.0:
+        return data
+    if eps == 1.0:
+        return bytes(b ^ 0xFF for b in data)
+    # Bit `pos` is bit pos & 7 (least significant first) of byte pos >> 3.
+    # Draw the gap to the next flipped bit, geometric as
+    # floor(ln U / ln(1 - eps)) (Devroye 1986, X.2): one draw per flip plus
+    # one.  Compare before int(): a subnormal eps makes the gap infinite.
+    out = bytearray(data)
+    draw = rng.random
+    log_keep = log1p(-eps)
+    pos = -1
+    while True:
+        gap = log(1.0 - draw()) / log_keep
+        if gap >= nbits - 1 - pos:
+            return bytes(out)
+        pos += 1 + int(gap)
+        out[pos >> 3] ^= 1 << (pos & 7)
 
 
 @dataclass(frozen=True)
@@ -383,15 +388,16 @@ class AttackerKnowledge:
         raise KeyAccessViolation("attacker must never read the MAC key")
 
 
-def apply_attack(data: bytes, threat: Threat, knowledge: AttackerKnowledge,
-                 rng: TrialStream) -> bytes:
-    """One adversarial transformation of the recorded wire bytes.
+def apply_attack(frame: Frame, threat: Threat,
+                 knowledge: AttackerKnowledge, rng: TrialStream) -> bytes:
+    """The bytes the receiver gets when an adversary acts on the sender's
+    frame.
 
-    `replay` redelivers them; `splice` puts their tag on a fresh random
-    payload.  `forge` sends `threat.payload`, or a random one, and
-    `brute_force` keeps the recorded payload; both recompute a keyless
-    tag (parity, CRC, Hamming, coded signature: no secret exists, the
-    attacker just reruns the public algorithm).  Against HMAC the
+    `replay` redelivers the frame as sent; `splice` puts its tag on a
+    fresh random payload.  `forge` sends `threat.payload`, or a random
+    one, and `brute_force` keeps the frame's payload; both recompute a
+    keyless tag (parity, CRC, Hamming, coded signature: no secret exists,
+    the attacker just reruns the public algorithm).  Against HMAC the
     attacker cannot recompute and sends one uniformly random tag per
     call; brute force is that same move repeated.
     """
@@ -399,8 +405,8 @@ def apply_attack(data: bytes, threat: Threat, knowledge: AttackerKnowledge,
     if kind not in ATTACK_THREATS:
         raise ValueError(f"not an attack threat: {kind!r}")
     if kind == "replay":
-        return data
-    telegram, scheme_id, tag = parse_wire(data)
+        return serialize_wire(*frame)
+    telegram, scheme_id, tag = frame
     if kind == "splice":
         return serialize_wire(_fresh_payload(telegram, rng), scheme_id, tag)
     if kind == "forge":

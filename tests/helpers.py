@@ -36,6 +36,19 @@ l = j + d; n = l; o = n - p; z = o;
 output z; output t; output n; output f;
 """
 
+# Every keyless scheme family and HMAC under all eight threat kinds: the
+# channel grid whose report digests are pinned.
+CHANNEL_GRID = {
+    "schemes": ["none", "parity", "crc8-atm", "crc32-ieee", "hamming74",
+                "codedsig", "hmac-8"],
+    "threats": [{"kind": "bit_error", "rate": 0.01},
+                {"kind": "burst", "length": 9},
+                {"kind": "random_payload"}, {"kind": "codeword_flip"},
+                {"kind": "forge"}, {"kind": "replay"},
+                {"kind": "splice"},
+                {"kind": "brute_force", "attempts": 20}],
+    "trials": 8, "seed": 9, "payload_length": 8, "mac_key": "0c" * 16}
+
 SAMPLE_INPUTS = {"speed": 17, "limit": 40, "gain": 5}
 SAMPLE_CYCLE = 9
 SAMPLE_SEED = 0

@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import build_sample
+from helpers import CHANNEL_GRID, build_sample
 from vitalcode.campaign import (CampaignConfig, ConfigError, Threat,
                                 build_scheme, load_config, parse_config,
                                 resolve_mac_key, run_channel_campaign)
@@ -364,6 +365,64 @@ class TestCampaignSemantics:
                 == cell.delivered
             assert cell.accepted_but_wrong <= cell.accepted
             assert cell.miscorrected <= cell.corrected
+
+
+class TestFramePath:
+    """Each threat maps the sender's frame to the delivered bytes."""
+
+    def test_threats_leave_the_sender_frame_alone(self, monkeypatch):
+        # `_outcome` compares the verdict with the sender's telegram, so a
+        # threat that changed it in place would hide wrong acceptances.
+        kinds = []
+
+        def checked(transform):
+            def run(frame, threat, *rest):
+                telegram, scheme_id, tag = frame
+                before = replace(telegram)
+                sent = (before, scheme_id, tag)
+                delivered = transform(frame, threat, *rest)
+                assert telegram == before and frame == sent, threat.label
+                kinds.append(threat.kind)
+                return delivered
+            return run
+
+        for name in ("apply_channel_noise", "apply_attack"):
+            monkeypatch.setattr(telegram, name,
+                                checked(getattr(telegram, name)))
+        report = run_channel_campaign(parse_config(CHANNEL_GRID))
+        assert len(kinds) == sum(cell.delivered for cell in report.cells)
+        assert set(kinds) == set(telegram.NOISE_THREATS
+                                 + telegram.ATTACK_THREATS)
+
+    def test_one_serialize_and_one_parse_per_frame(self, monkeypatch):
+        calls = {"serialize_wire": 0, "parse_wire": 0, "frames": 0}
+
+        def counted(name):
+            original = getattr(telegram, name)
+
+            def run(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(telegram, name, run)
+
+        counted("serialize_wire")
+        counted("parse_wire")
+        verify = telegram.verify_telegram
+
+        def verify_one(*args):
+            # The threat serialized this frame once; the receiver parses
+            # it once.
+            calls["frames"] += 1
+            assert calls["serialize_wire"] == calls["frames"]
+            result = verify(*args)
+            assert calls["parse_wire"] == calls["frames"]
+            return result
+
+        monkeypatch.setattr(telegram, "verify_telegram", verify_one)
+        report = run_channel_campaign(parse_config(CHANNEL_GRID))
+        frames = sum(cell.delivered for cell in report.cells)
+        assert calls == {"serialize_wire": frames, "parse_wire": frames,
+                         "frames": frames}
 
 
 class TestReports:

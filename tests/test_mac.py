@@ -165,16 +165,6 @@ class TestKeyHandling:
         with pytest.raises(MacKeyError):
             MacKey.from_hex("zz")
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("VITALCODE_MAC_KEY", "0b" * 20)
-        key = MacKey.from_env()
-        assert hmac_tag(key, b"Hi There", 32).hex() == RFC4231[0][2]
-
-    def test_from_env_missing(self, monkeypatch):
-        monkeypatch.delenv("VITALCODE_MAC_KEY", raising=False)
-        with pytest.raises(MacKeyError):
-            MacKey.from_env()
-
 
 def test_openssl_not_loaded():
     # hashlib and hmac load OpenSSL's _hashlib, which costs ~3.5 MB of

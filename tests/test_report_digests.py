@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import MIXED_PROGRAM, build_sample
+from helpers import CHANNEL_GRID, MIXED_PROGRAM, build_sample
 from vitalcode.campaign import parse_config, run_channel_campaign
 from vitalcode.cli import main
 from vitalcode.coded_core import make_key
@@ -71,16 +71,7 @@ def run_stdout(source, inputs):
 
 
 def channel():
-    return run_channel_campaign(parse_config({
-        "schemes": ["none", "parity", "crc8-atm", "crc32-ieee", "hamming74",
-                    "codedsig", "hmac-8"],
-        "threats": [{"kind": "bit_error", "rate": 0.01},
-                    {"kind": "burst", "length": 9},
-                    {"kind": "random_payload"}, {"kind": "codeword_flip"},
-                    {"kind": "forge"}, {"kind": "replay"},
-                    {"kind": "splice"},
-                    {"kind": "brute_force", "attempts": 20}],
-        "trials": 8, "seed": 9, "payload_length": 8, "mac_key": "0c" * 16}))
+    return run_channel_campaign(parse_config(CHANNEL_GRID))
 
 
 CASES = {

@@ -66,7 +66,7 @@ class TestWireFormat:
         wire = protect_telegram(t, scheme)
         parsed, scheme_id, tag = parse_wire(wire)
         assert parsed == t
-        assert scheme_id == 2
+        assert scheme_id == scheme.wire_id == 2
         assert len(tag) == 4
         assert serialize_wire(parsed, scheme_id, tag) == wire
         # The layout spelled out field by field, apart from its struct.
@@ -145,7 +145,7 @@ class TestVerify:
 
     def test_codedsig_stale_date(self):
         scheme = SCHEMES["codedsig"]
-        window = ReceiverWindow(current_date=10, date_tolerance=1)
+        window = ReceiverWindow(current_date=10)
         for date, status in ((9, ACCEPT), (10, ACCEPT), (11, ACCEPT),
                              (8, REJECT), (12, REJECT)):
             wire = protect_telegram(Telegram(1, date, b"x"), scheme)
@@ -272,7 +272,7 @@ class TestVerifyContract:
 
 
 u32 = st.integers(0, 2**32 - 1)
-windows = st.none() | st.builds(ReceiverWindow, u32, u32, st.integers(0, 3))
+windows = st.none() | st.builds(ReceiverWindow, u32, u32)
 
 
 @st.composite
@@ -315,33 +315,56 @@ class TestVerifyFuzz:
         assert result.reason == (BAD_TAG if len(tag) == t else MALFORMED)
 
 
+def frame_of(telegram, name="none"):
+    """The sender's frame of `telegram` under scheme `name`."""
+    scheme = SCHEMES[name]
+    return telegram, scheme.wire_id, make_tag(telegram, scheme, MAC)
+
+
+def payload_frame(payload):
+    return frame_of(Telegram(1, 1, payload))
+
+
+# The smallest frame: an empty payload under `none`.  OVERHEAD is its
+# length on the wire, the bytes every `none` frame adds to its payload.
+SMALLEST = payload_frame(b"")
+OVERHEAD = len(serialize_wire(*SMALLEST))
+
+
+def flip_mask(frame, noisy):
+    """The bits the channel flipped in the frame, byte 0 lowest."""
+    return (int.from_bytes(serialize_wire(*frame), "little")
+            ^ int.from_bytes(noisy, "little"))
+
+
 class TestNoise:
     def test_zero_rate_is_identity(self):
-        data = bytes(range(64))
+        frame = payload_frame(bytes(range(64)))
         threat = Threat("bit_error", rate=0.0)
-        assert apply_channel_noise(data, threat, random.Random(0)) == data
+        assert apply_channel_noise(frame, threat, random.Random(0)) \
+            == serialize_wire(*frame)
 
     def test_rate_one_flips_everything(self):
-        data = bytes(64)
+        frame = payload_frame(bytes(64))
         threat = Threat("bit_error", rate=1.0)
-        assert apply_channel_noise(data, threat, random.Random(0)) \
-            == bytes([0xFF] * 64)
+        assert apply_channel_noise(frame, threat, random.Random(0)) \
+            == bytes(b ^ 0xFF for b in serialize_wire(*frame))
 
     def test_bit_error_rate_is_binomial(self):
-        data = bytes(1000)
+        frame = payload_frame(bytes(1000))
         threat = Threat("bit_error", rate=0.01)
         rng = random.Random(3)
-        flipped = sum(bin(b).count("1")
-                      for b in apply_channel_noise(data, threat, rng))
-        # 8000 bits at 1%: expect 80, sigma ~ 8.9.
-        assert 40 <= flipped <= 120
+        flipped = flip_mask(frame, apply_channel_noise(frame, threat, rng))
+        # 8120 bits at 1%: expect 81, sigma ~ 9.
+        assert 40 <= flipped.bit_count() <= 120
 
     def test_burst_is_contiguous(self):
-        data = bytes(32)
+        frame = payload_frame(bytes(32))
+        wire = serialize_wire(*frame)
         threat = Threat("burst", length=9)
         for seed in range(20):
-            noisy = apply_channel_noise(data, threat, random.Random(seed))
-            bits = int.from_bytes(bytes(a ^ b for a, b in zip(data, noisy)),
+            noisy = apply_channel_noise(frame, threat, random.Random(seed))
+            bits = int.from_bytes(bytes(a ^ b for a, b in zip(wire, noisy)),
                                   "big")
             assert bin(bits).count("1") == 9
             # Contiguous run: stripping trailing zeros leaves all-ones.
@@ -351,15 +374,15 @@ class TestNoise:
         # The exact bytes and stream of the per-bit loop, bit 0 being the
         # most significant bit of byte 0.
         for size in (0, 1, 2, 8, 85):
-            nbits = 8 * size
+            nbits = 8 * (OVERHEAD + size)
             for length in (0, 1, 7, 8, 9, 17, 64, nbits, nbits + 5):
                 threat = Threat("burst", length=length)
                 for seed in range(30):
-                    data = random.Random(seed).randbytes(size)
+                    frame = payload_frame(random.Random(seed).randbytes(size))
                     rng, ref_rng = random.Random(seed), random.Random(seed)
-                    noisy = apply_channel_noise(data, threat, rng)
+                    noisy = apply_channel_noise(frame, threat, rng)
                     run = min(length, nbits)
-                    expected = bytearray(data)
+                    expected = bytearray(serialize_wire(*frame))
                     if run:
                         start = ref_rng.randrange(nbits - run + 1)
                         for pos in range(start, start + run):
@@ -368,14 +391,14 @@ class TestNoise:
                     assert rng.getstate() == ref_rng.getstate()
 
     def test_deterministic_under_seed(self):
-        data = bytes(range(100))
+        frame = payload_frame(bytes(range(100)))
         threat = Threat("bit_error", rate=0.05)
-        assert apply_channel_noise(data, threat, random.Random(7)) \
-            == apply_channel_noise(data, threat, random.Random(7))
+        assert apply_channel_noise(frame, threat, random.Random(7)) \
+            == apply_channel_noise(frame, threat, random.Random(7))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            apply_channel_noise(bytes(8), Threat("erasure"),
+            apply_channel_noise(SMALLEST, Threat("erasure"),
                                 random.Random(0))
 
     @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
@@ -386,20 +409,22 @@ class TestNoise:
     @pytest.mark.parametrize("length", [0, 1, 64, 1024])
     @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.5, 1.0])
     def test_bit_error_matches_gap_loop(self, eps, length):
-        # Reference: draw the gap to the next flipped bit, byte by byte,
-        # bit 0 first.  Equal generator states afterwards mean one draw
-        # per flip plus one, and none at eps 0 or 1 or on empty data.
-        data = random.Random(length).randbytes(length)
+        # Reference: draw the gap to the next flipped bit of the frame of
+        # a `length`-byte payload, byte by byte, bit 0 first.  Equal
+        # generator states afterwards mean one draw per flip plus one, and
+        # none at eps 0 or 1.
+        frame = payload_frame(random.Random(length).randbytes(length))
+        data = serialize_wire(*frame)
         threat = Threat("bit_error", rate=eps)
-        nbits = 8 * length
+        nbits = 8 * len(data)
         for seed in range(3):
             rng = random.Random(seed)
-            noisy = apply_channel_noise(data, threat, rng)
+            noisy = apply_channel_noise(frame, threat, rng)
             reference = random.Random(seed)
             flips = []
             if eps == 1.0:
                 flips = list(range(nbits))
-            elif eps and nbits:
+            elif eps:
                 pos = -1
                 while True:
                     gap = (math.log(1.0 - reference.random())
@@ -417,11 +442,13 @@ class TestNoise:
     @pytest.mark.parametrize("length", [0, 1, 64, 1024])
     @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.5, 1.0])
     def test_bit_error_matches_per_bit_loop(self, eps, length):
-        # Reference: one draw per bit, byte by byte, bit 0 first.  The
-        # sampler draws a different stream, so the two must give the same
-        # bytes where the outcome is certain, and otherwise the same flip
-        # rate in each of the 8 bit lanes (two-proportion z-test, z = 3.89).
-        data = random.Random(length).randbytes(length)
+        # Reference: one draw per bit of the frame of a `length`-byte
+        # payload, byte by byte, bit 0 first.  The sampler draws a
+        # different stream, so the two must give the same bytes where the
+        # outcome is certain, and otherwise the same flip rate in each of
+        # the 8 bit lanes (two-proportion z-test, z = 3.89).
+        frame = payload_frame(random.Random(length).randbytes(length))
+        data = serialize_wire(*frame)
         threat = Threat("bit_error", rate=eps)
 
         def per_bit_loop(rng):
@@ -432,13 +459,13 @@ class TestNoise:
                         out[i] ^= 1 << bit
             return bytes(out)
 
-        if eps in (0.0, 1.0) or length == 0:
+        if eps in (0.0, 1.0):
             for seed in range(3):
-                assert apply_channel_noise(data, threat, random.Random(seed)) \
-                    == per_bit_loop(random.Random(seed))
+                noisy = apply_channel_noise(frame, threat, random.Random(seed))
+                assert noisy == per_bit_loop(random.Random(seed))
             return
-        frames = -(-160_000 // (8 * length))
-        lanes = [int.from_bytes(bytes([1 << bit]) * length, "little")
+        frames = -(-160_000 // (8 * len(data)))
+        lanes = [int.from_bytes(bytes([1 << bit]) * len(data), "little")
                  for bit in range(8)]
 
         def lane_counts(transform, seed):
@@ -451,21 +478,22 @@ class TestNoise:
                     counts[bit] += (mask & lane).bit_count()
             return counts
 
-        sampled = lane_counts(lambda rng: apply_channel_noise(data, threat,
+        sampled = lane_counts(lambda rng: apply_channel_noise(frame, threat,
                                                               rng), 44)
         reference = lane_counts(per_bit_loop, 45)
-        n = frames * length
+        n = frames * len(data)
         for bit, (k1, k2) in enumerate(zip(sampled, reference)):
             p = (k1 + k2) / (2 * n)
             assert abs(k1 - k2) <= 3.89 * math.sqrt(2 * n * p * (1 - p)), bit
 
     @staticmethod
     def _flip_masks(eps, length, frames, seed):
-        # Per-frame masks of flipped bits on all-zero frames.
+        # Per-frame masks of flipped bits in the frame of a `length`-byte
+        # zero payload, which is OVERHEAD + length bytes long.
         rng = random.Random(seed)
         threat = Threat("bit_error", rate=eps)
-        return [int.from_bytes(apply_channel_noise(bytes(length), threat,
-                                                   rng), "little")
+        frame = payload_frame(bytes(length))
+        return [flip_mask(frame, apply_channel_noise(frame, threat, rng))
                 for _ in range(frames)]
 
     @pytest.mark.parametrize("eps, frames", [(1e-3, 500), (1e-1, 20)])
@@ -473,15 +501,16 @@ class TestNoise:
         length = 256
         masks = self._flip_masks(eps, length, frames, seed=41)
         flipped = sum(m.bit_count() for m in masks)
-        lo, hi = wilson_interval(flipped, frames * length * 8)
+        lo, hi = wilson_interval(flipped, frames * (OVERHEAD + length) * 8)
         assert lo <= eps <= hi
 
     def test_end_bits_flip_at_rate(self):
-        # One-byte frames: bit 0 is the first gap, bit 7 the last slot
-        # before the stop test; an off-by-one at either end shows here.
+        # The smallest frame: bit 0 is the first gap, its last bit the
+        # last slot before the stop test; an off-by-one at either end
+        # shows here.
         frames = 20_000
-        masks = self._flip_masks(0.1, 1, frames, seed=42)
-        for bit in (0, 7):
+        masks = self._flip_masks(0.1, 0, frames, seed=42)
+        for bit in (0, 8 * OVERHEAD - 1):
             hits = sum(m >> bit & 1 for m in masks)
             lo, hi = wilson_interval(hits, frames)
             assert lo <= 0.1 <= hi, bit
@@ -491,34 +520,37 @@ class TestNoise:
         eps, length, frames = 0.1, 64, 200
         masks = self._flip_masks(eps, length, frames, seed=43)
         pairs = sum((m & m >> 1).bit_count() for m in masks)
-        lo, hi = wilson_interval(pairs, frames * (length * 8 - 1))
+        lo, hi = wilson_interval(pairs,
+                                 frames * ((OVERHEAD + length) * 8 - 1))
         assert lo <= eps * eps <= hi
 
     @pytest.mark.parametrize("eps", [0.0, 1.0])
     def test_certain_rates_make_no_draw(self, eps):
-        data = random.Random(1).randbytes(1024)
+        frame = payload_frame(random.Random(1).randbytes(1024))
+        data = serialize_wire(*frame)
         rng = random.Random(5)
         state = rng.getstate()
-        noisy = apply_channel_noise(data, Threat("bit_error", rate=eps), rng)
+        noisy = apply_channel_noise(frame, Threat("bit_error", rate=eps),
+                                    rng)
         assert rng.getstate() == state
         assert noisy == (data if eps == 0.0 else bytes(b ^ 0xFF for b in data))
 
     @pytest.mark.parametrize("eps", [5e-324, 1e-300])
     def test_vanishing_rate_flips_nothing(self, eps):
-        data = random.Random(2).randbytes(1024)
+        frame = payload_frame(random.Random(2).randbytes(1024))
         threat = Threat("bit_error", rate=eps)
         for seed in range(20):
-            assert apply_channel_noise(data, threat,
-                                       random.Random(seed)) == data
+            assert apply_channel_noise(frame, threat, random.Random(seed)) \
+                == serialize_wire(*frame)
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_random_payload_keeps_tag(self, name):
         t = Telegram(3, 5, bytes(range(16)))
-        wire = protect_telegram(t, SCHEMES[name], MAC)
+        frame = frame_of(t, name)
         rng = random.Random(5)
-        got, _, tag = parse_wire(apply_channel_noise(
-            wire, Threat("random_payload"), rng))
-        assert tag == parse_wire(wire)[2]
+        got, scheme_id, tag = parse_wire(apply_channel_noise(
+            frame, Threat("random_payload"), rng))
+        assert (scheme_id, tag) == frame[1:]
         assert (got.seq, got.date) == (t.seq, t.date)
         # One draw: a fresh payload of the frame's own length.
         reference = random.Random(5)
@@ -526,14 +558,13 @@ class TestNoise:
         assert rng.getstate() == reference.getstate()
 
     def test_codeword_flip_flips_one_low_bit_per_tag_byte(self):
-        wire = protect_telegram(Telegram(1, 1, bytes(range(32))),
-                                SCHEMES["hamming"])
+        frame = frame_of(Telegram(1, 1, bytes(range(32))), "hamming")
         for seed in range(20):
-            noisy = apply_channel_noise(wire, Threat("codeword_flip"),
+            noisy = apply_channel_noise(frame, Threat("codeword_flip"),
                                         random.Random(seed))
             got, _, tag = parse_wire(noisy)
             assert got == Telegram(1, 1, bytes(range(32)))
-            true_tag = parse_wire(wire)[2]
+            true_tag = frame[2]
             assert len(tag) == len(true_tag)
             assert all(a ^ b in (1, 2, 4, 8, 16, 32, 64)
                        for a, b in zip(tag, true_tag))
@@ -541,12 +572,11 @@ class TestNoise:
     def test_codeword_flip_bit_positions_uniform(self):
         # 3,000 frames of 128 tag bytes under the campaigns' generator:
         # each of the 7 low bits is the flipped one in 1/7 of the bytes.
-        wire = protect_telegram(Telegram(1, 1, bytes(64)),
-                                SCHEMES["hamming"])
-        true_tag = parse_wire(wire)[2]
+        frame = frame_of(Telegram(1, 1, bytes(64)), "hamming")
+        true_tag = frame[2]
         counts = [0] * 7
         for i in range(3000):
-            noisy = apply_channel_noise(wire, Threat("codeword_flip"),
+            noisy = apply_channel_noise(frame, Threat("codeword_flip"),
                                         trial_rng("codeword-flip", i))
             for a, b in zip(parse_wire(noisy)[2], true_tag):
                 counts[(a ^ b).bit_length() - 1] += 1
@@ -562,8 +592,8 @@ class TestAttacks:
         t = Telegram(2, 6, b"original")
         for name in ("parity", "crc8", "crc32", "codedsig"):
             scheme = SCHEMES[name]
-            wire = protect_telegram(t, scheme)
-            forged = apply_attack(wire, Threat("forge", payload=b"injected"),
+            forged = apply_attack(frame_of(t, name),
+                                  Threat("forge", payload=b"injected"),
                                   AttackerKnowledge(scheme),
                                   random.Random(0))
             result = verify_telegram(forged, scheme,
@@ -574,8 +604,8 @@ class TestAttacks:
     def test_forge_succeeds_against_hamming(self):
         t = Telegram(2, 6, b"original")
         scheme = SCHEMES["hamming"]
-        wire = protect_telegram(t, scheme)
-        forged = apply_attack(wire, Threat("forge", payload=b"injected"),
+        forged = apply_attack(frame_of(t, "hamming"),
+                              Threat("forge", payload=b"injected"),
                               AttackerKnowledge(scheme), random.Random(0))
         result = verify_telegram(forged, scheme)
         assert result.status == ACCEPT
@@ -584,17 +614,17 @@ class TestAttacks:
     def test_forge_fails_against_hmac(self):
         t = Telegram(2, 6, b"original")
         scheme = SCHEMES["hmac"]
-        wire = protect_telegram(t, scheme, MAC)
+        frame = frame_of(t, "hmac")
         rng = random.Random(1)
         for _ in range(1000):
-            forged = apply_attack(wire, Threat("forge", payload=b"injected"),
+            forged = apply_attack(frame, Threat("forge", payload=b"injected"),
                                   AttackerKnowledge(scheme), rng)
             assert verify_telegram(forged, scheme, MAC).status == REJECT
 
     def test_forge_without_payload_draws_one_of_frame_length(self):
         scheme = SCHEMES["crc8"]
-        wire = protect_telegram(Telegram(2, 6, b"original"), scheme)
-        forged = apply_attack(wire, Threat("forge"),
+        frame = frame_of(Telegram(2, 6, b"original"), "crc8")
+        forged = apply_attack(frame, Threat("forge"),
                               AttackerKnowledge(scheme), random.Random(6))
         result = verify_telegram(forged, scheme)
         assert result.status == ACCEPT
@@ -602,13 +632,15 @@ class TestAttacks:
 
     def test_replay_uses_recorded_bytes(self):
         scheme = SCHEMES["crc8"]
-        donor = protect_telegram(Telegram(1, 1, b"old"), scheme)
-        replayed = apply_attack(donor, Threat("replay"),
-                                AttackerKnowledge(scheme), random.Random(0))
-        assert replayed == donor
+        donor = Telegram(1, 1, b"old")
+        rng = random.Random(0)
+        replayed = apply_attack(frame_of(donor, "crc8"), Threat("replay"),
+                                AttackerKnowledge(scheme), rng)
+        assert replayed == protect_telegram(donor, scheme)
+        assert rng.getstate() == random.Random(0).getstate()
         # CRC has no freshness notion: the recorded frame sent again is
         # accepted, even past the sequence window.
-        result = verify_telegram(donor, scheme,
+        result = verify_telegram(replayed, scheme,
                                  window=ReceiverWindow(min_seq=5))
         assert result.status == ACCEPT
 
@@ -626,24 +658,24 @@ class TestAttacks:
     def test_splice_keeps_tag_on_fresh_payload(self, name):
         scheme = SCHEMES[name]
         t = Telegram(2, 1, bytes(range(12)))
-        wire = protect_telegram(t, scheme, MAC)
+        frame = frame_of(t, name)
         rng = random.Random(8)
-        spliced = apply_attack(wire, Threat("splice"),
+        spliced = apply_attack(frame, Threat("splice"),
                                AttackerKnowledge(scheme), rng)
-        got, _, tag = parse_wire(spliced)
-        assert tag == parse_wire(wire)[2]
+        got, scheme_id, tag = parse_wire(spliced)
+        assert (scheme_id, tag) == frame[1:]
         assert (got.seq, got.date) == (t.seq, t.date)
         assert got.payload == random.Random(8).randbytes(12)
         # The same draws give the same bytes as random-payload noise.
         assert spliced == apply_channel_noise(
-            wire, Threat("random_payload"), random.Random(8))
+            frame, Threat("random_payload"), random.Random(8))
 
     def test_brute_force_tags_are_random(self):
         scheme = SCHEMES["hmac"]
-        wire = protect_telegram(Telegram(1, 1, b"x"), scheme, MAC)
+        carrier = frame_of(Telegram(1, 1, b"x"), "hmac")
         rng = random.Random(2)
         threat = Threat("brute_force", attempts=100)
-        frames = [parse_wire(apply_attack(wire, threat,
+        frames = [parse_wire(apply_attack(carrier, threat,
                                           AttackerKnowledge(scheme), rng))
                   for _ in range(100)]
         assert len({tag for _, _, tag in frames}) == 100
@@ -656,11 +688,12 @@ class TestAttacks:
 
     def test_brute_force_recomputes_keyless_tag(self):
         scheme = SCHEMES["codedsig"]
-        wire = protect_telegram(Telegram(1, 1, b"carrier"), scheme)
+        carrier = Telegram(1, 1, b"carrier")
         rng = random.Random(3)
-        guess = apply_attack(wire, Threat("brute_force", attempts=1),
+        guess = apply_attack(frame_of(carrier, "codedsig"),
+                             Threat("brute_force", attempts=1),
                              AttackerKnowledge(scheme), rng)
-        assert guess == wire
+        assert guess == protect_telegram(carrier, scheme)
         assert rng.getstate() == random.Random(3).getstate()
 
     def test_attacker_cannot_read_mac_key(self):
@@ -668,41 +701,39 @@ class TestAttacks:
             AttackerKnowledge(SCHEMES["hmac"]).mac_key()
 
     def test_unknown_attack(self):
-        scheme = SCHEMES["none"]
-        wire = protect_telegram(Telegram(1, 1, b"x"), scheme)
         with pytest.raises(ValueError):
-            apply_attack(wire, Threat("downgrade"),
-                         AttackerKnowledge(scheme), random.Random(0))
+            apply_attack(SMALLEST, Threat("downgrade"),
+                         AttackerKnowledge(SCHEMES["none"]),
+                         random.Random(0))
 
 
 class TestThreatDispatch:
-    WIRE = protect_telegram(Telegram(7, 7, bytes(range(10))),
-                            SCHEMES["hamming"])
+    FRAME = frame_of(Telegram(7, 7, bytes(range(10))), "hamming")
 
     @pytest.mark.parametrize("kind", NOISE_THREATS)
     def test_noise_kinds_are_noise(self, kind):
         threat = Threat(kind, rate=0.5, length=3)
-        noisy = apply_channel_noise(self.WIRE, threat, random.Random(0))
-        assert noisy != self.WIRE
+        noisy = apply_channel_noise(self.FRAME, threat, random.Random(0))
+        assert noisy != serialize_wire(*self.FRAME)
 
     @pytest.mark.parametrize("kind", ATTACK_THREATS)
     def test_attack_kinds_are_attacks(self, kind):
-        sent = apply_attack(self.WIRE, Threat(kind, attempts=1),
+        sent = apply_attack(self.FRAME, Threat(kind, attempts=1),
                             AttackerKnowledge(SCHEMES["hamming"]),
                             random.Random(0))
-        assert parse_wire(sent)[1] == parse_wire(self.WIRE)[1]
+        assert parse_wire(sent)[1] == self.FRAME[1]
 
     @pytest.mark.parametrize("kind", NOISE_THREATS + ATTACK_THREATS
                              + ("erasure",))
     def test_other_kind_rejected_before_parsing(self, kind):
-        # Bytes that are no frame: the kind check must come first.
+        # The kind check comes before any draw from the generator.
         rng = random.Random(0)
         if kind not in NOISE_THREATS:
             with pytest.raises(ValueError, match="not a noise threat"):
-                apply_channel_noise(b"garbage", Threat(kind), rng)
+                apply_channel_noise(SMALLEST, Threat(kind), rng)
         if kind not in ATTACK_THREATS:
             with pytest.raises(ValueError, match="not an attack threat"):
-                apply_attack(b"garbage", Threat(kind),
+                apply_attack(SMALLEST, Threat(kind),
                              AttackerKnowledge(SCHEMES["none"]), rng)
         assert rng.getstate() == random.Random(0).getstate()
 
