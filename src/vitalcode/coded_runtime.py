@@ -7,6 +7,12 @@ operations, and finally checks each declared output against its PROM
 signature and the date.  Any failed check suppresses output publication
 for the cycle (fail-safe contract).
 
+The program is straight-line and fixed when it is signed, so its cycle
+is one generated Python function, compiled on the program's first cycle
+and kept on it: one local per variable, one OPEL call per row.  Names,
+values and residues reach it as arguments, never as text, and
+`dsl.interpret` stays the separately written oracle.
+
 Fault models (one mutation per trial):
 
   F1  flip one bit of a variable's functional field, right after the
@@ -26,10 +32,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
+# The generated cycle calls the OPELs through this module's globals.
 from .coded_core import (CodeKey, CodedValue, FunctionalOverflow, check,
                          encode, opel_add, opel_mul, opel_sub, opel_move)
-from .dsl import ADD, MUL, SUB, interpret
+from .dsl import ADD, MOVE, MUL, SUB, interpret
 from .sigtool import CodedProgram, SignatureTable
 from .stats import (ConfigError, Outcomes, TrialStream, report_json,
                     run_trials, trial_rng)
@@ -149,7 +157,8 @@ def inject_fault(values: dict[str, CodedValue], cycle: int,
                  rng: TrialStream | None) -> tuple[tuple, ...]:
     """Apply one resolved fault (every selector set) at its injection point.
 
-    F1-F4 and F6 mutate the cycle's live `values` in place.  Returns the
+    F1-F4 and F6 mutate `values` in place; `run_cycle` passes only the
+    entries the fault touches, the target and F3's donor.  Returns the
     instruction rows to execute with: the program's own except for F5,
     where one residue slot of one row (kappa_sig, or for MUL one of
     src1_sig, src2_sig, dest_sig) moves by a uniform nonzero residue.
@@ -182,72 +191,122 @@ def inject_fault(values: dict[str, CodedValue], cycle: int,
     return rows
 
 
+# The generated cycle: line 1 is the signature, then variable j is
+# defined on line 2 + 2j and may be struck on the line after.  The text
+# is these templates filled with integers only: variable j is the local
+# vj, and row i's residues are read from the `rows` argument.
+_HEAD = ("def cycle(inputs, consts, sigs, names, rows, date, d, a, key, "
+         "hit, strike, encode, int):")
+_INPUT = "v{j} = encode(int(inputs[names[{j}]]), sigs[names[{j}]], date, key)"
+_CONST = "v{j} = encode(consts[names[{j}]], sigs[names[{j}]], date, key)"
+# Each row folds in the date term d as documented on sigtool.predetermine.
+# The OPELs reduce their results, so the constants stay unreduced.
+_ROW = {
+    ADD: "v{j} = opel_add(v{s1}, v{s2}, rows[{i}][4] - d, key)",
+    SUB: "v{j} = opel_sub(v{s1}, v{s2}, rows[{i}][4] + d, key)",
+    MUL: "t1 = (rows[{i}][5] + d) % a; t2 = (rows[{i}][6] + d) % a; "
+         "v{j} = opel_mul(v{s1}, v{s2}, t1, t2, rows[{i}][7] + d - t1 * t2, "
+         "key)",
+    MOVE: "v{j} = opel_move(v{s1}, rows[{i}][4], key)",
+}
+_STRIKE = "if hit == {j}: v{j} = strike(v{j})"
+_FIRST_LINE = 2
+
+
+def _compile_cycle(program: CodedProgram):
+    """Generate the program's cycle function and cache it on the program.
+
+    It encodes the inputs and constants, then calls one OPEL per row in
+    row order, looked up in this module's globals at call time, and
+    returns every variable's coded value in canonical order.  The
+    residues are read from the `rows` argument, so F5's patched rows
+    need no recompile.
+    """
+    ir, index = program.ir, program.index
+    first = len(ir.inputs) + len(ir.consts)
+    body = [(_INPUT if j < len(ir.inputs) else _CONST).format(j=j)
+            for j in range(first)]
+    for i, (op, _, src1, src2, *_) in enumerate(program.rows):
+        body.append(_ROW[op].format(i=i, j=first + i, s1=index[src1],
+                                    s2=index.get(src2)))  # None for MOVE
+    lines = [_HEAD]
+    for j, line in enumerate(body):
+        lines += (line, _STRIKE.format(j=j))
+    lines.append("return " + "".join(f"v{j}, " for j in range(len(body)))
+                 if body else "return ()")
+    namespace = {}
+    exec(compile("\n ".join(lines), "<cycle>", "exec"), globals(),
+         namespace)
+    object.__setattr__(program, "compiled", namespace["cycle"])
+    return program.compiled
+
+
+def _strike(fault, cycle, program, table, key, rng, value):
+    """F1/F2 at the target's definition: the struck value."""
+    live = {fault.variable: value}
+    inject_fault(live, cycle, program, table, key, fault, rng)
+    return live[fault.variable]
+
+
 def run_cycle(program: CodedProgram, table: SignatureTable,
               inputs: dict[str, int], cycle: int, key: CodeKey,
               fault: FaultSpec | None = None,
               rng: TrialStream | None = None) -> CycleResult:
     """Execute one cycle; publish outputs only if every check accepts.
 
+    The cycle runs as one straight-line function per program, compiled
+    on the program's first cycle and kept on it (`program.compiled`):
+    one local per variable and one OPEL call per row, in row order.
     With a fault spec, its unset selectors are drawn from `rng` before
     execution starts, and exactly one mutation is applied at the model's
     injection point (F5 before execution, F1/F2 after the target's
     definition, F3/F4/F6 at cycle end before the checks).  A value
-    outside the 64-bit range, input or result, is a safe halt.
+    outside the 64-bit range, input or result, is a safe halt that names
+    the variable being defined.
     """
     a = key.modulus
     ir = program.ir
     sigs = table.signatures
-    d = cycle % a
-    values = {}
-
+    index = program.index
     rows = program.rows
-    struck = None  # F1/F2 strike right after this variable's definition
+    hit, strike = -1, None  # F1/F2 strike right after definition `hit`
     if fault is not None:
         fault = _resolve_fault(fault, program, key, rng)
         if fault.model == F5:
-            rows = inject_fault(values, cycle, program, table, key, fault, rng)
+            rows = inject_fault({}, cycle, program, table, key, fault, rng)
         elif fault.model in (F1, F2):
-            struck = fault.variable
+            hit = index[fault.variable]
+            strike = partial(_strike, fault, cycle, program, table, key, rng)
 
     try:
-        for name in ir.inputs:
-            if name not in inputs:
-                raise KeyError(f"missing input {name!r}")
-            values[name] = encode(int(inputs[name]), sigs[name], cycle, key)
-            if name == struck:
-                inject_fault(values, cycle, program, table, key, fault, rng)
-        for name, value in ir.consts.items():
-            values[name] = encode(value, sigs[name], cycle, key)
-            if name == struck:
-                inject_fault(values, cycle, program, table, key, fault, rng)
-
-        # Fold the date term d in, as documented on sigtool.predetermine.
-        # The OPELs reduce their results, so the constants stay unreduced.
-        for op, name, src1, src2, kappa, b1, b2, b3 in rows:
-            if op == ADD:
-                values[name] = opel_add(values[src1], values[src2],
-                                        kappa - d, key)
-            elif op == SUB:
-                values[name] = opel_sub(values[src1], values[src2],
-                                        kappa + d, key)
-            elif op == MUL:
-                t1, t2 = (b1 + d) % a, (b2 + d) % a
-                values[name] = opel_mul(values[src1], values[src2], t1, t2,
-                                        b3 + d - t1 * t2, key)
-            else:
-                values[name] = opel_move(values[src1], kappa, key)
-            if name == struck:
-                inject_fault(values, cycle, program, table, key, fault, rng)
-    except FunctionalOverflow:  # `name` is the variable being defined
-        return CycleResult(SAFE_HALT, None, OVERFLOW, name)
+        values = (program.compiled or _compile_cycle(program))(
+            inputs, ir.consts, sigs, program.variables, rows, cycle,
+            cycle % a, a, key, hit, strike, encode, int)
+    except FunctionalOverflow as exc:  # raised on the line defining j
+        j = (exc.__traceback__.tb_next.tb_lineno - _FIRST_LINE) // 2
+        return CycleResult(SAFE_HALT, None, OVERFLOW, program.variables[j])
+    except KeyError as exc:
+        name = exc.args[0]
+        if name in ir.inputs and name not in inputs:
+            raise KeyError(f"missing input {name!r}") from None
+        raise
 
     if fault is not None and fault.model in (F3, F4, F6):
-        inject_fault(values, cycle, program, table, key, fault, rng)
+        name = fault.variable
+        live = {name: values[index[name]]}
+        if fault.donor is not None:
+            live[fault.donor] = values[index[fault.donor]]
+        inject_fault(live, cycle, program, table, key, fault, rng)
+        values = list(values)
+        values[index[name]] = live[name]
 
+    outputs = {}
     for name in ir.outputs:
-        if not check(values[name], sigs[name], cycle, key):
+        value = values[index[name]]
+        if not check(value, sigs[name], cycle, key):
             return CycleResult(REJECT, None, OUTPUT_INCOHERENT, name)
-    return CycleResult(ACCEPT, {name: values[name][0] for name in ir.outputs})
+        outputs[name] = value[0]
+    return CycleResult(ACCEPT, outputs)
 
 
 class FaultOutcomes(Outcomes):

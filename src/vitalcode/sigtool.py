@@ -4,9 +4,9 @@ Runs before deployment, in parallel with compilation: every variable of a
 parsed program receives a random static signature, every instruction gets
 one execution row carrying the compensation constants that keep the code
 channel coherent, and the result is serialized into a byte-deterministic
-PROM image.  The same rows are what `run_cycle` executes.  The image is
-a function of (program, key, seed) only; the data the program will later
-process never influences it.
+PROM image.  `run_cycle` compiles its cycle from the same rows on the
+program's first cycle.  The image is a function of (program, key, seed)
+only; the data the program will later process never influences it.
 """
 
 from __future__ import annotations
@@ -84,18 +84,24 @@ class CodedProgram:
     `rows` holds one row per instruction, as built by `predetermine`.
     Derived on construction: `variables`, in canonical order;
     `sorted_variables`, the same names sorted (F3 draws its donors from
-    these).
+    these); `index`, each name's position in `variables`.  `compiled`
+    is None until the first `run_cycle` compiles the cycle into it.
     """
 
     ir: ProgramIR
     rows: tuple[tuple, ...]
     variables: tuple = field(init=False, repr=False, compare=False)
     sorted_variables: tuple = field(init=False, repr=False, compare=False)
+    index: dict = field(init=False, repr=False, compare=False)
+    compiled: object = field(init=False, repr=False, compare=False,
+                             default=None)
 
     def __post_init__(self):
         names = tuple(self.ir.variables())
         object.__setattr__(self, "variables", names)
         object.__setattr__(self, "sorted_variables", tuple(sorted(names)))
+        object.__setattr__(self, "index",
+                           {name: i for i, name in enumerate(names)})
 
 
 def _draw_signature(seed: int, name: str, key: CodeKey) -> int:
@@ -139,7 +145,7 @@ def predetermine(ir: ProgramIR, table: SignatureTable) -> CodedProgram:
     dest_sig): the instruction plus the signature-only residues of its
     compensation constants, 0 in the slots its opcode does not use.
     They depend only on the signature table, never on runtime data;
-    `run_cycle` folds in the cycle-date term D:
+    `run_cycle`'s compiled cycle folds in the cycle-date term D:
       ADD:  kappa = kappa_sig - D      (kappa_sig = B3 - B1 - B2)
       SUB:  kappa = kappa_sig + D      (kappa_sig = B3 - B1 + B2)
       MOVE: kappa = kappa_sig          (kappa_sig = B_dst - B_src)

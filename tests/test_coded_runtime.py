@@ -1,18 +1,21 @@
 import random
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (MIXED_PROGRAM, SAMPLE_CYCLE, SAMPLE_INPUTS,
                      build_sample, random_straight_line_program)
+from vitalcode import coded_runtime
 from vitalcode.coded_runtime import (ACCEPT, FAULT_MODELS, FUNCTIONAL_BITS,
                                      OUTPUT_INCOHERENT, OVERFLOW, REJECT,
                                      SAFE_HALT, FaultSpec,
                                      UnresolvableTarget, _resolve_fault,
                                      inject_fault, run_campaign, run_cycle)
-from vitalcode.dsl import MUL, interpret, parse_program
-from vitalcode.sigtool import DuplicateSignatureWarning, build
+from vitalcode.dsl import ADD, MOVE, MUL, SUB, interpret, parse_program
+from vitalcode.sigtool import (DuplicateSignatureWarning, build, emit_prom,
+                               load_prom)
 from vitalcode.coded_core import (INT64_MAX, INT64_MIN, FunctionalOverflow,
                                   check, encode, make_key, opel_add,
                                   opel_move, opel_mul, opel_sub)
@@ -434,3 +437,123 @@ class TestCodedExecutionProperty:
         for x, c in results:
             assert c == (x + b3 + d) % a
             assert check((x, c), b3, cycle, key)
+
+
+# Names of the generated cycle's parameters (key, d, a, hit, strike,
+# encode, int, rows) and locals (v0, t1), of a global it calls
+# (opel_add) and of a builtin, plus k0 and _.  Every variable flows into
+# the output `rows`.
+COLLIDING_PROGRAM = """
+input v0; input key; input d;
+const k0 = 7; const int = -3;
+a = v0 + key; hit = a * k0; strike = hit - d; opel_add = strike;
+encode = opel_add * int; __import__ = encode + a; t1 = __import__ - v0;
+_ = t1 * d; rows = _;
+output rows; output hit; output encode;
+"""
+COLLIDING_INPUTS = {"v0": 5, "key": -4, "d": 3}
+OPEL_NAMES = {"opel_add", "opel_sub", "opel_mul", "opel_move"}
+
+
+def colliding_specs(program, key):
+    """Explicit F1-F6 specs over every variable, output and row."""
+    names, outputs = program.variables, program.ir.outputs
+    for name in names:
+        for bit in (0, 1, 31, 62, 63):
+            yield FaultSpec("F1", variable=name, bit=bit)
+        for bit in (0, key.bit_width - 1):
+            yield FaultSpec("F2", variable=name, bit=bit)
+    for target in outputs:
+        for donor in names:
+            if donor != target:
+                yield FaultSpec("F3", variable=target, donor=donor)
+        for staleness in (1, key.modulus):
+            yield FaultSpec("F4", variable=target, staleness=staleness)
+        yield FaultSpec("F6", variable=target)
+    for i in range(len(program.rows)):
+        yield FaultSpec("F5", instruction=i)
+
+
+class TestCompiledCycle:
+    def test_colliding_names_match_interpret(self):
+        ir = parse_program(COLLIDING_PROGRAM)
+        key = make_key(2**31 - 1)
+        table, program = build(ir, key, 8)
+        reference = interpret(ir, COLLIDING_INPUTS)
+        result = run_cycle(program, table, COLLIDING_INPUTS, 11, key)
+        assert (result.verdict, result.outputs) == (ACCEPT, reference)
+        code = program.compiled.__code__
+        assert set(code.co_names) <= OPEL_NAMES
+        assert all(c is None or type(c) is int for c in code.co_consts)
+        for n, spec in enumerate(colliding_specs(program, key)):
+            r = run_cycle(program, table, COLLIDING_INPUTS, 11, key,
+                          fault=spec, rng=trial_rng("colliding", n))
+            assert r.verdict != ACCEPT or r.outputs == reference, spec
+            if spec.model in ("F1", "F2", "F5"):
+                assert r.verdict != ACCEPT, spec
+
+    def test_colliding_names_prom_round_trip(self):
+        ir = parse_program(COLLIDING_PROGRAM)
+        key = make_key(251)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateSignatureWarning)
+            table, program = build(ir, key, 8)
+        loaded_table, loaded = load_prom(emit_prom(table, program))
+        assert (loaded_table, loaded) == (table, program)
+        for n, spec in enumerate([None, *colliding_specs(program, key)]):
+            results = [run_cycle(p, t, COLLIDING_INPUTS, 11, key, fault=spec,
+                                 rng=trial_rng("round-trip", n))
+                       for t, p in ((table, program), (loaded_table, loaded))]
+            assert results[0] == results[1], spec
+
+    def test_opels_looked_up_at_call_time(self, monkeypatch):
+        # The bench tracer wraps the OPELs at coded_runtime's attributes
+        # after the cycle may already have been compiled.
+        key = make_key(251)
+        table, program = build(parse_program(MIXED_PROGRAM), key, 6)
+        inputs = {"u": 12, "v": -5, "w": 9}
+        run_cycle(program, table, inputs, 3, key)
+        calls = Counter()
+        for opcode, attr in ((ADD, "opel_add"), (SUB, "opel_sub"),
+                             (MUL, "opel_mul"), (MOVE, "opel_move")):
+            def counted(*args, _opcode=opcode,
+                        _original=getattr(coded_runtime, attr)):
+                calls[_opcode] += 1
+                return _original(*args)
+            monkeypatch.setattr(coded_runtime, attr, counted)
+        assert run_cycle(program, table, inputs, 4, key).verdict == ACCEPT
+        assert calls == Counter(row[0] for row in program.rows)
+        assert set(calls) == {ADD, SUB, MUL, MOVE}
+
+    def test_compiled_on_first_cycle_only(self):
+        ir, key, table, program = build_sample(251)
+        loaded_table, loaded = load_prom(emit_prom(table, program))
+        assert program.compiled is None and loaded.compiled is None
+        run_cycle(loaded, loaded_table, SAMPLE_INPUTS, 1, key)
+        compiled = loaded.compiled
+        assert callable(compiled) and program.compiled is None
+        for model in FAULT_MODELS:
+            run_cycle(loaded, loaded_table, SAMPLE_INPUTS, 2, key,
+                      fault=FaultSpec(model), rng=trial_rng("lazy", 0))
+            assert loaded.compiled is compiled
+
+    @pytest.mark.parametrize("op, b", [("+", 1 << 62), ("-", -(1 << 62)),
+                                       ("*", 2)])
+    def test_struck_value_overflows_later_row(self, op, b):
+        # c = 1 is fine; with bit 62 flipped it is 2^62 + 1, and the next
+        # row leaves int64.  The halt names that row's destination.
+        ir = parse_program(f"input a; input b; c = a; r = c {op} b; "
+                           f"output r; output c;")
+        key = make_key(251)
+        table, program = build(ir, key, 2)
+        inputs = {"a": 1, "b": b}
+        assert run_cycle(program, table, inputs, 5, key).verdict == ACCEPT
+        result = run_cycle(program, table, inputs, 5, key,
+                           fault=FaultSpec("F1", variable="c", bit=62))
+        assert (result.verdict, result.reason, result.variable) == (
+            SAFE_HALT, OVERFLOW, "r")
+
+    def test_missing_input_is_named(self):
+        ir, key, table, program = build_sample(13)
+        with pytest.raises(KeyError, match="missing input 'gain'"):
+            run_cycle(program, table, {"speed": 1, "limit": 2}, 0, key)
