@@ -13,7 +13,8 @@ and kept on it: one local per variable, one OPEL call per row.  Names,
 values and residues reach it as arguments, never as text, and
 `dsl.interpret` stays the separately written oracle.
 
-Fault models (one mutation per trial):
+Fault models (one mutation per trial; `inject_fault` maps the target's
+coded value to the struck one for every model but F5, which patches a row):
 
   F1  flip one bit of a variable's functional field, right after the
       variable is defined
@@ -74,9 +75,11 @@ class UnresolvableTarget(CodedRuntimeError):
 class FaultSpec:
     """One accidental fault to inject into one cycle.
 
-    `run_cycle` draws every unset selector uniformly before the cycle
-    runs: F1/F2 pick any variable (and bit), F3/F4/F6 pick a declared
-    output (F3 also a donor), F5 picks an instruction.  `bit` addresses
+    `run_cycle` draws every unset selector uniformly into a new spec
+    before the cycle runs, so one unresolved spec serves a campaign:
+    F1/F2 pick any variable (and bit), struck right after its definition;
+    F3/F4/F6 a declared output (F3 also a donor), struck at cycle end;
+    F5 an instruction, patched before the cycle runs.  `bit` addresses
     the functional field's two's-complement word for F1, in [0, 64), and
     the code residue for F2, in [0, key.bit_width); a set selector outside
     its range raises UnresolvableTarget.  So does a spec that would strike
@@ -101,17 +104,20 @@ class CycleResult:
     variable: str | None = None     # the output, input, const or result
 
 
-def _flip_functional_bit(v: CodedValue, bit: int) -> CodedValue:
-    x, c = v
-    word = (x & ((1 << FUNCTIONAL_BITS) - 1)) ^ (1 << bit)
-    if word >= 1 << (FUNCTIONAL_BITS - 1):
-        word -= 1 << FUNCTIONAL_BITS
-    return word, c
+def _pick(rng: TrialStream | None, selected, candidates, allowed, what):
+    """`selected` if set and allowed, else a uniform draw from `candidates`."""
+    if selected is None:
+        if not candidates:
+            raise UnresolvableTarget(f"no candidate {what}")
+        return candidates[rng.randrange(len(candidates))]
+    if selected not in allowed:
+        raise UnresolvableTarget(f"no {what} {selected!r}")
+    return selected
 
 
 def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
                    rng: TrialStream | None) -> FaultSpec:
-    """Fill every unset selector of `spec`, drawing from `rng`.
+    """A new spec with every unset selector of `spec` filled from `rng`.
 
     Draw order per model: F1/F2 variable then bit; F3 output then donor
     from the other variables in sorted order; F4 and F6 output; F5
@@ -119,76 +125,71 @@ def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
     or the key cannot satisfy.
     """
     names = program.variables
-
-    def pick(selected, candidates, allowed, what):
-        if selected is None:
-            if not candidates:
-                raise UnresolvableTarget(f"no candidate {what}")
-            return candidates[rng.randrange(len(candidates))]
-        if selected not in allowed:
-            raise UnresolvableTarget(f"no {what} {selected!r}")
-        return selected
-
     variable, donor, bit = spec.variable, spec.donor, spec.bit
     instruction = spec.instruction
     if spec.model in (F1, F2):
-        variable = pick(variable, names, names, "variable")
+        variable = _pick(rng, variable, names, names, "variable")
         bits = range(FUNCTIONAL_BITS if spec.model == F1 else key.bit_width)
-        bit = pick(bit, bits, bits, "bit")
+        bit = _pick(rng, bit, bits, bits, "bit")
     elif spec.model in (F3, F4, F6):
-        variable = pick(variable, program.ir.outputs, names, "variable")
+        variable = _pick(rng, variable, program.ir.outputs, names,
+                         "variable")
         if spec.model == F3:  # an explicit target need not be an output
             others = [n for n in program.sorted_variables if n != variable]
-            donor = pick(donor, others, others, "donor")
+            donor = _pick(rng, donor, others, others, "donor")
         elif spec.model == F4 and spec.staleness < 1:
             raise UnresolvableTarget(f"no staleness {spec.staleness!r}")
     elif spec.model == F5:
         indices = range(len(program.rows))
-        instruction = pick(instruction, indices, indices, "instruction")
+        instruction = _pick(rng, instruction, indices, indices,
+                            "instruction")
     else:
         raise UnresolvableTarget(f"unknown fault model {spec.model!r}")
     return FaultSpec(spec.model, variable, donor, instruction, bit,
                      spec.staleness)
 
 
-def inject_fault(values: dict[str, CodedValue], cycle: int,
-                 program: CodedProgram, table: SignatureTable, key: CodeKey,
-                 spec: FaultSpec,
-                 rng: TrialStream | None) -> tuple[tuple, ...]:
-    """Apply one resolved fault (every selector set) at its injection point.
+def inject_fault(fault: FaultSpec, value: CodedValue,
+                 donor: CodedValue | None = None, signature: int = 0,
+                 cycle: int = 0, key: CodeKey | None = None,
+                 rng: TrialStream | None = None) -> CodedValue:
+    """The struck value of a resolved fault's target (F1-F4, F6).
 
-    F1-F4 and F6 mutate `values` in place; `run_cycle` passes only the
-    entries the fault touches, the target and F3's donor.  Returns the
-    instruction rows to execute with: the program's own except for F5,
-    where one residue slot of one row (kappa_sig, or for MUL one of
-    src1_sig, src2_sig, dest_sig) moves by a uniform nonzero residue.
-    The only draws are the fault's values: F5's MUL slot and delta, F6's
-    functional and code fields.
+    `value` is the target's coded value at the injection point, and the
+    other arguments are only what the model reads: F3 the donor's value,
+    F4 the target's signature, the cycle and the key, F6 the key and the
+    stream.  F1 flips bit `fault.bit` of the functional field's 64-bit
+    two's-complement word, F2 that bit of the code field; F3 returns the
+    donor's value; F4 re-encodes the value `fault.staleness` cycles ago;
+    F6 draws both fields uniformly, the only draws here.
     """
+    x, c = value
+    if fault.model == F1:
+        word = (x & ((1 << FUNCTIONAL_BITS) - 1)) ^ (1 << fault.bit)
+        if word >= 1 << (FUNCTIONAL_BITS - 1):
+            word -= 1 << FUNCTIONAL_BITS
+        return word, c
+    if fault.model == F2:
+        return x, c ^ (1 << fault.bit)
+    if fault.model == F3:
+        return donor
+    if fault.model == F4:
+        return x, (x + signature + cycle - fault.staleness) % key.modulus
+    # F6
+    x = rng.getrandbits(FUNCTIONAL_BITS) - (1 << (FUNCTIONAL_BITS - 1))
+    return x, rng.randrange(key.modulus)
+
+
+def _corrupt_row(rows: tuple[tuple, ...], i: int, key: CodeKey,
+                 rng: TrialStream) -> tuple[tuple, ...]:
+    """F5: `rows` with one residue slot of row `i` (kappa_sig, or for MUL
+    one of src1_sig, src2_sig, dest_sig drawn first) moved by a uniform
+    nonzero residue."""
     a = key.modulus
-    rows = program.rows
-    name = spec.variable
-    if spec.model == F1:
-        values[name] = _flip_functional_bit(values[name], spec.bit)
-    elif spec.model == F2:
-        x, c = values[name]
-        values[name] = x, c ^ (1 << spec.bit)
-    elif spec.model == F3:
-        values[name] = values[spec.donor]
-    elif spec.model == F4:
-        x = values[name][0]
-        values[name] = x, (x + table.signatures[name] + cycle
-                           - spec.staleness) % a
-    elif spec.model == F5:
-        i = spec.instruction
-        row = list(rows[i])
-        slot = 5 + rng.randrange(3) if row[0] == MUL else 4
-        row[slot] = (row[slot] + rng.randrange(1, a)) % a
-        rows = rows[:i] + (tuple(row),) + rows[i + 1:]
-    else:  # F6
-        x = rng.getrandbits(FUNCTIONAL_BITS) - (1 << (FUNCTIONAL_BITS - 1))
-        values[name] = x, rng.randrange(a)
-    return rows
+    row = list(rows[i])
+    slot = 5 + rng.randrange(3) if row[0] == MUL else 4
+    row[slot] = (row[slot] + rng.randrange(1, a)) % a
+    return rows[:i] + (tuple(row),) + rows[i + 1:]
 
 
 # The generated cycle: line 1 is the signature, then variable j is
@@ -241,13 +242,6 @@ def _compile_cycle(program: CodedProgram):
     return program.compiled
 
 
-def _strike(fault, cycle, program, table, key, rng, value):
-    """F1/F2 at the target's definition: the struck value."""
-    live = {fault.variable: value}
-    inject_fault(live, cycle, program, table, key, fault, rng)
-    return live[fault.variable]
-
-
 def run_cycle(program: CodedProgram, table: SignatureTable,
               inputs: dict[str, int], cycle: int, key: CodeKey,
               fault: FaultSpec | None = None,
@@ -257,10 +251,11 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     The cycle runs as one straight-line function per program, compiled
     on the program's first cycle and kept on it (`program.compiled`):
     one local per variable and one OPEL call per row, in row order.
-    With a fault spec, its unset selectors are drawn from `rng` before
-    execution starts, and exactly one mutation is applied at the model's
-    injection point (F5 before execution, F1/F2 after the target's
-    definition, F3/F4/F6 at cycle end before the checks).  A value
+    A fault spec is resolved from `rng` into a new one before execution,
+    and exactly one mutation is applied: F5 patches a row first, the
+    cycle's strike hook calls `inject_fault` right after the F1/F2 target
+    is defined, and the F3/F4/F6 target goes through it at cycle end,
+    before the checks.  A value
     outside the 64-bit range, input or result, is a safe halt that names
     the variable being defined.
     """
@@ -273,10 +268,10 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     if fault is not None:
         fault = _resolve_fault(fault, program, key, rng)
         if fault.model == F5:
-            rows = inject_fault({}, cycle, program, table, key, fault, rng)
+            rows = _corrupt_row(rows, fault.instruction, key, rng)
         elif fault.model in (F1, F2):
             hit = index[fault.variable]
-            strike = partial(_strike, fault, cycle, program, table, key, rng)
+            strike = partial(inject_fault, fault)
 
     try:
         values = (program.compiled or _compile_cycle(program))(
@@ -292,13 +287,11 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
         raise
 
     if fault is not None and fault.model in (F3, F4, F6):
-        name = fault.variable
-        live = {name: values[index[name]]}
-        if fault.donor is not None:
-            live[fault.donor] = values[index[fault.donor]]
-        inject_fault(live, cycle, program, table, key, fault, rng)
+        name, j = fault.variable, index[fault.variable]
+        donor = values[index[fault.donor]] if fault.model == F3 else None
         values = list(values)
-        values[index[name]] = live[name]
+        values[j] = inject_fault(fault, values[j], donor, sigs[name], cycle,
+                                 key, rng)
 
     outputs = {}
     for name in ir.outputs:
@@ -349,24 +342,23 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
     the program cannot host (e.g. F5 without instructions) raises
     ConfigError before the first trial.
     """
-    models = list(models)
+    specs = [FaultSpec(m) for m in models]  # run_cycle resolves a copy
     stream = f"vitalcode:{seed}"
-    for m in models:
+    for spec in specs:
         try:
-            _resolve_fault(FaultSpec(m), program, key, trial_rng(stream, 0))
+            _resolve_fault(spec, program, key, trial_rng(stream, 0))
         except UnresolvableTarget as exc:
-            raise ConfigError(f"fault model {m} cannot strike this program "
-                              f"({exc})", "models") from None
+            raise ConfigError(f"fault model {spec.model} cannot strike "
+                              f"this program ({exc})", "models") from None
     ir = program.ir
 
     def trial(i):
         rng = trial_rng(stream, i)
         inputs = {name: rng.randrange(-100, 101) for name in ir.inputs}
         cycle = rng.randrange(1, 1 << 20)
-        model = models[rng.randrange(len(models))] if models else None
-        result = run_cycle(program, table, inputs, cycle, key,
-                           fault=FaultSpec(model) if model else None,
-                           rng=rng)
+        fault = specs[rng.randrange(len(specs))] if specs else None
+        model = fault.model if fault else None
+        result = run_cycle(program, table, inputs, cycle, key, fault, rng)
         if result.verdict != ACCEPT:
             return model, "detected"
         if result.outputs != interpret(ir, inputs):
@@ -375,9 +367,9 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
 
     tally = run_trials(trials, trial)
     per_model = {}
-    for m in models:
-        counts = {o: tally[m, o] for o in FaultOutcomes.names}
-        per_model[m] = FaultOutcomes(sum(counts.values()), counts)
+    for spec in specs:
+        counts = {o: tally[spec.model, o] for o in FaultOutcomes.names}
+        per_model[spec.model] = FaultOutcomes(sum(counts.values()), counts)
     totals = Counter()
     for (_, outcome), n in tally.items():
         totals[outcome] += n

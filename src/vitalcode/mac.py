@@ -67,9 +67,12 @@ class MacKey:
     @classmethod
     def from_hex(cls, text: str) -> "MacKey":
         try:
-            return cls(bytes.fromhex(text.strip()))
+            material = bytes.fromhex(text.strip())
         except ValueError as exc:
             raise MacKeyError(f"bad hex key: {exc}") from None
+        if not material:  # a set but empty key must not mean "no secret"
+            raise MacKeyError("bad hex key: no key material")
+        return cls(material)
 
     def __repr__(self):
         return "MacKey(<secret>)"

@@ -321,6 +321,25 @@ class TestChannel:
         assert main(["channel", "--config", str(config)]) == EXIT_CONFIG
         assert secret not in assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("env,field", [("", "ab" * 16), (" ", None),
+                                           (None, ""), (None, "  ")])
+    def test_empty_mac_key(self, tmp_path, monkeypatch, capsys, env, field):
+        # A set but empty key never stands in for a configured one, and
+        # never runs HMAC without a secret.
+        if env is None:
+            monkeypatch.delenv("VITALCODE_MAC_KEY", raising=False)
+        else:
+            monkeypatch.setenv("VITALCODE_MAC_KEY", env)
+        doc = {"schemes": ["hmac"], "threats": [{"kind": "forge"}],
+               "trials": 3, "seed": 0}
+        if field is not None:
+            doc["mac_key"] = field
+        config = tmp_path / "campaign.json"
+        config.write_text(json.dumps(doc))
+        assert main(["channel", "--config", str(config)]) == EXIT_CONFIG
+        line = assert_one_error_line(capsys)
+        assert "no key material" in line and "ab" * 16 not in line
+
     def test_hmac_without_key(self, tmp_path, monkeypatch):
         monkeypatch.delenv("VITALCODE_MAC_KEY", raising=False)
         config = tmp_path / "campaign.json"

@@ -11,8 +11,9 @@ from vitalcode import coded_runtime
 from vitalcode.coded_runtime import (ACCEPT, FAULT_MODELS, FUNCTIONAL_BITS,
                                      OUTPUT_INCOHERENT, OVERFLOW, REJECT,
                                      SAFE_HALT, FaultSpec,
-                                     UnresolvableTarget, _resolve_fault,
-                                     inject_fault, run_campaign, run_cycle)
+                                     UnresolvableTarget, _corrupt_row,
+                                     _resolve_fault, inject_fault,
+                                     run_campaign, run_cycle)
 from vitalcode.dsl import ADD, MOVE, MUL, SUB, interpret, parse_program
 from vitalcode.sigtool import (DuplicateSignatureWarning, build, emit_prom,
                                load_prom)
@@ -139,8 +140,7 @@ class TestFaultModels:
         table, program = build(parse_program(MIXED_PROGRAM), key, 6)
         for idx, old in enumerate(program.rows):
             for seed in range(5):
-                rows = inject_fault({}, SAMPLE_CYCLE, program, table, key,
-                                    FaultSpec("F5", instruction=idx),
+                rows = _corrupt_row(program.rows, idx, key,
                                     random.Random(seed))
                 changed = [(i, slot)
                            for i, (new_row, old_row)
@@ -155,8 +155,8 @@ class TestFaultModels:
                 assert (rows[i][slot] - old[slot]) % 251 != 0
 
     def test_inject_fault_mutates_the_pair(self):
-        # Each model's effect on the coded pairs, checked field by field
-        # on a resolved spec; F1-F4 draw nothing from the stream.
+        # Each model's struck value, checked field by field on a resolved
+        # spec; F1-F4 draw nothing from the stream.
         ir, key, table, program = build_sample(2**31 - 1)
         a, sigs, cycle = key.modulus, table.signatures, 1_000_003
         names = program.sorted_variables
@@ -166,13 +166,10 @@ class TestFaultModels:
         word = (1 << FUNCTIONAL_BITS) - 1
 
         def strike(spec, stream="inject"):
-            values = dict(before)
             rng = trial_rng(stream, 0)
-            rows = inject_fault(values, cycle, program, table, key, spec, rng)
-            assert rows is program.rows
-            assert {n: v for n, v in values.items() if n != spec.variable} \
-                == {n: v for n, v in before.items() if n != spec.variable}
-            struck = values[spec.variable]
+            donor = before[spec.donor] if spec.donor else None
+            struck = inject_fault(spec, before[spec.variable], donor,
+                                  sigs[spec.variable], cycle, key, rng)
             assert type(struck) is tuple
             if spec.model != "F6":
                 assert rng.getrandbits(64) \
@@ -237,6 +234,18 @@ class TestFaultModels:
                 ref.getrandbits(FUNCTIONAL_BITS)
                 ref.randrange(13)
         assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("model", FAULT_MODELS)
+    def test_caller_spec_left_unresolved(self, model):
+        # run_campaign hands one spec per model to every trial.
+        ir, key, table, program = build_sample(13)
+        spec = FaultSpec(model, staleness=3)
+        for seed in range(5):
+            run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
+                      fault=spec, rng=random.Random(seed))
+            assert (spec.model, spec.variable, spec.donor, spec.instruction,
+                    spec.bit, spec.staleness) == (model, None, None, None,
+                                                  None, 3)
 
     def test_unresolvable_target(self):
         ir, key, table, program = build_sample(13)

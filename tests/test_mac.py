@@ -165,6 +165,11 @@ class TestKeyHandling:
         with pytest.raises(MacKeyError):
             MacKey.from_hex("zz")
 
+    @pytest.mark.parametrize("text", ["", "  ", "\n"])
+    def test_empty_hex(self, text):
+        with pytest.raises(MacKeyError, match="no key material"):
+            MacKey.from_hex(text)
+
 
 def test_openssl_not_loaded():
     # hashlib and hmac load OpenSSL's _hashlib, which costs ~3.5 MB of
