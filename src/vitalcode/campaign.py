@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import telegram as tg
 from .channel_codes import CRC_CATALOG
 from .coded_core import CodedCoreError, make_key
-from .mac import MAC_KEY_ENV, MacKey, TAG_LENGTHS
+from .mac import MAC_KEY_ENV, MacKey, MacKeyError, TAG_LENGTHS
 from .stats import ConfigError, Outcomes, report_json, run_trials, trial_rng
 # Defined with the transforms that apply them; re-exported for configs.
 from .telegram import ATTACK_THREATS, NOISE_THREATS, Threat
@@ -189,13 +189,20 @@ def build_scheme(name: str, config: CampaignConfig,
 
 
 def resolve_mac_key(config: CampaignConfig) -> MacKey | None:
-    """Env variable overrides the config key reference; never echoed."""
-    env = os.environ.get(MAC_KEY_ENV)
-    if env is not None:
-        return MacKey.from_hex(env)
-    if config.mac_key_hex is not None:
-        return MacKey.from_hex(config.mac_key_hex)
-    return None
+    """Env variable overrides the config key reference; never echoed.
+
+    A bad or empty key is a ConfigError at `$VITALCODE_MAC_KEY` or
+    `config.mac_key`, whichever supplied it.
+    """
+    text, where = os.environ.get(MAC_KEY_ENV), f"${MAC_KEY_ENV}"
+    if text is None:
+        text, where = config.mac_key_hex, "config.mac_key"
+    if text is None:
+        return None
+    try:
+        return MacKey.from_hex(text)
+    except MacKeyError as exc:
+        raise ConfigError(str(exc), where) from None
 
 
 class CellResult(Outcomes):

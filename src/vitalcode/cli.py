@@ -15,7 +15,7 @@ from . import campaign as ch
 from . import coded_runtime as rt
 from .coded_core import NotPrimeError, OutOfRangeError, make_key
 from .dsl import DslError, parse_program
-from .mac import MacKey, MacKeyError, hash_digest, hmac_tag
+from .mac import MacKey, hash_digest, hmac_tag
 from .redundancy import POLICIES, VoteConfig, redundancy_campaign
 from .sigtool import SigtoolError, build, emit_prom, load_prom
 from .stats import ConfigError
@@ -26,7 +26,7 @@ EXIT_CONFIG = 2
 
 # Errors of outside input: files, arguments, configs, images and keys.
 CONFIG_ERRORS = (OSError, UnicodeDecodeError, ConfigError, DslError,
-                 SigtoolError, MacKeyError, NotPrimeError, OutOfRangeError)
+                 SigtoolError, NotPrimeError, OutOfRangeError)
 
 
 def _cmd_sign(args) -> int:

@@ -330,13 +330,22 @@ class InjectionReport(FaultOutcomes):
             per_model={m: g.row() for m, g in self.per_model.items()})
 
 
+# An inject trial's header ranges: inputs in [-100, 100], cycles in
+# [1, 2**20).
+_INPUT_VALUES = 201
+_CYCLES = (1 << 20) - 1
+
+
 def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
                  models, trials: int, seed: int) -> InjectionReport:
     """Inject `trials` single faults drawn uniformly from `models`.
 
-    Trial i draws its inputs (uniform in [-100, 100], safe from 64-bit
-    overflow in short programs), cycle, model and fault from the engine
-    stream `vitalcode:{seed}`.  An empty model list runs a fault-free
+    Trial i draws from the engine stream `vitalcode:{seed}`.  Its header
+    is one `randrange` over the product of its ranges, decoded least
+    significant digit first: each input in program order (uniform in
+    [-100, 100], safe from 64-bit overflow in short programs), the model,
+    then the cycle in [1, 2**20).  `run_cycle` then draws the fault's
+    targets from the same stream.  An empty model list runs a fault-free
     baseline; any rejection there counts as a false alarm.  Only
     accepted cycles are compared with the `interpret` oracle.  A model
     the program cannot host (e.g. F5 without instructions) raises
@@ -351,12 +360,19 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
             raise ConfigError(f"fault model {spec.model} cannot strike "
                               f"this program ({exc})", "models") from None
     ir = program.ir
+    faults = specs or [None]
+    span = _INPUT_VALUES ** len(ir.inputs) * len(faults) * _CYCLES
 
     def trial(i):
         rng = trial_rng(stream, i)
-        inputs = {name: rng.randrange(-100, 101) for name in ir.inputs}
-        cycle = rng.randrange(1, 1 << 20)
-        fault = specs[rng.randrange(len(specs))] if specs else None
+        r = rng.randrange(span)
+        inputs = {}
+        for name in ir.inputs:
+            r, x = divmod(r, _INPUT_VALUES)
+            inputs[name] = x - 100
+        r, m = divmod(r, len(faults))
+        cycle = r + 1
+        fault = faults[m]
         model = fault.model if fault else None
         result = run_cycle(program, table, inputs, cycle, key, fault, rng)
         if result.verdict != ACCEPT:

@@ -20,6 +20,7 @@ MAJORITY = "majority"
 POLICIES = (UNANIMITY, MAJORITY)
 
 _VALUE_BITS = 32
+_UNIFORM_BITS = 53  # as `random.random()`
 
 
 @dataclass(frozen=True)
@@ -99,24 +100,30 @@ def redundancy_campaign(cfg: VoteConfig, trials: int,
     corrupted with probability p to a uniform wrong 32-bit value.  Trial
     i draws from the engine stream `vitalcode-redundancy:{seed}`, so
     sweeps over p or q with a shared seed reuse the same randomness.
+    Its header is one `getrandbits` of 53 bits per uniform, least
+    significant first: the common-mode one, then one per replica.  A
+    53-bit chunk k stands for the uniform k * 2**-53, and `k < x * 2**53`
+    compares it with a probability x exactly, as `random()` would; the
+    wrong values are drawn after it in the same order.
     """
     reference = 0
     n = cfg.replicas
     stream = f"vitalcode-redundancy:{seed}"
+    q_cut = cfg.q * 2.0 ** _UNIFORM_BITS
+    p_cut = cfg.p * 2.0 ** _UNIFORM_BITS
+    mask = (1 << _UNIFORM_BITS) - 1
 
     def trial(i):
         rng = trial_rng(stream, i)
-        u_common = rng.random()
-        u_replica = [rng.random() for _ in range(n)]
-        if u_common < cfg.q:
-            common_value = 1 + rng.getrandbits(_VALUE_BITS)
-            values = [common_value] * n
+        u = rng.getrandbits(_UNIFORM_BITS * (n + 1))
+        if u & mask < q_cut:
+            values = [1 + rng.getrandbits(_VALUE_BITS)] * n
         else:
             values = [reference] * n
         for j in range(n):
-            if u_replica[j] < cfg.p:
-                wrong = 1 + rng.getrandbits(_VALUE_BITS)
-                values[j] = wrong
+            u >>= _UNIFORM_BITS
+            if u & mask < p_cut:
+                values[j] = 1 + rng.getrandbits(_VALUE_BITS)
         agreed = vote(values, cfg.policy)
         if agreed is None:
             return "safe_halt"

@@ -340,6 +340,28 @@ class TestChannel:
         line = assert_one_error_line(capsys)
         assert "no key material" in line and "ab" * 16 not in line
 
+    @pytest.mark.parametrize("env,field,where", [
+        ("ab" * 16 + "zz", "cd" * 16, "$VITALCODE_MAC_KEY"),
+        ("", "cd" * 16, "$VITALCODE_MAC_KEY"),
+        (None, "ab" * 16 + "zz", "config.mac_key"),
+        (None, " ", "config.mac_key"),
+    ])
+    def test_bad_mac_key_names_its_source(self, tmp_path, monkeypatch,
+                                          capsys, env, field, where):
+        if env is None:
+            monkeypatch.delenv("VITALCODE_MAC_KEY", raising=False)
+        else:
+            monkeypatch.setenv("VITALCODE_MAC_KEY", env)
+        config = tmp_path / "campaign.json"
+        config.write_text(json.dumps({
+            "schemes": ["hmac"], "threats": [{"kind": "forge"}],
+            "trials": 3, "seed": 0, "mac_key": field}))
+        assert main(["channel", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: bad hex key: ")
+        assert len(err.splitlines()) == 1
+        assert "ab" * 16 not in err and "cd" * 16 not in err
+
     def test_hmac_without_key(self, tmp_path, monkeypatch):
         monkeypatch.delenv("VITALCODE_MAC_KEY", raising=False)
         config = tmp_path / "campaign.json"

@@ -10,7 +10,7 @@ from helpers import (MIXED_PROGRAM, SAMPLE_CYCLE, SAMPLE_INPUTS,
 from vitalcode import coded_runtime
 from vitalcode.coded_runtime import (ACCEPT, FAULT_MODELS, FUNCTIONAL_BITS,
                                      OUTPUT_INCOHERENT, OVERFLOW, REJECT,
-                                     SAFE_HALT, FaultSpec,
+                                     SAFE_HALT, CycleResult, FaultSpec,
                                      UnresolvableTarget, _corrupt_row,
                                      _resolve_fault, inject_fault,
                                      run_campaign, run_cycle)
@@ -20,7 +20,7 @@ from vitalcode.sigtool import (DuplicateSignatureWarning, build, emit_prom,
 from vitalcode.coded_core import (INT64_MAX, INT64_MIN, FunctionalOverflow,
                                   check, encode, make_key, opel_add,
                                   opel_move, opel_mul, opel_sub)
-from vitalcode.stats import binomial_sigma, trial_rng
+from vitalcode.stats import binomial_sigma, trial_rng, wilson_interval
 
 
 class TestRunCycle:
@@ -286,6 +286,62 @@ class TestCampaign:
         a = run_campaign(program, table, key, ["F6"], 500, seed=21)
         b = run_campaign(program, table, key, ["F6"], 500, seed=21)
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("models", [FAULT_MODELS, []])
+    def test_header_is_uniform(self, monkeypatch, models):
+        # One draw gives a trial's inputs, model and cycle; record them
+        # in place of the cycle.
+        ir, key, table, program = build_sample(251)
+        seen = []
+
+        def record(program, table, inputs, cycle, key, fault, rng):
+            seen.append((inputs, cycle, fault and fault.model))
+            return CycleResult(REJECT, None)
+
+        monkeypatch.setattr(coded_runtime, "run_cycle", record)
+        trials = 20_000
+        run_campaign(program, table, key, models, trials, seed=31)
+        assert len(seen) == trials
+        assert all(1 <= cycle < 1 << 20 for _, cycle, _ in seen)
+        groups = [(Counter(inputs[n] for inputs, _, _ in seen),
+                   range(-100, 101)) for n in ir.inputs]
+        models_seen = Counter(model for *_, model in seen)
+        if models:
+            groups.append((models_seen, models))
+        else:
+            assert models_seen == {None: trials}
+        groups.append((Counter(cycle >> 19 for _, cycle, _ in seen),
+                       range(2)))
+        for counts, values in groups:
+            assert set(counts) <= set(values)
+            for v in values:
+                lo, hi = wilson_interval(counts[v], trials, z=3.89)
+                assert lo <= 1 / len(values) <= hi, (v, counts[v])
+
+    def test_program_without_inputs(self):
+        ir = parse_program("const k = 5; const m = -3; output y; y = k * m;")
+        key = make_key(251)
+        table, program = build(ir, key, 2)
+        report = run_campaign(program, table, key, FAULT_MODELS, 600, seed=5)
+        assert sum(g.trials for g in report.per_model.values()) == 600
+        assert run_campaign(program, table, key, [], 50, seed=5).benign == 50
+
+    def test_header_wider_than_one_block(self):
+        # 70 inputs: the header's range needs more than the 512 bits of
+        # the stream's first block.
+        names = [f"a{j}" for j in range(70)]
+        sums = ["s1 = a0 + a1;"] + [f"s{j} = s{j - 1} + a{j};"
+                                    for j in range(2, 70)]
+        ir = parse_program("".join(f"input {n}; " for n in names)
+                           + " ".join(sums) + " output s69;")
+        assert (201 ** 70 * 6 * ((1 << 20) - 1)).bit_length() > 512
+        key = make_key(2**31 - 1)
+        table, program = build(ir, key, 3)
+        a = run_campaign(program, table, key, FAULT_MODELS, 200, seed=6)
+        b = run_campaign(program, table, key, FAULT_MODELS, 200, seed=6)
+        assert a.to_json() == b.to_json()
+        assert a.undetected_wrong_output == 0
+        assert run_campaign(program, table, key, [], 50, seed=6).benign == 50
 
 
 class TestFaultFreeEquivalence:

@@ -3,9 +3,10 @@ from itertools import product
 
 import pytest
 
-from vitalcode.redundancy import (MAJORITY, UNANIMITY, VoteConfig,
-                                  redundancy_campaign, vote)
-from vitalcode.stats import binomial_sigma
+from vitalcode import redundancy
+from vitalcode.redundancy import (MAJORITY, UNANIMITY, RedundancyReport,
+                                  VoteConfig, redundancy_campaign, vote)
+from vitalcode.stats import binomial_sigma, run_trials, trial_rng
 
 
 class TestVote:
@@ -140,3 +141,61 @@ class TestCampaign:
                                      trials=100_000, seed=9)
         lo, hi = report.row()["undetected_wrong"]["ci"]
         assert lo <= 1e-2 <= hi
+
+
+# 53-bit chunks on every side of each probability's cut k < x * 2**53:
+# 0.01 * 2**53 is not an integer, the others are.
+EDGES = (0, 1, 2, 90071992547409, 90071992547410, 2**52 - 1, 2**52,
+         2**52 + 1, 2**53 - 2, 2**53 - 1)
+PROBABILITIES = (0.0, 5e-324, 2.0**-53, 0.01, 0.5, 1 - 2.0**-53, 1.0)
+
+
+def edge_rng(stream, i):
+    """Trial i's stream with EDGES[i % 10] as its header chunk
+    (i // 10) % 4 and the stream's own bits everywhere else."""
+    rng = trial_rng(stream, i)
+    shift = 53 * (i // len(EDGES) % 4)
+    rng._pool ^= (((rng._pool >> shift) ^ EDGES[i % len(EDGES)])
+                  & (2**53 - 1)) << shift
+    return rng
+
+
+def four_uniform_campaign(cfg, trials, seed):
+    """The reference trial: one `random()` call per uniform, compared as
+    a float."""
+    n = cfg.replicas
+    stream = f"vitalcode-redundancy:{seed}"
+
+    def trial(i):
+        rng = redundancy.trial_rng(stream, i)
+        u_common = rng.random()
+        u_replica = [rng.random() for _ in range(n)]
+        if u_common < cfg.q:
+            values = [1 + rng.getrandbits(32)] * n
+        else:
+            values = [0] * n
+        for j in range(n):
+            if u_replica[j] < cfg.p:
+                values[j] = 1 + rng.getrandbits(32)
+        agreed = vote(values, cfg.policy)
+        if agreed is None:
+            return "safe_halt"
+        return "correct" if agreed == 0 else "undetected_wrong"
+
+    return RedundancyReport(trials, run_trials(trials, trial),
+                            policy=cfg.policy, p=cfg.p, q=cfg.q, seed=seed)
+
+
+class TestOneDrawHeader:
+    @pytest.mark.parametrize("policy", [UNANIMITY, MAJORITY])
+    @pytest.mark.parametrize("rng", [trial_rng, edge_rng])
+    def test_equals_four_uniforms(self, monkeypatch, policy, rng):
+        # edge_rng puts every edge chunk in every header slot; both
+        # campaigns read the same patched streams.
+        monkeypatch.setattr(redundancy, "trial_rng", rng)
+        trials = 4 * len(EDGES)
+        for p, q in product(PROBABILITIES, repeat=2):
+            cfg = VoteConfig(policy, p, q)
+            assert redundancy_campaign(cfg, trials, seed=12).to_json() \
+                == four_uniform_campaign(cfg, trials, seed=12).to_json(), \
+                (p, q)

@@ -103,19 +103,19 @@ DIGESTS = {
     "channel-json":
         "3ddc83a3302a8e8bec42bea527412720ab9a2ab73bdcd7277597b3e150035cbf",
     "inject-13-all":
-        "25fc05fa2c65da236b7d46353c4322e084f6754f92a4ab69c6a3349e44963697",
+        "f6751b1c8caa1e22ae6bbd67aacc902544ef82a0ba178e8b56f77af98430273d",
     "inject-251-F3F5":
-        "badc4d2265436f94872a26038a6504fab7804bdd1641e5bc1562504f90596cdd",
+        "c01eb2c6977eed64ddeb8151647fcba697818d4185c2fcaf1f74ddb3d7002a25",
     "inject-mersenne-none":
         "ebc0aebf0b6fc579bb3927e8b027947cd193bd3acc9bd09cbf156fa0c9a0997f",
     "inject-mixed-251":
-        "c65f02404f45cd1e66447735fa3f009fe356f21e82f1c8c8d9833607d681b194",
+        "009dd33820aa25a06e3923ccc84ecdefac613f3ca61517f50c332b22ed78e5d7",
     "inject-mixed-mersenne":
-        "616a6e795ba5d18727cf8c26ce229818bf3451415f9ef71716540e68b5f726ec",
+        "590a52e09c0f2f0c3c27688da1bf875f140c01dbc300a08c0d14bbd2a2e06fd8",
     "inject-overflow-251":
-        "831ca127085018480b1fc00410f684408962bf7e737dfe88a8d0fac67f4f8cd0",
+        "c5b0e98c18a6a3ae3cc6be0287452691c877340f5120b04a0539bc82a1dcd2c0",
     "inject-overflow-mersenne":
-        "57b94d5640f2507b0a0aa21ac3f1faedf14d54424880f88ac397f300b60590a8",
+        "606c834bd3f038676b1cd0dc08ba93a0ba93effbc47881287966ef0571e394d2",
     "run-accept":
         "393aace4b9bd7b85f3edb805429d50348c0195ed72a0cd770cd799f4bc11b176",
     "run-safe-halt":
