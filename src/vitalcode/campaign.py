@@ -35,11 +35,11 @@ class CampaignConfig:
     threats: list[Threat]
     trials: int
     seed: int
-    key_modulus: int = 251
-    coded_signature: int = 7
-    payload_length: int = DEFAULT_PAYLOAD_LENGTH
-    mac_key_hex: str | None = None
-    mac_truncation: int = 32
+    key_modulus: int
+    coded_signature: int
+    payload_length: int
+    mac_key_hex: str | None
+    mac_truncation: int
 
 
 def _within(low, high=math.inf):
@@ -63,10 +63,11 @@ def _payload_hex(text):
 
 
 # Field -> (JSON types, value check returning an error or None), for the
-# top-level object and each threat.  Only fields present are checked, by
-# exact type, so a bool is never a number.  `mac_key` has no value check,
-# so its material never reaches an error.
-_FIELDS = {
+# top-level object and for each threat.  Every field present is checked,
+# by exact type, so a bool is never a number, and a field of neither set
+# is an error.  No error shows a value, so `mac_key` material, even under
+# a misspelled name, never reaches one.
+_CONFIG_FIELDS = {
     "schemes": ((list,), None),
     "threats": ((list,), None),
     "trials": ((int,), _within(1)),
@@ -76,20 +77,28 @@ _FIELDS = {
     "payload_length": ((int,), _within(0, tg.MAX_PAYLOAD)),
     "mac_key": ((str, type(None)), None),
     "mac_truncation": ((int,), _one_of(TAG_LENGTHS)),
+}
+_THREAT_FIELDS = {
     "kind": ((str,), _one_of(NOISE_THREATS + ATTACK_THREATS)),
     "rate": ((int, float), _within(0, 1)),
     "length": ((int,), _within(0)),
     "attempts": ((int,), _within(1)),
     "payload_hex": ((str,), _payload_hex),
 }
+# Threat kind -> the parameters it reads; the other kinds read none.
+_THREAT_PARAMS = {
+    "bit_error": ("rate",),
+    "burst": ("length",),
+    "brute_force": ("attempts", "payload_hex"),
+    "forge": ("payload_hex",),
+}
 
 
-def _check_fields(doc: dict, path: str) -> None:
+def _check_fields(doc: dict, path: str, fields: dict) -> None:
     for name, value in doc.items():
-        spec = _FIELDS.get(name)
-        if spec is None:
-            continue
-        types, check = spec
+        if name not in fields:
+            raise ConfigError("unknown field", f"{path}.{name}")
+        types, check = fields[name]
         if type(value) not in types:
             raise ConfigError(f"bad type {type(value).__name__}",
                               f"{path}.{name}")
@@ -104,17 +113,22 @@ def parse_config(doc) -> CampaignConfig:
     for name in ("schemes", "threats", "trials", "seed"):
         if name not in doc:
             raise ConfigError("missing field", f"config.{name}")
-    _check_fields(doc, "config")
+    _check_fields(doc, "config", _CONFIG_FIELDS)
     threats, labels = [], set()
     for i, entry in enumerate(doc["threats"]):
         path = f"config.threats[{i}]"
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigError("threat needs a 'kind'", path)
-        _check_fields(entry, path)
-        if entry["kind"] == "brute_force" and "attempts" not in entry:
+        _check_fields(entry, path, _THREAT_FIELDS)
+        kind = entry["kind"]
+        for name in entry:
+            if name != "kind" and name not in _THREAT_PARAMS.get(kind, ()):
+                raise ConfigError(f"not a parameter of {kind}",
+                                  f"{path}.{name}")
+        if kind == "brute_force" and "attempts" not in entry:
             raise ConfigError("missing field", f"{path}.attempts")
         threat = Threat(
-            kind=entry["kind"],
+            kind=kind,
             rate=float(entry.get("rate", 0.0)),
             length=entry.get("length", 0),
             attempts=entry.get("attempts", 0),
@@ -252,7 +266,6 @@ class ChannelReport:
 
 def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
               config: CampaignConfig, mac_key: MacKey | None) -> CellResult:
-    knowledge = tg.AttackerKnowledge(scheme)
     stream = f"vitalcode-channel:{config.seed}:{scheme_name}:{threat.label}"
     noise = threat.kind in NOISE_THREATS
     wire_id = scheme.wire_id
@@ -283,7 +296,7 @@ def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
         if noise:
             delivered = tg.apply_channel_noise(frame, threat, rng)
         else:
-            delivered = tg.apply_attack(frame, threat, knowledge, rng)
+            delivered = tg.apply_attack(frame, threat, scheme, rng)
         return _outcome(tg.verify_telegram(delivered, scheme, mac_key,
                                            window), original, threat)
 

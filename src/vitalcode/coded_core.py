@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
+# The functional field is a 64-bit two's-complement word.
+FUNCTIONAL_BITS = 64
+INT64_MIN = -(1 << (FUNCTIONAL_BITS - 1))
+INT64_MAX = (1 << (FUNCTIONAL_BITS - 1)) - 1
 
 MIN_KEY = 3
 MAX_KEY_BITS = 48

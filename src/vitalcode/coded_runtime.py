@@ -36,8 +36,9 @@ from dataclasses import dataclass
 from functools import partial
 
 # The generated cycle calls the OPELs through this module's globals.
-from .coded_core import (CodeKey, CodedValue, FunctionalOverflow, check,
-                         encode, opel_add, opel_mul, opel_sub, opel_move)
+from .coded_core import (FUNCTIONAL_BITS, CodeKey, CodedValue,
+                         FunctionalOverflow, check, encode, opel_add,
+                         opel_mul, opel_sub, opel_move)
 from .dsl import ADD, MOVE, MUL, SUB, interpret
 from .sigtool import CodedProgram, SignatureTable
 from .stats import (ConfigError, Outcomes, TrialStream, report_json,
@@ -60,14 +61,8 @@ F6 = "F6"
 
 FAULT_MODELS = (F1, F2, F3, F4, F5, F6)
 
-FUNCTIONAL_BITS = 64
 
-
-class CodedRuntimeError(Exception):
-    pass
-
-
-class UnresolvableTarget(CodedRuntimeError):
+class UnresolvableTarget(Exception):
     """Fault spec names a variable or instruction the program lacks."""
 
 
@@ -174,7 +169,7 @@ def inject_fault(fault: FaultSpec, value: CodedValue,
     if fault.model == F3:
         return donor
     if fault.model == F4:
-        return x, (x + signature + cycle - fault.staleness) % key.modulus
+        return encode(x, signature, cycle - fault.staleness, key)
     # F6
     x = rng.getrandbits(FUNCTIONAL_BITS) - (1 << (FUNCTIONAL_BITS - 1))
     return x, rng.randrange(key.modulus)
@@ -182,12 +177,12 @@ def inject_fault(fault: FaultSpec, value: CodedValue,
 
 def _corrupt_row(rows: tuple[tuple, ...], i: int, key: CodeKey,
                  rng: TrialStream) -> tuple[tuple, ...]:
-    """F5: `rows` with one residue slot of row `i` (kappa_sig, or for MUL
-    one of src1_sig, src2_sig, dest_sig drawn first) moved by a uniform
-    nonzero residue."""
+    """F5: `rows` with one residue of row `i` moved by a uniform nonzero
+    residue.  A MUL row's slot (src1_sig, src2_sig, dest_sig) is drawn
+    first; a one-residue row draws no slot."""
     a = key.modulus
     row = list(rows[i])
-    slot = 5 + rng.randrange(3) if row[0] == MUL else 4
+    slot = rng.randrange(len(row)) if len(row) > 1 else 0
     row[slot] = (row[slot] + rng.randrange(1, a)) % a
     return rows[:i] + (tuple(row),) + rows[i + 1:]
 
@@ -203,12 +198,12 @@ _CONST = "v{j} = encode(consts[names[{j}]], sigs[names[{j}]], date, key)"
 # Each row folds in the date term d as documented on sigtool.predetermine.
 # The OPELs reduce their results, so the constants stay unreduced.
 _ROW = {
-    ADD: "v{j} = opel_add(v{s1}, v{s2}, rows[{i}][4] - d, key)",
-    SUB: "v{j} = opel_sub(v{s1}, v{s2}, rows[{i}][4] + d, key)",
-    MUL: "t1 = (rows[{i}][5] + d) % a; t2 = (rows[{i}][6] + d) % a; "
-         "v{j} = opel_mul(v{s1}, v{s2}, t1, t2, rows[{i}][7] + d - t1 * t2, "
+    ADD: "v{j} = opel_add(v{s1}, v{s2}, rows[{i}][0] - d, key)",
+    SUB: "v{j} = opel_sub(v{s1}, v{s2}, rows[{i}][0] + d, key)",
+    MUL: "t1 = (rows[{i}][0] + d) % a; t2 = (rows[{i}][1] + d) % a; "
+         "v{j} = opel_mul(v{s1}, v{s2}, t1, t2, rows[{i}][2] + d - t1 * t2, "
          "key)",
-    MOVE: "v{j} = opel_move(v{s1}, rows[{i}][4], key)",
+    MOVE: "v{j} = opel_move(v{s1}, rows[{i}][0], key)",
 }
 _STRIKE = "if hit == {j}: v{j} = strike(v{j})"
 _FIRST_LINE = 2
@@ -217,19 +212,21 @@ _FIRST_LINE = 2
 def _compile_cycle(program: CodedProgram):
     """Generate the program's cycle function and cache it on the program.
 
-    It encodes the inputs and constants, then calls one OPEL per row in
-    row order, looked up in this module's globals at call time, and
-    returns every variable's coded value in canonical order.  The
-    residues are read from the `rows` argument, so F5's patched rows
-    need no recompile.
+    It encodes the inputs and constants, then calls one OPEL per
+    instruction in IR order, looked up in this module's globals at call
+    time, and returns every variable's coded value in canonical order.
+    The opcodes and operands come from `program.ir`; instruction i's
+    residues are read from `rows[i][0..2]` of the `rows` argument, so
+    F5's patched rows need no recompile.
     """
     ir, index = program.ir, program.index
     first = len(ir.inputs) + len(ir.consts)
     body = [(_INPUT if j < len(ir.inputs) else _CONST).format(j=j)
             for j in range(first)]
-    for i, (op, _, src1, src2, *_) in enumerate(program.rows):
-        body.append(_ROW[op].format(i=i, j=first + i, s1=index[src1],
-                                    s2=index.get(src2)))  # None for MOVE
+    for i, ins in enumerate(ir.instructions):
+        body.append(_ROW[ins.opcode].format(
+            i=i, j=first + i, s1=index[ins.src1],
+            s2=index.get(ins.src2)))  # None for MOVE
     lines = [_HEAD]
     for j, line in enumerate(body):
         lines += (line, _STRIKE.format(j=j))

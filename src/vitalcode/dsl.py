@@ -261,26 +261,23 @@ class _Parser:
 
     def flatten(self, node, dest: str) -> None:
         """Emit three-address code computing `node` into `dest`."""
-        if node[0] == "lit":
-            self.ir.instructions.append(
-                Instruction(MOVE, dest, self.literal_var(node[1])))
-        elif node[0] == "var":
-            self.ir.instructions.append(Instruction(MOVE, dest, node[1]))
-        else:
+        if node[0] == "op":
             _, opcode, left, right = node
-            self.ir.instructions.append(
-                Instruction(opcode, dest, self.operand(left),
-                            self.operand(right)))
+            ins = Instruction(opcode, dest, self.operand(left),
+                              self.operand(right))
+        else:
+            ins = Instruction(MOVE, dest, self.operand(node))
+        self.ir.instructions.append(ins)
 
     def operand(self, node) -> str:
+        """The name holding `node`'s value; an operation is flattened into
+        a new temp, numbered before its operands."""
         if node[0] == "lit":
             return self.literal_var(node[1])
         if node[0] == "var":
             return node[1]
-        _, opcode, left, right = node
         temp = self.new_temp()
-        self.ir.instructions.append(
-            Instruction(opcode, temp, self.operand(left), self.operand(right)))
+        self.flatten(node, temp)
         return temp
 
 

@@ -81,8 +81,10 @@ class SignatureTable:
 class CodedProgram:
     """Program IR plus its offline-predetermined execution rows.
 
-    `rows` holds one row per instruction, as built by `predetermine`.
-    Derived on construction: `variables`, in canonical order;
+    `rows` holds one row per instruction of `ir.instructions`, as built
+    by `predetermine`: only the residues, which are exactly the PROM's
+    constants; the opcode and operands are read from the IR.  Derived
+    on construction: `variables`, in canonical order;
     `sorted_variables`, the same names sorted (F3 draws its donors from
     these); `index`, each name's position in `variables`.  `compiled`
     is None until the first `run_cycle` compiles the cycle into it.
@@ -141,10 +143,10 @@ def assign_signatures(ir: ProgramIR, key: CodeKey, seed: int) -> SignatureTable:
 def predetermine(ir: ProgramIR, table: SignatureTable) -> CodedProgram:
     """Compute every instruction's execution row offline.
 
-    A row is (opcode, dest, src1, src2, kappa_sig, src1_sig, src2_sig,
-    dest_sig): the instruction plus the signature-only residues of its
-    compensation constants, 0 in the slots its opcode does not use.
-    They depend only on the signature table, never on runtime data;
+    A row holds the signature-only residues of the instruction's
+    compensation constants, exactly as the PROM stores them: (kappa_sig,)
+    for ADD, SUB and MOVE, (src1_sig, src2_sig, dest_sig) for MUL.  They
+    depend only on the signature table, never on runtime data;
     `run_cycle`'s compiled cycle folds in the cycle-date term D:
       ADD:  kappa = kappa_sig - D      (kappa_sig = B3 - B1 - B2)
       SUB:  kappa = kappa_sig + D      (kappa_sig = B3 - B1 + B2)
@@ -161,16 +163,14 @@ def predetermine(ir: ProgramIR, table: SignatureTable) -> CodedProgram:
             if name is not None and name not in sigs:
                 raise MissingSignatureError(f"no signature for {name!r}")
         if op == MUL:
-            rows.append((op, dest, src1, src2, 0, sigs[src1], sigs[src2],
-                         sigs[dest]))
+            rows.append((sigs[src1], sigs[src2], sigs[dest]))
             continue
+        kappa = sigs[dest] - sigs[src1]
         if op == ADD:
-            kappa = sigs[dest] - sigs[src1] - sigs[src2]
+            kappa -= sigs[src2]
         elif op == SUB:
-            kappa = sigs[dest] - sigs[src1] + sigs[src2]
-        else:
-            kappa = sigs[dest] - sigs[src1]
-        rows.append((op, dest, src1, src2, kappa % a, 0, 0, 0))
+            kappa += sigs[src2]
+        rows.append((kappa % a,))
     return CodedProgram(ir, tuple(rows))
 
 
@@ -193,8 +193,8 @@ def emit_prom(table: SignatureTable, program: CodedProgram) -> bytes:
     Layout (all integers big-endian, no padding): the `_HEADER` struct
     (magic "VCPROM1", version u8, key u64, seed u64, program digest of
     32 bytes), then three sections, each a `_U32` length and its bytes:
-    canonical IR, signatures, and per row its opcode id and residues
-    (kappa_sig, or for MUL src1_sig, src2_sig, dest_sig).
+    canonical IR, signatures, and per instruction its opcode id and its
+    row as it is (kappa_sig, or for MUL src1_sig, src2_sig, dest_sig).
     """
     out = bytearray(_HEADER.pack(PROM_MAGIC, PROM_VERSION,
                                  table.key.modulus, table.seed,
@@ -212,9 +212,9 @@ def emit_prom(table: SignatureTable, program: CodedProgram) -> bytes:
 
     const_payload = bytearray()
     const_payload += _U32.pack(len(program.rows))
-    for row in program.rows:
-        const_payload.append(_OPCODE_IDS[row[0]])
-        for residue in (row[5:] if row[0] == MUL else row[4:5]):
+    for ins, row in zip(program.ir.instructions, program.rows):
+        const_payload.append(_OPCODE_IDS[ins.opcode])
+        for residue in row:
             const_payload += residue.to_bytes(8, "big")
     out += _section(bytes(const_payload))
     return bytes(out)

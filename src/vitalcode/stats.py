@@ -176,7 +176,8 @@ def report_json(config: dict, seed: int, **groups) -> str:
 
 def wilson_interval(successes: int, trials: int,
                     z: float = 1.96) -> tuple[float, float]:
-    """Wilson score confidence interval for a binomial proportion."""
+    """Wilson score confidence interval for a binomial proportion; its ends
+    are exactly 0.0 with no successes and 1.0 with no failures."""
     if trials <= 0:
         return (0.0, 1.0)
     p = successes / trials
@@ -184,8 +185,8 @@ def wilson_interval(successes: int, trials: int,
     denom = 1 + z2 / trials
     centre = p + z2 / (2 * trials)
     spread = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
-    lo = max(0.0, (centre - spread) / denom)
-    hi = min(1.0, (centre + spread) / denom)
+    lo = (centre - spread) / denom if successes else 0.0
+    hi = (centre + spread) / denom if successes < trials else 1.0
     return (lo, hi)
 
 

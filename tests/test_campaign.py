@@ -26,6 +26,12 @@ FIELDS = ("schemes", "threats", "trials", "seed", "key_a", "coded_signature",
 NAMES = ("crc8-atm", "codedsig", "hmac-8", "forge", "burst", "bit_error",
          "brute_force", "replay")
 
+# Threat kind -> the parameters it reads; the other kinds read none.
+THREAT_READS = {"bit_error": ("rate",), "burst": ("length",),
+                "brute_force": ("attempts", "payload_hex"),
+                "forge": ("payload_hex",)}
+PARAM_VALUES = {"rate": 0.1, "length": 3, "attempts": 2, "payload_hex": "0c"}
+
 BASE_DOC = {
     "schemes": ["crc8-atm"],
     "threats": [{"kind": "forge"}],
@@ -121,6 +127,20 @@ class TestConfigParsing:
                           "forge"]
         assert config.threats[3].payload == bytes.fromhex("deadbeef")
 
+    @pytest.mark.parametrize("kind", telegram.NOISE_THREATS
+                             + telegram.ATTACK_THREATS)
+    @pytest.mark.parametrize("param", sorted(PARAM_VALUES))
+    def test_threat_takes_only_the_parameters_it_reads(self, kind, param):
+        entry = {"kind": kind, param: PARAM_VALUES[param]}
+        if kind == "brute_force":
+            entry.setdefault("attempts", 2)
+        if param in THREAT_READS.get(kind, ()):
+            assert make_config(threats=[entry]).threats[0].kind == kind
+        else:
+            with pytest.raises(ConfigError) as info:
+                make_config(threats=[entry])
+            assert info.value.path == f"config.threats[0].{param}"
+
     @pytest.mark.parametrize("threat", [
         {"kind": "brute_force"},
         {"kind": "brute_force", "attempts": 0},
@@ -138,10 +158,15 @@ class TestConfigParsing:
         ({"key_a": "251"}, "config.key_a"),
         ({"mac_key": 5}, "config.mac_key"),
         ({"schemes": "crc8-atm"}, "config.schemes"),
+        # A misspelled or misplaced field is named, never its value.
+        ({"payload_lenght": 8}, "config.payload_lenght"),
+        ({"mac_kee": "5ec7" * 8}, "config.mac_kee"),
+        ({"kind": "forge"}, "config.kind"),
     ])
     def test_bad_field(self, overrides, where):
-        with pytest.raises(ConfigError, match=rf"^{where}: "):
+        with pytest.raises(ConfigError, match=rf"^{where}: ") as info:
             make_config(**overrides)
+        assert "5ec7" not in str(info.value)
 
     @pytest.mark.parametrize("threat, field", [
         ({"kind": 5}, "kind"),
@@ -153,11 +178,15 @@ class TestConfigParsing:
         ({"kind": "brute_force", "attempts": "x"}, "attempts"),
         ({"kind": "forge", "payload_hex": "zz"}, "payload_hex"),
         ({"kind": "forge", "payload_hex": "00" * 1025}, "payload_hex"),
+        ({"kind": "bit_error", "rat": 0.5}, "rat"),
+        ({"kind": "forge", "mac_key": "5ec7" * 8}, "mac_key"),
+        ({"kind": "replay", "trials": 3}, "trials"),
     ])
     def test_bad_threat_field(self, threat, field):
-        with pytest.raises(ConfigError,
-                           match=rf"^config\.threats\[1\]\.{field}: "):
+        where = rf"^config\.threats\[1\]\.{field}: "
+        with pytest.raises(ConfigError, match=where) as info:
             make_config(threats=[{"kind": "forge"}, threat])
+        assert "5ec7" not in str(info.value)
 
     @given(st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats()

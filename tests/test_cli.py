@@ -291,6 +291,16 @@ class TestChannel:
         ({"threats": [{"kind": "bit_error", "rate": 0.001},
                       {"kind": "bit_error", "rate": 0.0010000001}]},
          "config.threats[1]"),
+        # Unknown fields, and parameters the threat's kind does not read,
+        # are named without their value.
+        ({"threats": [{"kind": "bit_error", "rat": 0.5}]},
+         "config.threats[0].rat"),
+        ({"payload_lenght": 8}, "config.payload_lenght"),
+        ({"mac_kee": "5ec7" * 8}, "config.mac_kee"),
+        ({"threats": [{"kind": "burst", "rate": 0.5}]},
+         "config.threats[0].rate"),
+        ({"threats": [{"kind": "replay", "payload_hex": "5ec7" * 8}]},
+         "config.threats[0].payload_hex"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, overrides, where):
         doc = {"schemes": ["crc8-atm", "codedsig"],
@@ -298,7 +308,8 @@ class TestChannel:
         config = tmp_path / "campaign.json"
         config.write_text(json.dumps(dict(doc, **overrides)))
         assert main(["channel", "--config", str(config)]) == EXIT_CONFIG
-        assert assert_one_error_line(capsys).startswith(f"error: {where}:")
+        line = assert_one_error_line(capsys)
+        assert line.startswith(f"error: {where}:") and "5ec7" not in line
 
     @pytest.mark.parametrize("content", [None, b'{"schemes": "\xff"}'])
     def test_unreadable_config(self, tmp_path, capsys, content):

@@ -142,17 +142,38 @@ class TestFaultModels:
             for seed in range(5):
                 rows = _corrupt_row(program.rows, idx, key,
                                     random.Random(seed))
+                assert len(rows) == len(program.rows)
+                assert [len(row) for row in rows] \
+                    == [len(row) for row in program.rows]
                 changed = [(i, slot)
                            for i, (new_row, old_row)
                            in enumerate(zip(rows, program.rows))
-                           for slot in range(8)
+                           for slot in range(len(old_row))
                            if new_row[slot] != old_row[slot]]
-                assert len(rows) == len(program.rows)
                 assert len(changed) == 1, (idx, seed, changed)
                 i, slot = changed[0]
                 assert i == idx
-                assert slot in ((5, 6, 7) if old[0] == MUL else (4,))
+                mul = program.ir.instructions[idx].opcode == MUL
+                assert slot in ((0, 1, 2) if mul else (0,))
                 assert (rows[i][slot] - old[slot]) % 251 != 0
+
+    def test_f5_draws_a_slot_only_from_a_mul_row(self):
+        # A one-residue row patches its only slot without a slot draw, so
+        # a random.Random stream ends where the nonzero shift leaves it.
+        key = make_key(251)
+        rows = ((5,), (1, 2, 3))
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            shift = ref.randrange(1, 251)
+            assert _corrupt_row(rows, 0, key, rng) \
+                == (((5 + shift) % 251,), (1, 2, 3))
+            assert rng.getstate() == ref.getstate()
+            slot = ref.randrange(3)
+            shift = ref.randrange(1, 251)
+            patched = [1, 2, 3]
+            patched[slot] = (patched[slot] + shift) % 251
+            assert _corrupt_row(rows, 1, key, rng) == ((5,), tuple(patched))
+            assert rng.getstate() == ref.getstate()
 
     def test_inject_fault_mutates_the_pair(self):
         # Each model's struck value, checked field by field on a resolved
@@ -223,7 +244,7 @@ class TestFaultModels:
                           else key.bit_width)
         elif model == "F5":
             idx = ref.randrange(len(program.rows))
-            if program.rows[idx][0] == MUL:
+            if program.ir.instructions[idx].opcode == MUL:
                 ref.randrange(3)
             ref.randrange(1, 13)
         else:
@@ -587,7 +608,7 @@ class TestCompiledCycle:
                 return _original(*args)
             monkeypatch.setattr(coded_runtime, attr, counted)
         assert run_cycle(program, table, inputs, 4, key).verdict == ACCEPT
-        assert calls == Counter(row[0] for row in program.rows)
+        assert calls == Counter(ins.opcode for ins in program.ir.instructions)
         assert set(calls) == {ADD, SUB, MUL, MOVE}
 
     def test_compiled_on_first_cycle_only(self):

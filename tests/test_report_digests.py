@@ -101,21 +101,21 @@ DIGESTS = {
     "channel-csv":
         "06f5f5ec6f8d46352c56ed8a6dad6d04606ce0d33cc4dac6a16d6847b86731cc",
     "channel-json":
-        "3ddc83a3302a8e8bec42bea527412720ab9a2ab73bdcd7277597b3e150035cbf",
+        "68de50e7e8cc22a292db5e29eeb3c1d7bf84e0e407a26bb3c54a73482900ff23",
     "inject-13-all":
         "f6751b1c8caa1e22ae6bbd67aacc902544ef82a0ba178e8b56f77af98430273d",
     "inject-251-F3F5":
-        "c01eb2c6977eed64ddeb8151647fcba697818d4185c2fcaf1f74ddb3d7002a25",
+        "eb3e3f007ce706329ec8c84d48a2ce466bd761100babb933c3fdc1e512ef6b29",
     "inject-mersenne-none":
         "ebc0aebf0b6fc579bb3927e8b027947cd193bd3acc9bd09cbf156fa0c9a0997f",
     "inject-mixed-251":
-        "009dd33820aa25a06e3923ccc84ecdefac613f3ca61517f50c332b22ed78e5d7",
+        "d4de61feb18e44d08ff7b97caac645d8ffe6fb5b00c2371a7b5b3dcabd1335b9",
     "inject-mixed-mersenne":
-        "590a52e09c0f2f0c3c27688da1bf875f140c01dbc300a08c0d14bbd2a2e06fd8",
+        "2dbe11be8526706577f1c87d75a512c37269f0c0b25afba4ac00ea473259001d",
     "inject-overflow-251":
-        "c5b0e98c18a6a3ae3cc6be0287452691c877340f5120b04a0539bc82a1dcd2c0",
+        "e45655f33754951cd13f9905218a540263f922d5c9a67bfe5e60b073d3fe8d1b",
     "inject-overflow-mersenne":
-        "606c834bd3f038676b1cd0dc08ba93a0ba93effbc47881287966ef0571e394d2",
+        "be203a317b016dac5e55b71301846107d48436e99954460a78306e425db3d75c",
     "run-accept":
         "393aace4b9bd7b85f3edb805429d50348c0195ed72a0cd770cd799f4bc11b176",
     "run-safe-halt":
@@ -138,3 +138,28 @@ def test_report_digest(name, monkeypatch):
     if isinstance(data, str):
         data = data.encode()
     assert hashlib.sha256(data).hexdigest() == DIGESTS[name]
+
+
+def report_rows(node):
+    """Every outcome entry (`count`, `rate`, `ci`) of a JSON report."""
+    if isinstance(node, dict):
+        if "ci" in node:
+            yield node
+        for value in node.values():
+            yield from report_rows(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from report_rows(value)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES
+                                        if n.startswith(("inject",
+                                                         "redundancy",
+                                                         "channel-json"))))
+def test_report_ci_holds_its_rate(name, monkeypatch):
+    monkeypatch.delenv("VITALCODE_MAC_KEY", raising=False)
+    rows = list(report_rows(json.loads(CASES[name]())))
+    assert rows
+    for row in rows:
+        lo, hi = row["ci"]
+        assert lo <= row["rate"] <= hi, row

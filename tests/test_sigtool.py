@@ -3,8 +3,9 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import MIXED_PROGRAM
 from vitalcode.coded_core import make_key
-from vitalcode.dsl import (ADD, MOVE, MUL, Instruction, ProgramIR,
+from vitalcode.dsl import (ADD, MOVE, MUL, SUB, Instruction, ProgramIR,
                           parse_program)
 from vitalcode.mac import hash_digest
 from vitalcode.sigtool import (PROM_MAGIC, PROM_VERSION, BadMagicError,
@@ -76,23 +77,24 @@ class TestPredetermine:
         ir, table, program = quiet_build("input a; input b; out = a + b;",
                                          A13, 1)
         sigs = table.signatures
-        row = program.rows[0]
-        assert row[0] == ADD
-        assert row[4] == (sigs["out"] - sigs["a"] - sigs["b"]) % 13
+        assert ir.instructions[0].opcode == ADD
+        assert program.rows == (((sigs["out"] - sigs["a"] - sigs["b"]) % 13,),)
 
     def test_move_same_signature_is_zero(self):
         ir = parse_program("input a; out = a;")
         table = SignatureTable(signatures={"a": 5, "out": 5}, key=A13,
                                seed=0, program_digest=b"\0" * 32)
         program = predetermine(ir, table)
-        assert program.rows == ((MOVE, "out", "a", None, 0, 0, 0, 0),)
+        assert ir.instructions == [Instruction(MOVE, "out", "a")]
+        assert program.rows == ((0,),)
 
     def test_mul_stores_signature_parts(self):
         ir = parse_program("input a; input b; out = a * b;")
         table = SignatureTable(signatures={"a": 5, "b": 2, "out": 4},
                                key=A13, seed=0, program_digest=b"\0" * 32)
         program = predetermine(ir, table)
-        assert program.rows == ((MUL, "out", "a", "b", 0, 5, 2, 4),)
+        assert ir.instructions == [Instruction(MUL, "out", "a", "b")]
+        assert program.rows == ((5, 2, 4),)
 
     def test_missing_signature(self):
         ir = parse_program("input a; out = a;")
@@ -121,6 +123,34 @@ class TestPromImage:
         loaded_table, loaded_program = load_prom(emit_prom(table, program))
         assert loaded_table == table
         assert loaded_program == program
+
+    @pytest.mark.parametrize("modulus", [13, 2**31 - 1])
+    def test_rows_are_the_image_constants(self, modulus):
+        # A row holds only its residues, exactly the constants the image
+        # stores after the instruction's opcode id.
+        ir, table, program = quiet_build(MIXED_PROGRAM, make_key(modulus), 6)
+        image = emit_prom(table, program)
+        pos = 56
+        for _ in range(2):  # skip the IR and signature sections
+            pos += 4 + int.from_bytes(image[pos:pos + 4], "big")
+        end = pos + 4 + int.from_bytes(image[pos:pos + 4], "big")
+        assert end == len(image)
+        count = int.from_bytes(image[pos + 4:pos + 8], "big")
+        pos += 8
+        stored = []
+        for ins in ir.instructions:
+            opcode_id = image[pos]
+            assert opcode_id == {ADD: 1, SUB: 2, MUL: 3, MOVE: 4}[ins.opcode]
+            width = 3 if ins.opcode == MUL else 1
+            stored.append(tuple(
+                int.from_bytes(image[pos + 1 + 8 * k:pos + 9 + 8 * k], "big")
+                for k in range(width)))
+            pos += 1 + 8 * width
+        assert pos == end and count == len(ir.instructions)
+        assert program.rows == tuple(stored)
+        assert {ins.opcode for ins in ir.instructions} == {ADD, SUB, MUL,
+                                                           MOVE}
+        assert all(type(r) is int for row in program.rows for r in row)
 
     def test_truncation_detected(self):
         _, table, program = quiet_build(SRC, A13, 1)

@@ -136,3 +136,16 @@ class TestEngine:
         text = report_json({"b": 1}, 2, a=(0.5, 1.0))
         assert text == ('{\n  "a": [\n    0.5,\n    1.0\n  ],\n'
                         '  "config": {\n    "b": 1\n  },\n  "seed": 2\n}')
+
+
+@pytest.mark.parametrize("z", [1.96, Z])
+def test_wilson_endpoints_exact(z):
+    # lo is 0.0 exactly when nothing succeeded and hi is 1.0 exactly
+    # when everything did, so a rate of 0 or 1 lies inside its interval.
+    for n in [*range(1, 2000), 10_000, 20_000, 100_000, 10**6, 10**7]:
+        for k in {0, 1, n // 2, n - 1, n}:
+            lo, hi = wilson_interval(k, n, z)
+            assert 0.0 <= lo <= k / n <= hi <= 1.0, (n, k)
+            assert (lo == 0.0) == (k == 0), (n, k, lo)
+            assert (hi == 1.0) == (k == n), (n, k, hi)
+    assert wilson_interval(0, 0, z) == (0.0, 1.0)

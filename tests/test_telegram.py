@@ -1,25 +1,28 @@
+import dataclasses
+import inspect
 import math
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vitalcode.channel_codes import CRC8_ATM, CRC32_IEEE, CrcParams
+from vitalcode.campaign import parse_config
+from vitalcode.channel_codes import (CRC8_ATM, CRC32_IEEE, CRC_CATALOG,
+                                     CrcParams)
 from vitalcode.coded_core import make_key
-from vitalcode.mac import MacKey
+from vitalcode.mac import TAG_LENGTHS, MacKey
 from vitalcode.stats import trial_rng, wilson_interval
 from vitalcode.telegram import (ACCEPT, ATTACK_THREATS, BAD_CRC, BAD_PARITY,
                                 BAD_RESIDUE, BAD_TAG, CORRECTED, MALFORMED,
                                 NOISE_THREATS, REJECT, REPLAYED_SEQ,
                                 SCHEME_CODEDSIG, SCHEME_CRC, SCHEME_HAMMING,
                                 SCHEME_HMAC, SCHEME_NONE, SCHEME_PARITY,
-                                STALE_DATE, AttackerKnowledge,
-                                KeyAccessViolation, MissingKey,
+                                STALE_DATE, MissingKey,
                                 PayloadTooLong, ProtectionScheme,
                                 ReceiverWindow, Telegram, TelegramError,
                                 Threat, VerifyResult, WIRE_MAGIC,
                                 apply_attack, apply_channel_noise,
-                                coded_signature_residue, make_tag, parse_wire,
+                                make_tag, parse_wire,
                                 protect_telegram, serialize_wire,
                                 verify_telegram)
 
@@ -137,7 +140,7 @@ class TestVerify:
         t = Telegram(1, 9, b"abc")
         scheme = SCHEMES["codedsig"]
         expected = (int.from_bytes(b"abc", "big") + 77 + 9) % 251
-        assert coded_signature_residue(t, scheme) == expected
+        assert make_tag(t, scheme) == expected.to_bytes(8, "big")
         wire = bytearray(protect_telegram(t, scheme))
         wire[16] ^= 0x01
         result = verify_telegram(bytes(wire), scheme)
@@ -594,7 +597,7 @@ class TestAttacks:
             scheme = SCHEMES[name]
             forged = apply_attack(frame_of(t, name),
                                   Threat("forge", payload=b"injected"),
-                                  AttackerKnowledge(scheme),
+                                  scheme,
                                   random.Random(0))
             result = verify_telegram(forged, scheme,
                                      window=ReceiverWindow(current_date=6))
@@ -606,7 +609,7 @@ class TestAttacks:
         scheme = SCHEMES["hamming"]
         forged = apply_attack(frame_of(t, "hamming"),
                               Threat("forge", payload=b"injected"),
-                              AttackerKnowledge(scheme), random.Random(0))
+                              scheme, random.Random(0))
         result = verify_telegram(forged, scheme)
         assert result.status == ACCEPT
         assert result.telegram.payload == b"injected"
@@ -618,14 +621,14 @@ class TestAttacks:
         rng = random.Random(1)
         for _ in range(1000):
             forged = apply_attack(frame, Threat("forge", payload=b"injected"),
-                                  AttackerKnowledge(scheme), rng)
+                                  scheme, rng)
             assert verify_telegram(forged, scheme, MAC).status == REJECT
 
     def test_forge_without_payload_draws_one_of_frame_length(self):
         scheme = SCHEMES["crc8"]
         frame = frame_of(Telegram(2, 6, b"original"), "crc8")
         forged = apply_attack(frame, Threat("forge"),
-                              AttackerKnowledge(scheme), random.Random(6))
+                              scheme, random.Random(6))
         result = verify_telegram(forged, scheme)
         assert result.status == ACCEPT
         assert result.telegram.payload == random.Random(6).randbytes(8)
@@ -635,7 +638,7 @@ class TestAttacks:
         donor = Telegram(1, 1, b"old")
         rng = random.Random(0)
         replayed = apply_attack(frame_of(donor, "crc8"), Threat("replay"),
-                                AttackerKnowledge(scheme), rng)
+                                scheme, rng)
         assert replayed == protect_telegram(donor, scheme)
         assert rng.getstate() == random.Random(0).getstate()
         # CRC has no freshness notion: the recorded frame sent again is
@@ -661,7 +664,7 @@ class TestAttacks:
         frame = frame_of(t, name)
         rng = random.Random(8)
         spliced = apply_attack(frame, Threat("splice"),
-                               AttackerKnowledge(scheme), rng)
+                               scheme, rng)
         got, scheme_id, tag = parse_wire(spliced)
         assert (scheme_id, tag) == frame[1:]
         assert (got.seq, got.date) == (t.seq, t.date)
@@ -676,7 +679,7 @@ class TestAttacks:
         rng = random.Random(2)
         threat = Threat("brute_force", attempts=100)
         frames = [parse_wire(apply_attack(carrier, threat,
-                                          AttackerKnowledge(scheme), rng))
+                                          scheme, rng))
                   for _ in range(100)]
         assert len({tag for _, _, tag in frames}) == 100
         # Every guess keeps the carrier's payload and draws only a tag.
@@ -692,18 +695,32 @@ class TestAttacks:
         rng = random.Random(3)
         guess = apply_attack(frame_of(carrier, "codedsig"),
                              Threat("brute_force", attempts=1),
-                             AttackerKnowledge(scheme), rng)
+                             scheme, rng)
         assert guess == protect_telegram(carrier, scheme)
         assert rng.getstate() == random.Random(3).getstate()
 
-    def test_attacker_cannot_read_mac_key(self):
-        with pytest.raises(KeyAccessViolation):
-            AttackerKnowledge(SCHEMES["hmac"]).mac_key()
+    def test_attacker_is_never_given_the_mac_key(self):
+        # The attacker is handed the scheme and nothing else: no scheme a
+        # config can build holds the MAC key, and apply_attack takes none.
+        names = ["none", "parity", "hamming74", "codedsig", "hmac",
+                 *CRC_CATALOG, *(f"hmac-{t}" for t in TAG_LENGTHS)]
+        config = parse_config({"schemes": names, "threats": [],
+                               "trials": 1, "seed": 0, "mac_key": "0c" * 16})
+        assert list(config.schemes) == names
+        for scheme in config.schemes.values():
+            for f in dataclasses.fields(scheme):
+                value = getattr(scheme, f.name)
+                assert not isinstance(value, MacKey), f.name
+                assert "0c0c" not in repr(value), f.name
+        params = inspect.signature(apply_attack).parameters
+        assert list(params) == ["frame", "threat", "scheme", "rng"]
+        assert not any("MacKey" in str(p.annotation)
+                       for p in params.values())
 
     def test_unknown_attack(self):
         with pytest.raises(ValueError):
             apply_attack(SMALLEST, Threat("downgrade"),
-                         AttackerKnowledge(SCHEMES["none"]),
+                         SCHEMES["none"],
                          random.Random(0))
 
 
@@ -719,7 +736,7 @@ class TestThreatDispatch:
     @pytest.mark.parametrize("kind", ATTACK_THREATS)
     def test_attack_kinds_are_attacks(self, kind):
         sent = apply_attack(self.FRAME, Threat(kind, attempts=1),
-                            AttackerKnowledge(SCHEMES["hamming"]),
+                            SCHEMES["hamming"],
                             random.Random(0))
         assert parse_wire(sent)[1] == self.FRAME[1]
 
@@ -734,7 +751,7 @@ class TestThreatDispatch:
         if kind not in ATTACK_THREATS:
             with pytest.raises(ValueError, match="not an attack threat"):
                 apply_attack(SMALLEST, Threat(kind),
-                             AttackerKnowledge(SCHEMES["none"]), rng)
+                             SCHEMES["none"], rng)
         assert rng.getstate() == random.Random(0).getstate()
 
 
