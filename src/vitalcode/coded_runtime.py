@@ -9,9 +9,10 @@ for the cycle (fail-safe contract).
 
 The program is straight-line and fixed when it is signed, so its cycle
 is one generated Python function, compiled on the program's first cycle
-and kept on it: one local per variable, one OPEL call per row.  Names,
-values and residues reach it as arguments, never as text, and
-`dsl.interpret` stays the separately written oracle.
+and kept on it: one local per variable, one OPEL call per instruction
+in IR order, reading that instruction's row of residues.  Names, values
+and residues reach it as arguments, never as text, and `dsl.interpret`
+stays the separately written oracle.
 
 Fault models (one mutation per trial; `inject_fault` maps the target's
 coded value to the struck one for every model but F5, which patches a row):
@@ -247,7 +248,8 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
 
     The cycle runs as one straight-line function per program, compiled
     on the program's first cycle and kept on it (`program.compiled`):
-    one local per variable and one OPEL call per row, in row order.
+    one local per variable and one OPEL call per instruction, in IR
+    order, reading that instruction's row of residues.
     A fault spec is resolved from `rng` into a new one before execution,
     and exactly one mutation is applied: F5 patches a row first, the
     cycle's strike hook calls `inject_fault` right after the F1/F2 target
