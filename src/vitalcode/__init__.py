@@ -10,16 +10,15 @@ malicious modification.
 
 from .coded_core import (CodeKey, CodedValue, FunctionalOverflow,
                          NotPrimeError, OutOfRangeError, check, encode,
-                         make_key, opel_add, opel_mul, opel_move, opel_sub,
-                         residue)
+                         make_key, opel_add, opel_mul, opel_move, opel_sub)
 from .dsl import ProgramIR, interpret, parse_program
 from .sigtool import (CodedProgram, SignatureTable, assign_signatures,
                       build, emit_prom, load_prom, predetermine)
 from .coded_runtime import (FaultSpec, InjectionReport, inject_fault,
                             run_campaign, run_cycle)
-from .channel_codes import (CRC_CATALOG, CrcParams, crc_check, crc_compute,
+from .channel_codes import (CRC_CATALOG, CrcParams, crc_compute,
                             hamming74_decode, hamming74_encode, parity_bit)
-from .mac import MacKey, hash_digest, hmac_tag, hmac_verify
+from .mac import MacKey, hash_digest, hmac_tag
 from .redundancy import VoteConfig, redundancy_campaign, vote
 from .telegram import (ProtectionScheme, Telegram, Threat, apply_attack,
                        apply_channel_noise, protect_telegram, verify_telegram)

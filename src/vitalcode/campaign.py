@@ -157,13 +157,24 @@ def parse_config(doc) -> CampaignConfig:
 
 
 def load_json(path: str):
-    """Read a JSON file; invalid JSON is a ConfigError at `path`."""
+    """Read a JSON file.  Invalid JSON, nesting deeper than the decoder
+    recurses and an integer longer than int() converts are each a
+    ConfigError at `path`."""
+
+    def parse_int(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:
+            raise ConfigError("integer too long to convert", path) from None
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON at line {exc.lineno}, "
                               f"column {exc.colno}", path) from None
+        except RecursionError:
+            raise ConfigError("JSON nested too deeply", path) from None
 
 
 def load_config(path: str) -> CampaignConfig:

@@ -28,10 +28,6 @@ def parity_bit(payload: bytes) -> int:
     return int.from_bytes(payload, "big").bit_count() & 1
 
 
-def parity_check(payload: bytes, bit: int) -> bool:
-    return parity_bit(payload) == bit
-
-
 @dataclass(frozen=True)
 class CrcParams:
     name: str
@@ -94,10 +90,6 @@ def crc_compute(payload: bytes, params: CrcParams) -> int:
     for k, row in enumerate(rows):
         crc ^= ((m & row).bit_count() & 1) << k
     return crc
-
-
-def crc_check(payload: bytes, checksum: int, params: CrcParams) -> bool:
-    return crc_compute(payload, params) == checksum
 
 
 # Hamming(7,4), positional layout p1 p2 d1 p3 d2 d3 d4 (positions 1..7,

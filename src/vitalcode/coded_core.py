@@ -94,11 +94,6 @@ class CodeKey:
 make_key = CodeKey
 
 
-def residue(n: int, key: CodeKey) -> int:
-    """Mathematical mod: the unique r in [0, A) with r == n (mod A)."""
-    return n % key.modulus
-
-
 # A coded value is the plain pair (x, c): an exact tuple, because
 # CPython builds and unpacks those without a call.
 CodedValue = tuple[int, int]

@@ -26,7 +26,10 @@ SUB = "SUB"
 MUL = "MUL"
 MOVE = "MOVE"
 
-OPCODES = (ADD, SUB, MUL, MOVE)
+# Deepest nesting of parentheses and unary minus the parser accepts: it
+# descends one level per nesting, so a deeper expression would otherwise
+# exhaust the interpreter's stack.  Long sums and products need no depth.
+MAX_NESTING = 200
 
 
 class DslError(Exception):
@@ -124,6 +127,7 @@ class _Parser:
         self.ir = ProgramIR()
         self.defined: set[str] = set()
         self.temp_count = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -231,20 +235,25 @@ class _Parser:
                 raise UndefinedVariableError(
                     f"undefined variable {tok.text!r}", tok.line, tok.col)
             return ("var", tok.text)
-        if tok.kind == "punct" and tok.text == "(":
-            self.next()
+        if tok.kind != "punct" or tok.text not in ("(", "-"):
+            raise ParseError(f"expected expression, got {tok.text!r}",
+                             tok.line, tok.col)
+        self.next()
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING}",
+                             tok.line, tok.col)
+        if tok.text == "(":
             node = self.expr()
             self.expect("punct", ")")
-            return node
-        if tok.kind == "punct" and tok.text == "-":
-            self.next()
+        else:
             node = self.factor()
             if node[0] == "lit":
-                return ("lit", -node[1])
-            # Desugar unary minus on non-literals as 0 - x.
-            return ("op", SUB, ("lit", 0), node)
-        raise ParseError(f"expected expression, got {tok.text!r}",
-                         tok.line, tok.col)
+                node = ("lit", -node[1])
+            else:  # unary minus on a non-literal desugars as 0 - x
+                node = ("op", SUB, ("lit", 0), node)
+        self.nesting -= 1
+        return node
 
     def literal_var(self, value: int) -> str:
         name = f"$lit{value}"
@@ -260,25 +269,34 @@ class _Parser:
         return name
 
     def flatten(self, node, dest: str) -> None:
-        """Emit three-address code computing `node` into `dest`."""
-        if node[0] == "op":
-            _, opcode, left, right = node
-            ins = Instruction(opcode, dest, self.operand(left),
-                              self.operand(right))
-        else:
-            ins = Instruction(MOVE, dest, self.operand(node))
-        self.ir.instructions.append(ins)
+        """Emit three-address code computing `node` into `dest`.
 
-    def operand(self, node) -> str:
-        """The name holding `node`'s value; an operation is flattened into
-        a new temp, numbered before its operands."""
-        if node[0] == "lit":
-            return self.literal_var(node[1])
-        if node[0] == "var":
-            return node[1]
-        temp = self.new_temp()
-        self.flatten(node, temp)
-        return temp
+        Each operation goes into a new temp, numbered before its operands,
+        and is emitted after them.  The walk keeps its own stack of
+        (operation, destination, operand names so far), so a sum of any
+        length flattens without recursion."""
+        if node[0] != "op":
+            self.ir.instructions.append(
+                Instruction(MOVE, dest, self.operand(node)))
+            return
+        stack = [(node, dest, [])]
+        while stack:
+            (_, opcode, left, right), dest, names = stack[-1]
+            for child in (left, right)[len(names):]:
+                if child[0] == "op":  # descend; come back for the rest
+                    names.append(self.new_temp())
+                    stack.append((child, names[-1], []))
+                    break
+                names.append(self.operand(child))
+            else:
+                stack.pop()
+                self.ir.instructions.append(Instruction(opcode, dest, *names))
+
+    def operand(self, leaf) -> str:
+        """The name holding a literal's or a variable's value."""
+        if leaf[0] == "lit":
+            return self.literal_var(leaf[1])
+        return leaf[1]
 
 
 def parse_program(text: str) -> ProgramIR:

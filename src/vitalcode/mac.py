@@ -87,10 +87,3 @@ def hmac_tag(key: MacKey, message: bytes, t: int = DIGEST_SIZE) -> bytes:
     outer = key._outer.copy()
     outer.update(inner.digest())
     return outer.digest()[:t]
-
-
-def hmac_verify(key: MacKey, message: bytes, tag: bytes) -> bool:
-    """Accept iff the recomputed truncated tag matches the presented one."""
-    if len(tag) not in TAG_LENGTHS:
-        return False
-    return constant_time_equal(hmac_tag(key, message, len(tag)), tag)

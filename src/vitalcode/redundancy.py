@@ -70,10 +70,6 @@ class RedundancyReport(Outcomes):
     names = ("correct", "safe_halt", "undetected_wrong")
     __slots__ = names + ("policy", "p", "q", "seed")
 
-    @property
-    def rate_undetected_wrong(self) -> float:
-        return self.undetected_wrong / self.trials
-
     def predicted(self) -> dict[str, float]:
         # Agreement between independently wrong replicas (~2^-32 per pair)
         # is neglected; these are the leading-order rates.

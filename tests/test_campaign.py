@@ -225,6 +225,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 1"):
             load_config(str(bad))
 
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 200_000 + "]" * 200_000, "JSON nested too deeply"),
+        ('{"trials": ' + "9" * 5000 + "}", "integer too long to convert"),
+    ], ids=["deep", "long-int"])
+    def test_load_config_past_the_decoder_limits(self, tmp_path, text,
+                                                 message):
+        # The error names the file and shows no value.
+        path = tmp_path / "campaign.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "campaign.json"
         path.write_text(json.dumps(BASE_DOC))

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from vitalcode.campaign import load_config
 from vitalcode.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
 from vitalcode.coded_core import make_key
-from vitalcode.dsl import ProgramIR, parse_program
+from vitalcode.dsl import MAX_NESTING, ProgramIR, interpret, parse_program
 from vitalcode.sigtool import build, emit_prom, load_prom
 
 PROGRAM = """\
@@ -27,6 +27,17 @@ def assert_one_error_line(capsys) -> str:
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     return lines[0]
+
+
+def sum_program(terms: int) -> str:
+    """A legitimate program: one flat sum of `terms` terms."""
+    return "input a; output o; o = " + " + ".join(["a"] * terms) + ";"
+
+
+# Past the limits of the readers: JSON nested deeper than the decoder
+# recurses, and an integer longer than int() converts.
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+LONG_INT = "9" * 5000
 
 
 @pytest.fixture
@@ -81,8 +92,12 @@ class TestSign:
         (b"input \xff;", "0"),
         (b"const k = " + b"9" * 5000 + b"; output k;", "0"),
         (b"input a; output o; o = a * " + b"9" * 5000 + b";", "0"),
+        (b"input a; output o; o = " + b"(" * 3000 + b"a" + b")" * 3000 + b";",
+         "0"),
+        (b"input a; output o; o = " + b"-" * 3000 + b"a;", "0"),
     ], ids=["seed-negative", "seed-2^64", "source-not-utf8",
-            "const-literal-5000-digits", "expr-literal-5000-digits"])
+            "const-literal-5000-digits", "expr-literal-5000-digits",
+            "expr-3000-parentheses", "expr-3000-unary-minus"])
     def test_config_error(self, tmp_path, capsys, source, seed):
         src = tmp_path / "p.vc"
         src.write_bytes(source)
@@ -90,6 +105,20 @@ class TestSign:
                      "-o", str(tmp_path / "x.prom")]) == EXIT_CONFIG
         assert_one_error_line(capsys)
         assert not (tmp_path / "x.prom").exists()
+
+    def test_long_sum_signs_and_runs(self, tmp_path, capsys):
+        src = tmp_path / "sum.vc"
+        src.write_text(sum_program(10_000))
+        image = tmp_path / "sum.prom"
+        assert main(["sign", str(src), "--key", "2147483647",
+                     "-o", str(image)]) == EXIT_OK
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps({"a": -7}))
+        capsys.readouterr()
+        assert main(["run", str(image), "--inputs", str(inputs)]) == EXIT_OK
+        expected = interpret(parse_program(sum_program(10_000)), {"a": -7})
+        assert capsys.readouterr().out == \
+            f"cycle 0: accept o={expected['o']}\n"
 
 
 class TestRun:
@@ -162,6 +191,9 @@ class TestRun:
         ('{"speed": 1, "limit": true}', "1"),
         ('{"speed": 1, "limit": 2}', "-1"),
         ('{"speed": 1, "limit": 2}', "0"),
+        pytest.param(DEEP_JSON, "1", id="deep-json"),
+        pytest.param('{"speed": 1, "limit": ' + LONG_INT + "}", "1",
+                     id="long-int"),
     ])
     def test_config_error(self, prom, tmp_path, capsys, inputs_text,
                           cycles):
@@ -311,7 +343,13 @@ class TestChannel:
         line = assert_one_error_line(capsys)
         assert line.startswith(f"error: {where}:") and "5ec7" not in line
 
-    @pytest.mark.parametrize("content", [None, b'{"schemes": "\xff"}'])
+    @pytest.mark.parametrize("content", [
+        None, b'{"schemes": "\xff"}',
+        pytest.param(DEEP_JSON.encode(), id="deep-json"),
+        pytest.param(('{"schemes": ["parity"], "threats": [{"kind": "forge"}],'
+                      ' "trials": ' + LONG_INT + ', "seed": 0}').encode(),
+                     id="long-int"),
+    ])
     def test_unreadable_config(self, tmp_path, capsys, content):
         config = tmp_path / "campaign.json"
         if content is not None:
@@ -427,6 +465,18 @@ GARBAGE = st.one_of(
     JSON_VALUES.map(lambda v: json.dumps(v).encode()),
     st.text("inputoc ab=+*-;()0123456789\n", max_size=40).map(str.encode))
 
+# Deep and long files: JSON past the decoder's limits, expressions nested
+# past MAX_NESTING, and flat sums, which are legitimate programs.
+PAST_LIMITS = st.one_of(
+    st.integers(1_000, 200_000).map(lambda n: b"[" * n + b"]" * n),
+    st.integers(4_301, 6_000).map(
+        lambda n: b'{"speed": 1, "limit": ' + b"9" * n + b"}"),
+    st.builds(lambda opener, n: (f"input a; output o; o = {opener * n}a"
+                                 + ")" * opener.count("(") * n + ";").encode(),
+              st.sampled_from(["(", "-", "-("]),
+              st.integers(MAX_NESTING + 1, 3_000)),
+    st.integers(2, 3_000).map(lambda n: sum_program(n).encode()))
+
 
 def _valid(command: str, path: Path) -> bool:
     """Whether `path` is a valid file for `command`'s file argument."""
@@ -459,31 +509,56 @@ def garbage_prom(tmp_path_factory):
     return str(image), str(inputs)
 
 
+def file_argv(garbage_prom, command: str, path: Path) -> list[str]:
+    """`command` reading `path` as its file argument; a signed image goes
+    next to `path`."""
+    image, inputs = garbage_prom
+    return {
+        "sign": ["sign", str(path), "--key", "251",
+                 "-o", str(path.with_suffix(".prom"))],
+        "run": ["run", str(path), "--inputs", inputs],
+        "run --inputs": ["run", image, "--inputs", str(path)],
+        "inject": ["inject", str(path), "--model", "F1", "--trials", "1"],
+        "channel": ["channel", "--config", str(path)],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["sign", "run", "run --inputs",
                                      "inject", "channel"])
 @given(data=GARBAGE)
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_garbage_file_exits_2(garbage_prom, command, data):
-    image, inputs = garbage_prom
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
         path.write_bytes(data)
         assume(not _valid(command, path))
-        argv = {
-            "sign": ["sign", str(path), "--key", "251",
-                     "-o", str(Path(tmp) / "out.prom")],
-            "run": ["run", str(path), "--inputs", inputs],
-            "run --inputs": ["run", image, "--inputs", str(path)],
-            "inject": ["inject", str(path), "--model", "F1", "--trials", "1"],
-            "channel": ["channel", "--config", str(path)],
-        }[command]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == EXIT_CONFIG
+            assert main(file_argv(garbage_prom, command, path)) == EXIT_CONFIG
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("command", ["sign", "run --inputs", "channel"])
+@given(data=PAST_LIMITS)
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_input_at_its_limits_exits_0_or_2(garbage_prom, command, data):
+    # A long sum is a legitimate program; everything else past a limit is
+    # one error line and exit 2, never a traceback.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        expected = EXIT_OK if _valid(command, path) else EXIT_CONFIG
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert main(file_argv(garbage_prom, command, path)) == expected
+    lines = err.getvalue().splitlines()
+    if expected == EXIT_CONFIG:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestVectors:

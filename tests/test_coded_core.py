@@ -3,26 +3,9 @@ from hypothesis import given, strategies as st
 
 from vitalcode.coded_core import (FunctionalOverflow, NotPrimeError,
                                   OutOfRangeError, check, encode, make_key,
-                                  opel_add, opel_move, opel_mul, opel_sub,
-                                  residue)
+                                  opel_add, opel_move, opel_mul, opel_sub)
 
 A13 = make_key(13)
-
-
-class TestResidue:
-    def test_multiple_of_modulus(self):
-        assert residue(13, A13) == 0
-
-    def test_negative_normalizes(self):
-        assert residue(-1, A13) == 12
-
-    def test_hand_division(self):
-        assert residue(38, A13) == 12
-
-    @given(st.integers(min_value=-10**9, max_value=10**9))
-    def test_always_in_range(self, n):
-        r = residue(n, A13)
-        assert 0 <= r < 13 and (n - r) % 13 == 0
 
 
 class TestMakeKey:

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from vitalcode.dsl import (ADD, DslError, DuplicateDefinitionError,
-                           Instruction, MOVE, MUL, ParseError,
-                           UndefinedVariableError, canonical_ir_bytes,
-                           interpret, ir_from_canonical, parse_program)
+from vitalcode.dsl import (ADD, MAX_NESTING, DslError,
+                           DuplicateDefinitionError, Instruction, MOVE, MUL,
+                           ParseError, SUB, UndefinedVariableError,
+                           canonical_ir_bytes, interpret, ir_from_canonical,
+                           parse_program)
 
 
 class TestParse:
@@ -16,6 +17,33 @@ class TestParse:
             Instruction(ADD, "$t0", "a", "b"),
             Instruction(MUL, "out", "$t0", "k"),
         ]
+
+    def test_temps_numbered_before_their_operands(self):
+        # Temps are numbered pre-order, instructions emitted post-order.
+        ir = parse_program("input a; input b; o = ((a + b) * a) - (b - 2);")
+        assert ir.instructions == [
+            Instruction(ADD, "$t1", "a", "b"),
+            Instruction(MUL, "$t0", "$t1", "a"),
+            Instruction(SUB, "$t2", "b", "$lit2"),
+            Instruction(SUB, "o", "$t0", "$t2"),
+        ]
+
+    @pytest.mark.parametrize("openers", ["(", "-", "-("],
+                             ids=["parentheses", "unary-minus", "both"])
+    def test_nesting_bound(self, openers):
+        # "(" and "-" each open one level: MAX_NESTING levels parse, and
+        # one more is a ParseError at the token that opens it.
+        def source(levels):
+            opened = (openers * levels)[:levels]
+            return ("input a; output o;\no = " + opened + "a"
+                    + ")" * opened.count("(") + ";")
+
+        ir = parse_program(source(MAX_NESTING))
+        sign = (-1) ** source(MAX_NESTING).count("-")
+        assert interpret(ir, {"a": 5}) == {"o": sign * 5}
+        with pytest.raises(ParseError) as exc:
+            parse_program(source(MAX_NESTING + 1))
+        assert (exc.value.line, exc.value.col) == (2, 5 + MAX_NESTING)
 
     def test_empty_body(self):
         ir = parse_program("input a;")

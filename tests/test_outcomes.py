@@ -65,7 +65,7 @@ def test_redundancy_rows(seed):
     assert doc["seed"] == report.seed == seed
     assert_row_matches(doc["totals"], report)
     assert doc["totals"]["undetected_wrong"]["rate"] \
-        == report.rate_undetected_wrong
+        == report.undetected_wrong / report.trials
     assert outcome_sum(doc["totals"], report.names) == report.trials
     predicted = report.predicted()
     assert set(predicted) == set(report.names)

@@ -85,7 +85,8 @@ class TestCampaign:
             report = redundancy_campaign(VoteConfig(policy, 0.0, q),
                                          trials=100_000, seed=4)
             sigma = binomial_sigma(q, report.trials)
-            assert abs(report.rate_undetected_wrong - q) < 3 * sigma, policy
+            assert abs(report.undetected_wrong / report.trials - q) \
+                < 3 * sigma, policy
 
     def test_majority_outvotes_single_faults(self):
         # With small p the 2oo3 voter mostly still delivers the correct
