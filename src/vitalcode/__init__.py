@@ -8,9 +8,9 @@ harness contrasting accidental-fault coverage with resistance to
 malicious modification.
 """
 
-from .coded_core import (CodeKey, CodedValue, FunctionalOverflow,
-                         NotPrimeError, OutOfRangeError, check, encode,
-                         make_key, opel_add, opel_mul, opel_move, opel_sub)
+from .coded_core import (CodeKey, CodedCoreError, CodedValue,
+                         FunctionalOverflow, check, encode, make_key,
+                         opel_add, opel_mul, opel_move, opel_sub)
 from .dsl import ProgramIR, interpret, parse_program
 from .sigtool import (CodedProgram, SignatureTable, assign_signatures,
                       build, emit_prom, load_prom, predetermine)

@@ -109,7 +109,7 @@ def _check_fields(doc: dict, path: str, fields: dict) -> None:
 def parse_config(doc) -> CampaignConfig:
     """Validate a campaign configuration document."""
     if not isinstance(doc, dict):
-        raise ConfigError("document must be a JSON object")
+        raise ConfigError("document must be a JSON object", "config")
     for name in ("schemes", "threats", "trials", "seed"):
         if name not in doc:
             raise ConfigError("missing field", f"config.{name}")
@@ -156,10 +156,11 @@ def parse_config(doc) -> CampaignConfig:
     return config
 
 
-def load_json(path: str):
-    """Read a JSON file.  Invalid JSON, nesting deeper than the decoder
-    recurses and an integer longer than int() converts are each a
-    ConfigError at `path`."""
+def load_json(fh):
+    """Read the JSON document in the open text file `fh`.  Invalid JSON,
+    nesting deeper than the decoder recurses and an integer longer than
+    int() converts are each a ConfigError at `fh.name`."""
+    path = fh.name
 
     def parse_int(digits: str) -> int:
         try:
@@ -167,18 +168,17 @@ def load_json(path: str):
         except ValueError:
             raise ConfigError("integer too long to convert", path) from None
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, parse_int=parse_int)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON at line {exc.lineno}, "
-                              f"column {exc.colno}", path) from None
-        except RecursionError:
-            raise ConfigError("JSON nested too deeply", path) from None
+    try:
+        return json.load(fh, parse_int=parse_int)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON at line {exc.lineno}, "
+                          f"column {exc.colno}", path) from None
+    except RecursionError:
+        raise ConfigError("JSON nested too deeply", path) from None
 
 
-def load_config(path: str) -> CampaignConfig:
-    return parse_config(load_json(path))
+def load_config(fh) -> CampaignConfig:
+    return parse_config(load_json(fh))
 
 
 # Exact HMAC scheme names that fix the truncation; plain `hmac` takes

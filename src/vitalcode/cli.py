@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 on any acceptance-relevant failure (a rejected
-cycle, a failed known-answer vector), 2 on configuration errors.  `main`
-is the only place that turns an error into exit code 2; every other
+cycle, a failed known-answer vector), 2 on configuration errors.  Bad
+outside input is a ConfigError naming where it entered: `_file` names
+the path of any file that cannot be opened, read, decoded, parsed or
+written, and the commands name their flags.  `main` turns a ConfigError
+into one `error: <where>: <what>` line and exit code 2; every other
 exception is a fault in the program and ends in a traceback.
 """
 
@@ -13,31 +16,44 @@ import sys
 
 from . import campaign as ch
 from . import coded_runtime as rt
-from .coded_core import NotPrimeError, OutOfRangeError, make_key
+from .coded_core import CodedCoreError, make_key
 from .dsl import DslError, parse_program
 from .mac import MacKey, hash_digest, hmac_tag
 from .redundancy import POLICIES, VoteConfig, redundancy_campaign
-from .sigtool import SigtoolError, build, emit_prom, load_prom
+from .sigtool import (SigtoolError, assign_signatures, emit_prom, load_prom,
+                      predetermine)
 from .stats import ConfigError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
-# Errors of outside input: files, arguments, configs, images and keys.
-CONFIG_ERRORS = (OSError, UnicodeDecodeError, ConfigError, DslError,
-                 SigtoolError, NotPrimeError, OutOfRangeError)
+
+def _file(path, mode, use):
+    """`use(fh)` on `path` opened in `mode`, as UTF-8 text unless the mode
+    is binary.  Failing to open, read, decode, parse or write the file is
+    a ConfigError at `path`."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            return use(fh)
+    except OSError as exc:
+        raise ConfigError(exc.strerror, path) from None
+    except (UnicodeDecodeError, DslError, SigtoolError) as exc:
+        raise ConfigError(str(exc), path) from None
 
 
 def _cmd_sign(args) -> int:
-    with open(args.program, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    key = make_key(args.key)
-    ir = parse_program(source)
-    table, program = build(ir, key, args.seed)
-    image = emit_prom(table, program)
-    with open(args.output, "wb") as fh:
-        fh.write(image)
+    try:
+        key = make_key(args.key)
+    except CodedCoreError as exc:
+        raise ConfigError(str(exc), "--key") from None
+    ir = _file(args.program, "r", lambda fh: parse_program(fh.read()))
+    try:
+        table = assign_signatures(ir, key, args.seed)
+    except SigtoolError as exc:
+        raise ConfigError(str(exc), "--seed") from None
+    image = emit_prom(table, predetermine(ir, table))
+    _file(args.output, "wb", lambda fh: fh.write(image))
     print(f"wrote {len(image)} bytes to {args.output} "
           f"(digest {table.program_digest.hex()[:16]}..., "
           f"{len(ir.instructions)} instructions, "
@@ -48,9 +64,8 @@ def _cmd_sign(args) -> int:
 def _cmd_run(args) -> int:
     if args.cycles < 1:
         raise ConfigError(f"must be >= 1, got {args.cycles}", "--cycles")
-    with open(args.prom, "rb") as fh:
-        table, program = load_prom(fh.read())
-    inputs = ch.load_json(args.inputs)
+    table, program = _file(args.prom, "rb", lambda fh: load_prom(fh.read()))
+    inputs = _file(args.inputs, "r", ch.load_json)
     names = program.ir.inputs
     if not (isinstance(inputs, dict)
             and all(type(inputs.get(n)) is int for n in names)):
@@ -71,8 +86,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    with open(args.prom, "rb") as fh:
-        table, program = load_prom(fh.read())
+    table, program = _file(args.prom, "rb", lambda fh: load_prom(fh.read()))
     models = [m.strip().upper() for m in args.model.split(",")]
     for m in models:
         if m not in rt.FAULT_MODELS:
@@ -84,17 +98,15 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_channel(args) -> int:
-    report = ch.run_channel_campaign(ch.load_config(args.config))
+    report = ch.run_channel_campaign(_file(args.config, "r", ch.load_config))
     rendered = report.to_json()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
+        _file(args.output, "w", lambda fh: fh.write(rendered + "\n"))
         print(f"wrote {args.output}")
     else:
         print(rendered)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+        _file(args.csv, "w", lambda fh: fh.write(report.to_csv()))
         print(f"wrote {args.csv}")
     return EXIT_OK
 
@@ -196,7 +208,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -26,15 +26,7 @@ MAX_KEY_BITS = 48
 
 
 class CodedCoreError(Exception):
-    pass
-
-
-class NotPrimeError(CodedCoreError):
-    """Code key candidate is composite."""
-
-
-class OutOfRangeError(CodedCoreError):
-    """Code key candidate outside [3, 2^48)."""
+    """A code key composite or outside [3, 2^48), or a FunctionalOverflow."""
 
 
 class FunctionalOverflow(CodedCoreError):
@@ -80,9 +72,9 @@ class CodeKey:
 
     def __post_init__(self):
         if not (MIN_KEY <= self.modulus < (1 << MAX_KEY_BITS)):
-            raise OutOfRangeError(f"key {self.modulus} outside [3, 2^48)")
+            raise CodedCoreError(f"key {self.modulus} outside [3, 2^48)")
         if not _is_prime(self.modulus):
-            raise NotPrimeError(f"key {self.modulus} is not prime")
+            raise CodedCoreError(f"key {self.modulus} is not prime")
 
     @property
     def bit_width(self) -> int:

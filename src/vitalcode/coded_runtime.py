@@ -357,7 +357,7 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
             _resolve_fault(spec, program, key, trial_rng(stream, 0))
         except UnresolvableTarget as exc:
             raise ConfigError(f"fault model {spec.model} cannot strike "
-                              f"this program ({exc})", "models") from None
+                              f"this program ({exc})", "--model") from None
     ir = program.ir
     faults = specs or [None]
     span = _INPUT_VALUES ** len(ir.inputs) * len(faults) * _CYCLES

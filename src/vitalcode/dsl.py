@@ -41,18 +41,6 @@ class DslError(Exception):
         self.col = col
 
 
-class ParseError(DslError):
-    """Input does not match the grammar."""
-
-
-class UndefinedVariableError(DslError):
-    """Use of a variable with no preceding definition."""
-
-
-class DuplicateDefinitionError(DslError):
-    """Variable declared or assigned more than once."""
-
-
 @dataclass(frozen=True)
 class Instruction:
     opcode: str
@@ -101,7 +89,7 @@ def _tokenize(text: str) -> list[_Token]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+            raise DslError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         lexeme = m.group()
         if kind == "id":
@@ -141,8 +129,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, got {tok.text!r}",
-                             tok.line, tok.col)
+            raise DslError(f"expected {want!r}, got {tok.text!r}",
+                           tok.line, tok.col)
         return self.next()
 
     def parse(self) -> ProgramIR:
@@ -150,14 +138,13 @@ class _Parser:
             self.statement()
         for name in self.ir.outputs:
             if name not in self.defined:
-                raise UndefinedVariableError(
-                    f"output {name!r} is never defined")
+                raise DslError(f"output {name!r} is never defined")
         return self.ir
 
     def define(self, name: str, tok: _Token):
         if name in self.defined:
-            raise DuplicateDefinitionError(
-                f"variable {name!r} already defined", tok.line, tok.col)
+            raise DslError(f"variable {name!r} already defined",
+                           tok.line, tok.col)
         self.defined.add(name)
 
     def statement(self):
@@ -177,9 +164,8 @@ class _Parser:
             else:  # output
                 name = self.expect("id")
                 if name.text in self.ir.outputs:
-                    raise DuplicateDefinitionError(
-                        f"output {name.text!r} declared twice",
-                        name.line, name.col)
+                    raise DslError(f"output {name.text!r} declared twice",
+                                   name.line, name.col)
                 self.ir.outputs.append(name.text)
             self.expect("punct", ";")
         elif tok.kind == "id":
@@ -190,8 +176,8 @@ class _Parser:
             self.define(tok.text, tok)
             self.flatten(node, dest=tok.text)
         else:
-            raise ParseError(f"expected statement, got {tok.text!r}",
-                             tok.line, tok.col)
+            raise DslError(f"expected statement, got {tok.text!r}",
+                           tok.line, tok.col)
 
     def int_literal(self) -> int:
         tok = self.peek()
@@ -204,8 +190,8 @@ class _Parser:
         try:
             return int(tok.text)
         except ValueError:  # more digits than int() converts
-            raise ParseError(f"integer literal of {len(tok.text)} digits is "
-                             f"too long", tok.line, tok.col) from None
+            raise DslError(f"integer literal of {len(tok.text)} digits is "
+                           f"too long", tok.line, tok.col) from None
 
     # Expression AST nodes are ("op", opcode, left, right), ("var", name)
     # or ("lit", value).
@@ -232,17 +218,17 @@ class _Parser:
         if tok.kind == "id":
             self.next()
             if tok.text not in self.defined:
-                raise UndefinedVariableError(
-                    f"undefined variable {tok.text!r}", tok.line, tok.col)
+                raise DslError(f"undefined variable {tok.text!r}",
+                               tok.line, tok.col)
             return ("var", tok.text)
         if tok.kind != "punct" or tok.text not in ("(", "-"):
-            raise ParseError(f"expected expression, got {tok.text!r}",
-                             tok.line, tok.col)
+            raise DslError(f"expected expression, got {tok.text!r}",
+                           tok.line, tok.col)
         self.next()
         self.nesting += 1
         if self.nesting > MAX_NESTING:
-            raise ParseError(f"expression nested deeper than {MAX_NESTING}",
-                             tok.line, tok.col)
+            raise DslError(f"expression nested deeper than {MAX_NESTING}",
+                           tok.line, tok.col)
         if tok.text == "(":
             node = self.expr()
             self.expect("punct", ")")
@@ -352,47 +338,55 @@ def canonical_ir_bytes(ir: ProgramIR) -> bytes:
 def ir_from_canonical(data: bytes) -> ProgramIR:
     """Inverse of canonical_ir_bytes.
 
-    Accepts only IR the parser can emit: every name defined once, every
-    operand defined before its use, every output defined and declared
-    once.  Anything else raises ParseError.
+    Requires UTF-8 text in which every name is defined once, every
+    operand is defined before its use, and every output is defined and
+    declared once; anything else raises DslError.  Names are not checked
+    against the grammar: `input 1x` loads.
     """
     ir = ProgramIR()
     defined = set()
 
     def define(name, lineno):
         if name in defined:
-            raise ParseError(f"variable {name!r} defined twice", lineno, 1)
+            raise DslError(f"variable {name!r} defined twice", lineno, 1)
         defined.add(name)
 
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DslError(f"not UTF-8 ({exc.reason})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:
-            raise ParseError("blank line in canonical IR", lineno, 1)
+            raise DslError("blank line in canonical IR", lineno, 1)
         head = parts[0]
         if head == "input" and len(parts) == 2:
             define(parts[1], lineno)
             ir.inputs.append(parts[1])
         elif head == "const" and len(parts) == 3:
-            value = int(parts[2])
+            try:
+                value = int(parts[2])
+            except ValueError:
+                raise DslError("constant is not an integer",
+                               lineno, 1) from None
             define(parts[1], lineno)
             ir.consts[parts[1]] = value
         elif head == "output" and len(parts) == 2:
             if parts[1] in ir.outputs:
-                raise ParseError(f"output {parts[1]!r} declared twice",
-                                 lineno, 1)
+                raise DslError(f"output {parts[1]!r} declared twice",
+                               lineno, 1)
             ir.outputs.append(parts[1])
         elif ((head == MOVE and len(parts) == 3)
               or (head in (ADD, SUB, MUL) and len(parts) == 4)):
             for name in parts[2:]:
                 if name not in defined:
-                    raise ParseError(f"operand {name!r} used before its "
-                                     f"definition", lineno, 1)
+                    raise DslError(f"operand {name!r} used before its "
+                                   f"definition", lineno, 1)
             define(parts[1], lineno)
             ir.instructions.append(Instruction(*parts))
         else:
-            raise ParseError(f"bad canonical IR line {line!r}", lineno, 1)
+            raise DslError(f"bad canonical IR line {line!r}", lineno, 1)
     for name in ir.outputs:
         if name not in defined:
-            raise ParseError(f"output {name!r} is never defined")
+            raise DslError(f"output {name!r} is never defined")
     return ir

@@ -31,10 +31,10 @@ class VoteConfig:
 
     def __post_init__(self):
         if self.policy not in POLICIES:
-            raise ConfigError(f"must be one of {POLICIES}", "policy")
-        if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
-            raise ConfigError(f"must be probabilities, got p={self.p}, "
-                              f"q={self.q}", "p, q")
+            raise ConfigError(f"must be one of {POLICIES}", "--policy")
+        for flag, value in (("--p", self.p), ("--q", self.q)):
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"must be a probability, got {value}", flag)
 
     @property
     def replicas(self) -> int:

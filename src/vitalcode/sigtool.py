@@ -27,40 +27,8 @@ _U32 = struct.Struct(">I")            # section lengths and counts
 
 
 class SigtoolError(Exception):
-    pass
-
-
-class MissingSignatureError(SigtoolError):
-    pass
-
-
-class SeedRangeError(SigtoolError):
-    """Signature seed outside [0, 2^64): it is stored as a u64."""
-
-
-class PromFormatError(SigtoolError):
-    pass
-
-
-class BadMagicError(PromFormatError):
-    pass
-
-
-class VersionMismatchError(PromFormatError):
-    pass
-
-
-class DigestMismatchError(PromFormatError):
-    pass
-
-
-class TruncatedError(PromFormatError):
-    pass
-
-
-class IntegrityError(PromFormatError):
-    """Image disagrees with its rebuild from (IR, key, seed), or its key or
-    IR is ill-formed."""
+    """A seed outside [0, 2^64), a variable without a signature, or a PROM
+    image that is malformed or disagrees with its rebuild."""
 
 
 class DuplicateSignatureWarning(UserWarning):
@@ -123,18 +91,22 @@ def assign_signatures(ir: ProgramIR, key: CodeKey, seed: int) -> SignatureTable:
     DuplicateSignatureWarning but do not fail.
     """
     if not 0 <= seed < 1 << 64:
-        raise SeedRangeError(f"seed {seed} outside [0, 2^64)")
+        raise SigtoolError(f"seed {seed} outside [0, 2^64)")
     signatures = {name: _draw_signature(seed, name, key)
                   for name in ir.variables()}
     by_value: dict[int, list[str]] = {}
     for name, sig in signatures.items():
         by_value.setdefault(sig, []).append(name)
-    duplicates = {sig: names for sig, names in by_value.items()
-                  if len(names) > 1}
-    if duplicates:
-        detail = "; ".join(f"{sig}: {', '.join(names)}"
-                           for sig, names in sorted(duplicates.items()))
-        warnings.warn(f"duplicate signatures ({detail})",
+    groups = [names for _, names in sorted(by_value.items())
+              if len(names) > 1]
+    if groups:
+        # A count and the first three groups, each cut to three names:
+        # a long program at a small key has hundreds of groups.
+        shown = "; ".join(", ".join(names[:3]) + ", ..." * (len(names) > 3)
+                          for names in groups[:3])
+        warnings.warn(f"{len(groups)} duplicate signatures shared by "
+                      f"{sum(map(len, groups))} variables ({shown}"
+                      f"{'; ...' * (len(groups) > 3)})",
                       DuplicateSignatureWarning, stacklevel=2)
     return SignatureTable(signatures=signatures, key=key, seed=seed,
                           program_digest=hash_digest(canonical_ir_bytes(ir)))
@@ -161,7 +133,7 @@ def predetermine(ir: ProgramIR, table: SignatureTable) -> CodedProgram:
         op, dest, src1, src2 = ins.opcode, ins.dest, ins.src1, ins.src2
         for name in (dest, src1, src2):
             if name is not None and name not in sigs:
-                raise MissingSignatureError(f"no signature for {name!r}")
+                raise SigtoolError(f"no signature for {name!r}")
         if op == MUL:
             rows.append((sigs[src1], sigs[src2], sigs[dest]))
             continue
@@ -231,35 +203,35 @@ def load_prom(data: bytes) -> tuple[SignatureTable, CodedProgram]:
     # a short file of the wrong kind is named as such, not as truncated.
     magic_len = len(PROM_MAGIC)
     if len(data) >= magic_len and data[:magic_len] != PROM_MAGIC:
-        raise BadMagicError("not a PROM image")
+        raise SigtoolError("not a PROM image")
     if len(data) > magic_len and data[magic_len] != PROM_VERSION:
-        raise VersionMismatchError(f"unsupported version {data[magic_len]}")
+        raise SigtoolError(f"unsupported version {data[magic_len]}")
     if len(data) < _HEADER.size:
-        raise TruncatedError("image ends inside the header")
+        raise SigtoolError("image ends inside the header")
     _, _, modulus, seed, digest = _HEADER.unpack_from(data)
 
     try:
         key = CodeKey(modulus)
     except CodedCoreError as exc:
-        raise IntegrityError(f"stored key invalid: {exc}") from None
+        raise SigtoolError(f"stored key invalid: {exc}") from None
 
     start = _HEADER.size + _U32.size
     if len(data) < start:
-        raise TruncatedError("image ends inside the IR section length")
+        raise SigtoolError("image ends inside the IR section length")
     end = start + _U32.unpack_from(data, _HEADER.size)[0]
     if len(data) < end:
-        raise TruncatedError("image ends inside the IR section")
+        raise SigtoolError("image ends inside the IR section")
     ir_bytes = data[start:end]
     if hash_digest(ir_bytes) != digest:
-        raise DigestMismatchError("program digest does not match IR section")
+        raise SigtoolError("program digest does not match IR section")
     try:
         ir = ir_from_canonical(ir_bytes)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DuplicateSignatureWarning)
-            table, program = build(ir, key, seed)
-    except (DslError, MissingSignatureError, ValueError) as exc:
-        raise IntegrityError(f"bad canonical IR: {exc}") from None
+    except DslError as exc:
+        raise SigtoolError(f"bad canonical IR: {exc}") from None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DuplicateSignatureWarning)
+        table, program = build(ir, key, seed)
     if emit_prom(table, program) != data:
-        raise IntegrityError("image disagrees with its rebuild from "
-                             "(IR, key, seed)")
+        raise SigtoolError("image disagrees with its rebuild from "
+                           "(IR, key, seed)")
     return table, program

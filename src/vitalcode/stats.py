@@ -28,16 +28,14 @@ from _blake2 import blake2b
 class ConfigError(ValueError):
     """Bad outside input: a config field, a file or a command-line value.
 
-    `path` names where it entered, e.g. `config.threats[0].rate`.
+    `path` names where it entered: a file's path as given, a flag such
+    as `--key`, a config field such as `config.threats[0].rate`, or
+    `$VITALCODE_MAC_KEY`.
     """
 
-    def __init__(self, message, path="config"):
+    def __init__(self, message, path):
         super().__init__(f"{path}: {message}")
         self.path = path
-
-
-class TrialCountError(ConfigError):
-    """A campaign was asked for fewer than one trial."""
 
 
 _BLOCK_0 = bytes(8)  # the counter of block 0
@@ -126,8 +124,8 @@ def trial_rng(stream: str, index: int) -> TrialStream:
 def run_trials(trials: int, body) -> Counter:
     """Tally `body(i)` over trials 0..trials-1."""
     if trials < 1:
-        raise TrialCountError(f"trial count must be >= 1, got {trials}",
-                              "trials")
+        raise ConfigError(f"trial count must be >= 1, got {trials}",
+                          "--trials")
     return Counter(body(i) for i in range(trials))
 
 

@@ -75,14 +75,6 @@ class TelegramError(Exception):
     pass
 
 
-class PayloadTooLong(TelegramError):
-    pass
-
-
-class MissingKey(TelegramError):
-    pass
-
-
 @dataclass(slots=True)
 class Telegram:
     seq: int
@@ -95,7 +87,7 @@ class Telegram:
         if not (0 <= self.date < 1 << 32):
             raise TelegramError("date out of u32 range")
         if len(self.payload) > MAX_PAYLOAD:
-            raise PayloadTooLong(f"payload {len(self.payload)} > {MAX_PAYLOAD}")
+            raise TelegramError(f"payload {len(self.payload)} > {MAX_PAYLOAD}")
 
 
 # A frame as the sender emits it: (telegram, scheme id, tag).
@@ -186,7 +178,7 @@ def make_tag(t: Telegram, scheme: ProtectionScheme,
         fold = int.from_bytes(t.payload, "big") % a
         return ((fold + scheme.signature + t.date) % a).to_bytes(8, "big")
     if mac_key is None:
-        raise MissingKey("hmac scheme needs a MAC key")
+        raise TelegramError("hmac scheme needs a MAC key")
     return _cached_tag(mac_key, _hmac_message(t), scheme.mac_truncation)
 
 

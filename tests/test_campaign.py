@@ -222,8 +222,9 @@ class TestConfigParsing:
     def test_load_config_reports_json_position(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schemes": [,]}')
-        with pytest.raises(ConfigError, match="line 1"):
-            load_config(str(bad))
+        with open(bad, encoding="utf-8") as fh, \
+                pytest.raises(ConfigError, match="line 1"):
+            load_config(fh)
 
     @pytest.mark.parametrize("text, message", [
         ("[" * 200_000 + "]" * 200_000, "JSON nested too deeply"),
@@ -234,14 +235,16 @@ class TestConfigParsing:
         # The error names the file and shows no value.
         path = tmp_path / "campaign.json"
         path.write_text(text)
-        with pytest.raises(ConfigError) as exc:
-            load_config(str(path))
+        with open(path, encoding="utf-8") as fh, \
+                pytest.raises(ConfigError) as exc:
+            load_config(fh)
         assert str(exc.value) == f"{path}: {message}"
 
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "campaign.json"
         path.write_text(json.dumps(BASE_DOC))
-        assert load_config(str(path)).trials == 10
+        with open(path, encoding="utf-8") as fh:
+            assert load_config(fh).trials == 10
 
 
 class TestSchemeBuilding:

@@ -23,10 +23,21 @@ slack = (limit - speed) + margin;
 
 
 def assert_one_error_line(capsys) -> str:
-    err = capsys.readouterr().err
+    """Read the capture once: nothing on stdout, one error line on stderr,
+    which is returned."""
+    out, err = capsys.readouterr()
+    assert out == "", out
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     return lines[0]
+
+
+def assert_names_source(lines, path):
+    """One error line, naming the file at `path` or a channel config
+    field (`config` alone for the document as a whole)."""
+    assert len(lines) == 1, lines
+    assert lines[0].startswith((f"error: {path}: ", "error: config: ",
+                                "error: config.")), lines
 
 
 def sum_program(terms: int) -> str:
@@ -202,7 +213,6 @@ class TestRun:
         assert main(["run", str(prom), "--inputs", str(inputs),
                      "--cycles", cycles]) == EXIT_CONFIG
         assert_one_error_line(capsys)
-        assert capsys.readouterr().out == ""
 
 
 class TestInject:
@@ -222,7 +232,7 @@ class TestInject:
 
     def test_unknown_model(self, prom, capsys):
         assert main(["inject", str(prom), "--model", "F9"]) == EXIT_CONFIG
-        assert "--model" in assert_one_error_line(capsys)
+        assert assert_one_error_line(capsys).startswith("error: --model: ")
 
     @pytest.mark.parametrize("model", ["F3", "F5", "F1,F5"])
     def test_model_without_target(self, tmp_path, capsys, model):
@@ -235,13 +245,14 @@ class TestInject:
         capsys.readouterr()
         assert main(["inject", str(image), "--model", model,
                      "--trials", "3"]) == EXIT_CONFIG
-        assert model[-2:] in assert_one_error_line(capsys)
+        line = assert_one_error_line(capsys)
+        assert line.startswith(f"error: --model: fault model {model[-2:]} ")
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_no_trials(self, prom, capsys, trials):
         assert main(["inject", str(prom), "--model", "F1",
                      "--trials", trials]) == EXIT_CONFIG
-        assert_one_error_line(capsys)
+        assert assert_one_error_line(capsys).startswith("error: --trials: ")
 
 
 class TestChannel:
@@ -445,13 +456,52 @@ class TestRedundancy:
         assert doc["totals"]["trials"] == 2000
         assert doc["config"]["policy"] == "majority"
 
-    def test_bad_probability(self):
+    def test_bad_probability(self, capsys):
         assert main(["redundancy", "--p", "1.5"]) == EXIT_CONFIG
+        assert assert_one_error_line(capsys) == \
+            "error: --p: must be a probability, got 1.5"
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_no_trials(self, capsys, trials):
         assert main(["redundancy", "--trials", trials]) == EXIT_CONFIG
-        assert_one_error_line(capsys)
+        assert assert_one_error_line(capsys).startswith("error: --trials: ")
+
+
+@pytest.mark.parametrize("case", [
+    "missing-file", "unwritable-output", "program-not-utf8", "key-composite",
+    "key-too-small", "seed-negative", "cut-image", "not-an-image"])
+def test_error_names_its_source(prom, tmp_path, capsys, case):
+    src, bad_src = tmp_path / "p.vc", tmp_path / "bad.vc"
+    src.write_text(PROGRAM)
+    bad_src.write_bytes(b"input \xff;")
+    inputs, cut = tmp_path / "inputs.json", tmp_path / "cut.prom"
+    inputs.write_text(json.dumps({"speed": 1, "limit": 2}))
+    cut.write_bytes(prom.read_bytes()[:40])
+    missing, unwritable = tmp_path / "nope.prom", tmp_path / "no" / "x.prom"
+
+    def sign(program=src, key="251", seed="0", output=tmp_path / "x.prom"):
+        return ["sign", str(program), "--key", key, "--seed", seed,
+                "-o", str(output)]
+
+    def run(image):
+        return ["run", str(image), "--inputs", str(inputs)]
+
+    argv, where, what = {
+        "missing-file": (run(missing), missing, "No such file or directory"),
+        "unwritable-output": (sign(output=unwritable), unwritable,
+                              "No such file or directory"),
+        "program-not-utf8": (sign(program=bad_src), bad_src,
+                             "'utf-8' codec can't decode byte 0xff"),
+        "key-composite": (sign(key="12"), "--key", "key 12 is not prime"),
+        "key-too-small": (sign(key="2"), "--key", "key 2 outside [3, 2^48)"),
+        "seed-negative": (sign(seed="-1"), "--seed",
+                          "seed -1 outside [0, 2^64)"),
+        "cut-image": (run(cut), cut, "image ends inside the header"),
+        "not-an-image": (run(inputs), inputs, "not a PROM image"),
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    assert assert_one_error_line(capsys).startswith(f"error: {where}: {what}")
 
 
 JSON_VALUES = st.recursive(
@@ -487,7 +537,8 @@ def _valid(command: str, path: Path) -> bool:
             inputs = json.loads(path.read_bytes())
             return all(type(inputs[n]) is int for n in ("speed", "limit"))
         elif command == "channel":
-            load_config(str(path))
+            with path.open(encoding="utf-8") as fh:
+                load_config(fh)
         else:
             load_prom(path.read_bytes())
         return True
@@ -537,8 +588,7 @@ def test_garbage_file_exits_2(garbage_prom, command, data):
         with contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
             assert main(file_argv(garbage_prom, command, path)) == EXIT_CONFIG
-    lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert_names_source(err.getvalue().splitlines(), path)
 
 
 @pytest.mark.parametrize("command", ["sign", "run --inputs", "channel"])
@@ -556,9 +606,8 @@ def test_input_at_its_limits_exits_0_or_2(garbage_prom, command, data):
         with contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
             assert main(file_argv(garbage_prom, command, path)) == expected
-    lines = err.getvalue().splitlines()
     if expected == EXIT_CONFIG:
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert_names_source(err.getvalue().splitlines(), path)
 
 
 class TestVectors:

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from vitalcode.coded_core import (FunctionalOverflow, NotPrimeError,
-                                  OutOfRangeError, check, encode, make_key,
-                                  opel_add, opel_move, opel_mul, opel_sub)
+from vitalcode.coded_core import (CodedCoreError, FunctionalOverflow, check,
+                                  encode, make_key, opel_add, opel_move,
+                                  opel_mul, opel_sub)
 
 A13 = make_key(13)
 
@@ -18,12 +18,12 @@ class TestMakeKey:
         assert key.modulus == 2147483647 and key.bit_width == 31
 
     def test_composite_rejected(self):
-        with pytest.raises(NotPrimeError):
+        with pytest.raises(CodedCoreError, match="^key 12 is not prime$"):
             make_key(12)
 
     @pytest.mark.parametrize("bad", [0, 1, 2, -7, 1 << 48, (1 << 50) + 1])
     def test_out_of_range(self, bad):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(CodedCoreError, match=r"outside \[3, 2\^48\)$"):
             make_key(bad)
 
 

@@ -1,11 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from vitalcode.dsl import (ADD, MAX_NESTING, DslError,
-                           DuplicateDefinitionError, Instruction, MOVE, MUL,
-                           ParseError, SUB, UndefinedVariableError,
-                           canonical_ir_bytes, interpret, ir_from_canonical,
-                           parse_program)
+from vitalcode.dsl import (ADD, MAX_NESTING, DslError, Instruction, MOVE,
+                           MUL, SUB, canonical_ir_bytes, interpret,
+                           ir_from_canonical, parse_program)
 
 
 class TestParse:
@@ -32,7 +30,7 @@ class TestParse:
                              ids=["parentheses", "unary-minus", "both"])
     def test_nesting_bound(self, openers):
         # "(" and "-" each open one level: MAX_NESTING levels parse, and
-        # one more is a ParseError at the token that opens it.
+        # one more is a DslError at the token that opens it.
         def source(levels):
             opened = (openers * levels)[:levels]
             return ("input a; output o;\no = " + opened + "a"
@@ -41,7 +39,8 @@ class TestParse:
         ir = parse_program(source(MAX_NESTING))
         sign = (-1) ** source(MAX_NESTING).count("-")
         assert interpret(ir, {"a": 5}) == {"o": sign * 5}
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(DslError, match=f"expression nested deeper than "
+                                           f"{MAX_NESTING}") as exc:
             parse_program(source(MAX_NESTING + 1))
         assert (exc.value.line, exc.value.col) == (2, 5 + MAX_NESTING)
 
@@ -50,23 +49,23 @@ class TestParse:
         assert ir.instructions == [] and ir.inputs == ["a"]
 
     def test_undefined_variable(self):
-        with pytest.raises(UndefinedVariableError):
+        with pytest.raises(DslError, match="undefined variable 'q'"):
             parse_program("out = q + 1;")
 
     def test_duplicate_assignment(self):
-        with pytest.raises(DuplicateDefinitionError):
+        with pytest.raises(DslError, match="variable 'x' already defined"):
             parse_program("input a; x = a; x = a;")
 
     def test_assignment_shadowing_input(self):
-        with pytest.raises(DuplicateDefinitionError):
+        with pytest.raises(DslError, match="variable 'a' already defined"):
             parse_program("input a; a = 3;")
 
     def test_output_never_defined(self):
-        with pytest.raises(UndefinedVariableError):
+        with pytest.raises(DslError, match="output 'q' is never defined"):
             parse_program("input a; output q;")
 
     def test_self_reference_is_undefined(self):
-        with pytest.raises(UndefinedVariableError):
+        with pytest.raises(DslError, match="undefined variable 'x'"):
             parse_program("x = x + 1;")
 
     def test_comments_and_whitespace(self):
@@ -84,7 +83,8 @@ class TestParse:
         assert interpret(ir, {"a": 5}) == {"out": -5}
 
     def test_syntax_error_carries_position(self):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(DslError,
+                           match="expected expression, got ';'") as exc:
             parse_program("input a;\nout = a + ;")
         assert exc.value.line == 2 and exc.value.col is not None
 
@@ -95,7 +95,8 @@ class TestParse:
     ], ids=["const", "negative-const", "expression"])
     def test_overlong_literal_carries_position(self, source, col):
         # More digits than int() converts: a diagnostic, not a ValueError.
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(DslError, match="integer literal of 5000 digits "
+                                           "is too long") as exc:
             parse_program(source)
         assert (exc.value.line, exc.value.col) == (source.count("\n") + 1,
                                                    col)

@@ -6,7 +6,7 @@ import pytest
 from vitalcode import redundancy
 from vitalcode.redundancy import (MAJORITY, UNANIMITY, RedundancyReport,
                                   VoteConfig, redundancy_campaign, vote)
-from vitalcode.stats import binomial_sigma, run_trials, trial_rng
+from vitalcode.stats import ConfigError, binomial_sigma, run_trials, trial_rng
 
 
 class TestVote:
@@ -46,13 +46,13 @@ class TestVoteConfig:
         assert VoteConfig(MAJORITY, 0.0, 0.0).replicas == 3
 
     def test_invalid_policy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^--policy: "):
             VoteConfig("2oo4", 0.0, 0.0)
 
     def test_invalid_probability(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^--p: .* -0\.1$"):
             VoteConfig(MAJORITY, -0.1, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^--q: .* 1\.5$"):
             VoteConfig(MAJORITY, 0.0, 1.5)
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from vitalcode.stats import (TrialCountError, report_json, run_trials,
+from vitalcode.stats import (ConfigError, report_json, run_trials,
                              trial_rng, wilson_interval)
 
 # Each bin's Wilson interval at 3.89 sigma (two-sided p ~ 1e-4).
@@ -127,10 +127,11 @@ class TestEngine:
     @pytest.mark.parametrize("trials", [0, -1])
     def test_run_trials_rejects_no_trials(self, trials):
         calls = []
-        with pytest.raises(TrialCountError):
+        with pytest.raises(ConfigError,
+                           match=r"^--trials: trial count must be >= 1"):
             run_trials(trials, calls.append)
         assert calls == []
-        assert issubclass(TrialCountError, ValueError)
+        assert issubclass(ConfigError, ValueError)
 
     def test_report_json_is_sorted_and_indented(self):
         text = report_json({"b": 1}, 2, a=(0.5, 1.0))
