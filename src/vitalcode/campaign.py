@@ -70,7 +70,7 @@ def _payload_hex(text):
 _CONFIG_FIELDS = {
     "schemes": ((list,), None),
     "threats": ((list,), None),
-    "trials": ((int,), _within(1)),
+    "trials": ((int,), _within(1, 2**32 - 1)),  # seq of the last frame: u32
     "seed": ((int,), None),
     "key_a": ((int,), None),  # primality: build_scheme
     "coded_signature": ((int,), None),

@@ -108,12 +108,45 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+class _Rules:
+    """The four rules of every program, parsed from source or loaded from
+    canonical IR: each name is defined once, each operand is defined
+    before its use, each output is declared once, and each output is
+    defined.  Outputs are recorded in `ir`; `finish` returns it."""
+
+    def __init__(self, ir: ProgramIR):
+        self.ir = ir
+        self.defined: set[str] = set()
+        self.declared: set[str] = set()  # ir.outputs, for O(1) lookup
+
+    def define(self, name: str, line, col):
+        if name in self.defined:
+            raise DslError(f"variable {name!r} already defined", line, col)
+        self.defined.add(name)
+
+    def use(self, name: str, line, col):
+        if name not in self.defined:
+            raise DslError(f"undefined variable {name!r}", line, col)
+
+    def output(self, name: str, line, col):
+        if name in self.declared:
+            raise DslError(f"output {name!r} declared twice", line, col)
+        self.declared.add(name)
+        self.ir.outputs.append(name)
+
+    def finish(self) -> ProgramIR:
+        for name in self.ir.outputs:
+            if name not in self.defined:
+                raise DslError(f"output {name!r} is never defined")
+        return self.ir
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.ir = ProgramIR()
-        self.defined: set[str] = set()
+        self.rules = _Rules(self.ir)
         self.temp_count = 0
         self.nesting = 0
 
@@ -136,16 +169,7 @@ class _Parser:
     def parse(self) -> ProgramIR:
         while self.peek().kind != "eof":
             self.statement()
-        for name in self.ir.outputs:
-            if name not in self.defined:
-                raise DslError(f"output {name!r} is never defined")
-        return self.ir
-
-    def define(self, name: str, tok: _Token):
-        if name in self.defined:
-            raise DslError(f"variable {name!r} already defined",
-                           tok.line, tok.col)
-        self.defined.add(name)
+        return self.rules.finish()
 
     def statement(self):
         tok = self.peek()
@@ -153,27 +177,24 @@ class _Parser:
             self.next()
             if tok.text == "input":
                 name = self.expect("id")
-                self.define(name.text, name)
+                self.rules.define(name.text, name.line, name.col)
                 self.ir.inputs.append(name.text)
             elif tok.text == "const":
                 name = self.expect("id")
                 self.expect("punct", "=")
                 value = self.int_literal()
-                self.define(name.text, name)
+                self.rules.define(name.text, name.line, name.col)
                 self.ir.consts[name.text] = value
             else:  # output
                 name = self.expect("id")
-                if name.text in self.ir.outputs:
-                    raise DslError(f"output {name.text!r} declared twice",
-                                   name.line, name.col)
-                self.ir.outputs.append(name.text)
+                self.rules.output(name.text, name.line, name.col)
             self.expect("punct", ";")
         elif tok.kind == "id":
             self.next()
             self.expect("punct", "=")
             node = self.expr()
             self.expect("punct", ";")
-            self.define(tok.text, tok)
+            self.rules.define(tok.text, tok.line, tok.col)
             self.flatten(node, dest=tok.text)
         else:
             raise DslError(f"expected statement, got {tok.text!r}",
@@ -217,9 +238,7 @@ class _Parser:
             return ("lit", self.int_value(tok))
         if tok.kind == "id":
             self.next()
-            if tok.text not in self.defined:
-                raise DslError(f"undefined variable {tok.text!r}",
-                               tok.line, tok.col)
+            self.rules.use(tok.text, tok.line, tok.col)
             return ("var", tok.text)
         if tok.kind != "punct" or tok.text not in ("(", "-"):
             raise DslError(f"expected expression, got {tok.text!r}",
@@ -243,15 +262,12 @@ class _Parser:
 
     def literal_var(self, value: int) -> str:
         name = f"$lit{value}"
-        if name not in self.defined:
-            self.defined.add(name)
-            self.ir.consts[name] = value
+        self.ir.consts.setdefault(name, value)
         return name
 
     def new_temp(self) -> str:
         name = f"$t{self.temp_count}"
         self.temp_count += 1
-        self.defined.add(name)
         return name
 
     def flatten(self, node, dest: str) -> None:
@@ -338,19 +354,13 @@ def canonical_ir_bytes(ir: ProgramIR) -> bytes:
 def ir_from_canonical(data: bytes) -> ProgramIR:
     """Inverse of canonical_ir_bytes.
 
-    Requires UTF-8 text in which every name is defined once, every
-    operand is defined before its use, and every output is defined and
-    declared once; anything else raises DslError.  Names are not checked
-    against the grammar: `input 1x` loads.
+    Requires UTF-8 text that keeps the parser's four program rules,
+    checked by the same `_Rules` methods with the same messages; anything
+    else raises DslError.  Names are not checked against the grammar:
+    `input 1x` loads.
     """
     ir = ProgramIR()
-    defined = set()
-
-    def define(name, lineno):
-        if name in defined:
-            raise DslError(f"variable {name!r} defined twice", lineno, 1)
-        defined.add(name)
-
+    rules = _Rules(ir)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -361,7 +371,7 @@ def ir_from_canonical(data: bytes) -> ProgramIR:
             raise DslError("blank line in canonical IR", lineno, 1)
         head = parts[0]
         if head == "input" and len(parts) == 2:
-            define(parts[1], lineno)
+            rules.define(parts[1], lineno, 1)
             ir.inputs.append(parts[1])
         elif head == "const" and len(parts) == 3:
             try:
@@ -369,24 +379,16 @@ def ir_from_canonical(data: bytes) -> ProgramIR:
             except ValueError:
                 raise DslError("constant is not an integer",
                                lineno, 1) from None
-            define(parts[1], lineno)
+            rules.define(parts[1], lineno, 1)
             ir.consts[parts[1]] = value
         elif head == "output" and len(parts) == 2:
-            if parts[1] in ir.outputs:
-                raise DslError(f"output {parts[1]!r} declared twice",
-                               lineno, 1)
-            ir.outputs.append(parts[1])
+            rules.output(parts[1], lineno, 1)
         elif ((head == MOVE and len(parts) == 3)
               or (head in (ADD, SUB, MUL) and len(parts) == 4)):
             for name in parts[2:]:
-                if name not in defined:
-                    raise DslError(f"operand {name!r} used before its "
-                                   f"definition", lineno, 1)
-            define(parts[1], lineno)
+                rules.use(name, lineno, 1)
+            rules.define(parts[1], lineno, 1)
             ir.instructions.append(Instruction(*parts))
         else:
             raise DslError(f"bad canonical IR line {line!r}", lineno, 1)
-    for name in ir.outputs:
-        if name not in defined:
-            raise DslError(f"output {name!r} is never defined")
-    return ir
+    return rules.finish()

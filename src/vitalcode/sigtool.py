@@ -4,7 +4,9 @@ Runs before deployment, in parallel with compilation: every variable of a
 parsed program receives a random static signature, every instruction gets
 one execution row carrying the compensation constants that keep the code
 channel coherent, and the result is serialized into a byte-deterministic
-PROM image.  `run_cycle` compiles its cycle from the same rows on the
+PROM image.  The image (layout version 2) holds each fact once: names and
+opcodes in its canonical IR, then only the 8-byte signatures and row
+residues.  `run_cycle` compiles its cycle from the same rows on the
 program's first cycle.  The image is a function of (program, key, seed)
 only; the data the program will later process never influences it.
 """
@@ -16,14 +18,14 @@ import warnings
 from dataclasses import dataclass, field
 
 from .coded_core import CodeKey, CodedCoreError
-from .dsl import (ADD, MOVE, MUL, SUB, DslError, ProgramIR,
-                  canonical_ir_bytes, ir_from_canonical)
+from .dsl import (ADD, MUL, SUB, DslError, ProgramIR, canonical_ir_bytes,
+                  ir_from_canonical)
 from .mac import hash_digest
 
 PROM_MAGIC = b"VCPROM1"
-PROM_VERSION = 1
+PROM_VERSION = 2
 _HEADER = struct.Struct(">7sBQQ32s")  # magic, version, key, seed, digest
-_U32 = struct.Struct(">I")            # section lengths and counts
+_U32 = struct.Struct(">I")            # section lengths
 
 
 class SigtoolError(Exception):
@@ -152,44 +154,30 @@ def build(ir: ProgramIR, key: CodeKey, seed: int):
     return table, predetermine(ir, table)
 
 
-_OPCODE_IDS = {ADD: 1, SUB: 2, MUL: 3, MOVE: 4}
-
-
-def _section(payload: bytes) -> bytes:
-    return _U32.pack(len(payload)) + payload
+def _section(values) -> bytes:
+    """A `_U32` byte length, then each value as a big-endian u64."""
+    return _U32.pack(8 * len(values)) + struct.pack(f">{len(values)}Q",
+                                                    *values)
 
 
 def emit_prom(table: SignatureTable, program: CodedProgram) -> bytes:
-    """Serialize the PROM image.
+    """Serialize the PROM image, layout version 2.
 
-    Layout (all integers big-endian, no padding): the `_HEADER` struct
+    All integers are big-endian, with no padding: the `_HEADER` struct
     (magic "VCPROM1", version u8, key u64, seed u64, program digest of
-    32 bytes), then three sections, each a `_U32` length and its bytes:
-    canonical IR, signatures, and per instruction its opcode id and its
-    row as it is (kappa_sig, or for MUL src1_sig, src2_sig, dest_sig).
+    32 bytes), then three sections, each a `_U32` byte length and its
+    bytes: the canonical IR; each variable's u64 signature, in
+    `program.variables` order; and each row's u64 residues, in IR
+    order (kappa_sig, or for MUL src1_sig, src2_sig, dest_sig).  Names
+    and opcodes are stored once, in the IR.
     """
-    out = bytearray(_HEADER.pack(PROM_MAGIC, PROM_VERSION,
-                                 table.key.modulus, table.seed,
-                                 table.program_digest))
-    out += _section(canonical_ir_bytes(program.ir))
-
-    sig_payload = bytearray()
-    sig_payload += _U32.pack(len(table.signatures))
-    for name in program.ir.variables():
-        encoded = name.encode("utf-8")
-        sig_payload += len(encoded).to_bytes(2, "big")
-        sig_payload += encoded
-        sig_payload += table.signatures[name].to_bytes(8, "big")
-    out += _section(bytes(sig_payload))
-
-    const_payload = bytearray()
-    const_payload += _U32.pack(len(program.rows))
-    for ins, row in zip(program.ir.instructions, program.rows):
-        const_payload.append(_OPCODE_IDS[ins.opcode])
-        for residue in row:
-            const_payload += residue.to_bytes(8, "big")
-    out += _section(bytes(const_payload))
-    return bytes(out)
+    ir_bytes = canonical_ir_bytes(program.ir)
+    return b"".join((
+        _HEADER.pack(PROM_MAGIC, PROM_VERSION, table.key.modulus,
+                     table.seed, table.program_digest),
+        _U32.pack(len(ir_bytes)), ir_bytes,
+        _section([table.signatures[name] for name in program.variables]),
+        _section([r for row in program.rows for r in row])))
 
 
 def load_prom(data: bytes) -> tuple[SignatureTable, CodedProgram]:

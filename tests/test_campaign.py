@@ -80,6 +80,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="config.trials"):
             make_config(trials=0)
 
+    def test_trials_bounded_by_the_sequence_space(self):
+        # Frame i is sent with seq i + 1, and a telegram's seq is a u32.
+        assert make_config(trials=2**32 - 1).trials == 2**32 - 1
+        with pytest.raises(ConfigError, match=r"^config.trials: must be in "
+                                              r"\[1, 4294967295\]"):
+            make_config(trials=2**32)
+
     def test_unknown_threat_kind(self):
         with pytest.raises(ConfigError, match=r"config.threats\[0\]"):
             make_config(threats=[{"kind": "teleport"}])

@@ -131,6 +131,21 @@ class TestSign:
         assert capsys.readouterr().out == \
             f"cycle 0: accept o={expected['o']}\n"
 
+    def test_long_name_signs_and_runs(self, tmp_path, capsys):
+        # The image stores each name once, in its IR, with no length
+        # field that a 70,000-character name could overflow.
+        name = "a" * 70_000
+        src = tmp_path / "long.vc"
+        src.write_text(f"input {name}; output {name};")
+        image = tmp_path / "long.prom"
+        assert main(["sign", str(src), "--key", "251",
+                     "-o", str(image)]) == EXIT_OK
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps({name: 5}))
+        capsys.readouterr()
+        assert main(["run", str(image), "--inputs", str(inputs)]) == EXIT_OK
+        assert capsys.readouterr().out == f"cycle 0: accept {name}=5\n"
+
 
 class TestRun:
     def test_accepting_cycles(self, prom, tmp_path, capsys):
@@ -344,6 +359,8 @@ class TestChannel:
          "config.threats[0].rate"),
         ({"threats": [{"kind": "replay", "payload_hex": "5ec7" * 8}]},
          "config.threats[0].payload_hex"),
+        # Frame i is sent with seq i + 1, a u32.
+        ({"trials": 2**32}, "config.trials"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, overrides, where):
         doc = {"schemes": ["crc8-atm", "codedsig"],

@@ -121,9 +121,9 @@ DIGESTS = {
     "run-safe-halt":
         "0c6933e9548c10a9621fea0973e4f5ea8e27c76ccd42e21ea182d2a0bf951eeb",
     "prom-251":
-        "6030069281cd0549a97e0d5c01288de539f73f0584175e43ff088af00a429ac1",
+        "53f545d3946adfbfd882cf445d7b0c5af83375c0c30fb6537ac6593cad0e73d0",
     "prom-mixed-mersenne":
-        "7ae4e577b87c399e545969bb5617b53c792072d84648dd36d7d37d058c74cfe1",
+        "9ad14d0a9fc5f9d59abe626a5e2ab5a1365b2552eb84ec54650712c521e21768",
     "redundancy-majority":
         "2e7be871d10cb3a877f39f0c66d3370c2da392799b0058072f3daefcc0b77688",
     "redundancy-unanimity":

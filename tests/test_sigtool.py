@@ -141,28 +141,24 @@ class TestPromImage:
 
     @pytest.mark.parametrize("modulus", [13, 2**31 - 1])
     def test_rows_are_the_image_constants(self, modulus):
-        # A row holds only its residues, exactly the constants the image
-        # stores after the instruction's opcode id.
+        # Past the IR, the image holds only u64s: the signatures in
+        # canonical order, then each row's residues in IR order.
         ir, table, program = quiet_build(MIXED_PROGRAM, make_key(modulus), 6)
         image = emit_prom(table, program)
-        pos = 56
-        for _ in range(2):  # skip the IR and signature sections
-            pos += 4 + int.from_bytes(image[pos:pos + 4], "big")
-        end = pos + 4 + int.from_bytes(image[pos:pos + 4], "big")
+        sigs_at, consts_at = section_offsets(image)[1:]
+
+        def u64s(start):
+            end = start + 4 + int.from_bytes(image[start:start + 4], "big")
+            return end, [int.from_bytes(image[pos:pos + 8], "big")
+                         for pos in range(start + 4, end, 8)]
+
+        end, stored_sigs = u64s(sigs_at)
+        assert end == consts_at
+        assert stored_sigs == [table.signatures[name]
+                               for name in ir.variables()]
+        end, stored_consts = u64s(consts_at)
         assert end == len(image)
-        count = int.from_bytes(image[pos + 4:pos + 8], "big")
-        pos += 8
-        stored = []
-        for ins in ir.instructions:
-            opcode_id = image[pos]
-            assert opcode_id == {ADD: 1, SUB: 2, MUL: 3, MOVE: 4}[ins.opcode]
-            width = 3 if ins.opcode == MUL else 1
-            stored.append(tuple(
-                int.from_bytes(image[pos + 1 + 8 * k:pos + 9 + 8 * k], "big")
-                for k in range(width)))
-            pos += 1 + 8 * width
-        assert pos == end and count == len(ir.instructions)
-        assert program.rows == tuple(stored)
+        assert stored_consts == [r for row in program.rows for r in row]
         assert {ins.opcode for ins in ir.instructions} == {ADD, SUB, MUL,
                                                            MOVE}
         assert all(type(r) is int for row in program.rows for r in row)
@@ -187,11 +183,14 @@ class TestPromImage:
                 load_prom(data)
 
     def test_version_mismatch(self):
+        # Images of layout 1 are refused, not migrated.
         _, table, program = quiet_build(SRC, A13, 1)
         image = bytearray(emit_prom(table, program))
-        image[7] = 99
-        with pytest.raises(SigtoolError, match="^unsupported version 99$"):
-            load_prom(bytes(image))
+        for version in (1, 99):
+            image[7] = version
+            with pytest.raises(SigtoolError,
+                               match=f"^unsupported version {version}$"):
+                load_prom(bytes(image))
 
     def test_every_single_byte_corruption_detected(self):
         _, table, program = quiet_build(SRC, A13, 1)
@@ -233,25 +232,37 @@ class TestPromImage:
                  + (13).to_bytes(8, "big") + (0).to_bytes(8, "big")
                  + hash_digest(ir_bytes)
                  + len(ir_bytes).to_bytes(4, "big") + ir_bytes
-                 + 2 * ((4).to_bytes(4, "big") + bytes(4)))  # empty tables
+                 + 2 * bytes(4))  # empty sections
         with pytest.raises(SigtoolError, match="^bad canonical IR: "):
             load_prom(image)
 
-    @pytest.mark.parametrize("ir", [
-        ProgramIR(inputs=["a"], outputs=["z"]),            # z never defined
-        ProgramIR(inputs=["a"], consts={"a": 5}, outputs=["a"]),
-        ProgramIR(inputs=["a"], outputs=["a"],
-                  instructions=[Instruction(ADD, "a", "a", "a")]),
-        ProgramIR(inputs=["a"], outputs=["a", "a"]),
+    @pytest.mark.parametrize("ir, message", [
+        (ProgramIR(inputs=["a"], outputs=["z"]),
+         "output 'z' is never defined"),
+        (ProgramIR(inputs=["a"], consts={"a": 5}, outputs=["a"]),
+         "2:1: variable 'a' already defined"),
+        (ProgramIR(inputs=["a"], outputs=["a"],
+                   instructions=[Instruction(ADD, "a", "a", "a")]),
+         "3:1: variable 'a' already defined"),
+        (ProgramIR(inputs=["a"], outputs=["a", "a"]),
+         "3:1: output 'a' declared twice"),
+        (ProgramIR(inputs=["a"], outputs=["b"],
+                   instructions=[Instruction(ADD, "b", "a", "c"),
+                                 Instruction(MOVE, "c", "a")]),
+         "3:1: undefined variable 'c'"),
     ], ids=["undefined-output", "const-redefines-input",
-            "instruction-redefines-input", "output-twice"])
-    def test_ir_the_parser_never_emits(self, ir):
+            "instruction-redefines-input", "output-twice",
+            "operand-before-its-definition"])
+    def test_ir_the_parser_never_emits(self, ir, message):
         # The digest is unkeyed, so build + emit_prom of a hand-made IR
-        # gives an image whose digest and rebuild both match.
+        # gives an image whose digest and rebuild both match.  The loader
+        # keeps the parser's rules, so it names the break as the parser
+        # does.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DuplicateSignatureWarning)
             image = emit_prom(*build(ir, A13, 0))
-        with pytest.raises(SigtoolError, match="^bad canonical IR: "):
+        with pytest.raises(SigtoolError,
+                           match=f"^bad canonical IR: {message}$"):
             load_prom(image)
 
 
