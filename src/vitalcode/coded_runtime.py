@@ -14,6 +14,12 @@ in IR order, reading that instruction's row of residues.  Names, values
 and residues reach it as arguments, never as text, and `dsl.interpret`
 stays the separately written oracle.
 
+A fault spec is armed against a program and key before it strikes:
+arming checks each selector the spec sets and keeps the candidates of
+each it leaves unset, and a cycle then only draws from them.
+`run_cycle` arms a spec on each call; `run_campaign` arms each model
+once and hands the armed fault to every trial.
+
 Fault models (one mutation per trial; `inject_fault` maps the target's
 coded value to the struck one for every model but F5, which patches a row):
 
@@ -32,9 +38,9 @@ coded value to the struck one for every model but F5, which patches a row):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 
 # The generated cycle calls the OPELs through this module's globals.
 from .coded_core import (FUNCTIONAL_BITS, CodeKey, CodedValue,
@@ -71,17 +77,18 @@ class UnresolvableTarget(Exception):
 class FaultSpec:
     """One accidental fault to inject into one cycle.
 
-    `run_cycle` draws every unset selector uniformly into a new spec
-    before the cycle runs, so one unresolved spec serves a campaign:
+    `run_cycle` arms the spec and draws every unset selector uniformly
+    before the cycle runs, leaving the spec as it is, so one unresolved
+    spec serves a campaign:
     F1/F2 pick any variable (and bit), struck right after its definition;
     F3/F4/F6 a declared output (F3 also a donor), struck at cycle end;
     F5 an instruction, patched before the cycle runs.  `bit` addresses
     the functional field's two's-complement word for F1, in [0, 64), and
     the code residue for F2, in [0, key.bit_width); a set selector outside
     its range raises UnresolvableTarget.  So does a spec that would strike
-    nothing: an F3 `donor` equal to its target, or an F4 `staleness`
-    below 1 (a staleness that is a positive multiple of A is allowed: it
-    is a real fault that the code cannot see).
+    nothing: an F3 `donor` that is or can be drawn as its target, or an
+    F4 `staleness` below 1 (a staleness that is a positive multiple of A
+    is allowed: it is a real fault that the code cannot see).
     """
 
     model: str
@@ -100,64 +107,115 @@ class CycleResult:
     variable: str | None = None     # the output, input, const or result
 
 
-def _pick(rng: TrialStream | None, selected, candidates, allowed, what):
-    """`selected` if set and allowed, else a uniform draw from `candidates`."""
+def _candidates(selected, candidates, allowed, what):
+    """None if `selected` is set and allowed, else the non-empty
+    `candidates` it is drawn from."""
     if selected is None:
         if not candidates:
             raise UnresolvableTarget(f"no candidate {what}")
-        return candidates[rng.randrange(len(candidates))]
+        return candidates
     if selected not in allowed:
         raise UnresolvableTarget(f"no {what} {selected!r}")
-    return selected
+    return None
 
 
-def _resolve_fault(spec: FaultSpec, program: CodedProgram, key: CodeKey,
-                   rng: TrialStream | None) -> FaultSpec:
-    """A new spec with every unset selector of `spec` filled from `rng`.
+class _ArmedFault:
+    """A fault spec resolved against one program and key, once.
 
-    Draw order per model: F1/F2 variable then bit; F3 output then donor
-    from the other variables in sorted order; F4 and F6 output; F5
-    instruction.  Raises UnresolvableTarget for selectors the program
-    or the key cannot satisfy.
+    Arming checks every selector the spec sets and keeps the candidates
+    of every one it leaves unset; it raises UnresolvableTarget, drawing
+    nothing, for a spec the program or the key cannot satisfy.  `draw`
+    then picks one cycle's selectors and leaves them in `variable`,
+    `donor`, `instruction` and `bit`, where `inject_fault` reads them.
     """
-    names = program.variables
-    variable, donor, bit = spec.variable, spec.donor, spec.bit
-    instruction = spec.instruction
-    if spec.model in (F1, F2):
-        variable = _pick(rng, variable, names, names, "variable")
-        bits = range(FUNCTIONAL_BITS if spec.model == F1 else key.bit_width)
-        bit = _pick(rng, bit, bits, bits, "bit")
-    elif spec.model in (F3, F4, F6):
-        variable = _pick(rng, variable, program.ir.outputs, names,
-                         "variable")
-        if spec.model == F3:  # an explicit target need not be an output
-            others = [n for n in program.sorted_variables if n != variable]
-            donor = _pick(rng, donor, others, others, "donor")
-        elif spec.model == F4 and spec.staleness < 1:
-            raise UnresolvableTarget(f"no staleness {spec.staleness!r}")
-    elif spec.model == F5:
-        indices = range(len(program.rows))
-        instruction = _pick(rng, instruction, indices, indices,
-                            "instruction")
-    else:
-        raise UnresolvableTarget(f"unknown fault model {spec.model!r}")
-    return FaultSpec(spec.model, variable, donor, instruction, bit,
-                     spec.staleness)
+
+    __slots__ = ("model", "variable", "donor", "instruction", "bit",
+                 "staleness", "_targets", "_bits", "_donors", "_program",
+                 "_key")
+
+    def __init__(self, spec: FaultSpec, program: CodedProgram,
+                 key: CodeKey):
+        model = self.model = spec.model
+        self.variable, self.donor = spec.variable, spec.donor
+        self.instruction, self.bit = spec.instruction, spec.bit
+        self.staleness = spec.staleness
+        self._program, self._key = program, key
+        self._bits = self._donors = None
+        names = program.index
+        if model in (F1, F2):
+            self._targets = _candidates(spec.variable, program.variables,
+                                        names, "variable")
+            bits = range(FUNCTIONAL_BITS if model == F1 else key.bit_width)
+            self._bits = _candidates(spec.bit, bits, bits, "bit")
+        elif model in (F3, F4, F6):
+            # An explicit target need not be an output.
+            targets = self._targets = _candidates(
+                spec.variable, program.ir.outputs, names, "variable")
+            if model == F3 and spec.donor is None:
+                if len(names) < 2:
+                    raise UnresolvableTarget("no candidate donor")
+                self._donors = program.sorted_variables
+            elif model == F3 and (spec.donor not in names or spec.donor
+                                  in (targets or (spec.variable,))):
+                raise UnresolvableTarget(f"no donor {spec.donor!r}")
+            elif model == F4 and spec.staleness < 1:
+                raise UnresolvableTarget(f"no staleness {spec.staleness!r}")
+        elif model == F5:
+            indices = range(len(program.rows))
+            self._targets = _candidates(spec.instruction, indices, indices,
+                                        "instruction")
+        else:
+            raise UnresolvableTarget(f"unknown fault model {model!r}")
+
+    def draw(self, rng: TrialStream | None):
+        """Draw one cycle's unset selectors from `rng` and return the
+        rows the cycle runs, the index of the variable struck right after
+        its definition (-1 for none) and the name of the one struck at
+        cycle end (None for none).
+
+        Draw order: F1/F2 variable, then bit; F3 output, then donor from
+        the other variables in sorted order; F4 and F6 output; F5
+        instruction, then `_corrupt_row`'s draws.
+        """
+        targets, program = self._targets, self._program
+        if self.model == F5:
+            if targets is not None:
+                self.instruction = rng.randrange(len(targets))
+            return (_corrupt_row(program.rows, self.instruction, self._key,
+                                 rng), -1, None)
+        if targets is not None:
+            self.variable = targets[rng.randrange(len(targets))]
+        if self.model in (F1, F2):
+            if self._bits is not None:
+                self.bit = rng.randrange(len(self._bits))
+            return program.rows, program.index[self.variable], None
+        if self._donors is not None:
+            # Uniform over the sorted variables other than the target.
+            names = self._donors
+            k = rng.randrange(len(names) - 1)
+            self.donor = names[k + (k >= bisect_left(names, self.variable))]
+        return program.rows, -1, self.variable
+
+    def strike(self, value: CodedValue) -> CodedValue:
+        """The compiled cycle's F1/F2 strike hook."""
+        return inject_fault(self, value)
 
 
-def inject_fault(fault: FaultSpec, value: CodedValue,
+def inject_fault(fault: FaultSpec | _ArmedFault, value: CodedValue,
                  donor: CodedValue | None = None, signature: int = 0,
                  cycle: int = 0, key: CodeKey | None = None,
                  rng: TrialStream | None = None) -> CodedValue:
-    """The struck value of a resolved fault's target (F1-F4, F6).
+    """The struck value of a fault's target (F1-F4, F6).
 
-    `value` is the target's coded value at the injection point, and the
-    other arguments are only what the model reads: F3 the donor's value,
-    F4 the target's signature, the cycle and the key, F6 the key and the
-    stream.  F1 flips bit `fault.bit` of the functional field's 64-bit
-    two's-complement word, F2 that bit of the code field; F3 returns the
-    donor's value; F4 re-encodes the value `fault.staleness` cycles ago;
-    F6 draws both fields uniformly, the only draws here.
+    `fault` is a spec with its selectors set or an armed fault after its
+    draw.  `value` is the target's coded value at the injection point,
+    and the other arguments are only what the model reads: F3 the
+    donor's value, F4 the target's signature, the cycle and the key, F6
+    the key and the stream.  F1 flips bit `fault.bit` of the functional
+    field's 64-bit two's-complement word, F2 that bit of the code field;
+    F3 returns the donor's value; F4 re-encodes the value
+    `fault.staleness` cycles ago; F6 draws both fields uniformly, the
+    only draws here.
     """
     x, c = value
     if fault.model == F1:
@@ -242,7 +300,7 @@ def _compile_cycle(program: CodedProgram):
 
 def run_cycle(program: CodedProgram, table: SignatureTable,
               inputs: dict[str, int], cycle: int, key: CodeKey,
-              fault: FaultSpec | None = None,
+              fault: FaultSpec | _ArmedFault | None = None,
               rng: TrialStream | None = None) -> CycleResult:
     """Execute one cycle; publish outputs only if every check accepts.
 
@@ -250,27 +308,25 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     on the program's first cycle and kept on it (`program.compiled`):
     one local per variable and one OPEL call per instruction, in IR
     order, reading that instruction's row of residues.
-    A fault spec is resolved from `rng` into a new one before execution,
-    and exactly one mutation is applied: F5 patches a row first, the
-    cycle's strike hook calls `inject_fault` right after the F1/F2 target
-    is defined, and the F3/F4/F6 target goes through it at cycle end,
-    before the checks.  A value
-    outside the 64-bit range, input or result, is a safe halt that names
-    the variable being defined.
+    A fault spec is armed on entry (`run_campaign` passes faults it armed
+    once) and its unset selectors are drawn from `rng` before execution;
+    exactly one mutation is applied: F5 patches a row first, the cycle's
+    strike hook calls `inject_fault` right after the F1/F2 target is
+    defined, and the F3/F4/F6 target goes through it at cycle end, before
+    the checks.  A value outside the 64-bit range, input or result, is a
+    safe halt that names the variable being defined.
     """
     a = key.modulus
     ir = program.ir
     sigs = table.signatures
     index = program.index
     rows = program.rows
-    hit, strike = -1, None  # F1/F2 strike right after definition `hit`
+    hit, strike, end = -1, None, None
     if fault is not None:
-        fault = _resolve_fault(fault, program, key, rng)
-        if fault.model == F5:
-            rows = _corrupt_row(rows, fault.instruction, key, rng)
-        elif fault.model in (F1, F2):
-            hit = index[fault.variable]
-            strike = partial(inject_fault, fault)
+        if isinstance(fault, FaultSpec):
+            fault = _ArmedFault(fault, program, key)
+        rows, hit, end = fault.draw(rng)
+        strike = fault.strike
 
     try:
         values = (program.compiled or _compile_cycle(program))(
@@ -285,11 +341,11 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
             raise KeyError(f"missing input {name!r}") from None
         raise
 
-    if fault is not None and fault.model in (F3, F4, F6):
-        name, j = fault.variable, index[fault.variable]
+    if end is not None:
+        j = index[end]
         donor = values[index[fault.donor]] if fault.model == F3 else None
         values = list(values)
-        values[j] = inject_fault(fault, values[j], donor, sigs[name], cycle,
+        values[j] = inject_fault(fault, values[j], donor, sigs[end], cycle,
                                  key, rng)
 
     outputs = {}
@@ -346,20 +402,21 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
     then the cycle in [1, 2**20).  `run_cycle` then draws the fault's
     targets from the same stream.  An empty model list runs a fault-free
     baseline; any rejection there counts as a false alarm.  Only
-    accepted cycles are compared with the `interpret` oracle.  A model
-    the program cannot host (e.g. F5 without instructions) raises
-    ConfigError before the first trial.
+    accepted cycles are compared with the `interpret` oracle.  Each model
+    is armed once, before the first trial, so a model the program cannot
+    host (e.g. F5 without instructions) raises ConfigError there, drawing
+    nothing.
     """
-    specs = [FaultSpec(m) for m in models]  # run_cycle resolves a copy
-    stream = f"vitalcode:{seed}"
-    for spec in specs:
+    armed = []
+    for model in models:
         try:
-            _resolve_fault(spec, program, key, trial_rng(stream, 0))
+            armed.append(_ArmedFault(FaultSpec(model), program, key))
         except UnresolvableTarget as exc:
-            raise ConfigError(f"fault model {spec.model} cannot strike "
+            raise ConfigError(f"fault model {model} cannot strike "
                               f"this program ({exc})", "--model") from None
+    stream = f"vitalcode:{seed}"
     ir = program.ir
-    faults = specs or [None]
+    faults = armed or [None]
     span = _INPUT_VALUES ** len(ir.inputs) * len(faults) * _CYCLES
 
     def trial(i):
@@ -373,6 +430,8 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
         cycle = r + 1
         fault = faults[m]
         model = fault.model if fault else None
+        # The module attribute, looked up per trial: the benchmark's
+        # tracer wraps it there to time each cycle apart from its callees.
         result = run_cycle(program, table, inputs, cycle, key, fault, rng)
         if result.verdict != ACCEPT:
             return model, "detected"
@@ -382,9 +441,9 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
 
     tally = run_trials(trials, trial)
     per_model = {}
-    for spec in specs:
-        counts = {o: tally[spec.model, o] for o in FaultOutcomes.names}
-        per_model[spec.model] = FaultOutcomes(sum(counts.values()), counts)
+    for model in models:
+        counts = {o: tally[model, o] for o in FaultOutcomes.names}
+        per_model[model] = FaultOutcomes(sum(counts.values()), counts)
     totals = Counter()
     for (_, outcome), n in tally.items():
         totals[outcome] += n

@@ -2,17 +2,22 @@
 
 The oracles here deliberately avoid the library's own code paths: CRC by
 bit-serial long division, Hamming by generator matrix, coded execution by
-the plain interpreter, hashes by the standard library.
+the plain interpreter, hashes by the standard library.  An inject
+campaign is replayed one public `run_cycle` call per trial, apart from
+the campaign's own loop.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
+from collections import Counter
 
 from vitalcode.coded_core import make_key
-from vitalcode.dsl import parse_program
+from vitalcode.coded_runtime import ACCEPT, FaultSpec, run_cycle
+from vitalcode.dsl import interpret, parse_program
 from vitalcode.sigtool import DuplicateSignatureWarning, build
+from vitalcode.stats import trial_rng
 
 SAMPLE_PROGRAM = """
 # Overspeed guard evaluated once per cycle.
@@ -34,6 +39,14 @@ s = u + v; d = u - w; p = s * k; q = d * m; r = p + q; t = r;
 e = t - v; f = e * w; g = f + k; h = g; i = h - s; j = i * m;
 l = j + d; n = l; o = n - p; z = o;
 output z; output t; output n; output f;
+"""
+
+# The MUL leaves int64 unless a is in [-2, 1], so most cycles safe-halt.
+OVERFLOW_PROGRAM = """
+input a; input b;
+const big = 4611686018427387904;
+x = a * big; y = x + b; c = y; o = c - a;
+output o; output c;
 """
 
 # Every keyless scheme family and HMAC under all eight threat kinds: the
@@ -61,6 +74,38 @@ def build_sample(modulus: int, seed: int = SAMPLE_SEED):
         warnings.simplefilter("ignore", DuplicateSignatureWarning)
         table, program = build(ir, key, seed)
     return ir, key, table, program
+
+
+def replay_campaign(program, table, key, models, trials: int,
+                    seed: int) -> Counter:
+    """`run_campaign`'s tally, rebuilt one trial at a time from the public
+    API: the trial's stream, its header decoded as `run_campaign`
+    documents it, `run_cycle` with a new unresolved `FaultSpec` of the
+    trial's model, and the outcome from the verdict and `interpret`.
+    Returns the count of each (model, outcome), model None fault-free."""
+    ir = program.ir
+    faults = list(models) or [None]
+    span = 201 ** len(ir.inputs) * len(faults) * ((1 << 20) - 1)
+    tally = Counter()
+    for i in range(trials):
+        rng = trial_rng(f"vitalcode:{seed}", i)
+        r = rng.randrange(span)
+        inputs = {}
+        for name in ir.inputs:
+            r, x = divmod(r, 201)
+            inputs[name] = x - 100
+        r, m = divmod(r, len(faults))
+        model = faults[m]
+        spec = FaultSpec(model) if model else None
+        result = run_cycle(program, table, inputs, r + 1, key, spec, rng)
+        if result.verdict != ACCEPT:
+            outcome = "detected"
+        elif result.outputs != interpret(ir, inputs):
+            outcome = "undetected_wrong_output"
+        else:
+            outcome = "benign"
+        tally[model, outcome] += 1
+    return tally
 
 
 def crc_bitwise(payload: bytes, params) -> int:

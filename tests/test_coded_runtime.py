@@ -1,18 +1,20 @@
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (MIXED_PROGRAM, SAMPLE_CYCLE, SAMPLE_INPUTS,
-                     build_sample, random_straight_line_program)
+from helpers import (MIXED_PROGRAM, OVERFLOW_PROGRAM, SAMPLE_CYCLE,
+                     SAMPLE_INPUTS, SAMPLE_PROGRAM, build_sample,
+                     random_straight_line_program, replay_campaign)
 from vitalcode import coded_runtime
 from vitalcode.coded_runtime import (ACCEPT, FAULT_MODELS, FUNCTIONAL_BITS,
                                      OUTPUT_INCOHERENT, OVERFLOW, REJECT,
-                                     SAFE_HALT, CycleResult, FaultSpec,
-                                     UnresolvableTarget, _corrupt_row,
-                                     _resolve_fault, inject_fault,
+                                     SAFE_HALT, CycleResult, FaultOutcomes,
+                                     FaultSpec, UnresolvableTarget,
+                                     _ArmedFault, _corrupt_row, inject_fault,
                                      run_campaign, run_cycle)
 from vitalcode.dsl import ADD, MOVE, MUL, SUB, interpret, parse_program
 from vitalcode.sigtool import (DuplicateSignatureWarning, build, emit_prom,
@@ -268,6 +270,25 @@ class TestFaultModels:
                     spec.bit, spec.staleness) == (model, None, None, None,
                                                   None, 3)
 
+    @pytest.mark.parametrize("model", FAULT_MODELS)
+    def test_armed_fault_equals_its_spec(self, model):
+        # The campaign arms each spec once; run_cycle arms a spec per call.
+        key = make_key(13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateSignatureWarning)
+            table, program = build(parse_program(MIXED_PROGRAM), key, 6)
+        inputs = {"u": 4, "v": -7, "w": 2}
+        specs = [FaultSpec(model, staleness=3)] + [
+            s for s in colliding_specs(program, key) if s.model == model]
+        for spec in specs:
+            armed = _ArmedFault(spec, program, key)
+            assert armed.model == model
+            for seed in range(8):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert run_cycle(program, table, inputs, 5, key, armed, rng) \
+                    == run_cycle(program, table, inputs, 5, key, spec, ref)
+                assert rng.getstate() == ref.getstate()
+
     def test_unresolvable_target(self):
         ir, key, table, program = build_sample(13)
         for spec in (FaultSpec("F1", variable="ghost"),
@@ -338,6 +359,44 @@ class TestCampaign:
             for v in values:
                 lo, hi = wilson_interval(counts[v], trials, z=3.89)
                 assert lo <= 1 / len(values) <= hi, (v, counts[v])
+
+    @pytest.mark.parametrize("modulus", [13, 251])
+    @pytest.mark.parametrize("source", [SAMPLE_PROGRAM, MIXED_PROGRAM,
+                                        OVERFLOW_PROGRAM],
+                             ids=["sample", "mixed", "overflow"])
+    def test_equals_replay_through_public_api(self, source, modulus):
+        key = make_key(modulus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateSignatureWarning)
+            table, program = build(parse_program(source), key, 6)
+        for models in (FAULT_MODELS, []):
+            report = run_campaign(program, table, key, models, 900, seed=7)
+            tally = replay_campaign(program, table, key, models, 900, 7)
+            groups = report.per_model.items() if models else [(None, report)]
+            for model, group in groups:
+                assert {o: getattr(group, o) for o in FaultOutcomes.names} \
+                    == {o: tally[model, o] for o in FaultOutcomes.names}
+            assert sum(tally.values()) == report.trials
+
+    def test_f3_memory_stays_linear_in_outputs(self):
+        # A donor tuple per target would hold outputs x variables names:
+        # ~73 MB here, where the campaign itself needs ~0.5 MB.
+        n = 3000
+        ir = parse_program("".join(f"input v{i}; output v{i}; "
+                                   for i in range(n)))
+        key = make_key(2**31 - 1)
+        table, program = build(ir, key, 1)
+        # A fault-free campaign compiles the cycle first: a program's
+        # first campaign is slow to trace in a large heap.
+        run_campaign(program, table, key, [], 1, seed=2)
+        tracemalloc.start()
+        try:
+            report = run_campaign(program, table, key, ["F3"], 5, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.per_model["F3"].trials == 5
+        assert peak < 2 << 20, peak
 
     def test_program_without_inputs(self):
         ir = parse_program("const k = 5; const m = -3; output y; y = k * m;")
@@ -438,8 +497,9 @@ class TestFaultTargetsBuiltOnce:
             if variable is None:
                 variable = ir.outputs[ref.randrange(len(ir.outputs))]
             others = sorted(n for n in names if n != variable)
-            spec = _resolve_fault(FaultSpec("F3", variable=target), program,
-                                  key, random.Random(seed))
+            spec = _ArmedFault(FaultSpec("F3", variable=target), program,
+                               key)
+            spec.draw(random.Random(seed))
             assert (spec.variable, spec.donor) == (
                 variable, others[ref.randrange(len(others))])
 

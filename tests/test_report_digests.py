@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import CHANNEL_GRID, MIXED_PROGRAM, build_sample
+from helpers import (CHANNEL_GRID, MIXED_PROGRAM, OVERFLOW_PROGRAM,
+                     build_sample)
 from vitalcode.campaign import parse_config, run_channel_campaign
 from vitalcode.cli import main
 from vitalcode.coded_core import make_key
@@ -24,15 +25,6 @@ from vitalcode.redundancy import (MAJORITY, UNANIMITY, VoteConfig,
                                   redundancy_campaign)
 from vitalcode.dsl import parse_program
 from vitalcode.sigtool import DuplicateSignatureWarning, build, emit_prom
-
-# The MUL leaves int64 unless a is in [-2, 1], so most cycles safe-halt.
-OVERFLOW_PROGRAM = """
-input a; input b;
-const big = 4611686018427387904;
-x = a * big; y = x + b; c = y; o = c - a;
-output o; output c;
-"""
-
 
 def inject(modulus, models):
     _, key, table, program = build_sample(modulus, seed=4)
