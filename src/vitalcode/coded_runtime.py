@@ -403,12 +403,14 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
     targets from the same stream.  An empty model list runs a fault-free
     baseline; any rejection there counts as a false alarm.  Only
     accepted cycles are compared with the `interpret` oracle.  Each model
-    is armed once, before the first trial, so a model the program cannot
-    host (e.g. F5 without instructions) raises ConfigError there, drawing
-    nothing.
+    is armed once, before the first trial, so a repeated model or one the
+    program cannot host (e.g. F5 without instructions) raises ConfigError
+    there, drawing nothing.
     """
     armed = []
-    for model in models:
+    for i, model in enumerate(models):
+        if model in models[:i]:
+            raise ConfigError(f"repeated fault model {model!r}", "--model")
         try:
             armed.append(_ArmedFault(FaultSpec(model), program, key))
         except UnresolvableTarget as exc:

@@ -1,6 +1,10 @@
 """Straight-line arithmetic DSL: parser, three-address IR, interpreter.
 
-Grammar (UTF-8 text, `#` comments to end of line):
+Source is UTF-8 text.  Only LF breaks a line and no token spans one, so
+a token's position is its line's number and its place in the line.
+Whitespace is space, tab, CR and LF; `#` comments run to the end of the
+line.  INT is a run of decimal digits (of any script), ID an ASCII
+name, and any other character is an error at its `line:col`.  Grammar:
 
     program   : stmt*
     stmt      : "input" ID ";"
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 ADD = "ADD"
 SUB = "SUB"
@@ -67,15 +72,12 @@ class ProgramIR:
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r\n]+)|(?P<comment>#[^\n]*)|(?P<int>\d+)"
-    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[-+*=();])"
-)
-
-_KEYWORDS = {"input", "const", "output"}
+    r"[ \t\r]+|#.*|(?P<kw>(?:input|const|output)(?![A-Za-z0-9_]))"
+    r"|(?P<int>\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[-+*=();])"
+    r"|(?P<bad>.)")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int", "id", "kw", "punct", "eof"
     text: str
     line: int
@@ -84,27 +86,15 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "id":
-            tokens.append(_Token("kw" if lexeme in _KEYWORDS else "id",
-                                 lexeme, line, col))
-        elif kind in ("int", "punct"):
-            tokens.append(_Token(kind, lexeme, line, col))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    for row, line in enumerate(text.split("\n"), start=1):
+        for m in _TOKEN_RE.finditer(line):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise DslError(f"unexpected character {m.group()!r}",
+                               row, m.start() + 1)
+            if kind:  # whitespace and comments match no named group
+                tokens.append(_Token(kind, m.group(), row, m.start() + 1))
+    tokens.append(_Token("eof", "", row, len(line) + 1))
     return tokens
 
 

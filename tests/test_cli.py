@@ -249,6 +249,15 @@ class TestInject:
         assert main(["inject", str(prom), "--model", "F9"]) == EXIT_CONFIG
         assert assert_one_error_line(capsys).startswith("error: --model: ")
 
+    @pytest.mark.parametrize("models", ["F1,F1", "F6,F2,f6"])
+    def test_repeated_model(self, prom, capsys, models):
+        # A repeat would double its model's share of the header draw,
+        # while the report's per-model groups would merge the two.
+        assert main(["inject", str(prom), "--model", models,
+                     "--trials", "3"]) == EXIT_CONFIG
+        assert assert_one_error_line(capsys) == (
+            f"error: --model: repeated fault model '{models[-2:].upper()}'")
+
     @pytest.mark.parametrize("model", ["F3", "F5", "F1,F5"])
     def test_model_without_target(self, tmp_path, capsys, model):
         # One variable leaves F3 no donor; no instruction leaves F5 none.

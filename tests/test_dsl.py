@@ -1,3 +1,6 @@
+import ast
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,6 +103,33 @@ class TestParse:
             parse_program(source)
         assert (exc.value.line, exc.value.col) == (source.count("\n") + 1,
                                                    col)
+
+    @pytest.mark.parametrize("source, message", [
+        ("input a;\r\n\x0boutput a;", "2:1: unexpected character '\\x0b'"),
+        ("input a; # x;\u2028y\n\tb = a \x85;",
+         "2:8: unexpected character '\\x85'"),
+        ("input a;\r\noutput a", "2:9: expected ';', got ''"),
+    ], ids=["vertical-tab", "next-line", "end-of-text"])
+    def test_exact_error_position(self, source, message):
+        # Only "\n" breaks a line: CR is whitespace, a comment runs past
+        # U+2028, and VT and NEL are stray characters at their own place.
+        with pytest.raises(DslError) as exc:
+            parse_program(source)
+        assert str(exc.value) == message
+
+    @given(st.lists(st.sampled_from(["input", "a", "1", "=", ";", "#", " ",
+                                     "\t", "\r", "\n", "\x0b", "\x0c",
+                                     "\x1c", "\x85", "\u2028", "$"])
+                    | st.characters(), max_size=40).map("".join))
+    def test_unexpected_character_is_where_it_says(self, text):
+        try:
+            parse_program(text)
+        except DslError as exc:
+            found = re.fullmatch(r"\d+:\d+: unexpected character (.+)",
+                                 str(exc), re.DOTALL)
+            if found:
+                char = ast.literal_eval(found[1])
+                assert text.split("\n")[exc.line - 1][exc.col - 1] == char
 
     def test_precedence(self):
         ir = parse_program("input a; input b; output o; o = a + b * 2;")

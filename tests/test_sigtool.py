@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import MIXED_PROGRAM
 from vitalcode.coded_core import make_key
 from vitalcode.dsl import (ADD, MOVE, MUL, SUB, Instruction, ProgramIR,
-                          parse_program)
+                          canonical_ir_bytes, parse_program)
 from vitalcode.mac import hash_digest
 from vitalcode.sigtool import (PROM_MAGIC, PROM_VERSION,
                                DuplicateSignatureWarning, SigtoolError,
@@ -124,6 +124,24 @@ class TestPromImage:
         _, t1, p1 = quiet_build(SRC, A13, 1)
         _, t2, p2 = quiet_build(SRC, A13, 1)
         assert emit_prom(t1, p1) == emit_prom(t2, p2)
+
+    def test_formatting_does_not_change_the_image(self):
+        # Line endings, tabs, blank lines and comments, even ones holding
+        # `;`, are not part of the program: each copy signs to one image.
+        guard = ("input speed; input limit;\nconst margin = 3;\n"
+                 "output slack;\nslack = (limit - speed) + margin;\n")
+        reflowed = ("# overspeed guard; one output\n\n"
+                    "input\tspeed;\n\tinput limit;  # ; not a statement\n\n"
+                    "const margin\t=\t3;\n\n"
+                    "output slack ;   #;;\n"
+                    "slack =\n\t(limit - speed)  # ; still one statement\n"
+                    "\t+ margin\n;\n")
+        key = make_key(251)
+        builds = [quiet_build(src, key, 4) for src in
+                  (guard, guard.replace("\n", "\r\n"), reflowed)]
+        assert len({canonical_ir_bytes(ir) for ir, _, _ in builds}) == 1
+        assert len({emit_prom(table, program)
+                    for _, table, program in builds}) == 1
 
     def test_image_independent_of_program_data(self):
         # Signatures depend on the program text, never on the data it
