@@ -8,8 +8,9 @@ that is invisible to the date mechanism by construction.  Every
 elementary operation (add, sub, mul, move) updates the code channel with
 offline-precomputed compensation constants, each needed only up to
 congruence mod A, so that a well-formed input yields a well-formed
-output for the destination signature.  A corruption of either channel
-survives an end check only if its delta happens to be a multiple of A.
+output for the destination signature.  No code field is computed from
+a functional field, so a corruption of either channel survives an end
+check only if the error it leaves in the output is a multiple of A.
 """
 
 from __future__ import annotations
@@ -131,22 +132,19 @@ def opel_sub(v1: CodedValue, v2: CodedValue, k: int,
     return x, (c1 - c2 + k) % key.modulus
 
 
-def opel_mul(v1: CodedValue, v2: CodedValue, t1: int, t2: int, km: int,
+def opel_mul(v1: CodedValue, v2: CodedValue, t1: int, t2: int, k3: int,
              key: CodeKey) -> CodedValue:
-    """Coded multiplication.
+    """Coded multiplication; t1 ≡ B1 + D, t2 ≡ B2 + D, k3 ≡ B3 + D mod A.
 
-    Residue codes are not multiplicatively closed under additive
-    signatures, so the code channel consumes the functional values through
-    the cross terms x1*t2 and x2*t1, with t1 ≡ B1 + D, t2 ≡ B2 + D and
-    km ≡ B3 + D - t1*t2 (mod A).  A corruption of x1 by delta leaves a
-    residual delta*c2 mod A in the end check, nonzero for prime A whenever
-    c2 is not a multiple of A.
+    A well-formed operand has c1 - t1 ≡ x1, so the code field
+    (c1 - t1)*(c2 - t2) + k3 reads no functional field.  A corruption of
+    x1 by delta leaves the functional error delta*x2 mod A as the residual.
     """
     (x1, c1), (x2, c2) = v1, v2
     x = x1 * x2
     if not INT64_MIN <= x <= INT64_MAX:
         raise FunctionalOverflow(f"result {x} outside 64-bit signed range")
-    return x, (c1 * c2 - x1 * t2 - x2 * t1 + km) % key.modulus
+    return x, ((c1 - t1) * (c2 - t2) + k3) % key.modulus
 
 
 def opel_move(v: CodedValue, k: int, key: CodeKey) -> CodedValue:

@@ -250,8 +250,8 @@ def _corrupt_row(rows: tuple[tuple, ...], i: int, key: CodeKey,
 # defined on line 2 + 2j and may be struck on the line after.  The text
 # is these templates filled with integers only: variable j is the local
 # vj, and row i's residues are read from the `rows` argument.
-_HEAD = ("def cycle(inputs, consts, sigs, names, rows, date, d, a, key, "
-         "hit, strike, encode, int):")
+_HEAD = ("def cycle(inputs, consts, sigs, names, rows, date, d, key, hit, "
+         "strike, encode, int):")
 _INPUT = "v{j} = encode(int(inputs[names[{j}]]), sigs[names[{j}]], date, key)"
 _CONST = "v{j} = encode(consts[names[{j}]], sigs[names[{j}]], date, key)"
 # Each row folds in the date term d as documented on sigtool.predetermine.
@@ -259,9 +259,8 @@ _CONST = "v{j} = encode(consts[names[{j}]], sigs[names[{j}]], date, key)"
 _ROW = {
     ADD: "v{j} = opel_add(v{s1}, v{s2}, rows[{i}][0] - d, key)",
     SUB: "v{j} = opel_sub(v{s1}, v{s2}, rows[{i}][0] + d, key)",
-    MUL: "t1 = (rows[{i}][0] + d) % a; t2 = (rows[{i}][1] + d) % a; "
-         "v{j} = opel_mul(v{s1}, v{s2}, t1, t2, rows[{i}][2] + d - t1 * t2, "
-         "key)",
+    MUL: "v{j} = opel_mul(v{s1}, v{s2}, rows[{i}][0] + d, rows[{i}][1] + d, "
+         "rows[{i}][2] + d, key)",
     MOVE: "v{j} = opel_move(v{s1}, rows[{i}][0], key)",
 }
 _STRIKE = "if hit == {j}: v{j} = strike(v{j})"
@@ -304,10 +303,7 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
               rng: TrialStream | None = None) -> CycleResult:
     """Execute one cycle; publish outputs only if every check accepts.
 
-    The cycle runs as one straight-line function per program, compiled
-    on the program's first cycle and kept on it (`program.compiled`):
-    one local per variable and one OPEL call per instruction, in IR
-    order, reading that instruction's row of residues.
+    The cycle runs as the program's compiled function (`_compile_cycle`).
     A fault spec is armed on entry (`run_campaign` passes faults it armed
     once) and its unset selectors are drawn from `rng` before execution;
     exactly one mutation is applied: F5 patches a row first, the cycle's
@@ -316,7 +312,6 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     the checks.  A value outside the 64-bit range, input or result, is a
     safe halt that names the variable being defined.
     """
-    a = key.modulus
     ir = program.ir
     sigs = table.signatures
     index = program.index
@@ -331,7 +326,7 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     try:
         values = (program.compiled or _compile_cycle(program))(
             inputs, ir.consts, sigs, program.variables, rows, cycle,
-            cycle % a, a, key, hit, strike, encode, int)
+            cycle % key.modulus, key, hit, strike, encode, int)
     except FunctionalOverflow as exc:  # raised on the line defining j
         j = (exc.__traceback__.tb_next.tb_lineno - _FIRST_LINE) // 2
         return CycleResult(SAFE_HALT, None, OVERFLOW, program.variables[j])
@@ -420,14 +415,20 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
     ir = program.ir
     faults = armed or [None]
     span = _INPUT_VALUES ** len(ir.inputs) * len(faults) * _CYCLES
+    # Inputs are peeled off 16 digits at a time: m inputs divide the long
+    # header m/16 times, not m times.
+    limbs = [(ir.inputs[k:k + 16], _INPUT_VALUES ** len(ir.inputs[k:k + 16]))
+             for k in range(0, len(ir.inputs), 16)]
 
     def trial(i):
         rng = trial_rng(stream, i)
         r = rng.randrange(span)
         inputs = {}
-        for name in ir.inputs:
-            r, x = divmod(r, _INPUT_VALUES)
-            inputs[name] = x - 100
+        for names, limb_span in limbs:
+            r, limb = divmod(r, limb_span)
+            for name in names:
+                limb, x = divmod(limb, _INPUT_VALUES)
+                inputs[name] = x - 100
         r, m = divmod(r, len(faults))
         cycle = r + 1
         fault = faults[m]

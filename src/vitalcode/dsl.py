@@ -3,8 +3,9 @@
 Source is UTF-8 text.  Only LF breaks a line and no token spans one, so
 a token's position is its line's number and its place in the line.
 Whitespace is space, tab, CR and LF; `#` comments run to the end of the
-line.  INT is a run of decimal digits (of any script), ID an ASCII
-name, and any other character is an error at its `line:col`.  Grammar:
+line.  INT is a run of ASCII digits 0-9, ID an ASCII name, and any
+other character, a digit of another script too, is an error at its
+`line:col`.  Grammar:
 
     program   : stmt*
     stmt      : "input" ID ";"
@@ -73,7 +74,7 @@ class ProgramIR:
 
 _TOKEN_RE = re.compile(
     r"[ \t\r]+|#.*|(?P<kw>(?:input|const|output)(?![A-Za-z0-9_]))"
-    r"|(?P<int>\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[-+*=();])"
+    r"|(?P<int>[0-9]+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[-+*=();])"
     r"|(?P<bad>.)")
 
 

@@ -125,8 +125,7 @@ def predetermine(ir: ProgramIR, table: SignatureTable) -> CodedProgram:
       ADD:  kappa = kappa_sig - D      (kappa_sig = B3 - B1 - B2)
       SUB:  kappa = kappa_sig + D      (kappa_sig = B3 - B1 + B2)
       MOVE: kappa = kappa_sig          (kappa_sig = B_dst - B_src)
-      MUL:  t1 = src1_sig + D, t2 = src2_sig + D,
-            km = dest_sig + D - t1*t2
+      MUL:  t1 = src1_sig + D, t2 = src2_sig + D, k3 = dest_sig + D
     """
     a = table.key.modulus
     sigs = table.signatures

@@ -65,24 +65,32 @@ def test_01_undetected_rate_one_over_key(capfd):
 
 def test_02_single_bit_faults_always_detected(capfd):
     with criterion(capfd, 2, "single-bit faults: zero undetected"):
-        for modulus in (13, 251, 2**31 - 1):
+        # Every F1 and F2 bit at one point per key.  Then, at A = 251,
+        # every date residue (cycles 1-251) at two input sets: an F1
+        # strike on a MUL operand must be caught whatever the residue of
+        # the other operand, including the cycle where it is 0.
+        sweeps = [(modulus, SAMPLE_INPUTS, [SAMPLE_CYCLE], range(64), True)
+                  for modulus in (13, 251, 2**31 - 1)]
+        sweeps += [(251, inputs, range(1, 252), (0, 5, 40, 63), False)
+                   for inputs in (SAMPLE_INPUTS,
+                                  {"speed": -42, "limit": 90, "gain": -7})]
+        for modulus, inputs, cycles, f1_bits, f2 in sweeps:
             ir, key, table, program = build_sample(modulus)
-            reference = interpret(ir, SAMPLE_INPUTS)
+            reference = interpret(ir, inputs)
+            specs = [FaultSpec("F1", variable=name, bit=bit)
+                     for name in ir.variables() for bit in f1_bits]
+            if f2:
+                specs += [FaultSpec("F2", variable=name, bit=bit)
+                          for name in ir.variables()
+                          for bit in range(key.bit_width)]
             undetected = 0
-            for name in ir.variables():
-                for bit in range(64):
-                    spec = FaultSpec("F1", variable=name, bit=bit)
-                    r = run_cycle(program, table, SAMPLE_INPUTS,
-                                  SAMPLE_CYCLE, key, fault=spec)
+            for cycle in cycles:
+                for spec in specs:
+                    r = run_cycle(program, table, inputs, cycle, key,
+                                  fault=spec)
                     if r.verdict == ACCEPT and r.outputs != reference:
                         undetected += 1
-                for bit in range(key.bit_width):
-                    spec = FaultSpec("F2", variable=name, bit=bit)
-                    r = run_cycle(program, table, SAMPLE_INPUTS,
-                                  SAMPLE_CYCLE, key, fault=spec)
-                    if r.verdict == ACCEPT and r.outputs != reference:
-                        undetected += 1
-            assert undetected == 0, modulus
+            assert undetected == 0, (modulus, inputs)
 
 
 def test_03_substitution_detected_iff_signatures_distinct(capfd):

@@ -61,8 +61,7 @@ def ksub(b3, b1, b2, d, key=A13):
 
 def kmul(b3, b1, b2, d, key=A13):
     a = key.modulus
-    t1, t2 = (b1 + d) % a, (b2 + d) % a
-    return t1, t2, (b3 + d - t1 * t2) % a
+    return (b1 + d) % a, (b2 + d) % a, (b3 + d) % a
 
 
 class TestOpelAdd:
@@ -126,9 +125,9 @@ class TestOpelMul:
     def test_worked_example(self):
         v1 = encode(7, 5, 0, A13)
         v2 = encode(3, 2, 0, A13)
-        t1, t2, km = kmul(4, 5, 2, 0)
-        assert (t1, t2, km) == (5, 2, 7)
-        out = opel_mul(v1, v2, t1, t2, km, A13)
+        t1, t2, k3 = kmul(4, 5, 2, 0)
+        assert (t1, t2, k3) == (5, 2, 4)
+        out = opel_mul(v1, v2, t1, t2, k3, A13)
         assert out == (21, 12)
         assert check(out, 4, 0, A13)
 
@@ -140,9 +139,9 @@ class TestOpelMul:
     def test_corrupted_operand_detected(self):
         v1 = (8, 12)  # functional corrupted from 7
         v2 = encode(3, 2, 0, A13)
-        t1, t2, km = kmul(4, 5, 2, 0)
-        out = opel_mul(v1, v2, t1, t2, km, A13)
-        # Residual error is (7-8)*c2 mod 13, nonzero since c2 = 5.
+        t1, t2, k3 = kmul(4, 5, 2, 0)
+        out = opel_mul(v1, v2, t1, t2, k3, A13)
+        # Residual error is (7-8)*x2 = -3 mod 13, nonzero since x2 = 3.
         assert not check(out, 4, 0, A13)
 
 
@@ -180,10 +179,9 @@ class TestSoundness:
         # exact pair.  run_cycle passes its constants unreduced.
         v1 = encode(x1, b1, d, A13)
         v2 = encode(x2, b2, d, A13)
-        t1, t2, km = kmul(b3, b1, b2, d)
         for opel, ks in ((opel_add, (kadd(b3, b1, b2, d),)),
                          (opel_sub, (ksub(b3, b1, b2, d),)),
-                         (opel_mul, (t1, t2, km))):
+                         (opel_mul, kmul(b3, b1, b2, d))):
             out = opel(v1, v2, *ks, A13)
             assert check(out, b3, d, A13)
             shifted = opel(v1, v2, *(k + m * 13 for k in ks), A13)
@@ -195,6 +193,24 @@ class TestSoundness:
         shifted = opel_move(v1, move_k + m * 13, A13)
         assert type(shifted) is tuple and shifted == out
         assert 0 <= shifted[1] < 13
+
+    @given(st.lists(st.integers(min_value=-10**6, max_value=10**6),
+                    min_size=4, max_size=4),
+           st.integers(min_value=0, max_value=12),
+           st.integers(min_value=0, max_value=12),
+           st.lists(st.integers(min_value=-50, max_value=50),
+                    min_size=3, max_size=3))
+    def test_code_channel_reads_residues_only(self, xs, c1, c2, ks):
+        # Changing x1 or x2 with c1 and c2 fixed leaves every OPEL's code
+        # field as it was, so a functional error reaches the end check
+        # as itself and not scaled by a residue.
+        x1, x2, y1, y2 = xs
+        for opel, n in ((opel_add, 1), (opel_sub, 1), (opel_mul, 3)):
+            code = opel((x1, c1), (x2, c2), *ks[:n], A13)[1]
+            for v1, v2 in (((y1, c1), (x2, c2)), ((x1, c1), (y2, c2))):
+                assert opel(v1, v2, *ks[:n], A13)[1] == code, opel
+        assert opel_move((y1, c1), ks[0], A13)[1] == \
+            opel_move((x1, c1), ks[0], A13)[1]
 
     def test_exhaustive_small_key(self):
         # All x in a band, all signature triples, fixed date: ADD stays

@@ -360,6 +360,36 @@ class TestCampaign:
                 lo, hi = wilson_interval(counts[v], trials, z=3.89)
                 assert lo <= 1 / len(values) <= hi, (v, counts[v])
 
+    @pytest.mark.parametrize("m", [17, 2000])
+    def test_header_decoded_as_per_digit(self, monkeypatch, m):
+        # The campaign peels its header a limb of inputs at a time; the
+        # values and their order are the per-digit decode's: each input
+        # in program order, then the model, then the cycle.
+        ir = parse_program("".join(f"input v{i}; output v{i}; "
+                                   for i in range(m)))
+        key = make_key(2**31 - 1)
+        table, program = build(ir, key, 1)
+        seen = []
+
+        def record(program, table, inputs, cycle, key, fault, rng):
+            seen.append((list(inputs.items()), fault.model, cycle))
+            return CycleResult(REJECT, None)
+
+        monkeypatch.setattr(coded_runtime, "run_cycle", record)
+        models = ["F3", "F4"]
+        run_campaign(program, table, key, models, 20, seed=4)
+        span = 201 ** m * len(models) * ((1 << 20) - 1)
+        expected = []
+        for i in range(20):
+            r = trial_rng("vitalcode:4", i).randrange(span)
+            inputs = []
+            for name in ir.inputs:
+                r, x = divmod(r, 201)
+                inputs.append((name, x - 100))
+            r, k = divmod(r, len(models))
+            expected.append((inputs, models[k], r + 1))
+        assert seen == expected
+
     @pytest.mark.parametrize("modulus", [13, 251])
     @pytest.mark.parametrize("source", [SAMPLE_PROGRAM, MIXED_PROGRAM,
                                         OVERFLOW_PROGRAM],
@@ -568,12 +598,12 @@ class TestCodedExecutionProperty:
         b1, b2, b3 = (data.draw(st.integers(0, a - 1)) for _ in range(3))
         d = cycle % a
         v1, v2 = encode(x1, b1, cycle, key), encode(x2, b2, cycle, key)
-        t1, t2 = (b1 + d) % a, (b2 + d) % a
         results = [opel_move(v1, (b3 - b1) % a, key)]
         for x, opel, args in (
                 (x1 + x2, opel_add, ((b3 - b1 - b2 - d) % a,)),
                 (x1 - x2, opel_sub, ((b3 - b1 + b2 + d) % a,)),
-                (x1 * x2, opel_mul, (t1, t2, (b3 + d - t1 * t2) % a))):
+                (x1 * x2, opel_mul, ((b1 + d) % a, (b2 + d) % a,
+                                     (b3 + d) % a))):
             if INT64_MIN <= x <= INT64_MAX:
                 results.append(opel(v1, v2, *args, key))
                 assert results[-1][0] == x
@@ -585,10 +615,10 @@ class TestCodedExecutionProperty:
             assert check((x, c), b3, cycle, key)
 
 
-# Names of the generated cycle's parameters (key, d, a, hit, strike,
-# encode, int, rows) and locals (v0, t1), of a global it calls
-# (opel_add) and of a builtin, plus k0 and _.  Every variable flows into
-# the output `rows`.
+# Names of the generated cycle's parameters (key, d, hit, strike,
+# encode, int, rows) and local (v0), of a global it calls (opel_add) and
+# of a builtin, plus a, t1, k0 and _.  Every variable flows into the
+# output `rows`.
 COLLIDING_PROGRAM = """
 input v0; input key; input d;
 const k0 = 7; const int = -3;

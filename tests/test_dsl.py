@@ -109,10 +109,13 @@ class TestParse:
         ("input a; # x;\u2028y\n\tb = a \x85;",
          "2:8: unexpected character '\\x85'"),
         ("input a;\r\noutput a", "2:9: expected ';', got ''"),
-    ], ids=["vertical-tab", "next-line", "end-of-text"])
+        ("output k;\nconst k = \uff11\uff12;",
+         "2:11: unexpected character '\uff11'"),
+    ], ids=["vertical-tab", "next-line", "end-of-text", "fullwidth-digit"])
     def test_exact_error_position(self, source, message):
         # Only "\n" breaks a line: CR is whitespace, a comment runs past
-        # U+2028, and VT and NEL are stray characters at their own place.
+        # U+2028, and VT, NEL and a fullwidth digit are stray characters at
+        # their own place.
         with pytest.raises(DslError) as exc:
             parse_program(source)
         assert str(exc.value) == message

@@ -95,13 +95,13 @@ DIGESTS = {
     "channel-json":
         "68de50e7e8cc22a292db5e29eeb3c1d7bf84e0e407a26bb3c54a73482900ff23",
     "inject-13-all":
-        "f6751b1c8caa1e22ae6bbd67aacc902544ef82a0ba178e8b56f77af98430273d",
+        "f4e3af1dfea6dc54e8d175ee45ab32c5426e56965dafb228d8994ac511a6d076",
     "inject-251-F3F5":
-        "eb3e3f007ce706329ec8c84d48a2ce466bd761100babb933c3fdc1e512ef6b29",
+        "1ed7a35b3d858687aa207d44973b0870861b77092a352eed5931006d5589164c",
     "inject-mersenne-none":
         "ebc0aebf0b6fc579bb3927e8b027947cd193bd3acc9bd09cbf156fa0c9a0997f",
     "inject-mixed-251":
-        "d4de61feb18e44d08ff7b97caac645d8ffe6fb5b00c2371a7b5b3dcabd1335b9",
+        "9daefc7ec67db89873795ffc8d2099a376e6ca51b4a2158647d2efc2e682f341",
     "inject-mixed-mersenne":
         "2dbe11be8526706577f1c87d75a512c37269f0c0b25afba4ac00ea473259001d",
     "inject-overflow-251":
