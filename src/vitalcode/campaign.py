@@ -268,12 +268,6 @@ class ChannelReport:
                          for r in self.rows())
         return buf.getvalue()
 
-    def cell(self, scheme: str, threat: str) -> CellResult:
-        for c in self.cells:
-            if c.scheme == scheme and c.threat == threat:
-                return c
-        raise KeyError((scheme, threat))
-
 
 def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
               config: CampaignConfig, mac_key: MacKey | None) -> CellResult:

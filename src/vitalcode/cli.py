@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 on any acceptance-relevant failure (a rejected
 cycle, a failed known-answer vector), 2 on configuration errors.  Bad
 outside input is a ConfigError naming where it entered: `_file` names
 the path of any file that cannot be opened, read, decoded, parsed or
-written, and the commands name their flags.  `main` turns a ConfigError
+written, the commands name their flags, and a usage error names the
+flag argparse reports or else the command.  `main` turns a ConfigError
 into one `error: <where>: <what>` line and exit code 2; every other
 exception is a fault in the program and ends in a traceback.
 """
@@ -152,8 +153,18 @@ def _cmd_vectors(_args) -> int:
     return status
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError; subparsers inherit it."""
+
+    def error(self, message):
+        where, sep, what = message.partition(": ")
+        if sep and where.startswith("argument -"):
+            raise ConfigError(what, where.removeprefix("argument "))
+        raise ConfigError(message, self.prog)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vitalcode",
         description="Coded-processor safety toolkit: signature "
                     "predetermination, fault campaigns, channel codes, "
@@ -205,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,33 +66,23 @@ class TrialStream:
 
     def getrandbits(self, k: int) -> int:
         """The next k bits of the stream as an integer in [0, 2**k)."""
-        bits = self._bits
-        if 0 <= k <= bits:
-            pool = self._pool
-            self._pool = pool >> k
-            self._bits = bits - k
-            return pool & ((1 << k) - 1)
-        if k < 0:
-            raise ValueError("number of bits must be non-negative")
-        pool, key, n = self._pool, self._key, self._counter
-        while bits < k:
-            block = blake2b(key + n.to_bytes(8, "little")).digest()
-            pool |= int.from_bytes(block, "little") << bits
-            bits += 512
-            n += 1
-        self._counter = n
+        pool, bits = self._pool, self._bits
+        if not 0 <= k <= bits:
+            if k < 0:
+                raise ValueError("number of bits must be non-negative")
+            key, n = self._key, self._counter
+            while bits < k:
+                block = blake2b(key + n.to_bytes(8, "little")).digest()
+                pool |= int.from_bytes(block, "little") << bits
+                bits += 512
+                n += 1
+            self._counter = n
         self._pool = pool >> k
         self._bits = bits - k
         return pool & ((1 << k) - 1)
 
     def random(self) -> float:
         """Uniform float in [0, 1) from the next 53 bits."""
-        bits = self._bits
-        if bits >= 53:
-            pool = self._pool
-            self._pool = pool >> 53
-            self._bits = bits - 53
-            return (pool & 0x1FFFFFFFFFFFFF) * 2 ** -53
         return self.getrandbits(53) * 2 ** -53
 
     def randrange(self, start: int, stop: int | None = None) -> int:

@@ -108,6 +108,13 @@ def replay_campaign(program, table, key, models, trials: int,
     return tally
 
 
+def find_cell(report, scheme: str, threat: str):
+    """The one cell of a channel report for (scheme, threat)."""
+    [cell] = [c for c in report.cells
+              if c.scheme == scheme and c.threat == threat]
+    return cell
+
+
 def crc_bitwise(payload: bytes, params) -> int:
     """Bit-serial long-division CRC; independent of the row-parity path."""
     mask = (1 << params.width) - 1

@@ -493,6 +493,37 @@ class TestRedundancy:
         assert assert_one_error_line(capsys).startswith("error: --trials: ")
 
 
+# Errors argparse finds, before any command runs: one line at the flag
+# it names, or else at the command.
+@pytest.mark.parametrize("argv, where, what", [
+    (["inject", "x.prom", "--model", "F1", "--trials", "abc"], "--trials",
+     "invalid int value: 'abc'"),
+    (["redundancy", "--policy", "x"], "--policy", "invalid choice: 'x'"),
+    (["sign", "p.vc", "--key", "0x11", "-o", "x.prom"], "--key",
+     "invalid int value: '0x11'"),
+    (["redundancy", "--trials"], "--trials", "expected one argument"),
+    (["sign", "p.vc", "--key", "251"], "vitalcode sign",
+     "the following arguments are required: -o/--output"),
+    (["vectors", "--extra"], "vitalcode", "unrecognized arguments: --extra"),
+    (["nope"], "vitalcode", "argument command: invalid choice: 'nope'"),
+    ([], "vitalcode", "the following arguments are required: command"),
+], ids=["trials-not-int", "unknown-policy", "key-hex", "trials-no-value",
+        "missing-output", "extra-argument", "unknown-command", "no-command"])
+def test_usage_error_is_one_line(capsys, argv, where, what):
+    assert main(argv) == EXIT_CONFIG
+    assert assert_one_error_line(capsys).startswith(f"error: {where}: {what}")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["sign", "--help"]],
+                         ids=["root", "sign"])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: vitalcode") and err == ""
+
+
 @pytest.mark.parametrize("case", [
     "missing-file", "unwritable-output", "program-not-utf8", "key-composite",
     "key-too-small", "seed-negative", "cut-image", "not-an-image"])

@@ -160,6 +160,15 @@ class TestKeyHandling:
             MacKey.from_hex(text)
 
 
+def fresh_interpreter(code: str) -> str:
+    """The stripped stdout of `code` run by a new interpreter that imports
+    this `vitalcode`."""
+    src = os.path.dirname(os.path.dirname(vitalcode.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def test_openssl_not_loaded():
     # hashlib and hmac load OpenSSL's _hashlib, which costs ~3.5 MB of
     # resident memory in every campaign process.  Running one campaign of
@@ -183,11 +192,17 @@ campaign.run_channel_campaign(campaign.parse_config({
     "trials": 5, "seed": 1, "mac_key": "0c" * 16}))
 print('_hashlib' in sys.modules)
 """
-    src = os.path.dirname(os.path.dirname(vitalcode.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert fresh_interpreter(code) == "False"
+
+
+def test_import_loads_only_the_module():
+    # The package root exports nothing but __version__, so importing one
+    # module loads that module and the root, not the whole package.
+    code = """
+import sys, vitalcode.mac
+print(sorted(m for m in sys.modules if m.split(".")[0] == "vitalcode"))
+"""
+    assert fresh_interpreter(code) == "['vitalcode', 'vitalcode.mac']"
 
 
 class TestConstantTimeEqual:

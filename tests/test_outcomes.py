@@ -88,7 +88,6 @@ def test_channel_rows(seed, monkeypatch):
     assert doc["seed"] == report.seed == seed
     assert len(doc["cells"]) == len(lines) == len(report.cells) == 16
     for cell, row, line in zip(report.cells, doc["cells"], lines):
-        assert report.cell(cell.scheme, cell.threat) is cell
         assert row["scheme"] == line["scheme"] == cell.scheme
         assert row["threat"] == line["threat"] == cell.threat
         assert_row_matches(row, cell)

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from vitalcode.stats import (ConfigError, report_json, run_trials,
                              trial_rng, wilson_interval)
@@ -18,6 +19,19 @@ def stream_bits(key: bytes, blocks: int) -> int:
     return sum(int.from_bytes(hashlib.blake2b(
         key + n.to_bytes(8, "little"), digest_size=64).digest(), "little")
         << (512 * n) for n in range(blocks))
+
+
+class StreamCursor:
+    """Reads `stream_bits(key, ...)` from a cursor, least significant bit
+    first: the oracle each `TrialStream` draw must match."""
+
+    def __init__(self, key: bytes):
+        self.key, self.cursor = key, 0
+
+    def take(self, k: int) -> int:
+        bits = stream_bits(self.key, (self.cursor + k) // 512 + 1)
+        self.cursor += k
+        return bits >> (self.cursor - k) & ((1 << k) - 1)
 
 
 def sample(draw, count=20_000, per_trial=10):
@@ -77,6 +91,35 @@ class TestEngine:
 
         assert draws(3) == draws(3)
         assert draws(3) != draws(4)
+
+    # Bit counts and bounds up to a little over two blocks, so draws start
+    # and end on either side of the 512-bit block boundaries.
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("getrandbits"), st.integers(0, 1100)),
+        st.tuples(st.just("random"), st.none()),
+        st.tuples(st.just("randbytes"), st.integers(0, 140)),
+        st.tuples(st.just("randrange"), st.integers(1, 1 << 1100))),
+        max_size=12))
+    @example([("getrandbits", 500), ("random", None), ("random", None)])
+    @example([("randbytes", 63), ("random", None), ("getrandbits", 1030)])
+    @example([("getrandbits", 511), ("randrange", (1 << 520) + 1),
+              ("randbytes", 65)])
+    def test_draws_read_the_stream_at_a_cursor(self, draws):
+        rng, oracle = trial_rng("cursor", 5), StreamCursor(b"cursor:5")
+        for method, arg in draws:
+            if method == "getrandbits":
+                assert rng.getrandbits(arg) == oracle.take(arg)
+            elif method == "random":
+                assert rng.random() == oracle.take(53) * 2 ** -53
+            elif method == "randbytes":
+                assert rng.randbytes(arg) \
+                    == oracle.take(8 * arg).to_bytes(arg, "little")
+            else:
+                k = (arg - 1).bit_length()
+                r = oracle.take(k)
+                while r >= arg:
+                    r = oracle.take(k)
+                assert rng.randrange(arg) == r
 
     def test_getrandbits_bounds(self):
         rng = trial_rng("bounds", 0)
