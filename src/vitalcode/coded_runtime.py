@@ -14,11 +14,10 @@ in IR order, reading that instruction's row of residues.  Names, values
 and residues reach it as arguments, never as text, and `dsl.interpret`
 stays the separately written oracle.
 
-A fault spec is armed against a program and key before it strikes:
-arming checks each selector the spec sets and keeps the candidates of
-each it leaves unset, and a cycle then only draws from them.
-`run_cycle` arms a spec on each call; `run_campaign` arms each model
-once and hands the armed fault to every trial.
+A `Fault` is armed against a program and key when it is built: the
+constructor checks each selector that is set and keeps the candidates
+of each one left unset, and a cycle then only draws from them.
+`run_campaign` builds one fault per model and hands it to every trial.
 
 Fault models (one mutation per trial; `inject_fault` maps the target's
 coded value to the struck one for every model but F5, which patches a row):
@@ -70,33 +69,8 @@ FAULT_MODELS = (F1, F2, F3, F4, F5, F6)
 
 
 class UnresolvableTarget(Exception):
-    """Fault spec names a variable or instruction the program lacks."""
-
-
-@dataclass
-class FaultSpec:
-    """One accidental fault to inject into one cycle.
-
-    `run_cycle` arms the spec and draws every unset selector uniformly
-    before the cycle runs, leaving the spec as it is, so one unresolved
-    spec serves a campaign:
-    F1/F2 pick any variable (and bit), struck right after its definition;
-    F3/F4/F6 a declared output (F3 also a donor), struck at cycle end;
-    F5 an instruction, patched before the cycle runs.  `bit` addresses
-    the functional field's two's-complement word for F1, in [0, 64), and
-    the code residue for F2, in [0, key.bit_width); a set selector outside
-    its range raises UnresolvableTarget.  So does a spec that would strike
-    nothing: an F3 `donor` that is or can be drawn as its target, or an
-    F4 `staleness` below 1 (a staleness that is a positive multiple of A
-    is allowed: it is a real fault that the code cannot see).
-    """
-
-    model: str
-    variable: str | None = None
-    donor: str | None = None        # F3 replacement source
-    instruction: int | None = None  # F5 target
-    bit: int | None = None          # F1 / F2
-    staleness: int = 1              # F4: cycles of age
+    """A fault names a variable, instruction, bit or model the program or
+    key lacks, or would strike nothing."""
 
 
 @dataclass
@@ -119,50 +93,64 @@ def _candidates(selected, candidates, allowed, what):
     return None
 
 
-class _ArmedFault:
-    """A fault spec resolved against one program and key, once.
+class Fault:
+    """One accidental fault, armed against one program and key.
 
-    Arming checks every selector the spec sets and keeps the candidates
-    of every one it leaves unset; it raises UnresolvableTarget, drawing
-    nothing, for a spec the program or the key cannot satisfy.  `draw`
-    then picks one cycle's selectors and leaves them in `variable`,
-    `donor`, `instruction` and `bit`, where `inject_fault` reads them.
+    Each cycle the fault strikes draws every selector left unset
+    uniformly, and never changes one that was set, so one fault serves
+    a campaign:
+    F1/F2 pick any variable (and bit), struck right after its definition;
+    F3/F4/F6 a declared output (F3 also a donor), struck at cycle end;
+    F5 an instruction, patched before the cycle runs.  `bit` addresses
+    the functional field's two's-complement word for F1, in [0, 64), and
+    the code residue for F2, in [0, key.bit_width).
+
+    The constructor checks every selector that is set and keeps the
+    candidates of every one left unset.  It raises UnresolvableTarget,
+    drawing nothing, for a selector outside its range and for a fault
+    that would strike nothing: an F3 `donor` that is or can be drawn as
+    its target, or an F4 `staleness` below 1 (a staleness that is a
+    positive multiple of A is allowed: it is a real fault that the code
+    cannot see).  `draw` then picks one cycle's selectors and leaves
+    them in `variable`, `donor`, `instruction` and `bit`, where
+    `inject_fault` reads them.
     """
 
     __slots__ = ("model", "variable", "donor", "instruction", "bit",
                  "staleness", "_targets", "_bits", "_donors", "_program",
                  "_key")
 
-    def __init__(self, spec: FaultSpec, program: CodedProgram,
-                 key: CodeKey):
-        model = self.model = spec.model
-        self.variable, self.donor = spec.variable, spec.donor
-        self.instruction, self.bit = spec.instruction, spec.bit
-        self.staleness = spec.staleness
+    def __init__(self, model: str, program: CodedProgram, key: CodeKey, *,
+                 variable: str | None = None, donor: str | None = None,
+                 instruction: int | None = None, bit: int | None = None,
+                 staleness: int = 1):
+        self.model, self.variable, self.donor = model, variable, donor
+        self.instruction, self.bit = instruction, bit
+        self.staleness = staleness
         self._program, self._key = program, key
         self._bits = self._donors = None
         names = program.index
         if model in (F1, F2):
-            self._targets = _candidates(spec.variable, program.variables,
-                                        names, "variable")
+            self._targets = _candidates(variable, program.variables, names,
+                                        "variable")
             bits = range(FUNCTIONAL_BITS if model == F1 else key.bit_width)
-            self._bits = _candidates(spec.bit, bits, bits, "bit")
+            self._bits = _candidates(bit, bits, bits, "bit")
         elif model in (F3, F4, F6):
             # An explicit target need not be an output.
             targets = self._targets = _candidates(
-                spec.variable, program.ir.outputs, names, "variable")
-            if model == F3 and spec.donor is None:
+                variable, program.ir.outputs, names, "variable")
+            if model == F3 and donor is None:
                 if len(names) < 2:
                     raise UnresolvableTarget("no candidate donor")
                 self._donors = program.sorted_variables
-            elif model == F3 and (spec.donor not in names or spec.donor
-                                  in (targets or (spec.variable,))):
-                raise UnresolvableTarget(f"no donor {spec.donor!r}")
-            elif model == F4 and spec.staleness < 1:
-                raise UnresolvableTarget(f"no staleness {spec.staleness!r}")
+            elif model == F3 and (donor not in names
+                                  or donor in (targets or (variable,))):
+                raise UnresolvableTarget(f"no donor {donor!r}")
+            elif model == F4 and staleness < 1:
+                raise UnresolvableTarget(f"no staleness {staleness!r}")
         elif model == F5:
             indices = range(len(program.rows))
-            self._targets = _candidates(spec.instruction, indices, indices,
+            self._targets = _candidates(instruction, indices, indices,
                                         "instruction")
         else:
             raise UnresolvableTarget(f"unknown fault model {model!r}")
@@ -201,21 +189,19 @@ class _ArmedFault:
         return inject_fault(self, value)
 
 
-def inject_fault(fault: FaultSpec | _ArmedFault, value: CodedValue,
+def inject_fault(fault: Fault, value: CodedValue,
                  donor: CodedValue | None = None, signature: int = 0,
-                 cycle: int = 0, key: CodeKey | None = None,
-                 rng: TrialStream | None = None) -> CodedValue:
+                 cycle: int = 0, rng: TrialStream | None = None) -> CodedValue:
     """The struck value of a fault's target (F1-F4, F6).
 
-    `fault` is a spec with its selectors set or an armed fault after its
-    draw.  `value` is the target's coded value at the injection point,
-    and the other arguments are only what the model reads: F3 the
-    donor's value, F4 the target's signature, the cycle and the key, F6
-    the key and the stream.  F1 flips bit `fault.bit` of the functional
-    field's 64-bit two's-complement word, F2 that bit of the code field;
-    F3 returns the donor's value; F4 re-encodes the value
-    `fault.staleness` cycles ago; F6 draws both fields uniformly, the
-    only draws here.
+    `fault` has its selectors set or drawn and holds the key it was
+    armed with.  `value` is the target's coded value at the injection
+    point, and the other arguments are only what the model reads: F3 the
+    donor's value, F4 the target's signature and the cycle, F6 the
+    stream.  F1 flips bit `fault.bit` of the functional field's 64-bit
+    two's-complement word, F2 that bit of the code field; F3 returns the
+    donor's value; F4 re-encodes the value `fault.staleness` cycles ago;
+    F6 draws both fields uniformly, the only draws here.
     """
     x, c = value
     if fault.model == F1:
@@ -228,10 +214,10 @@ def inject_fault(fault: FaultSpec | _ArmedFault, value: CodedValue,
     if fault.model == F3:
         return donor
     if fault.model == F4:
-        return encode(x, signature, cycle - fault.staleness, key)
+        return encode(x, signature, cycle - fault.staleness, fault._key)
     # F6
     x = rng.getrandbits(FUNCTIONAL_BITS) - (1 << (FUNCTIONAL_BITS - 1))
-    return x, rng.randrange(key.modulus)
+    return x, rng.randrange(fault._key.modulus)
 
 
 def _corrupt_row(rows: tuple[tuple, ...], i: int, key: CodeKey,
@@ -299,18 +285,18 @@ def _compile_cycle(program: CodedProgram):
 
 def run_cycle(program: CodedProgram, table: SignatureTable,
               inputs: dict[str, int], cycle: int, key: CodeKey,
-              fault: FaultSpec | _ArmedFault | None = None,
+              fault: Fault | None = None,
               rng: TrialStream | None = None) -> CycleResult:
     """Execute one cycle; publish outputs only if every check accepts.
 
     The cycle runs as the program's compiled function (`_compile_cycle`).
-    A fault spec is armed on entry (`run_campaign` passes faults it armed
-    once) and its unset selectors are drawn from `rng` before execution;
-    exactly one mutation is applied: F5 patches a row first, the cycle's
-    strike hook calls `inject_fault` right after the F1/F2 target is
-    defined, and the F3/F4/F6 target goes through it at cycle end, before
-    the checks.  A value outside the 64-bit range, input or result, is a
-    safe halt that names the variable being defined.
+    A fault, armed against this program and key, draws its unset
+    selectors from `rng` before execution; exactly one mutation is
+    applied: F5 patches a row first, the cycle's strike hook calls
+    `inject_fault` right after the F1/F2 target is defined, and the
+    F3/F4/F6 target goes through it at cycle end, before the checks.  A
+    value outside the 64-bit range, input or result, is a safe halt that
+    names the variable being defined.
     """
     ir = program.ir
     sigs = table.signatures
@@ -318,8 +304,6 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     rows = program.rows
     hit, strike, end = -1, None, None
     if fault is not None:
-        if isinstance(fault, FaultSpec):
-            fault = _ArmedFault(fault, program, key)
         rows, hit, end = fault.draw(rng)
         strike = fault.strike
 
@@ -341,7 +325,7 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
         donor = values[index[fault.donor]] if fault.model == F3 else None
         values = list(values)
         values[j] = inject_fault(fault, values[j], donor, sigs[end], cycle,
-                                 key, rng)
+                                 rng)
 
     outputs = {}
     for name in ir.outputs:
@@ -407,7 +391,7 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
         if model in models[:i]:
             raise ConfigError(f"repeated fault model {model!r}", "--model")
         try:
-            armed.append(_ArmedFault(FaultSpec(model), program, key))
+            armed.append(Fault(model, program, key))
         except UnresolvableTarget as exc:
             raise ConfigError(f"fault model {model} cannot strike "
                               f"this program ({exc})", "--model") from None

@@ -14,7 +14,7 @@ import warnings
 from collections import Counter
 
 from vitalcode.coded_core import make_key
-from vitalcode.coded_runtime import ACCEPT, FaultSpec, run_cycle
+from vitalcode.coded_runtime import ACCEPT, Fault, run_cycle
 from vitalcode.dsl import interpret, parse_program
 from vitalcode.sigtool import DuplicateSignatureWarning, build
 from vitalcode.stats import trial_rng
@@ -80,8 +80,9 @@ def replay_campaign(program, table, key, models, trials: int,
                     seed: int) -> Counter:
     """`run_campaign`'s tally, rebuilt one trial at a time from the public
     API: the trial's stream, its header decoded as `run_campaign`
-    documents it, `run_cycle` with a new unresolved `FaultSpec` of the
-    trial's model, and the outcome from the verdict and `interpret`.
+    documents it, `run_cycle` with a `Fault` of the trial's model armed
+    afresh for that trial, every selector unset, and the outcome from
+    the verdict and `interpret`.
     Returns the count of each (model, outcome), model None fault-free."""
     ir = program.ir
     faults = list(models) or [None]
@@ -96,8 +97,8 @@ def replay_campaign(program, table, key, models, trials: int,
             inputs[name] = x - 100
         r, m = divmod(r, len(faults))
         model = faults[m]
-        spec = FaultSpec(model) if model else None
-        result = run_cycle(program, table, inputs, r + 1, key, spec, rng)
+        fault = Fault(model, program, key) if model else None
+        result = run_cycle(program, table, inputs, r + 1, key, fault, rng)
         if result.verdict != ACCEPT:
             outcome = "detected"
         elif result.outputs != interpret(ir, inputs):

@@ -17,7 +17,7 @@ from vitalcode.channel_codes import (CRC32_IEEE, CRC8_ATM, crc_compute,
                                      hamming74_decode, hamming74_encode)
 from vitalcode.cli import EXIT_OK, main
 from vitalcode.coded_core import check, encode, make_key
-from vitalcode.coded_runtime import (ACCEPT, REJECT, FaultSpec, run_campaign,
+from vitalcode.coded_runtime import (ACCEPT, REJECT, Fault, run_campaign,
                                      run_cycle)
 from vitalcode.dsl import interpret, parse_program
 from vitalcode.mac import MacKey, hash_digest, hmac_tag
@@ -77,17 +77,17 @@ def test_02_single_bit_faults_always_detected(capfd):
         for modulus, inputs, cycles, f1_bits, f2 in sweeps:
             ir, key, table, program = build_sample(modulus)
             reference = interpret(ir, inputs)
-            specs = [FaultSpec("F1", variable=name, bit=bit)
-                     for name in ir.variables() for bit in f1_bits]
+            faults = [Fault("F1", program, key, variable=name, bit=bit)
+                      for name in ir.variables() for bit in f1_bits]
             if f2:
-                specs += [FaultSpec("F2", variable=name, bit=bit)
-                          for name in ir.variables()
-                          for bit in range(key.bit_width)]
+                faults += [Fault("F2", program, key, variable=name, bit=bit)
+                           for name in ir.variables()
+                           for bit in range(key.bit_width)]
             undetected = 0
             for cycle in cycles:
-                for spec in specs:
+                for fault in faults:
                     r = run_cycle(program, table, inputs, cycle, key,
-                                  fault=spec)
+                                  fault=fault)
                     if r.verdict == ACCEPT and r.outputs != reference:
                         undetected += 1
             assert undetected == 0, (modulus, inputs)
@@ -102,9 +102,10 @@ def test_03_substitution_detected_iff_signatures_distinct(capfd):
                 if donor == target:
                     continue
                 distinct = table.signatures[donor] != table.signatures[target]
-                spec = FaultSpec("F3", variable=target, donor=donor)
+                fault = Fault("F3", program, key, variable=target,
+                              donor=donor)
                 r = run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE,
-                              key, fault=spec, rng=random.Random(0))
+                              key, fault=fault, rng=random.Random(0))
                 assert (r.verdict == REJECT) == distinct, (donor, target)
 
         # Constructed fixture: force a collision and show the substitution
@@ -118,8 +119,8 @@ def test_03_substitution_detected_iff_signatures_distinct(capfd):
         coded = predetermine(small_ir, forced)
         inputs = {"a": 3, "b": 4}
         for donor, colliding in (("a", True), ("b", False)):
-            spec = FaultSpec("F3", variable="o", donor=donor)
-            r = run_cycle(coded, forced, inputs, 2, key13, fault=spec,
+            fault = Fault("F3", coded, key13, variable="o", donor=donor)
+            r = run_cycle(coded, forced, inputs, 2, key13, fault=fault,
                           rng=random.Random(0))
             assert (r.verdict == ACCEPT) == colliding, donor
 
@@ -128,9 +129,10 @@ def test_04_stale_data_detected(capfd):
     with criterion(capfd, 4, "stale data: every age in [1, A) detected"):
         ir, key, table, program = build_sample(13)
         for age in range(1, 13):
-            spec = FaultSpec("F4", variable="alarm", staleness=age)
+            fault = Fault("F4", program, key, variable="alarm",
+                          staleness=age)
             r = run_cycle(program, table, SAMPLE_INPUTS, 40, key,
-                          fault=spec, rng=random.Random(0))
+                          fault=fault, rng=random.Random(0))
             assert r.verdict == REJECT, age
 
 

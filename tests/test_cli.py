@@ -504,11 +504,15 @@ class TestRedundancy:
     (["redundancy", "--trials"], "--trials", "expected one argument"),
     (["sign", "p.vc", "--key", "251"], "vitalcode sign",
      "the following arguments are required: -o/--output"),
-    (["vectors", "--extra"], "vitalcode", "unrecognized arguments: --extra"),
+    (["vectors", "--extra"], "vitalcode vectors",
+     "unrecognized arguments: --extra"),
+    (["sign", "p.vc", "--key", "251", "-o", "x", "--bogus"], "vitalcode sign",
+     "unrecognized arguments: --bogus"),
     (["nope"], "vitalcode", "argument command: invalid choice: 'nope'"),
     ([], "vitalcode", "the following arguments are required: command"),
 ], ids=["trials-not-int", "unknown-policy", "key-hex", "trials-no-value",
-        "missing-output", "extra-argument", "unknown-command", "no-command"])
+        "missing-output", "extra-argument", "sign-extra-argument",
+        "unknown-command", "no-command"])
 def test_usage_error_is_one_line(capsys, argv, where, what):
     assert main(argv) == EXIT_CONFIG
     assert assert_one_error_line(capsys).startswith(f"error: {where}: {what}")

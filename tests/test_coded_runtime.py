@@ -2,6 +2,7 @@ import random
 import tracemalloc
 import warnings
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +13,9 @@ from helpers import (MIXED_PROGRAM, OVERFLOW_PROGRAM, SAMPLE_CYCLE,
 from vitalcode import coded_runtime
 from vitalcode.coded_runtime import (ACCEPT, FAULT_MODELS, FUNCTIONAL_BITS,
                                      OUTPUT_INCOHERENT, OVERFLOW, REJECT,
-                                     SAFE_HALT, CycleResult, FaultOutcomes,
-                                     FaultSpec, UnresolvableTarget,
-                                     _ArmedFault, _corrupt_row, inject_fault,
+                                     SAFE_HALT, CycleResult, Fault,
+                                     FaultOutcomes, UnresolvableTarget,
+                                     _corrupt_row, inject_fault,
                                      run_campaign, run_cycle)
 from vitalcode.dsl import ADD, MOVE, MUL, SUB, interpret, parse_program
 from vitalcode.sigtool import (DuplicateSignatureWarning, build, emit_prom,
@@ -49,9 +50,9 @@ class TestRunCycle:
 
     def test_stale_cycle_replay_rejected(self):
         ir, key, table, program = build_sample(13)
-        spec = FaultSpec("F4", staleness=1)
+        fault = Fault("F4", program, key, staleness=1)
         result = run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
-                           fault=spec, rng=random.Random(0))
+                           fault=fault, rng=random.Random(0))
         assert result.verdict == REJECT
 
     def test_overflow_is_safe_halt(self):
@@ -72,9 +73,9 @@ class TestRunCycle:
 
     def test_reject_suppresses_outputs(self):
         ir, key, table, program = build_sample(13)
-        spec = FaultSpec("F1", variable="alarm", bit=0)
+        fault = Fault("F1", program, key, variable="alarm", bit=0)
         result = run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
-                           fault=spec, rng=random.Random(0))
+                           fault=fault, rng=random.Random(0))
         assert result.verdict == REJECT and result.outputs is None
 
 
@@ -86,9 +87,9 @@ class TestFaultModels:
         ref = interpret(ir, SAMPLE_INPUTS)
         for name in ir.variables():
             for bit in range(64):
-                spec = FaultSpec("F1", variable=name, bit=bit)
+                fault = Fault("F1", program, key, variable=name, bit=bit)
                 r = run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE,
-                              key, fault=spec)
+                              key, fault=fault)
                 assert not (r.verdict == ACCEPT and r.outputs != ref), \
                     (name, bit)
 
@@ -97,9 +98,9 @@ class TestFaultModels:
         ref = interpret(ir, SAMPLE_INPUTS)
         for name in ir.variables():
             for bit in range(key.bit_width):
-                spec = FaultSpec("F2", variable=name, bit=bit)
+                fault = Fault("F2", program, key, variable=name, bit=bit)
                 r = run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE,
-                              key, fault=spec)
+                              key, fault=fault)
                 assert not (r.verdict == ACCEPT and r.outputs != ref), \
                     (name, bit)
 
@@ -109,9 +110,10 @@ class TestFaultModels:
             for target in ir.outputs:
                 if donor == target:
                     continue
-                spec = FaultSpec("F3", variable=target, donor=donor)
+                fault = Fault("F3", program, key, variable=target,
+                              donor=donor)
                 r = run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE,
-                              key, fault=spec, rng=random.Random(0))
+                              key, fault=fault, rng=random.Random(0))
                 distinct = table.signatures[donor] != table.signatures[target]
                 assert (r.verdict == REJECT) == distinct, (donor, target)
 
@@ -119,22 +121,23 @@ class TestFaultModels:
         ir, key, table, program = build_sample(13)
         cycle = 40
         for age in range(1, 13):
-            spec = FaultSpec("F4", variable="alarm", staleness=age)
+            fault = Fault("F4", program, key, variable="alarm",
+                          staleness=age)
             r = run_cycle(program, table, SAMPLE_INPUTS, cycle, key,
-                          fault=spec, rng=random.Random(0))
+                          fault=fault, rng=random.Random(0))
             assert r.verdict == REJECT, age
-        spec = FaultSpec("F4", variable="alarm", staleness=13)
+        fault = Fault("F4", program, key, variable="alarm", staleness=13)
         r = run_cycle(program, table, SAMPLE_INPUTS, cycle, key,
-                      fault=spec, rng=random.Random(0))
+                      fault=fault, rng=random.Random(0))
         assert r.verdict == ACCEPT
 
     def test_f5_corrupt_constant_detected(self):
         ir, key, table, program = build_sample(13)
         rng = random.Random(1)
         for idx in range(len(program.rows)):
-            spec = FaultSpec("F5", instruction=idx)
+            fault = Fault("F5", program, key, instruction=idx)
             r = run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
-                          fault=spec, rng=rng)
+                          fault=fault, rng=rng)
             assert r.verdict == REJECT, idx
 
     def test_f5_patches_one_residue_slot(self):
@@ -178,8 +181,8 @@ class TestFaultModels:
             assert rng.getstate() == ref.getstate()
 
     def test_inject_fault_mutates_the_pair(self):
-        # Each model's struck value, checked field by field on a resolved
-        # spec; F1-F4 draw nothing from the stream.
+        # Each model's struck value, checked field by field on a fault
+        # with every selector set; F1-F4 draw nothing from the stream.
         ir, key, table, program = build_sample(2**31 - 1)
         a, sigs, cycle = key.modulus, table.signatures, 1_000_003
         names = program.sorted_variables
@@ -188,13 +191,14 @@ class TestFaultModels:
                   for i, name in enumerate(names)}
         word = (1 << FUNCTIONAL_BITS) - 1
 
-        def strike(spec, stream="inject"):
+        def strike(model, stream="inject", **selectors):
+            fault = Fault(model, program, key, **selectors)
             rng = trial_rng(stream, 0)
-            donor = before[spec.donor] if spec.donor else None
-            struck = inject_fault(spec, before[spec.variable], donor,
-                                  sigs[spec.variable], cycle, key, rng)
+            donor = before[fault.donor] if fault.donor else None
+            struck = inject_fault(fault, before[fault.variable], donor,
+                                  sigs[fault.variable], cycle, rng)
             assert type(struck) is tuple
-            if spec.model != "F6":
+            if model != "F6":
                 assert rng.getrandbits(64) \
                     == trial_rng(stream, 0).getrandbits(64)
             return struck
@@ -202,23 +206,23 @@ class TestFaultModels:
         for name in names:
             x, c = before[name]
             for bit in (0, 1, 31, 62, 63):
-                fx, fc = strike(FaultSpec("F1", variable=name, bit=bit))
+                fx, fc = strike("F1", variable=name, bit=bit)
                 assert INT64_MIN <= fx <= INT64_MAX
                 assert fx & word == (x & word) ^ (1 << bit) and fc == c
             for bit in range(key.bit_width):
-                assert strike(FaultSpec("F2", variable=name, bit=bit)) \
+                assert strike("F2", variable=name, bit=bit) \
                     == (x, c ^ (1 << bit))
             for donor in names:
                 if donor != name:
-                    assert strike(FaultSpec("F3", variable=name,
-                                            donor=donor)) == before[donor]
+                    assert strike("F3", variable=name, donor=donor) \
+                        == before[donor]
             for staleness in (1, 2, a - 1, a, a + 5):
                 stale = encode(x, sigs[name], cycle - staleness, key)
-                assert strike(FaultSpec("F4", variable=name,
-                                        staleness=staleness)) == stale
+                assert strike("F4", variable=name,
+                              staleness=staleness) == stale
             for i in range(3):
                 ref = trial_rng(f"F6:{i}", 0)
-                fx, fc = strike(FaultSpec("F6", variable=name), f"F6:{i}")
+                fx, fc = strike("F6", f"F6:{i}", variable=name)
                 assert INT64_MIN <= fx <= INT64_MAX and 0 <= fc < a
                 assert fx == ref.getrandbits(FUNCTIONAL_BITS) - (1 << 63)
                 assert fc == ref.randrange(a)
@@ -239,7 +243,7 @@ class TestFaultModels:
         rng, ref = random.Random(5), random.Random(5)
         names = ir.variables()
         run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
-                  fault=FaultSpec(model), rng=rng)
+                  fault=Fault(model, program, key), rng=rng)
         if model in ("F1", "F2"):
             ref.randrange(len(names))
             ref.randrange(FUNCTIONAL_BITS if model == "F1"
@@ -259,52 +263,84 @@ class TestFaultModels:
         assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("model", FAULT_MODELS)
-    def test_caller_spec_left_unresolved(self, model):
-        # run_campaign hands one spec per model to every trial.
-        ir, key, table, program = build_sample(13)
-        spec = FaultSpec(model, staleness=3)
-        for seed in range(5):
-            run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
-                      fault=spec, rng=random.Random(seed))
-            assert (spec.model, spec.variable, spec.donor, spec.instruction,
-                    spec.bit, spec.staleness) == (model, None, None, None,
-                                                  None, 3)
-
-    @pytest.mark.parametrize("model", FAULT_MODELS)
-    def test_armed_fault_equals_its_spec(self, model):
-        # The campaign arms each spec once; run_cycle arms a spec per call.
+    def test_reused_fault_equals_fresh(self, model):
+        # The campaign arms each model once and reuses it on every trial.
         key = make_key(13)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DuplicateSignatureWarning)
             table, program = build(parse_program(MIXED_PROGRAM), key, 6)
         inputs = {"u": 4, "v": -7, "w": 2}
-        specs = [FaultSpec(model, staleness=3)] + [
-            s for s in colliding_specs(program, key) if s.model == model]
-        for spec in specs:
-            armed = _ArmedFault(spec, program, key)
-            assert armed.model == model
+        cases = [{"staleness": 3}] + [
+            selectors for m, selectors in colliding_selectors(program, key)
+            if m == model]
+        for selectors in cases:
+            reused = Fault(model, program, key, **selectors)
             for seed in range(8):
                 rng, ref = random.Random(seed), random.Random(seed)
-                assert run_cycle(program, table, inputs, 5, key, armed, rng) \
-                    == run_cycle(program, table, inputs, 5, key, spec, ref)
+                fresh = Fault(model, program, key, **selectors)
+                assert run_cycle(program, table, inputs, 5, key, reused, rng) \
+                    == run_cycle(program, table, inputs, 5, key, fresh, ref)
                 assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("model", FAULT_MODELS)
+    def test_drawn_selectors_do_not_stick(self, model):
+        # A reused fault draws each unset selector afresh on every cycle,
+        # so over many cycles it reaches every candidate; a selector set
+        # at construction, and one the model does not use, never changes.
+        key = make_key(251)
+        table, program = build(parse_program(MIXED_PROGRAM), key, 6)
+        inputs = {"u": 4, "v": -7, "w": 2}
+        names, outputs = program.variables, program.ir.outputs
+        # (selectors set, {selectors drawn: every value they take together})
+        if model in ("F1", "F2"):
+            bits = range(FUNCTIONAL_BITS if model == "F1" else key.bit_width)
+            cases = [({}, {("variable",): names, ("bit",): bits}),
+                     ({"variable": "q"}, {("bit",): bits}),
+                     ({"bit": 3}, {("variable",): names})]
+        elif model == "F3":
+            pairs = [(o, d) for o in outputs for d in names if d != o]
+            cases = [({}, {("variable", "donor"): pairs}),
+                     ({"variable": "q"},
+                      {("donor",): [d for d in names if d != "q"]}),
+                     ({"donor": "k"}, {("variable",): outputs})]
+        elif model == "F5":
+            cases = [({}, {("instruction",): range(len(program.rows))}),
+                     ({"instruction": 3}, {})]
+        else:
+            cases = [({}, {("variable",): outputs}),
+                     ({"variable": "q", "staleness": 3}, {})]
+        for given, drawn in cases:
+            fault = Fault(model, program, key, **given)
+            fixed = {s: getattr(fault, s) for s in
+                     ("variable", "donor", "instruction", "bit", "staleness")
+                     if not any(s in attrs for attrs in drawn)}
+            assert given.items() <= fixed.items()
+            seen = {attrs: set() for attrs in drawn}
+            for i in range(1000):
+                run_cycle(program, table, inputs, 5, key, fault,
+                          trial_rng("sticky", i))
+                for attrs in drawn:
+                    seen[attrs].add(attrgetter(*attrs)(fault))
+                assert {s: getattr(fault, s) for s in fixed} == fixed, i
+            assert seen == {attrs: set(values)
+                            for attrs, values in drawn.items()}, given
 
     def test_unresolvable_target(self):
         ir, key, table, program = build_sample(13)
-        for spec in (FaultSpec("F1", variable="ghost"),
-                     FaultSpec("F3", donor="ghost"),
-                     FaultSpec("F5", instruction=99),
-                     FaultSpec("F9"),
-                     FaultSpec("F1", variable="adj", bit=64),
-                     FaultSpec("F1", variable="adj", bit=-1),
-                     FaultSpec("F1", variable="speed", bit=70),
-                     FaultSpec("F2", variable="adj", bit=key.bit_width),
-                     FaultSpec("F3", variable="adj", donor="adj"),
-                     FaultSpec("F4", variable="alarm", staleness=0),
-                     FaultSpec("F4", variable="alarm", staleness=-13)):
+        for model, selectors in (
+                ("F1", {"variable": "ghost"}),
+                ("F3", {"donor": "ghost"}),
+                ("F5", {"instruction": 99}),
+                ("F9", {}),
+                ("F1", {"variable": "adj", "bit": 64}),
+                ("F1", {"variable": "adj", "bit": -1}),
+                ("F1", {"variable": "speed", "bit": 70}),
+                ("F2", {"variable": "adj", "bit": key.bit_width}),
+                ("F3", {"variable": "adj", "donor": "adj"}),
+                ("F4", {"variable": "alarm", "staleness": 0}),
+                ("F4", {"variable": "alarm", "staleness": -13})):
             with pytest.raises(UnresolvableTarget):
-                run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
-                          fault=spec, rng=random.Random(0))
+                Fault(model, program, key, **selectors)
 
 
 class TestCampaign:
@@ -477,9 +513,9 @@ class TestCycleReasons:
 
     def test_reject_names_incoherent_output(self):
         ir, key, table, program = build_sample(13)
-        spec = FaultSpec("F1", variable="alarm", bit=0)
+        fault = Fault("F1", program, key, variable="alarm", bit=0)
         result = run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
-                           fault=spec, rng=random.Random(0))
+                           fault=fault, rng=random.Random(0))
         assert result.verdict == REJECT
         assert (result.reason, result.variable) == (OUTPUT_INCOHERENT,
                                                     "alarm")
@@ -527,10 +563,9 @@ class TestFaultTargetsBuiltOnce:
             if variable is None:
                 variable = ir.outputs[ref.randrange(len(ir.outputs))]
             others = sorted(n for n in names if n != variable)
-            spec = _ArmedFault(FaultSpec("F3", variable=target), program,
-                               key)
-            spec.draw(random.Random(seed))
-            assert (spec.variable, spec.donor) == (
+            fault = Fault("F3", program, key, variable=target)
+            fault.draw(random.Random(seed))
+            assert (fault.variable, fault.donor) == (
                 variable, others[ref.randrange(len(others))])
 
 
@@ -631,23 +666,24 @@ COLLIDING_INPUTS = {"v0": 5, "key": -4, "d": 3}
 OPEL_NAMES = {"opel_add", "opel_sub", "opel_mul", "opel_move"}
 
 
-def colliding_specs(program, key):
-    """Explicit F1-F6 specs over every variable, output and row."""
+def colliding_selectors(program, key):
+    """(model, selectors) of explicit F1-F6 faults over every variable,
+    output and row."""
     names, outputs = program.variables, program.ir.outputs
     for name in names:
         for bit in (0, 1, 31, 62, 63):
-            yield FaultSpec("F1", variable=name, bit=bit)
+            yield "F1", {"variable": name, "bit": bit}
         for bit in (0, key.bit_width - 1):
-            yield FaultSpec("F2", variable=name, bit=bit)
+            yield "F2", {"variable": name, "bit": bit}
     for target in outputs:
         for donor in names:
             if donor != target:
-                yield FaultSpec("F3", variable=target, donor=donor)
+                yield "F3", {"variable": target, "donor": donor}
         for staleness in (1, key.modulus):
-            yield FaultSpec("F4", variable=target, staleness=staleness)
-        yield FaultSpec("F6", variable=target)
+            yield "F4", {"variable": target, "staleness": staleness}
+        yield "F6", {"variable": target}
     for i in range(len(program.rows)):
-        yield FaultSpec("F5", instruction=i)
+        yield "F5", {"instruction": i}
 
 
 class TestCompiledCycle:
@@ -661,12 +697,14 @@ class TestCompiledCycle:
         code = program.compiled.__code__
         assert set(code.co_names) <= OPEL_NAMES
         assert all(c is None or type(c) is int for c in code.co_consts)
-        for n, spec in enumerate(colliding_specs(program, key)):
+        for n, (model, selectors) in enumerate(
+                colliding_selectors(program, key)):
             r = run_cycle(program, table, COLLIDING_INPUTS, 11, key,
-                          fault=spec, rng=trial_rng("colliding", n))
-            assert r.verdict != ACCEPT or r.outputs == reference, spec
-            if spec.model in ("F1", "F2", "F5"):
-                assert r.verdict != ACCEPT, spec
+                          fault=Fault(model, program, key, **selectors),
+                          rng=trial_rng("colliding", n))
+            assert r.verdict != ACCEPT or r.outputs == reference, selectors
+            if model in ("F1", "F2", "F5"):
+                assert r.verdict != ACCEPT, (model, selectors)
 
     def test_colliding_names_prom_round_trip(self):
         ir = parse_program(COLLIDING_PROGRAM)
@@ -676,11 +714,14 @@ class TestCompiledCycle:
             table, program = build(ir, key, 8)
         loaded_table, loaded = load_prom(emit_prom(table, program))
         assert (loaded_table, loaded) == (table, program)
-        for n, spec in enumerate([None, *colliding_specs(program, key)]):
-            results = [run_cycle(p, t, COLLIDING_INPUTS, 11, key, fault=spec,
+        cases = [(None, {}), *colliding_selectors(program, key)]
+        for n, (model, selectors) in enumerate(cases):
+            results = [run_cycle(p, t, COLLIDING_INPUTS, 11, key,
+                                 fault=model and Fault(model, p, key,
+                                                       **selectors),
                                  rng=trial_rng("round-trip", n))
                        for t, p in ((table, program), (loaded_table, loaded))]
-            assert results[0] == results[1], spec
+            assert results[0] == results[1], (model, selectors)
 
     def test_opels_looked_up_at_call_time(self, monkeypatch):
         # The bench tracer wraps the OPELs at coded_runtime's attributes
@@ -710,7 +751,8 @@ class TestCompiledCycle:
         assert callable(compiled) and program.compiled is None
         for model in FAULT_MODELS:
             run_cycle(loaded, loaded_table, SAMPLE_INPUTS, 2, key,
-                      fault=FaultSpec(model), rng=trial_rng("lazy", 0))
+                      fault=Fault(model, loaded, key),
+                      rng=trial_rng("lazy", 0))
             assert loaded.compiled is compiled
 
     @pytest.mark.parametrize("op, b", [("+", 1 << 62), ("-", -(1 << 62)),
@@ -725,7 +767,8 @@ class TestCompiledCycle:
         inputs = {"a": 1, "b": b}
         assert run_cycle(program, table, inputs, 5, key).verdict == ACCEPT
         result = run_cycle(program, table, inputs, 5, key,
-                           fault=FaultSpec("F1", variable="c", bit=62))
+                           fault=Fault("F1", program, key, variable="c",
+                                       bit=62))
         assert (result.verdict, result.reason, result.variable) == (
             SAFE_HALT, OVERFLOW, "r")
 
