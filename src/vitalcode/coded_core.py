@@ -11,6 +11,10 @@ congruence mod A, so that a well-formed input yields a well-formed
 output for the destination signature.  No code field is computed from
 a functional field, so a corruption of either channel survives an end
 check only if the error it leaves in the output is a multiple of A.
+
+The OPELs here are the reference arithmetic.  `coded_runtime`'s
+compiled cycle writes the same formulas inline, with no call per
+instruction, and its tests compare the two value for value.
 """
 
 from __future__ import annotations

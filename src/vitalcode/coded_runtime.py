@@ -2,17 +2,20 @@
 plus the accidental-fault injection engine and campaign runner.
 
 A cycle encodes the inputs and constants at the current date (a trusted
-boundary), runs every instruction through the coded elementary
-operations, and finally checks each declared output against its PROM
+boundary), runs every instruction as its coded elementary operation
+(OPEL), and finally checks each declared output against its PROM
 signature and the date.  Any failed check suppresses output publication
 for the cycle (fail-safe contract).
 
 The program is straight-line and fixed when it is signed, so its cycle
 is one generated Python function, compiled on the program's first cycle
-and kept on it: one local per variable, one OPEL call per instruction
-in IR order, reading that instruction's row of residues.  Names, values
-and residues reach it as arguments, never as text, and `dsl.interpret`
-stays the separately written oracle.
+and kept on it: two locals per variable, its functional field and its
+code field, and per instruction in IR order the formula of its OPEL in
+`coded_core`, written inline and reading that instruction's row of
+residues.  The `coded_core` OPELs stay the reference arithmetic, and
+the tests hold the cycle to them.  Names, values and residues reach it
+as arguments, never as text, and `dsl.interpret` stays the separately
+written oracle.
 
 A `Fault` is armed against a program and key when it is built: the
 constructor checks each selector that is set and keeps the candidates
@@ -41,10 +44,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-# The generated cycle calls the OPELs through this module's globals.
-from .coded_core import (FUNCTIONAL_BITS, CodeKey, CodedValue,
-                         FunctionalOverflow, check, encode, opel_add,
-                         opel_mul, opel_sub, opel_move)
+from .coded_core import (FUNCTIONAL_BITS, INT64_MAX, INT64_MIN, CodeKey,
+                         CodedValue, check, encode)
 from .dsl import ADD, MOVE, MUL, SUB, interpret
 from .sigtool import CodedProgram, SignatureTable
 from .stats import (ConfigError, Outcomes, TrialStream, report_json,
@@ -70,7 +71,8 @@ FAULT_MODELS = (F1, F2, F3, F4, F5, F6)
 
 class UnresolvableTarget(Exception):
     """A fault names a variable, instruction, bit or model the program or
-    key lacks, or would strike nothing."""
+    key lacks, sets a selector its model does not read, or would strike
+    nothing."""
 
 
 @dataclass
@@ -93,6 +95,12 @@ def _candidates(selected, candidates, allowed, what):
     return None
 
 
+# The selectors each model reads; setting any other one is refused.
+_SELECTORS = {F1: ("variable", "bit"), F2: ("variable", "bit"),
+              F3: ("variable", "donor"), F4: ("variable", "staleness"),
+              F5: ("instruction",), F6: ("variable",)}
+
+
 class Fault:
     """One accidental fault, armed against one program and key.
 
@@ -103,17 +111,18 @@ class Fault:
     F3/F4/F6 a declared output (F3 also a donor), struck at cycle end;
     F5 an instruction, patched before the cycle runs.  `bit` addresses
     the functional field's two's-complement word for F1, in [0, 64), and
-    the code residue for F2, in [0, key.bit_width).
+    the code residue for F2, in [0, key.bit_width).  `staleness` is
+    F4's age in cycles, 1 when unset.
 
     The constructor checks every selector that is set and keeps the
     candidates of every one left unset.  It raises UnresolvableTarget,
-    drawing nothing, for a selector outside its range and for a fault
-    that would strike nothing: an F3 `donor` that is or can be drawn as
-    its target, or an F4 `staleness` below 1 (a staleness that is a
-    positive multiple of A is allowed: it is a real fault that the code
-    cannot see).  `draw` then picks one cycle's selectors and leaves
-    them in `variable`, `donor`, `instruction` and `bit`, where
-    `inject_fault` reads them.
+    drawing nothing, for a selector its model does not read, for one
+    outside its range and for a fault that would strike nothing: an F3
+    `donor` that is or can be drawn as its target, or an F4 `staleness`
+    below 1 (a staleness that is a positive multiple of A is allowed: it
+    is a real fault that the code cannot see).  `draw` then picks one
+    cycle's selectors and leaves them in `variable`, `donor`,
+    `instruction` and `bit`, where `inject_fault` reads them.
     """
 
     __slots__ = ("model", "variable", "donor", "instruction", "bit",
@@ -123,7 +132,16 @@ class Fault:
     def __init__(self, model: str, program: CodedProgram, key: CodeKey, *,
                  variable: str | None = None, donor: str | None = None,
                  instruction: int | None = None, bit: int | None = None,
-                 staleness: int = 1):
+                 staleness: int | None = None):
+        if model not in FAULT_MODELS:
+            raise UnresolvableTarget(f"unknown fault model {model!r}")
+        for selector, value in (("variable", variable), ("donor", donor),
+                                ("instruction", instruction), ("bit", bit),
+                                ("staleness", staleness)):
+            if value is not None and selector not in _SELECTORS[model]:
+                raise UnresolvableTarget(f"{model} reads no {selector}")
+        if model == F4 and staleness is None:
+            staleness = 1
         self.model, self.variable, self.donor = model, variable, donor
         self.instruction, self.bit = instruction, bit
         self.staleness = staleness
@@ -148,12 +166,10 @@ class Fault:
                 raise UnresolvableTarget(f"no donor {donor!r}")
             elif model == F4 and staleness < 1:
                 raise UnresolvableTarget(f"no staleness {staleness!r}")
-        elif model == F5:
+        else:  # F5
             indices = range(len(program.rows))
             self._targets = _candidates(instruction, indices, indices,
                                         "instruction")
-        else:
-            raise UnresolvableTarget(f"unknown fault model {model!r}")
 
     def draw(self, rng: TrialStream | None):
         """Draw one cycle's unset selectors from `rng` and return the
@@ -232,53 +248,58 @@ def _corrupt_row(rows: tuple[tuple, ...], i: int, key: CodeKey,
     return rows[:i] + (tuple(row),) + rows[i + 1:]
 
 
-# The generated cycle: line 1 is the signature, then variable j is
-# defined on line 2 + 2j and may be struck on the line after.  The text
-# is these templates filled with integers only: variable j is the local
-# vj, and row i's residues are read from the `rows` argument.
-_HEAD = ("def cycle(inputs, consts, sigs, names, rows, date, d, key, hit, "
-         "strike, encode, int):")
-_INPUT = "v{j} = encode(int(inputs[names[{j}]]), sigs[names[{j}]], date, key)"
-_CONST = "v{j} = encode(consts[names[{j}]], sigs[names[{j}]], date, key)"
-# Each row folds in the date term d as documented on sigtool.predetermine.
-# The OPELs reduce their results, so the constants stay unreduced.
+# The generated cycle.  Variable j is the pair of locals xj, cj, and
+# its text is these templates filled with integers only: row i's
+# residues are read from the `rows` argument.  A functional value
+# outside the 64-bit range makes the cycle return j at once.
+_HEAD = "def cycle(inputs, consts, sigs, names, rows, d, a, hit, strike, int):"
+_RANGE = f"if not {INT64_MIN} <= x{{j}} <= {INT64_MAX}: return {{j}}"
+# Inputs and constants are encoded as `coded_core.encode` does, with the
+# date reduced to d.
+_INPUT = "x{j} = int(inputs[names[{j}]])"
+_CONST = "x{j} = consts[names[{j}]]"
+_ENCODE = "c{j} = (x{j} + sigs[names[{j}]] + d) % a"
+# Each row is `coded_core`'s OPEL formula with the date term d folded in
+# as documented on sigtool.predetermine; the result is reduced once, so
+# the constants stay unreduced.
 _ROW = {
-    ADD: "v{j} = opel_add(v{s1}, v{s2}, rows[{i}][0] - d, key)",
-    SUB: "v{j} = opel_sub(v{s1}, v{s2}, rows[{i}][0] + d, key)",
-    MUL: "v{j} = opel_mul(v{s1}, v{s2}, rows[{i}][0] + d, rows[{i}][1] + d, "
-         "rows[{i}][2] + d, key)",
-    MOVE: "v{j} = opel_move(v{s1}, rows[{i}][0], key)",
+    ADD: ("x{j} = x{s1} + x{s2}", _RANGE,
+          "c{j} = (c{s1} + c{s2} + rows[{i}][0] - d) % a"),
+    SUB: ("x{j} = x{s1} - x{s2}", _RANGE,
+          "c{j} = (c{s1} - c{s2} + rows[{i}][0] + d) % a"),
+    MUL: ("x{j} = x{s1} * x{s2}", _RANGE, "t1, t2, k3 = rows[{i}]",
+          "c{j} = ((c{s1} - t1 - d) * (c{s2} - t2 - d) + k3 + d) % a"),
+    MOVE: ("x{j} = x{s1}", "c{j} = (c{s1} + rows[{i}][0]) % a"),
 }
-_STRIKE = "if hit == {j}: v{j} = strike(v{j})"
-_FIRST_LINE = 2
+_STRIKE = "if hit == {j}: x{j}, c{j} = strike((x{j}, c{j}))"
 
 
 def _compile_cycle(program: CodedProgram):
     """Generate the program's cycle function and cache it on the program.
 
-    It encodes the inputs and constants, then calls one OPEL per
-    instruction in IR order, looked up in this module's globals at call
-    time, and returns every variable's coded value in canonical order.
-    The opcodes and operands come from `program.ir`; instruction i's
-    residues are read from `rows[i][0..2]` of the `rows` argument, so
-    F5's patched rows need no recompile.
+    It encodes the inputs and constants, then runs each instruction in
+    IR order as the formula of `coded_core.opel_add/sub/mul/move`, and
+    returns every variable's coded value in canonical order, or the
+    index of the first variable whose functional value leaves the
+    64-bit range.  Instruction i's residues are read from `rows[i]` of
+    the `rows` argument, so F5's patched rows need no recompile.  The
+    function reads no global name and is built in empty globals.
     """
     ir, index = program.ir, program.index
     first = len(ir.inputs) + len(ir.consts)
-    body = [(_INPUT if j < len(ir.inputs) else _CONST).format(j=j)
-            for j in range(first)]
-    for i, ins in enumerate(ir.instructions):
-        body.append(_ROW[ins.opcode].format(
-            i=i, j=first + i, s1=index[ins.src1],
-            s2=index.get(ins.src2)))  # None for MOVE
     lines = [_HEAD]
-    for j, line in enumerate(body):
-        lines += (line, _STRIKE.format(j=j))
-    lines.append("return " + "".join(f"v{j}, " for j in range(len(body)))
-                 if body else "return ()")
+    for j in range(first):
+        head = _INPUT if j < len(ir.inputs) else _CONST
+        lines += (t.format(j=j) for t in (head, _RANGE, _ENCODE, _STRIKE))
+    for i, ins in enumerate(ir.instructions):
+        lines += (t.format(i=i, j=first + i, s1=index[ins.src1],
+                           s2=index.get(ins.src2))  # None for MOVE
+                  for t in _ROW[ins.opcode] + (_STRIKE,))
+    count = first + len(ir.instructions)
+    pairs = "".join(f"(x{j}, c{j}), " for j in range(count))
+    lines.append(f"return ({pairs})")
     namespace = {}
-    exec(compile("\n ".join(lines), "<cycle>", "exec"), globals(),
-         namespace)
+    exec(compile("\n ".join(lines), "<cycle>", "exec"), {}, namespace)
     object.__setattr__(program, "compiled", namespace["cycle"])
     return program.compiled
 
@@ -307,18 +328,19 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
         rows, hit, end = fault.draw(rng)
         strike = fault.strike
 
+    a = key.modulus
     try:
         values = (program.compiled or _compile_cycle(program))(
-            inputs, ir.consts, sigs, program.variables, rows, cycle,
-            cycle % key.modulus, key, hit, strike, encode, int)
-    except FunctionalOverflow as exc:  # raised on the line defining j
-        j = (exc.__traceback__.tb_next.tb_lineno - _FIRST_LINE) // 2
-        return CycleResult(SAFE_HALT, None, OVERFLOW, program.variables[j])
+            inputs, ir.consts, sigs, program.variables, rows, cycle % a, a,
+            hit, strike, int)
     except KeyError as exc:
         name = exc.args[0]
         if name in ir.inputs and name not in inputs:
             raise KeyError(f"missing input {name!r}") from None
         raise
+    if type(values) is int:  # the variable whose value left int64
+        return CycleResult(SAFE_HALT, None, OVERFLOW,
+                           program.variables[values])
 
     if end is not None:
         j = index[end]

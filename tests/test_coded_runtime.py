@@ -270,7 +270,7 @@ class TestFaultModels:
             warnings.simplefilter("ignore", DuplicateSignatureWarning)
             table, program = build(parse_program(MIXED_PROGRAM), key, 6)
         inputs = {"u": 4, "v": -7, "w": 2}
-        cases = [{"staleness": 3}] + [
+        cases = [{"staleness": 3} if model == "F4" else {}] + [
             selectors for m, selectors in colliding_selectors(program, key)
             if m == model]
         for selectors in cases:
@@ -306,9 +306,11 @@ class TestFaultModels:
         elif model == "F5":
             cases = [({}, {("instruction",): range(len(program.rows))}),
                      ({"instruction": 3}, {})]
-        else:
+        elif model == "F4":
             cases = [({}, {("variable",): outputs}),
                      ({"variable": "q", "staleness": 3}, {})]
+        else:
+            cases = [({}, {("variable",): outputs}), ({"variable": "q"}, {})]
         for given, drawn in cases:
             fault = Fault(model, program, key, **given)
             fixed = {s: getattr(fault, s) for s in
@@ -341,6 +343,20 @@ class TestFaultModels:
                 ("F4", {"variable": "alarm", "staleness": -13})):
             with pytest.raises(UnresolvableTarget):
                 Fault(model, program, key, **selectors)
+
+    @pytest.mark.parametrize("model, selectors, unread", [
+        ("F1", {"variable": "adj", "instruction": 3}, "instruction"),
+        ("F2", {"donor": "adj"}, "donor"),
+        ("F3", {"variable": "alarm", "bit": 0}, "bit"),
+        ("F4", {"instruction": 0}, "instruction"),
+        ("F5", {"variable": "ghost", "bit": 99}, "variable"),
+        ("F6", {"staleness": 0}, "staleness")])
+    def test_unread_selector_refused(self, model, selectors, unread):
+        # A selector the model never reads would be silently ignored.
+        ir, key, table, program = build_sample(13)
+        with pytest.raises(UnresolvableTarget,
+                           match=f"^{model} reads no {unread}$"):
+            Fault(model, program, key, **selectors)
 
 
 class TestCampaign:
@@ -446,8 +462,11 @@ class TestCampaign:
 
     def test_f3_memory_stays_linear_in_outputs(self):
         # A donor tuple per target would hold outputs x variables names:
-        # ~73 MB here, where the campaign itself needs ~0.5 MB.
-        n = 3000
+        # ~8 MB here, where the campaign itself needs ~0.14 MB.  Every
+        # allocation traced in the compiled cycle finds its line number
+        # by a scan of the cycle's line table, so tracing grows with the
+        # square of the program's size: 3,000 outputs took ~50 s.
+        n = 1000
         ir = parse_program("".join(f"input v{i}; output v{i}; "
                                    for i in range(n)))
         key = make_key(2**31 - 1)
@@ -650,10 +669,10 @@ class TestCodedExecutionProperty:
             assert check((x, c), b3, cycle, key)
 
 
-# Names of the generated cycle's parameters (key, d, hit, strike,
-# encode, int, rows) and local (v0), of a global it calls (opel_add) and
-# of a builtin, plus a, t1, k0 and _.  Every variable flows into the
-# output `rows`.
+# Names of the generated cycle's parameters (a, d, hit, strike, int,
+# rows) and of a local (t1), of names an earlier cycle read (key, v0,
+# encode, opel_add) and of a builtin (__import__), plus k0 and _.  Every
+# variable flows into the output `rows`.
 COLLIDING_PROGRAM = """
 input v0; input key; input d;
 const k0 = 7; const int = -3;
@@ -663,7 +682,40 @@ _ = t1 * d; rows = _;
 output rows; output hit; output encode;
 """
 COLLIDING_INPUTS = {"v0": 5, "key": -4, "d": 3}
-OPEL_NAMES = {"opel_add", "opel_sub", "opel_mul", "opel_move"}
+
+
+def reference_cycle(program, table, inputs, cycle, key, rows, hit, strike):
+    """Every variable's coded value in canonical order, from
+    `coded_core.encode` and the OPELs walked over `ir.instructions` and
+    `rows`, with variable `hit` struck right after its definition; or
+    the index of the first variable whose value leaves int64."""
+    ir, sigs, index = program.ir, table.signatures, program.index
+    d = cycle % key.modulus
+    values = []
+
+    def define(value):
+        values.append(strike(value) if len(values) == hit else value)
+
+    try:
+        for name in ir.inputs:
+            define(encode(int(inputs[name]), sigs[name], cycle, key))
+        for name, x in ir.consts.items():
+            define(encode(x, sigs[name], cycle, key))
+        for ins, row in zip(ir.instructions, rows):
+            v1 = values[index[ins.src1]]
+            if ins.opcode == MOVE:
+                define(opel_move(v1, row[0], key))
+                continue
+            v2 = values[index[ins.src2]]
+            if ins.opcode == ADD:
+                define(opel_add(v1, v2, row[0] - d, key))
+            elif ins.opcode == SUB:
+                define(opel_sub(v1, v2, row[0] + d, key))
+            else:
+                define(opel_mul(v1, v2, *(r + d for r in row), key))
+    except FunctionalOverflow:
+        return len(values)
+    return tuple(values)
 
 
 def colliding_selectors(program, key):
@@ -695,7 +747,7 @@ class TestCompiledCycle:
         result = run_cycle(program, table, COLLIDING_INPUTS, 11, key)
         assert (result.verdict, result.outputs) == (ACCEPT, reference)
         code = program.compiled.__code__
-        assert set(code.co_names) <= OPEL_NAMES
+        assert code.co_names == ()
         assert all(c is None or type(c) is int for c in code.co_consts)
         for n, (model, selectors) in enumerate(
                 colliding_selectors(program, key)):
@@ -723,24 +775,39 @@ class TestCompiledCycle:
                        for t, p in ((table, program), (loaded_table, loaded))]
             assert results[0] == results[1], (model, selectors)
 
-    def test_opels_looked_up_at_call_time(self, monkeypatch):
-        # The bench tracer wraps the OPELs at coded_runtime's attributes
-        # after the cycle may already have been compiled.
-        key = make_key(251)
-        table, program = build(parse_program(MIXED_PROGRAM), key, 6)
-        inputs = {"u": 12, "v": -5, "w": 9}
-        run_cycle(program, table, inputs, 3, key)
-        calls = Counter()
-        for opcode, attr in ((ADD, "opel_add"), (SUB, "opel_sub"),
-                             (MUL, "opel_mul"), (MOVE, "opel_move")):
-            def counted(*args, _opcode=opcode,
-                        _original=getattr(coded_runtime, attr)):
-                calls[_opcode] += 1
-                return _original(*args)
-            monkeypatch.setattr(coded_runtime, attr, counted)
-        assert run_cycle(program, table, inputs, 4, key).verdict == ACCEPT
-        assert calls == Counter(ins.opcode for ins in program.ir.instructions)
-        assert set(calls) == {ADD, SUB, MUL, MOVE}
+    @settings(max_examples=200, deadline=None)
+    @given(straight_line_programs(), st.sampled_from(KEYS),
+           st.integers(0, 1 << 40), st.integers(0, (1 << 64) - 1))
+    def test_matches_the_opels(self, program_inputs, modulus, cycle, seed):
+        # Every variable's (x, c), fault-free and under every explicit
+        # fault, against `reference_cycle`; on overflow both halt at the
+        # same variable, and run_cycle names it.
+        source, inputs = program_inputs
+        key = make_key(modulus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateSignatureWarning)
+            table, program = build(parse_program(source), key, seed)
+        compiled = coded_runtime._compile_cycle(program)
+        cases = [(None, {}), *colliding_selectors(program, key)]
+        for n, (model, selectors) in enumerate(cases):
+            rows, hit, strike = program.rows, -1, None
+            if model:
+                fault = Fault(model, program, key, **selectors)
+                rows, hit, _ = fault.draw(trial_rng("opels", n))
+                strike = fault.strike
+            values = compiled(inputs, program.ir.consts, table.signatures,
+                              program.variables, rows, cycle % modulus,
+                              modulus, hit, strike, int)
+            expected = reference_cycle(program, table, inputs, cycle, key,
+                                       rows, hit, strike)
+            assert values == expected, (model, selectors)
+            if type(expected) is int:
+                result = run_cycle(
+                    program, table, inputs, cycle, key,
+                    model and Fault(model, program, key, **selectors),
+                    trial_rng("opels", n))
+                assert (result.verdict, result.reason, result.variable) \
+                    == (SAFE_HALT, OVERFLOW, program.variables[expected])
 
     def test_compiled_on_first_cycle_only(self):
         ir, key, table, program = build_sample(251)
