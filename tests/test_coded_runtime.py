@@ -462,26 +462,29 @@ class TestCampaign:
 
     def test_f3_memory_stays_linear_in_outputs(self):
         # A donor tuple per target would hold outputs x variables names:
-        # ~8 MB here, where the campaign itself needs ~0.14 MB.  Every
-        # allocation traced in the compiled cycle finds its line number
-        # by a scan of the cycle's line table, so tracing grows with the
-        # square of the program's size: 3,000 outputs took ~50 s.
-        n = 1000
+        # ~73 MB here, where arming and drawing need a few kB.  Only the
+        # fault is traced: tracemalloc scans the cycle's line table for
+        # every allocation made in its one frame, so a traced cycle
+        # costs the square of the program's size.
+        n = 3000
         ir = parse_program("".join(f"input v{i}; output v{i}; "
                                    for i in range(n)))
         key = make_key(2**31 - 1)
         table, program = build(ir, key, 1)
-        # A fault-free campaign compiles the cycle first: a program's
-        # first campaign is slow to trace in a large heap.
-        run_campaign(program, table, key, [], 1, seed=2)
         tracemalloc.start()
         try:
-            report = run_campaign(program, table, key, ["F3"], 5, seed=2)
+            fault = Fault("F3", program, key)
+            pairs = set()
+            for i in range(5):
+                fault.draw(trial_rng("vitalcode:2", i))
+                pairs.add((fault.variable, fault.donor))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.per_model["F3"].trials == 5
+        assert len(pairs) == 5 and all(t != d for t, d in pairs)
         assert peak < 2 << 20, peak
+        report = run_campaign(program, table, key, ["F3"], 5, seed=2)
+        assert report.per_model["F3"].trials == 5
 
     def test_program_without_inputs(self):
         ir = parse_program("const k = 5; const m = -3; output y; y = k * m;")
