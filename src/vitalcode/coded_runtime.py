@@ -22,8 +22,10 @@ constructor checks each selector that is set and keeps the candidates
 of each one left unset, and a cycle then only draws from them.
 `run_campaign` builds one fault per model and hands it to every trial.
 
-Fault models (one mutation per trial; `inject_fault` maps the target's
-coded value to the struck one for every model but F5, which patches a row):
+Fault models (one mutation per trial).  `Fault.draw` makes every draw a
+fault needs, before the cycle runs; `inject_fault` then maps the
+target's coded value to the struck one from the armed fault and the
+cycle's values alone, for every model but F5, whose row `draw` patches:
 
   F1  flip one bit of a variable's functional field, right after the
       variable is defined
@@ -31,11 +33,11 @@ coded value to the struck one for every model but F5, which patches a row):
   F3  operand substitution: at cycle end an output's coded value is
       replaced by another variable's current coded value
   F4  stale data: at cycle end an output's code field is replaced by the
-      re-encoding of its value at an earlier date
+      code the same value had at an earlier date
   F5  corrupt one compensation constant of one instruction before the
       cycle runs
-  F6  replace both fields of one output with uniform random values at
-      cycle end
+  F6  replace both fields of one output at cycle end with a uniform
+      random record, drawn with the output
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .coded_core import (FUNCTIONAL_BITS, INT64_MAX, INT64_MIN, CodeKey,
-                         CodedValue, check, encode)
+                         CodedValue, check)
 from .dsl import ADD, MOVE, MUL, SUB, interpret
 from .sigtool import CodedProgram, SignatureTable
 from .stats import (ConfigError, Outcomes, TrialStream, report_json,
@@ -108,8 +110,9 @@ class Fault:
     uniformly, and never changes one that was set, so one fault serves
     a campaign:
     F1/F2 pick any variable (and bit), struck right after its definition;
-    F3/F4/F6 a declared output (F3 also a donor), struck at cycle end;
-    F5 an instruction, patched before the cycle runs.  `bit` addresses
+    F3/F4/F6 a declared output (F3 also a donor, F6 also the record
+    it writes), struck at cycle end; F5 an instruction and the patch of
+    its row, applied before the cycle runs.  `bit` addresses
     the functional field's two's-complement word for F1, in [0, 64), and
     the code residue for F2, in [0, key.bit_width).  `staleness` is
     F4's age in cycles, 1 when unset.
@@ -120,14 +123,16 @@ class Fault:
     outside its range and for a fault that would strike nothing: an F3
     `donor` that is or can be drawn as its target, or an F4 `staleness`
     below 1 (a staleness that is a positive multiple of A is allowed: it
-    is a real fault that the code cannot see).  `draw` then picks one
+    is a real fault that the code cannot see).  F3 sorts the variable
+    names once, here, when its donor is unset.  `draw` then picks one
     cycle's selectors and leaves them in `variable`, `donor`,
-    `instruction` and `bit`, where `inject_fault` reads them.
+    `instruction`, `bit` and, for F6, `record`, where `inject_fault`
+    reads them.
     """
 
     __slots__ = ("model", "variable", "donor", "instruction", "bit",
-                 "staleness", "_targets", "_bits", "_donors", "_program",
-                 "_key")
+                 "staleness", "record", "_targets", "_bits", "_donors",
+                 "_program", "_key")
 
     def __init__(self, model: str, program: CodedProgram, key: CodeKey, *,
                  variable: str | None = None, donor: str | None = None,
@@ -144,7 +149,7 @@ class Fault:
             staleness = 1
         self.model, self.variable, self.donor = model, variable, donor
         self.instruction, self.bit = instruction, bit
-        self.staleness = staleness
+        self.staleness, self.record = staleness, None
         self._program, self._key = program, key
         self._bits = self._donors = None
         names = program.index
@@ -160,7 +165,7 @@ class Fault:
             if model == F3 and donor is None:
                 if len(names) < 2:
                     raise UnresolvableTarget("no candidate donor")
-                self._donors = program.sorted_variables
+                self._donors = tuple(sorted(names))
             elif model == F3 and (donor not in names
                                   or donor in (targets or (variable,))):
                 raise UnresolvableTarget(f"no donor {donor!r}")
@@ -172,52 +177,60 @@ class Fault:
                                         "instruction")
 
     def draw(self, rng: TrialStream | None):
-        """Draw one cycle's unset selectors from `rng` and return the
+        """Make every draw of one cycle's fault from `rng` and return the
         rows the cycle runs, the index of the variable struck right after
-        its definition (-1 for none) and the name of the one struck at
-        cycle end (None for none).
+        its definition and the index of the one struck at cycle end, each
+        -1 for none.  Nothing else draws for the fault.
 
         Draw order: F1/F2 variable, then bit; F3 output, then donor from
-        the other variables in sorted order; F4 and F6 output; F5
-        instruction, then `_corrupt_row`'s draws.
+        the other variables in sorted order; F4 output; F5 instruction,
+        then a MUL row's slot (src1_sig, src2_sig, dest_sig; a
+        one-residue row draws none), then a uniform nonzero residue added
+        to that slot; F6 output, then its record: the functional field
+        `getrandbits(64) - 2**63`, then the code field `randrange(A)`.
         """
         targets, program = self._targets, self._program
         if self.model == F5:
             if targets is not None:
                 self.instruction = rng.randrange(len(targets))
-            return (_corrupt_row(program.rows, self.instruction, self._key,
-                                 rng), -1, None)
+            i, a, rows = self.instruction, self._key.modulus, program.rows
+            row = list(rows[i])
+            slot = rng.randrange(len(row)) if len(row) > 1 else 0
+            row[slot] = (row[slot] + rng.randrange(1, a)) % a
+            return rows[:i] + (tuple(row),) + rows[i + 1:], -1, -1
         if targets is not None:
             self.variable = targets[rng.randrange(len(targets))]
+        j = program.index[self.variable]
         if self.model in (F1, F2):
             if self._bits is not None:
                 self.bit = rng.randrange(len(self._bits))
-            return program.rows, program.index[self.variable], None
+            return program.rows, j, -1
         if self._donors is not None:
             # Uniform over the sorted variables other than the target.
             names = self._donors
             k = rng.randrange(len(names) - 1)
             self.donor = names[k + (k >= bisect_left(names, self.variable))]
-        return program.rows, -1, self.variable
+        elif self.model == F6:
+            x = rng.getrandbits(FUNCTIONAL_BITS) - (1 << (FUNCTIONAL_BITS - 1))
+            self.record = x, rng.randrange(self._key.modulus)
+        return program.rows, -1, j
 
     def strike(self, value: CodedValue) -> CodedValue:
         """The compiled cycle's F1/F2 strike hook."""
         return inject_fault(self, value)
 
 
-def inject_fault(fault: Fault, value: CodedValue,
-                 donor: CodedValue | None = None, signature: int = 0,
-                 cycle: int = 0, rng: TrialStream | None = None) -> CodedValue:
+def inject_fault(fault: Fault, value: CodedValue, values=()) -> CodedValue:
     """The struck value of a fault's target (F1-F4, F6).
 
-    `fault` has its selectors set or drawn and holds the key it was
-    armed with.  `value` is the target's coded value at the injection
-    point, and the other arguments are only what the model reads: F3 the
-    donor's value, F4 the target's signature and the cycle, F6 the
-    stream.  F1 flips bit `fault.bit` of the functional field's 64-bit
-    two's-complement word, F2 that bit of the code field; F3 returns the
-    donor's value; F4 re-encodes the value `fault.staleness` cycles ago;
-    F6 draws both fields uniformly, the only draws here.
+    `fault` has drawn this cycle's selectors (`Fault.draw`); `value` is
+    the target's coded value at the injection point and `values` every
+    variable's, in canonical order, which only F3 reads.  F1 flips bit
+    `fault.bit` of the functional field's 64-bit two's-complement word,
+    F2 that bit of the code field; F3 returns the donor's value; F4
+    returns the code the same value had `fault.staleness` dates ago,
+    which on a well-formed value is its encoding at that date; F6
+    returns the record `draw` drew.  Nothing here draws.
     """
     x, c = value
     if fault.model == F1:
@@ -228,24 +241,10 @@ def inject_fault(fault: Fault, value: CodedValue,
     if fault.model == F2:
         return x, c ^ (1 << fault.bit)
     if fault.model == F3:
-        return donor
+        return values[fault._program.index[fault.donor]]
     if fault.model == F4:
-        return encode(x, signature, cycle - fault.staleness, fault._key)
-    # F6
-    x = rng.getrandbits(FUNCTIONAL_BITS) - (1 << (FUNCTIONAL_BITS - 1))
-    return x, rng.randrange(fault._key.modulus)
-
-
-def _corrupt_row(rows: tuple[tuple, ...], i: int, key: CodeKey,
-                 rng: TrialStream) -> tuple[tuple, ...]:
-    """F5: `rows` with one residue of row `i` moved by a uniform nonzero
-    residue.  A MUL row's slot (src1_sig, src2_sig, dest_sig) is drawn
-    first; a one-residue row draws no slot."""
-    a = key.modulus
-    row = list(rows[i])
-    slot = rng.randrange(len(row)) if len(row) > 1 else 0
-    row[slot] = (row[slot] + rng.randrange(1, a)) % a
-    return rows[:i] + (tuple(row),) + rows[i + 1:]
+        return x, (c - fault.staleness) % fault._key.modulus
+    return fault.record  # F6
 
 
 # The generated cycle.  Variable j is the pair of locals xj, cj, and
@@ -311,9 +310,9 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     """Execute one cycle; publish outputs only if every check accepts.
 
     The cycle runs as the program's compiled function (`_compile_cycle`).
-    A fault, armed against this program and key, draws its unset
-    selectors from `rng` before execution; exactly one mutation is
-    applied: F5 patches a row first, the cycle's strike hook calls
+    A fault, armed against this program and key, makes all its draws
+    from `rng` in `Fault.draw` before execution; exactly one mutation is
+    applied: F5 runs its patched rows, the cycle's strike hook calls
     `inject_fault` right after the F1/F2 target is defined, and the
     F3/F4/F6 target goes through it at cycle end, before the checks.  A
     value outside the 64-bit range, input or result, is a safe halt that
@@ -323,7 +322,7 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     sigs = table.signatures
     index = program.index
     rows = program.rows
-    hit, strike, end = -1, None, None
+    hit, strike, end = -1, None, -1
     if fault is not None:
         rows, hit, end = fault.draw(rng)
         strike = fault.strike
@@ -342,12 +341,9 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
         return CycleResult(SAFE_HALT, None, OVERFLOW,
                            program.variables[values])
 
-    if end is not None:
-        j = index[end]
-        donor = values[index[fault.donor]] if fault.model == F3 else None
+    if end >= 0:
         values = list(values)
-        values[j] = inject_fault(fault, values[j], donor, sigs[end], cycle,
-                                 rng)
+        values[end] = inject_fault(fault, values[end], values)
 
     outputs = {}
     for name in ir.outputs:
@@ -404,10 +400,14 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
     targets from the same stream.  An empty model list runs a fault-free
     baseline; any rejection there counts as a false alarm.  Only
     accepted cycles are compared with the `interpret` oracle.  Each model
-    is armed once, before the first trial, so a repeated model or one the
-    program cannot host (e.g. F5 without instructions) raises ConfigError
-    there, drawing nothing.
+    is armed once, before the first trial, so an unknown model, a
+    repeated one or one the program cannot host (e.g. F5 without
+    instructions) raises ConfigError there, drawing nothing; an unknown
+    one is named before any model is armed.
     """
+    for model in models:
+        if model not in FAULT_MODELS:
+            raise ConfigError(f"unknown fault model {model!r}", "--model")
     armed = []
     for i, model in enumerate(models):
         if model in models[:i]:

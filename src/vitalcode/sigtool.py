@@ -54,16 +54,14 @@ class CodedProgram:
     `rows` holds one row per instruction of `ir.instructions`, as built
     by `predetermine`: only the residues, which are exactly the PROM's
     constants; the opcode and operands are read from the IR.  Derived
-    on construction: `variables`, in canonical order;
-    `sorted_variables`, the same names sorted (F3 draws its donors from
-    these); `index`, each name's position in `variables`.  `compiled`
-    is None until the first `run_cycle` compiles the cycle into it.
+    on construction: `variables`, in canonical order, and `index`, each
+    name's position in `variables`.  `compiled` is None until the first
+    `run_cycle` compiles the cycle into it.
     """
 
     ir: ProgramIR
     rows: tuple[tuple, ...]
     variables: tuple = field(init=False, repr=False, compare=False)
-    sorted_variables: tuple = field(init=False, repr=False, compare=False)
     index: dict = field(init=False, repr=False, compare=False)
     compiled: object = field(init=False, repr=False, compare=False,
                              default=None)
@@ -71,7 +69,6 @@ class CodedProgram:
     def __post_init__(self):
         names = tuple(self.ir.variables())
         object.__setattr__(self, "variables", names)
-        object.__setattr__(self, "sorted_variables", tuple(sorted(names)))
         object.__setattr__(self, "index",
                            {name: i for i, name in enumerate(names)})
 

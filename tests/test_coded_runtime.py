@@ -15,15 +15,15 @@ from vitalcode.coded_runtime import (ACCEPT, FAULT_MODELS, FUNCTIONAL_BITS,
                                      OUTPUT_INCOHERENT, OVERFLOW, REJECT,
                                      SAFE_HALT, CycleResult, Fault,
                                      FaultOutcomes, UnresolvableTarget,
-                                     _corrupt_row, inject_fault,
-                                     run_campaign, run_cycle)
+                                     inject_fault, run_campaign, run_cycle)
 from vitalcode.dsl import ADD, MOVE, MUL, SUB, interpret, parse_program
-from vitalcode.sigtool import (DuplicateSignatureWarning, build, emit_prom,
-                               load_prom)
+from vitalcode.sigtool import (CodedProgram, DuplicateSignatureWarning,
+                               build, emit_prom, load_prom)
 from vitalcode.coded_core import (INT64_MAX, INT64_MIN, FunctionalOverflow,
                                   check, encode, make_key, opel_add,
                                   opel_move, opel_mul, opel_sub)
-from vitalcode.stats import binomial_sigma, trial_rng, wilson_interval
+from vitalcode.stats import (ConfigError, binomial_sigma, trial_rng,
+                             wilson_interval)
 
 
 class TestRunCycle:
@@ -145,8 +145,8 @@ class TestFaultModels:
         table, program = build(parse_program(MIXED_PROGRAM), key, 6)
         for idx, old in enumerate(program.rows):
             for seed in range(5):
-                rows = _corrupt_row(program.rows, idx, key,
-                                    random.Random(seed))
+                rows = Fault("F5", program, key, instruction=idx).draw(
+                    random.Random(seed))[0]
                 assert len(rows) == len(program.rows)
                 assert [len(row) for row in rows] \
                     == [len(row) for row in program.rows]
@@ -166,41 +166,46 @@ class TestFaultModels:
         # A one-residue row patches its only slot without a slot draw, so
         # a random.Random stream ends where the nonzero shift leaves it.
         key = make_key(251)
-        rows = ((5,), (1, 2, 3))
+        ir = parse_program("input a; output m; s = a + a; m = s * a;")
+        program = CodedProgram(ir, ((5,), (1, 2, 3)))
+
+        def patch(i, rng):
+            return Fault("F5", program, key, instruction=i).draw(rng)[0]
+
         for seed in range(5):
             rng, ref = random.Random(seed), random.Random(seed)
             shift = ref.randrange(1, 251)
-            assert _corrupt_row(rows, 0, key, rng) \
-                == (((5 + shift) % 251,), (1, 2, 3))
+            assert patch(0, rng) == (((5 + shift) % 251,), (1, 2, 3))
             assert rng.getstate() == ref.getstate()
             slot = ref.randrange(3)
             shift = ref.randrange(1, 251)
             patched = [1, 2, 3]
             patched[slot] = (patched[slot] + shift) % 251
-            assert _corrupt_row(rows, 1, key, rng) == ((5,), tuple(patched))
+            assert patch(1, rng) == ((5,), tuple(patched))
             assert rng.getstate() == ref.getstate()
 
     def test_inject_fault_mutates_the_pair(self):
         # Each model's struck value, checked field by field on a fault
-        # with every selector set; F1-F4 draw nothing from the stream.
+        # with every selector set, after the fault's draws: only F6's
+        # record, drawn in `draw`.
         ir, key, table, program = build_sample(2**31 - 1)
         a, sigs, cycle = key.modulus, table.signatures, 1_000_003
-        names = program.sorted_variables
+        names = sorted(program.variables)
         plain = [INT64_MIN, -1, 0, 1, INT64_MAX, -123456789, 987654321]
         before = {name: encode(plain[i % len(plain)], sigs[name], cycle, key)
                   for i, name in enumerate(names)}
+        values = tuple(before[name] for name in program.variables)
         word = (1 << FUNCTIONAL_BITS) - 1
 
         def strike(model, stream="inject", **selectors):
             fault = Fault(model, program, key, **selectors)
             rng = trial_rng(stream, 0)
-            donor = before[fault.donor] if fault.donor else None
-            struck = inject_fault(fault, before[fault.variable], donor,
-                                  sigs[fault.variable], cycle, rng)
-            assert type(struck) is tuple
+            fault.draw(rng)
             if model != "F6":
                 assert rng.getrandbits(64) \
                     == trial_rng(stream, 0).getrandbits(64)
+            struck = inject_fault(fault, before[fault.variable], values)
+            assert type(struck) is tuple
             return struck
 
         for name in names:
@@ -237,13 +242,17 @@ class TestFaultModels:
 
     @pytest.mark.parametrize("model", FAULT_MODELS)
     def test_draw_order(self, model):
-        # Selectors are drawn before execution, which draws nothing, so
-        # the generator ends exactly where the documented draws leave it.
+        # The fault makes all its draws in `draw`, before execution, and
+        # nothing else draws, so the generator ends exactly where the
+        # documented draws leave it, whether `draw` runs alone or in a
+        # cycle.
         ir, key, table, program = build_sample(13)
         rng, ref = random.Random(5), random.Random(5)
+        alone = random.Random(5)
         names = ir.variables()
         run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
                   fault=Fault(model, program, key), rng=rng)
+        Fault(model, program, key).draw(alone)
         if model in ("F1", "F2"):
             ref.randrange(len(names))
             ref.randrange(FUNCTIONAL_BITS if model == "F1"
@@ -261,6 +270,7 @@ class TestFaultModels:
                 ref.getrandbits(FUNCTIONAL_BITS)
                 ref.randrange(13)
         assert rng.getstate() == ref.getstate()
+        assert alone.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("model", FAULT_MODELS)
     def test_reused_fault_equals_fresh(self, model):
@@ -360,6 +370,20 @@ class TestFaultModels:
 
 
 class TestCampaign:
+    @pytest.mark.parametrize("models", [["F9"], ["F1", "f2"], ["F5", "F9"],
+                                        ["F1", "F1", "F9"]])
+    def test_unknown_model_named_before_arming(self, models):
+        # Named as unknown, not as one that cannot strike, even after a
+        # model this program cannot host (F5: no instruction) or a repeat.
+        ir = parse_program("input a; output a;")
+        key = make_key(13)
+        table, program = build(ir, key, 0)
+        with pytest.raises(ConfigError) as exc:
+            run_campaign(program, table, key, models, 3, seed=1)
+        assert exc.value.path == "--model"
+        assert str(exc.value) \
+            == f"--model: unknown fault model {models[-1]!r}"
+
     def test_fault_free_baseline(self):
         ir, key, table, program = build_sample(251)
         report = run_campaign(program, table, key, [], 200, seed=4)
@@ -571,7 +595,6 @@ class TestFaultTargetsBuiltOnce:
     def test_program_holds_variables(self):
         ir, key, table, program = build_sample(13)
         assert program.variables == tuple(ir.variables())
-        assert program.sorted_variables == tuple(sorted(ir.variables()))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_f3_donor_drawn_from_other_variables_sorted(self, seed):
