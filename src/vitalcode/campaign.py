@@ -272,7 +272,9 @@ class ChannelReport:
 def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
               config: CampaignConfig, mac_key: MacKey | None) -> CellResult:
     stream = f"vitalcode-channel:{config.seed}:{scheme_name}:{threat.label}"
-    noise = threat.kind in NOISE_THREATS
+    # Resolved once per cell, so neither trial body below branches on the
+    # scheme or the threat.
+    move, verify, tag = tg._MOVES[threat.kind], tg.verify_telegram, scheme.tag
     wire_id = scheme.wire_id
     if threat.kind == "brute_force":
         # Tag guessing: the attacker fabricates frames for one chosen
@@ -281,52 +283,51 @@ def _run_cell(scheme_name: str, scheme: tg.ProtectionScheme, threat: Threat,
         # acceptance.  The carrier frame is the same for every attempt.
         message = tg.Telegram(1, 1,
                               threat.payload or bytes(config.payload_length))
-        carrier = (message, wire_id, tg.make_tag(message, scheme, mac_key))
-        carrier_window = tg.ReceiverWindow(min_seq=0, current_date=1)
+        carrier = (message, wire_id, tag(message, mac_key))
+        window = tg.ReceiverWindow(0, 1)
 
-    def trial(i):
-        rng = trial_rng(stream, i)
-        if threat.kind == "brute_force":
-            frame, original, window = carrier, None, carrier_window
-        else:
-            seq = date = i + 1
-            original = tg.Telegram(seq, date,
-                                   rng.randbytes(config.payload_length))
-            frame = (original, wire_id, tg.make_tag(original, scheme, mac_key))
-            # A replayed frame was already accepted, so the receiver's
-            # sequence window has moved past it.
-            window = tg.ReceiverWindow(
-                min_seq=seq if threat.kind == "replay" else seq - 1,
-                current_date=date)
-        if noise:
-            delivered = tg.apply_channel_noise(frame, threat, rng)
-        else:
-            delivered = tg.apply_attack(frame, threat, scheme, rng)
-        return _outcome(tg.verify_telegram(delivered, scheme, mac_key,
-                                           window), original, threat)
+        def trial(i):
+            guess = move(carrier, threat, scheme, trial_rng(stream, i))
+            status = verify(guess, scheme, mac_key, window).status
+            if status == tg.REJECT:
+                return "rejected"
+            if status == tg.CORRECTED:
+                return "miscorrected"
+            return "accepted_but_wrong"
 
-    trials = threat.attempts if threat.kind == "brute_force" else config.trials
+        trials = threat.attempts
+    else:
+        length = config.payload_length
+        # A replayed frame was already accepted, so the receiver's
+        # sequence window has moved past it.
+        lag = 0 if threat.kind == "replay" else 1
+        # A replayed or tag-spliced frame is unauthorized even when its
+        # content matches something the sender once emitted.
+        unauthorized = threat.kind in ("replay", "splice")
+
+        def trial(i):
+            rng = trial_rng(stream, i)
+            seq = i + 1
+            sent = tg.Telegram(seq, seq, rng.randbytes(length))
+            delivered = move((sent, wire_id, tag(sent, mac_key)), threat,
+                             scheme, rng)
+            result = verify(delivered, scheme, mac_key,
+                            tg.ReceiverWindow(seq - lag, seq))
+            if result.status == tg.REJECT:
+                return "rejected"
+            if result.status == tg.CORRECTED:
+                if result.telegram.payload == sent.payload:
+                    return "corrected"
+                return "miscorrected"
+            if unauthorized or result.telegram != sent:
+                return "accepted_but_wrong"
+            return "accepted"
+
+        trials = config.trials
     tally = run_trials(trials, trial)
     tally["accepted"] += tally["accepted_but_wrong"]
     tally["corrected"] += tally["miscorrected"]
     return CellResult(trials, tally, scheme=scheme_name, threat=threat.label)
-
-
-def _outcome(result: tg.VerifyResult, original: tg.Telegram | None,
-             threat: Threat) -> str:
-    if result.status == tg.REJECT:
-        return "rejected"
-    if result.status == tg.CORRECTED:
-        if original is None or result.telegram.payload != original.payload:
-            return "miscorrected"
-        return "corrected"
-    # A replayed or tag-spliced frame is unauthorized even when its
-    # content matches something the sender once emitted; a fabricated
-    # brute-force frame (original None) was never sent at all.
-    if (original is None or result.telegram != original
-            or threat.kind in ("replay", "splice")):
-        return "accepted_but_wrong"
-    return "accepted"
 
 
 def run_channel_campaign(config: CampaignConfig) -> ChannelReport:

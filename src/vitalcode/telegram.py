@@ -12,31 +12,40 @@ covers seq, date and payload.  Every tag but Hamming's is deterministic,
 so the receiver verifies a frame by recomputing its tag and comparing,
 in constant time; Hamming instead decodes and corrects.
 
+Each variant is one row of the scheme table `_ROWS`, which a
+`ProtectionScheme` resolves once, when it is built, into fields of its
+own (wire id, tag function, bad-tag reason, coverage, keyed, corrects),
+so no call branches on the variant.
+
 A `Threat` maps the sender's `Frame` to the bytes the receiver gets.
 Accidental corruption (`apply_channel_noise`) flips bits or replaces the
 payload at random; the keyless codes are there to catch it.  Adversarial
 moves (`apply_attack`) replay, splice, forge or guess: the attacker has
 full read/write on the channel and is handed the `ProtectionScheme`,
 every algorithm and non-secret parameter.  No scheme holds the MAC key,
-so the attacker never has it.
+so the attacker never has it.  Each threat kind is one function of the
+move table `_MOVES`, which a campaign cell looks up once.
 """
 
 from __future__ import annotations
 
 import struct
+from binascii import crc32
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import log, log1p
 
 from . import channel_codes as cc
-from .coded_core import CodeKey, encode
-from .mac import MacKey, constant_time_equal, hmac_tag
+from .coded_core import CodeKey
+from .mac import TAG_LENGTHS, MacKey, constant_time_equal, hmac_tag
 from .stats import TrialStream
 
 WIRE_MAGIC = b"VT01"
 MAX_PAYLOAD = 1024
 _HEAD = struct.Struct(">4sIIBH")
 _TAGLEN = struct.Struct(">H")
+_SEQ_DATE = struct.Struct(">II")
 
 SCHEME_NONE = "none"
 SCHEME_PARITY = "parity"
@@ -56,19 +65,6 @@ BAD_RESIDUE = "BadResidue"
 STALE_DATE = "StaleDate"
 REPLAYED_SEQ = "ReplayedSeq"
 MALFORMED = "Malformed"
-
-# Variant -> (wire id, reason for a tag of the right length that does not
-# match, whether the tag covers seq, whether it covers the date).  Only
-# covered fields are checked for freshness.  A `none` tag is empty, so
-# it cannot mismatch at the right length.
-_VARIANTS = {
-    SCHEME_NONE: (0, MALFORMED, False, False),
-    SCHEME_PARITY: (1, BAD_PARITY, False, False),
-    SCHEME_CRC: (2, BAD_CRC, False, False),
-    SCHEME_HAMMING: (3, BAD_TAG, False, False),
-    SCHEME_CODEDSIG: (4, BAD_RESIDUE, False, True),
-    SCHEME_HMAC: (5, BAD_TAG, True, True),
-}
 
 
 class TelegramError(Exception):
@@ -94,35 +90,128 @@ class Telegram:
 Frame = tuple[Telegram, int, bytes]
 
 
-@dataclass(frozen=True)
+def _row():
+    return field(init=False, compare=False, repr=False)
+
+
+@dataclass(frozen=True, init=False)
 class ProtectionScheme:
     """Exactly one protection variant with its public parameters.
 
     CodedSig carries the code key and the static signature; both are
     public (the signature is static, not a secret).  The HMAC scheme's
-    secret key is never held here: it is passed to `make_tag` and
-    `verify_telegram` separately, so a scheme can be handed to an
-    attacker.
+    secret key is never held here: it is passed to `tag(telegram,
+    mac_key)` on every call, so a scheme can be handed to an attacker.
+    The fields after the parameters are its variant's row; they take no
+    part in equality, hashing or repr.
     """
 
     variant: str
-    crc_params: cc.CrcParams | None = None
-    key: CodeKey | None = None          # codedsig
-    signature: int = 0                  # codedsig
-    mac_truncation: int = 32            # hmac
+    crc_params: cc.CrcParams | None     # crc
+    key: CodeKey | None                 # codedsig
+    signature: int                      # codedsig
+    mac_truncation: int                 # hmac
+    wire_id: int = _row()
+    bad_tag: str = _row()
+    covers_seq: bool = _row()
+    covers_date: bool = _row()
+    keyed: bool = _row()
+    corrects: bool = _row()
+    tag: Callable[[Telegram, MacKey | None], bytes] = _row()
 
-    def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise TelegramError(f"unknown scheme {self.variant!r}")
-        if self.variant == SCHEME_CRC and self.crc_params is None:
+    # Not generated: a frozen dataclass sets each field through a call of
+    # `object.__setattr__`, and each configuration parse builds schemes.
+    # The parameters' defaults are here only.
+    def __init__(self, variant: str, crc_params: cc.CrcParams | None = None,
+                 key: CodeKey | None = None, signature: int = 0,
+                 mac_truncation: int = 32):
+        if variant not in _VARIANTS:
+            raise TelegramError(f"unknown scheme {variant!r}")
+        if variant == SCHEME_CRC and crc_params is None:
             raise TelegramError("crc scheme needs parameters")
-        if self.variant == SCHEME_CODEDSIG and self.key is None:
+        if variant == SCHEME_CODEDSIG and key is None:
             raise TelegramError("codedsig scheme needs a code key")
+        if variant == SCHEME_HMAC and mac_truncation not in TAG_LENGTHS:
+            raise TelegramError(
+                f"hmac truncation must be one of {TAG_LENGTHS}")
+        row, make_tag_function = _VARIANTS[variant]
+        fields = {**row, "variant": variant, "crc_params": crc_params,
+                  "key": key, "signature": signature,
+                  "mac_truncation": mac_truncation}
+        object.__setattr__(self, "__dict__", fields)
+        fields["tag"] = make_tag_function(self)
 
-    @property
-    def wire_id(self) -> int:
-        """The scheme id a frame of this scheme carries on the wire."""
-        return _VARIANTS[self.variant][0]
+
+# --- the scheme table ------------------------------------------------------
+
+@lru_cache(maxsize=4096)
+def _cached_tag(key: MacKey, message: bytes, t: int) -> bytes:
+    # Verification recomputes the tag of the same message many times in
+    # brute-force campaigns; the recomputation is deterministic, so a
+    # cache only removes redundant hashing.
+    return hmac_tag(key, message, t)
+
+
+# A tag maker takes the scheme and returns its tag(telegram, mac_key),
+# which holds public parameters only.  The catalog's CRC-32/IEEE calls
+# crc32 directly; an equal copy goes through `crc_compute`, to the same
+# crc32, sparing each CRC scheme a 7-field comparison when it is built.
+def _fixed(tag):
+    """The maker of a tag function that reads no parameter."""
+    return lambda scheme: tag
+
+
+def _crc_tag(scheme):
+    params = scheme.crc_params
+    if params is cc.CRC32_IEEE:
+        return lambda t, mac_key: crc32(t.payload).to_bytes(4, "big")
+    size = (params.width + 7) // 8
+    return lambda t, mac_key: cc.crc_compute(t.payload, params).to_bytes(
+        size, "big")
+
+
+def _residue_tag(scheme):
+    # The code field of encode(payload mod A, signature, date), the fold
+    # and the residue in one reduction.
+    signature, modulus = scheme.signature, scheme.key.modulus
+    return lambda t, mac_key: ((int.from_bytes(t.payload, "big") + signature
+                                + t.date) % modulus).to_bytes(8, "big")
+
+
+def _mac_tag(scheme):
+    size = scheme.mac_truncation
+
+    def tag(t, mac_key):
+        if mac_key is None:
+            raise TelegramError("hmac scheme needs a MAC key")
+        return _cached_tag(mac_key, _SEQ_DATE.pack(t.seq, t.date) + t.payload,
+                           size)
+    return tag
+
+
+# Variant -> its row: wire id; the reason for a tag of the right length
+# that does not match (a `none` tag is empty, so it cannot mismatch at
+# the right length); whether the tag covers seq and the date, the only
+# fields checked for freshness; keyed (an attacker cannot recompute the
+# tag); corrects (decodes rather than compares); the tag maker.
+_PARITY = (b"\x00", b"\x01")
+_ROWS = {
+    SCHEME_NONE: (0, MALFORMED, False, False, False, False,
+                  _fixed(lambda t, mac_key: b"")),
+    SCHEME_PARITY: (1, BAD_PARITY, False, False, False, False, _fixed(
+        lambda t, mac_key: _PARITY[cc.parity_bit(t.payload)])),
+    SCHEME_CRC: (2, BAD_CRC, False, False, False, False, _crc_tag),
+    SCHEME_HAMMING: (3, BAD_TAG, False, False, False, True, _fixed(
+        lambda t, mac_key: cc.hamming74_encode_bytes(t.payload))),
+    SCHEME_CODEDSIG: (4, BAD_RESIDUE, False, True, False, False,
+                      _residue_tag),
+    SCHEME_HMAC: (5, BAD_TAG, True, True, True, False, _mac_tag),
+}
+# Variant -> (its row's fields by name, its tag maker).
+_ROW = ("wire_id", "bad_tag", "covers_seq", "covers_date", "keyed",
+        "corrects")
+_VARIANTS = {variant: (dict(zip(_ROW, row)), make)
+             for variant, (*row, make) in _ROWS.items()}
 
 
 @dataclass(slots=True)
@@ -132,7 +221,7 @@ class VerifyResult:
     reason: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceiverWindow:
     """Freshness policy: seq strictly increasing, date within +/-1 cycle.
 
@@ -144,45 +233,16 @@ class ReceiverWindow:
     current_date: int = 0
 
 
-def _hmac_message(t: Telegram) -> bytes:
-    return t.seq.to_bytes(4, "big") + t.date.to_bytes(4, "big") + t.payload
-
-
-@lru_cache(maxsize=4096)
-def _cached_tag(key: MacKey, message: bytes, t: int) -> bytes:
-    # Verification recomputes the tag of the same message many times in
-    # brute-force campaigns; the recomputation is deterministic, so a
-    # cache only removes redundant hashing.
-    return hmac_tag(key, message, t)
-
-
 def make_tag(t: Telegram, scheme: ProtectionScheme,
              mac_key: MacKey | None = None) -> bytes:
     """Compute the scheme's tag for a telegram."""
-    v = scheme.variant
-    if v == SCHEME_NONE:
-        return b""
-    if v == SCHEME_PARITY:
-        return bytes([cc.parity_bit(t.payload)])
-    if v == SCHEME_CRC:
-        p = scheme.crc_params
-        return cc.crc_compute(t.payload, p).to_bytes((p.width + 7) // 8,
-                                                     "big")
-    if v == SCHEME_HAMMING:
-        return cc.hamming74_encode_bytes(t.payload)
-    if v == SCHEME_CODEDSIG:
-        fold = int.from_bytes(t.payload, "big") % scheme.key.modulus
-        residue = encode(fold, scheme.signature, t.date, scheme.key)[1]
-        return residue.to_bytes(8, "big")
-    if mac_key is None:
-        raise TelegramError("hmac scheme needs a MAC key")
-    return _cached_tag(mac_key, _hmac_message(t), scheme.mac_truncation)
+    return scheme.tag(t, mac_key)
 
 
 def protect_telegram(t: Telegram, scheme: ProtectionScheme,
                      mac_key: MacKey | None = None) -> bytes:
     """Serialize a telegram with its protection tag appended."""
-    return serialize_wire(t, scheme.wire_id, make_tag(t, scheme, mac_key))
+    return serialize_wire(t, scheme.wire_id, scheme.tag(t, mac_key))
 
 
 def serialize_wire(t: Telegram, scheme_id: int, tag: bytes) -> bytes:
@@ -224,11 +284,10 @@ def verify_telegram(data: bytes, scheme: ProtectionScheme,
         telegram, scheme_id, tag = parse_wire(data)
     except TelegramError:
         return VerifyResult(REJECT, reason=MALFORMED)
-    wire_id, bad_tag, covers_seq, covers_date = _VARIANTS[scheme.variant]
-    if scheme_id != wire_id:
+    if scheme_id != scheme.wire_id:
         return VerifyResult(REJECT, reason=MALFORMED)
 
-    if scheme.variant == SCHEME_HAMMING:
+    if scheme.corrects:
         if len(tag) != 2 * len(telegram.payload) or not tag.isascii():
             return VerifyResult(REJECT, reason=BAD_TAG)
         decoded, corrections = cc.hamming74_decode_bytes(tag)
@@ -240,15 +299,16 @@ def verify_telegram(data: bytes, scheme: ProtectionScheme,
         fixed = Telegram(telegram.seq, telegram.date, decoded)
         return VerifyResult(CORRECTED, fixed)
 
-    expected = make_tag(telegram, scheme, mac_key)
+    expected = scheme.tag(telegram, mac_key)
     if len(tag) != len(expected):
         return VerifyResult(REJECT, reason=MALFORMED)
     if not constant_time_equal(tag, expected):
-        return VerifyResult(REJECT, reason=bad_tag)
+        return VerifyResult(REJECT, reason=scheme.bad_tag)
     if window is not None:
-        if covers_seq and telegram.seq <= window.min_seq:
+        if scheme.covers_seq and telegram.seq <= window.min_seq:
             return VerifyResult(REJECT, reason=REPLAYED_SEQ)
-        if covers_date and abs(telegram.date - window.current_date) > 1:
+        if scheme.covers_date and abs(telegram.date
+                                      - window.current_date) > 1:
             return VerifyResult(REJECT, reason=STALE_DATE)
     return VerifyResult(ACCEPT, telegram)
 
@@ -277,8 +337,12 @@ class Threat:
     label: str = field(init=False, compare=False)
 
     def __post_init__(self):
+        if self.kind not in _MOVES:
+            raise ValueError(f"unknown threat kind {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("bit error rate must be a probability")
+        if self.length < 0 or self.attempts < 0:
+            raise ValueError("burst length and attempts must be >= 0")
         label = self.kind
         if self.kind == "bit_error":
             label = f"bit_error({self.rate:g})"
@@ -294,9 +358,88 @@ class Threat:
 _CODEWORD_FLIP = bytes(1 << b % 7 if b < 252 else 0 for b in range(256))
 
 
-def _fresh_payload(telegram: Telegram, rng: TrialStream) -> Telegram:
-    return Telegram(telegram.seq, telegram.date,
-                    rng.randbytes(len(telegram.payload)))
+def _bit_error(frame, threat, scheme, rng):
+    data = serialize_wire(*frame)
+    eps = threat.rate
+    if eps == 0.0:
+        return data
+    if eps == 1.0:
+        return bytes(b ^ 0xFF for b in data)
+    # Bit `pos` is bit pos & 7 (least significant first) of byte pos >> 3.
+    # Draw the gap to the next flipped bit, geometric as
+    # floor(ln U / ln(1 - eps)) (Devroye 1986, X.2): one draw per flip plus
+    # one.  Compare before int(): a subnormal eps makes the gap infinite.
+    out = bytearray(data)
+    nbits = len(data) * 8
+    draw = rng.random
+    log_keep = log1p(-eps)
+    pos = -1
+    while True:
+        gap = log(1.0 - draw()) / log_keep
+        if gap >= nbits - 1 - pos:
+            return bytes(out)
+        pos += 1 + int(gap)
+        out[pos >> 3] ^= 1 << (pos & 7)
+
+
+def _burst(frame, threat, scheme, rng):
+    data = serialize_wire(*frame)
+    nbits = len(data) * 8
+    length = min(threat.length, nbits)
+    if length == 0:
+        return data
+    start = rng.randrange(nbits - length + 1)
+    # Bits count from the most significant bit of byte 0.
+    mask = ((1 << length) - 1) << (nbits - start - length)
+    noisy = int.from_bytes(data, "big") ^ mask
+    return noisy.to_bytes(len(data), "big")
+
+
+def _new_payload(frame, threat, scheme, rng):
+    # random_payload and splice: the frame's tag on a fresh random
+    # payload of the same length.
+    telegram, scheme_id, tag = frame
+    fresh = Telegram(telegram.seq, telegram.date,
+                     rng.randbytes(len(telegram.payload)))
+    return serialize_wire(fresh, scheme_id, tag)
+
+
+def _codeword_flip(frame, threat, scheme, rng):
+    telegram, scheme_id, tag = frame
+    masks = bytearray(rng.randbytes(len(tag)).translate(_CODEWORD_FLIP))
+    i = masks.find(0)
+    while i >= 0:
+        masks[i] = _CODEWORD_FLIP[rng.getrandbits(8)]
+        i = masks.find(0, i)
+    tag = (int.from_bytes(tag, "little")
+           ^ int.from_bytes(masks, "little")).to_bytes(len(tag), "little")
+    return serialize_wire(telegram, scheme_id, tag)
+
+
+def _retagged(telegram, scheme_id, scheme, rng):
+    # A keyless tag is the public algorithm rerun; a keyed one is guessed.
+    if scheme.keyed:
+        tag = rng.randbytes(scheme.mac_truncation)
+    else:
+        tag = scheme.tag(telegram, None)
+    return serialize_wire(telegram, scheme_id, tag)
+
+
+def _forge(frame, threat, scheme, rng):
+    telegram, scheme_id, _ = frame
+    forged = Telegram(telegram.seq, telegram.date, threat.payload
+                      or rng.randbytes(len(telegram.payload)))
+    return _retagged(forged, scheme_id, scheme, rng)
+
+
+# Threat kind -> its move(frame, threat, scheme, rng) -> the bytes the
+# receiver gets.  Each serializes the frame once; noise ignores `scheme`.
+_MOVES = {
+    "bit_error": _bit_error, "burst": _burst, "random_payload": _new_payload,
+    "codeword_flip": _codeword_flip, "forge": _forge, "splice": _new_payload,
+    "replay": lambda frame, threat, scheme, rng: serialize_wire(*frame),
+    "brute_force": lambda frame, threat, scheme, rng: _retagged(
+        frame[0], frame[1], scheme, rng)}
 
 
 def apply_channel_noise(frame: Frame, threat: Threat,
@@ -310,51 +453,9 @@ def apply_channel_noise(frame: Frame, threat: Threat,
     same length and keeps the tag; `codeword_flip` flips one of the low 7
     bits of every tag byte, one error per Hamming codeword.
     """
-    kind = threat.kind
-    if kind not in NOISE_THREATS:
-        raise ValueError(f"not a noise threat: {kind!r}")
-    telegram, scheme_id, tag = frame
-    if kind == "random_payload":
-        return serialize_wire(_fresh_payload(telegram, rng), scheme_id, tag)
-    if kind == "codeword_flip":
-        masks = bytearray(rng.randbytes(len(tag)).translate(_CODEWORD_FLIP))
-        i = masks.find(0)
-        while i >= 0:
-            masks[i] = _CODEWORD_FLIP[rng.getrandbits(8)]
-            i = masks.find(0, i)
-        tag = (int.from_bytes(tag, "little")
-               ^ int.from_bytes(masks, "little")).to_bytes(len(tag), "little")
-        return serialize_wire(telegram, scheme_id, tag)
-    data = serialize_wire(telegram, scheme_id, tag)
-    nbits = len(data) * 8
-    if kind == "burst":
-        length = min(threat.length, nbits)
-        if length == 0:
-            return data
-        start = rng.randrange(nbits - length + 1)
-        # Bits count from the most significant bit of byte 0.
-        mask = ((1 << length) - 1) << (nbits - start - length)
-        noisy = int.from_bytes(data, "big") ^ mask
-        return noisy.to_bytes(len(data), "big")
-    eps = threat.rate
-    if eps == 0.0:
-        return data
-    if eps == 1.0:
-        return bytes(b ^ 0xFF for b in data)
-    # Bit `pos` is bit pos & 7 (least significant first) of byte pos >> 3.
-    # Draw the gap to the next flipped bit, geometric as
-    # floor(ln U / ln(1 - eps)) (Devroye 1986, X.2): one draw per flip plus
-    # one.  Compare before int(): a subnormal eps makes the gap infinite.
-    out = bytearray(data)
-    draw = rng.random
-    log_keep = log1p(-eps)
-    pos = -1
-    while True:
-        gap = log(1.0 - draw()) / log_keep
-        if gap >= nbits - 1 - pos:
-            return bytes(out)
-        pos += 1 + int(gap)
-        out[pos >> 3] ^= 1 << (pos & 7)
+    if threat.kind not in NOISE_THREATS:
+        raise ValueError(f"not a noise threat: {threat.kind!r}")
+    return _MOVES[threat.kind](frame, threat, None, rng)
 
 
 def apply_attack(frame: Frame, threat: Threat, scheme: ProtectionScheme,
@@ -373,19 +474,6 @@ def apply_attack(frame: Frame, threat: Threat, scheme: ProtectionScheme,
     attacker cannot recompute and sends one uniformly random tag per
     call; brute force is that same move repeated.
     """
-    kind = threat.kind
-    if kind not in ATTACK_THREATS:
-        raise ValueError(f"not an attack threat: {kind!r}")
-    if kind == "replay":
-        return serialize_wire(*frame)
-    telegram, scheme_id, tag = frame
-    if kind == "splice":
-        return serialize_wire(_fresh_payload(telegram, rng), scheme_id, tag)
-    if kind == "forge":
-        telegram = Telegram(telegram.seq, telegram.date, threat.payload
-                            or rng.randbytes(len(telegram.payload)))
-    if scheme.variant == SCHEME_HMAC:
-        tag = rng.randbytes(scheme.mac_truncation)
-    else:
-        tag = make_tag(telegram, scheme)
-    return serialize_wire(telegram, scheme_id, tag)
+    if threat.kind not in ATTACK_THREATS:
+        raise ValueError(f"not an attack threat: {threat.kind!r}")
+    return _MOVES[threat.kind](frame, threat, scheme, rng)

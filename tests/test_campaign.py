@@ -426,24 +426,25 @@ class TestFramePath:
     """Each threat maps the sender's frame to the delivered bytes."""
 
     def test_threats_leave_the_sender_frame_alone(self, monkeypatch):
-        # `_outcome` compares the verdict with the sender's telegram, so a
-        # threat that changed it in place would hide wrong acceptances.
+        # A cell passes each sender's frame to the threat's entry of the
+        # move table.  The receiver's verdict is compared with the sender's
+        # telegram, so a move that changed it in place would hide wrong
+        # acceptances.
         kinds = []
 
-        def checked(transform):
+        def checked(move):
             def run(frame, threat, *rest):
                 telegram, scheme_id, tag = frame
                 before = replace(telegram)
                 sent = (before, scheme_id, tag)
-                delivered = transform(frame, threat, *rest)
+                delivered = move(frame, threat, *rest)
                 assert telegram == before and frame == sent, threat.label
                 kinds.append(threat.kind)
                 return delivered
             return run
 
-        for name in ("apply_channel_noise", "apply_attack"):
-            monkeypatch.setattr(telegram, name,
-                                checked(getattr(telegram, name)))
+        for kind, move in telegram._MOVES.items():
+            monkeypatch.setitem(telegram._MOVES, kind, checked(move))
         report = run_channel_campaign(parse_config(CHANNEL_GRID))
         assert len(kinds) == sum(cell.delivered for cell in report.cells)
         assert set(kinds) == set(telegram.NOISE_THREATS
@@ -451,6 +452,7 @@ class TestFramePath:
 
     def test_one_serialize_and_one_parse_per_frame(self, monkeypatch):
         calls = {"serialize_wire": 0, "parse_wire": 0, "frames": 0}
+        kinds = set()
 
         def counted(name):
             original = getattr(telegram, name)
@@ -465,19 +467,28 @@ class TestFramePath:
         verify = telegram.verify_telegram
 
         def verify_one(*args):
-            # The threat serialized this frame once; the receiver parses
-            # it once.
+            # The threat's move serialized this frame once; the receiver
+            # parses it once.
             calls["frames"] += 1
             assert calls["serialize_wire"] == calls["frames"]
             result = verify(*args)
             assert calls["parse_wire"] == calls["frames"]
             return result
 
+        def seen(move):
+            def run(frame, threat, *rest):
+                kinds.add(threat.kind)
+                return move(frame, threat, *rest)
+            return run
+
         monkeypatch.setattr(telegram, "verify_telegram", verify_one)
+        for kind, move in telegram._MOVES.items():
+            monkeypatch.setitem(telegram._MOVES, kind, seen(move))
         report = run_channel_campaign(parse_config(CHANNEL_GRID))
         frames = sum(cell.delivered for cell in report.cells)
         assert calls == {"serialize_wire": frames, "parse_wire": frames,
                          "frames": frames}
+        assert kinds == set(telegram.NOISE_THREATS + telegram.ATTACK_THREATS)
 
 
 class TestReports:

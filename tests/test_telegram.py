@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vitalcode.campaign import parse_config
 from vitalcode.channel_codes import (CRC8_ATM, CRC32_IEEE, CRC_CATALOG,
-                                     CrcParams)
-from vitalcode.coded_core import make_key
-from vitalcode.mac import TAG_LENGTHS, MacKey
+                                     CrcParams, crc_compute,
+                                     hamming74_encode_bytes, parity_bit)
+from vitalcode.coded_core import encode, make_key
+from vitalcode.mac import TAG_LENGTHS, MacKey, hmac_tag
 from vitalcode.stats import trial_rng, wilson_interval
 from vitalcode.telegram import (ACCEPT, ATTACK_THREATS, BAD_CRC, BAD_PARITY,
                                 BAD_RESIDUE, BAD_TAG, CORRECTED, MALFORMED,
@@ -739,10 +740,9 @@ class TestThreatDispatch:
                             random.Random(0))
         assert parse_wire(sent)[1] == self.FRAME[1]
 
-    @pytest.mark.parametrize("kind", NOISE_THREATS + ATTACK_THREATS
-                             + ("erasure",))
+    @pytest.mark.parametrize("kind", NOISE_THREATS + ATTACK_THREATS)
     def test_other_kind_rejected_before_parsing(self, kind):
-        # The kind check comes before any draw from the generator.
+        # The family check comes before any draw from the generator.
         rng = random.Random(0)
         if kind not in NOISE_THREATS:
             with pytest.raises(ValueError, match="not a noise threat"):
@@ -753,11 +753,37 @@ class TestThreatDispatch:
                              SCHEMES["none"], rng)
         assert rng.getstate() == random.Random(0).getstate()
 
+    @pytest.mark.parametrize("kind", ["erasure", "", "Forge", "bit-error"])
+    def test_unknown_kind_rejected_on_construction(self, kind):
+        with pytest.raises(ValueError, match="unknown threat kind"):
+            Threat(kind)
+
+    @pytest.mark.parametrize("kind,count", [("burst", "length"),
+                                            ("brute_force", "attempts"),
+                                            ("forge", "length")])
+    def test_negative_count_rejected_on_construction(self, kind, count):
+        # A negative burst length used to build, then fail in the noise
+        # transform with "negative shift count".
+        with pytest.raises(ValueError, match=">= 0"):
+            Threat(kind, **{count: -1})
+        assert getattr(Threat(kind, **{count: 0}), count) == 0
+
 
 class TestSchemeValidation:
     def test_unknown_variant(self):
         with pytest.raises(TelegramError):
             ProtectionScheme("checksum")
+
+    @pytest.mark.parametrize("t", [0, 5, 31, 64, -8])
+    def test_hmac_truncation_checked_on_construction(self, t):
+        # A 5-byte truncation used to build, then fail on the first frame
+        # while the attacker went on forging 5-byte tags.
+        with pytest.raises(TelegramError, match="truncation must be one of"):
+            ProtectionScheme(SCHEME_HMAC, mac_truncation=t)
+
+    def test_truncation_of_a_keyless_scheme_is_not_read(self):
+        assert ProtectionScheme(SCHEME_NONE, mac_truncation=5).tag(
+            GENUINE, None) == b""
 
     def test_crc_needs_params(self):
         with pytest.raises(TelegramError):
@@ -766,3 +792,100 @@ class TestSchemeValidation:
     def test_codedsig_needs_key(self):
         with pytest.raises(TelegramError):
             ProtectionScheme(SCHEME_CODEDSIG)
+
+
+def reachable(value, depth=4):
+    """Every object reachable from `value` through dataclass fields,
+    containers and functions' closures and defaults, `depth` levels
+    deep."""
+    yield value
+    if depth == 0:
+        return
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        children = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, (tuple, list)):
+        children = value
+    elif inspect.isfunction(value):
+        children = [c.cell_contents for c in value.__closure__ or ()]
+        children += value.__defaults__ or ()
+    else:
+        children = []
+    for child in children:
+        yield from reachable(child, depth - 1)
+
+
+class TestSchemeTable:
+    """Each `ProtectionScheme` resolves its variant's row on construction."""
+
+    PAYLOADS = [b"", b"\x00", b"\xff" * 3, bytes(range(64)), b"vital"]
+
+    def reference_tag(self, name, t):
+        """The tag by the public functions the scheme rows replaced."""
+        scheme = FUZZ_SCHEMES[name]
+        if name == "none":
+            return b""
+        if name == "parity":
+            return bytes([parity_bit(t.payload)])
+        if name == "hamming":
+            return hamming74_encode_bytes(t.payload)
+        if name == "codedsig":
+            fold = int.from_bytes(t.payload, "big") % KEY.modulus
+            return encode(fold, 77, t.date, KEY)[1].to_bytes(8, "big")
+        if name.startswith("hmac"):
+            return hmac_tag(MAC, t.seq.to_bytes(4, "big")
+                            + t.date.to_bytes(4, "big") + t.payload,
+                            scheme.mac_truncation)
+        params = scheme.crc_params
+        return crc_compute(t.payload, params).to_bytes(
+            (params.width + 7) // 8, "big")
+
+    @pytest.mark.parametrize("name", sorted(FUZZ_SCHEMES))
+    def test_row_tag_matches_the_reference(self, name):
+        scheme = FUZZ_SCHEMES[name]
+        for payload in self.PAYLOADS:
+            for seq, date in ((0, 0), (4, 9), (2**32 - 1, 2**32 - 1)):
+                t = Telegram(seq, date, payload)
+                assert scheme.tag(t, MAC) == make_tag(t, scheme, MAC) \
+                    == self.reference_tag(name, t), (payload, seq, date)
+
+    def test_crc32_equal_params_tag_like_the_catalog_entry(self):
+        twin = CrcParams(*dataclasses.astuple(CRC32_IEEE))
+        assert twin == CRC32_IEEE and twin is not CRC32_IEEE
+        scheme = ProtectionScheme(SCHEME_CRC, crc_params=twin)
+        for payload in self.PAYLOADS:
+            t = Telegram(1, 2, payload)
+            assert scheme.tag(t, None) \
+                == crc_compute(payload, twin).to_bytes(4, "big") \
+                == SCHEMES["crc32"].tag(t, None)
+
+    def test_rows(self):
+        rows = {name: (s.wire_id, s.bad_tag, s.covers_seq, s.covers_date,
+                       s.keyed, s.corrects)
+                for name, s in SCHEMES.items()}
+        assert rows == {
+            "none": (0, MALFORMED, False, False, False, False),
+            "parity": (1, BAD_PARITY, False, False, False, False),
+            "crc8": (2, BAD_CRC, False, False, False, False),
+            "crc32": (2, BAD_CRC, False, False, False, False),
+            "hamming": (3, BAD_TAG, False, False, False, True),
+            "codedsig": (4, BAD_RESIDUE, False, True, False, False),
+            "hmac": (5, BAD_TAG, True, True, True, False)}
+
+    @pytest.mark.parametrize("name", sorted(FUZZ_SCHEMES))
+    def test_no_mac_key_reachable_from_a_scheme(self, name):
+        scheme = FUZZ_SCHEMES[name]
+        scheme.tag(GENUINE, MAC)  # the key has been through the row
+        seen = list(reachable(scheme))
+        assert scheme.tag in seen
+        assert not any(isinstance(value, MacKey) for value in seen)
+
+    @pytest.mark.parametrize("name", sorted(FUZZ_SCHEMES))
+    def test_rows_stay_out_of_equality_hash_and_repr(self, name):
+        scheme = FUZZ_SCHEMES[name]
+        twin = dataclasses.replace(scheme)
+        assert twin is not scheme
+        assert twin == scheme and hash(twin) == hash(scheme)
+        assert repr(twin) == repr(scheme)
+        assert "function" not in repr(scheme) and "lambda" not in repr(scheme)
+        with pytest.raises(TypeError):
+            ProtectionScheme(scheme.variant, tag=scheme.tag)
