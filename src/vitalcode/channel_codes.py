@@ -80,10 +80,10 @@ def _crc_rows(params: CrcParams, length: int) -> tuple[tuple[int, ...], int]:
 
 
 def crc_compute(payload: bytes, params: CrcParams) -> int:
-    """CRC, bit-exact per the parameter set: CRC-32/IEEE through the
-    interpreter's `binascii.crc32`, every other set as w parities of the
-    payload against the rows of `_crc_rows`."""
-    if params == CRC32_IEEE:
+    """CRC, bit-exact per the parameter set: the catalog's CRC-32/IEEE
+    through the interpreter's `binascii.crc32`, every other set, an equal
+    copy too, as w parities of the payload against `_crc_rows`."""
+    if params is CRC32_IEEE:
         return crc32(payload)
     rows, crc = _crc_rows(params, len(payload))
     m = int.from_bytes(payload, "big")

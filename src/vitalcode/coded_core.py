@@ -12,9 +12,9 @@ output for the destination signature.  No code field is computed from
 a functional field, so a corruption of either channel survives an end
 check only if the error it leaves in the output is a multiple of A.
 
-The OPELs here are the reference arithmetic.  `coded_runtime`'s
-compiled cycle writes the same formulas inline, with no call per
-instruction, and its tests compare the two value for value.
+The OPELs and `check` here are the reference arithmetic.
+`coded_runtime`'s compiled cycle writes the same formulas inline, with
+no call per instruction or per output, and its tests compare the two.
 """
 
 from __future__ import annotations

@@ -12,9 +12,10 @@ is one generated Python function, compiled on the program's first cycle
 and kept on it: two locals per variable, its functional field and its
 code field, and per instruction in IR order the formula of its OPEL in
 `coded_core`, written inline and reading that instruction's row of
-residues.  The `coded_core` OPELs stay the reference arithmetic, and
-the tests hold the cycle to them.  Names, values and residues reach it
-as arguments, never as text, and `dsl.interpret` stays the separately
+residues, then the end strike and each output's check inline.  The
+`coded_core` OPELs and `check` stay the reference arithmetic, and the
+tests hold the cycle to them.  Names, values and residues reach it as
+arguments, never as text, and `dsl.interpret` stays the separately
 written oracle.
 
 A `Fault` is armed against a program and key when it is built: the
@@ -47,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .coded_core import (FUNCTIONAL_BITS, INT64_MAX, INT64_MIN, CodeKey,
-                         CodedValue, check)
+                         CodedValue)
 from .dsl import ADD, MOVE, MUL, SUB, interpret
 from .sigtool import CodedProgram, SignatureTable
 from .stats import (ConfigError, Outcomes, TrialStream, report_json,
@@ -215,9 +216,10 @@ class Fault:
             self.record = x, rng.randrange(self._key.modulus)
         return program.rows, -1, j
 
-    def strike(self, value: CodedValue) -> CodedValue:
-        """The compiled cycle's F1/F2 strike hook."""
-        return inject_fault(self, value)
+    def strike(self, value: CodedValue, values=()) -> CodedValue:
+        """The compiled cycle's strike hook, after an F1/F2 target's
+        definition and at cycle end for F3/F4/F6."""
+        return inject_fault(self, value, values)
 
 
 def inject_fault(fault: Fault, value: CodedValue, values=()) -> CodedValue:
@@ -251,7 +253,8 @@ def inject_fault(fault: Fault, value: CodedValue, values=()) -> CodedValue:
 # its text is these templates filled with integers only: row i's
 # residues are read from the `rows` argument.  A functional value
 # outside the 64-bit range makes the cycle return j at once.
-_HEAD = "def cycle(inputs, consts, sigs, names, rows, d, a, hit, strike, int):"
+_HEAD = ("def cycle(inputs, consts, sigs, names, rows, d, a, hit, end, "
+         "strike, values, int):")
 _RANGE = f"if not {INT64_MIN} <= x{{j}} <= {INT64_MAX}: return {{j}}"
 # Inputs and constants are encoded as `coded_core.encode` does, with the
 # date reduced to d.
@@ -271,18 +274,24 @@ _ROW = {
     MOVE: ("x{j} = x{s1}", "c{j} = (c{s1} + rows[{i}][0]) % a"),
 }
 _STRIKE = "if hit == {j}: x{j}, c{j} = strike((x{j}, c{j}))"
+# The end strike passes every variable's value, which only F3 reads;
+# output p's check is `coded_core.check` with the date reduced to d.
+_END_STRIKE = "if end == {j}: x{j}, c{j} = strike((x{j}, c{j}), values)"
+_CHECK = "if c{j} != (x{j} + sigs[names[{j}]] + d) % a: return {code}"
 
 
 def _compile_cycle(program: CodedProgram):
     """Generate the program's cycle function and cache it on the program.
 
-    It encodes the inputs and constants, then runs each instruction in
-    IR order as the formula of `coded_core.opel_add/sub/mul/move`, and
-    returns every variable's coded value in canonical order, or the
-    index of the first variable whose functional value leaves the
-    64-bit range.  Instruction i's residues are read from `rows[i]` of
-    the `rows` argument, so F5's patched rows need no recompile.  The
-    function reads no global name and is built in empty globals.
+    It encodes the inputs and constants, runs each instruction in IR
+    order as the formula of `coded_core.opel_add/sub/mul/move`, strikes
+    output `end` and checks each declared output p in turn.  It returns
+    the outputs' functional values as a tuple on an accept, ~p on a
+    failed check, or the index of the first variable whose functional
+    value leaves the 64-bit range.  Instruction i's residues are read
+    from `rows[i]` of the `rows` argument, so F5's patched rows need no
+    recompile.  The function reads no global name and is built in empty
+    globals.
     """
     ir, index = program.ir, program.index
     first = len(ir.inputs) + len(ir.consts)
@@ -296,7 +305,11 @@ def _compile_cycle(program: CodedProgram):
                   for t in _ROW[ins.opcode] + (_STRIKE,))
     count = first + len(ir.instructions)
     pairs = "".join(f"(x{j}, c{j}), " for j in range(count))
-    lines.append(f"return ({pairs})")
+    lines.append(f"values = ({pairs}) if values else None")
+    outputs = [index[name] for name in ir.outputs]
+    lines += (_END_STRIKE.format(j=j) for j in dict.fromkeys(outputs))
+    lines += (_CHECK.format(j=j, code=~p) for p, j in enumerate(outputs))
+    lines.append(f"return ({''.join(f'x{j}, ' for j in outputs)})")
     namespace = {}
     exec(compile("\n ".join(lines), "<cycle>", "exec"), {}, namespace)
     object.__setattr__(program, "compiled", namespace["cycle"])
@@ -309,49 +322,35 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
               rng: TrialStream | None = None) -> CycleResult:
     """Execute one cycle; publish outputs only if every check accepts.
 
-    The cycle runs as the program's compiled function (`_compile_cycle`).
-    A fault, armed against this program and key, makes all its draws
-    from `rng` in `Fault.draw` before execution; exactly one mutation is
-    applied: F5 runs its patched rows, the cycle's strike hook calls
-    `inject_fault` right after the F1/F2 target is defined, and the
-    F3/F4/F6 target goes through it at cycle end, before the checks.  A
-    value outside the 64-bit range, input or result, is a safe halt that
-    names the variable being defined.
+    The cycle runs, checks included, as the program's compiled function
+    (`_compile_cycle`).  A fault, armed against this program and key,
+    makes all its draws from `rng` in `Fault.draw` before execution;
+    exactly one mutation is applied: F5 runs its patched rows, and the
+    cycle calls `Fault.strike` right after the F1/F2 target is defined,
+    or at cycle end, before the checks, on an F3/F4/F6 target that is an
+    output (no check reads any other).  A value outside the 64-bit range,
+    input or result, is a safe halt that names the variable being defined.
     """
     ir = program.ir
-    sigs = table.signatures
-    index = program.index
-    rows = program.rows
-    hit, strike, end = -1, None, -1
+    rows, hit, end, strike, values = program.rows, -1, -1, None, False
     if fault is not None:
         rows, hit, end = fault.draw(rng)
-        strike = fault.strike
-
+        strike, values = fault.strike, fault.model == F3
     a = key.modulus
     try:
-        values = (program.compiled or _compile_cycle(program))(
-            inputs, ir.consts, sigs, program.variables, rows, cycle % a, a,
-            hit, strike, int)
+        code = (program.compiled or _compile_cycle(program))(
+            inputs, ir.consts, table.signatures, program.variables, rows,
+            cycle % a, a, hit, end, strike, values, int)
     except KeyError as exc:
         name = exc.args[0]
         if name in ir.inputs and name not in inputs:
             raise KeyError(f"missing input {name!r}") from None
         raise
-    if type(values) is int:  # the variable whose value left int64
-        return CycleResult(SAFE_HALT, None, OVERFLOW,
-                           program.variables[values])
-
-    if end >= 0:
-        values = list(values)
-        values[end] = inject_fault(fault, values[end], values)
-
-    outputs = {}
-    for name in ir.outputs:
-        value = values[index[name]]
-        if not check(value, sigs[name], cycle, key):
-            return CycleResult(REJECT, None, OUTPUT_INCOHERENT, name)
-        outputs[name] = value[0]
-    return CycleResult(ACCEPT, outputs)
+    if type(code) is tuple:
+        return CycleResult(ACCEPT, dict(zip(ir.outputs, code)))
+    if code < 0:
+        return CycleResult(REJECT, None, OUTPUT_INCOHERENT, ir.outputs[~code])
+    return CycleResult(SAFE_HALT, None, OVERFLOW, program.variables[code])
 
 
 class FaultOutcomes(Outcomes):

@@ -154,8 +154,8 @@ def _cached_tag(key: MacKey, message: bytes, t: int) -> bytes:
 
 # A tag maker takes the scheme and returns its tag(telegram, mac_key),
 # which holds public parameters only.  The catalog's CRC-32/IEEE calls
-# crc32 directly; an equal copy goes through `crc_compute`, to the same
-# crc32, sparing each CRC scheme a 7-field comparison when it is built.
+# crc32 directly; an equal copy takes `crc_compute`'s row path to the
+# same value, sparing each CRC scheme a 7-field comparison when built.
 def _fixed(tag):
     """The maker of a tag function that reads no parameter."""
     return lambda scheme: tag

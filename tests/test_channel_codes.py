@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from binascii import crc32
 
 import pytest
 from hypothesis import given, strategies as st
@@ -76,6 +78,13 @@ class TestCrc:
         fast = crc_compute(payload, CRC32_IEEE)
         assert fast == crc_bitwise(payload, CRC32_IEEE)
         assert fast == crc_compute(payload, rows)
+
+    @pytest.mark.parametrize("length", [0, 1, 64, 2048])
+    def test_equal_copy_of_crc32_takes_rows_to_the_same_value(self, length):
+        payload = random.Random(length).randbytes(length)
+        copy = dataclasses.replace(CRC32_IEEE)
+        assert copy == CRC32_IEEE and copy is not CRC32_IEEE
+        assert crc_compute(payload, copy) == crc32(payload)
 
     def test_round_trip(self):
         payload = b"telegram body"

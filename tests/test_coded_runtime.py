@@ -566,6 +566,36 @@ class TestCycleReasons:
         assert (result.reason, result.variable) == (OUTPUT_INCOHERENT,
                                                     "alarm")
 
+    @pytest.mark.parametrize("first, second", [("y", "x"), ("x", "y")])
+    @pytest.mark.parametrize("model", ["F1", "F2"])
+    def test_reject_names_first_declared_output(self, first, second, model):
+        # The struck input feeds both outputs, so both fail their check;
+        # x is defined first, and the reject names whichever is declared
+        # first.
+        ir = parse_program(f"input a; x = a + 1; y = a * 2; "
+                           f"output {first}; output {second};")
+        key = make_key(251)
+        table, program = build(ir, key, 1)
+        fault = Fault(model, program, key, variable="a", bit=0)
+        result = run_cycle(program, table, {"a": 3}, 5, key, fault)
+        assert (result.verdict, result.reason, result.variable) == (
+            REJECT, OUTPUT_INCOHERENT, first)
+
+    @pytest.mark.parametrize("model, selectors", [
+        ("F3", {}), ("F3", {"donor": "adj"}), ("F4", {}),
+        ("F4", {"staleness": 5}), ("F6", {})])
+    def test_end_fault_on_non_output_changes_nothing(self, model, selectors):
+        # No check reads a variable that is not an output.
+        ir, key, table, program = build_sample(13)
+        clean = run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key)
+        assert clean.verdict == ACCEPT
+        for target in ("speed", "margin", "slack", "guard"):
+            fault = Fault(model, program, key, variable=target, **selectors)
+            for n in range(5):
+                assert run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE,
+                                 key, fault, trial_rng("non-output", n)) \
+                    == clean, (target, n)
+
     def test_safe_halt_names_input(self):
         ir, key, table, program = build_sample(13)
         inputs = dict(SAMPLE_INPUTS, limit=2**63)
@@ -744,6 +774,24 @@ def reference_cycle(program, table, inputs, cycle, key, rows, hit, strike):
     return tuple(values)
 
 
+def reference_tail(program, table, cycle, key, values, fault, end):
+    """(verdict, reason, variable, outputs) of a cycle whose variables
+    `reference_cycle` gave as `values`: output `end` struck through
+    `inject_fault`, then `coded_core.check` on each declared output."""
+    if type(values) is int:
+        return SAFE_HALT, OVERFLOW, program.variables[values], None
+    values = list(values)
+    if end >= 0:
+        values[end] = inject_fault(fault, values[end], values)
+    outputs = {}
+    for name in program.ir.outputs:
+        value = values[program.index[name]]
+        if not check(value, table.signatures[name], cycle, key):
+            return REJECT, OUTPUT_INCOHERENT, name, None
+        outputs[name] = value[0]
+    return ACCEPT, None, None, outputs
+
+
 def colliding_selectors(program, key):
     """(model, selectors) of explicit F1-F6 faults over every variable,
     output and row."""
@@ -806,34 +854,48 @@ class TestCompiledCycle:
            st.integers(0, 1 << 40), st.integers(0, (1 << 64) - 1))
     def test_matches_the_opels(self, program_inputs, modulus, cycle, seed):
         # Every variable's (x, c), fault-free and under every explicit
-        # fault, against `reference_cycle`; on overflow both halt at the
-        # same variable, and run_cycle names it.
+        # fault, against `reference_cycle`: the cycle hands them to its
+        # end strike, which records them and strikes nothing.  On
+        # overflow both halt at the same variable.  Then run_cycle's
+        # verdict against `reference_tail`.
         source, inputs = program_inputs
         key = make_key(modulus)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DuplicateSignatureWarning)
             table, program = build(parse_program(source), key, seed)
         compiled = coded_runtime._compile_cycle(program)
+        last = len(program.variables) - 1  # every variable is an output
         cases = [(None, {}), *colliding_selectors(program, key)]
         for n, (model, selectors) in enumerate(cases):
-            rows, hit, strike = program.rows, -1, None
+            rows, hit, end, fault = program.rows, -1, -1, None
             if model:
                 fault = Fault(model, program, key, **selectors)
-                rows, hit, _ = fault.draw(trial_rng("opels", n))
-                strike = fault.strike
-            values = compiled(inputs, program.ir.consts, table.signatures,
-                              program.variables, rows, cycle % modulus,
-                              modulus, hit, strike, int)
+                rows, hit, end = fault.draw(trial_rng("opels", n))
+            recorded = []
+
+            def strike(value, *values):
+                if not values:  # F1/F2, right after the definition
+                    return fault.strike(value)
+                recorded.append(values[0])
+                return value
+
+            code = compiled(inputs, program.ir.consts, table.signatures,
+                            program.variables, rows, cycle % modulus,
+                            modulus, hit, last, strike, True, int)
             expected = reference_cycle(program, table, inputs, cycle, key,
-                                       rows, hit, strike)
-            assert values == expected, (model, selectors)
+                                       rows, hit, fault and fault.strike)
             if type(expected) is int:
-                result = run_cycle(
-                    program, table, inputs, cycle, key,
-                    model and Fault(model, program, key, **selectors),
-                    trial_rng("opels", n))
-                assert (result.verdict, result.reason, result.variable) \
-                    == (SAFE_HALT, OVERFLOW, program.variables[expected])
+                assert (code, recorded) == (expected, []), (model, selectors)
+            else:
+                assert recorded == [expected], (model, selectors)
+            result = run_cycle(
+                program, table, inputs, cycle, key,
+                model and Fault(model, program, key, **selectors),
+                trial_rng("opels", n))
+            assert (result.verdict, result.reason, result.variable,
+                    result.outputs) == reference_tail(
+                        program, table, cycle, key, expected, fault, end), (
+                            model, selectors)
 
     def test_compiled_on_first_cycle_only(self):
         ir, key, table, program = build_sample(251)
