@@ -12,11 +12,12 @@ is one generated Python function, compiled on the program's first cycle
 and kept on it: two locals per variable, its functional field and its
 code field, and per instruction in IR order the formula of its OPEL in
 `coded_core`, written inline and reading that instruction's row of
-residues, then the end strike and each output's check inline.  The
-`coded_core` OPELs and `check` stay the reference arithmetic, and the
-tests hold the cycle to them.  Names, values and residues reach it as
-arguments, never as text, and `dsl.interpret` stays the separately
-written oracle.
+residues, then the end strike and each output's check inline.  Only
+the checks read the date D, so only an output's code field is dated,
+and any other is reduced lazily.  The `coded_core` OPELs and `check`
+stay the reference arithmetic, and the tests hold the cycle to them.
+Names, values and residues reach it as arguments, never as text, and
+`dsl.interpret` stays the separately written oracle.
 
 A `Fault` is armed against a program and key when it is built: the
 constructor checks each selector that is set and keeps the candidates
@@ -252,28 +253,38 @@ def inject_fault(fault: Fault, value: CodedValue, values=()) -> CodedValue:
 # The generated cycle.  Variable j is the pair of locals xj, cj, and
 # its text is these templates filled with integers only: row i's
 # residues are read from the `rows` argument.  A functional value
-# outside the 64-bit range makes the cycle return j at once.
+# outside the 64-bit range makes the cycle return j at once.  An
+# undated code field holds c - D, and each formula adds k·d, `_DATE[k]`,
+# for the dates of its operands and destination.
 _HEAD = ("def cycle(inputs, consts, sigs, names, rows, d, a, hit, end, "
          "strike, values, int):")
 _RANGE = f"if not {INT64_MIN} <= x{{j}} <= {INT64_MAX}: return {{j}}"
+_DATE = {-2: " - d - d", -1: " - d", 0: "", 1: " + d", 2: " + d + d"}
 # Inputs and constants are encoded as `coded_core.encode` does, with the
-# date reduced to d.
+# date reduced to d, or none.
 _INPUT = "x{j} = int(inputs[names[{j}]])"
 _CONST = "x{j} = consts[names[{j}]]"
-_ENCODE = "c{j} = (x{j} + sigs[names[{j}]] + d) % a"
-# Each row is `coded_core`'s OPEL formula with the date term d folded in
-# as documented on sigtool.predetermine; the result is reduced once, so
-# the constants stay unreduced.
+_ENCODE = "c{j} = (x{j} + sigs[names[{j}]]{dj}) % a"
+# Each row is `coded_core`'s OPEL formula with the date term folded in
+# as documented on sigtool.predetermine, so the constants stay
+# unreduced; `_REDUCE` follows where `_compile_cycle` reduces.
 _ROW = {
     ADD: ("x{j} = x{s1} + x{s2}", _RANGE,
-          "c{j} = (c{s1} + c{s2} + rows[{i}][0] - d) % a"),
+          "c{j} = c{s1} + c{s2} + rows[{i}][0]{date}"),
     SUB: ("x{j} = x{s1} - x{s2}", _RANGE,
-          "c{j} = (c{s1} - c{s2} + rows[{i}][0] + d) % a"),
+          "c{j} = c{s1} - c{s2} + rows[{i}][0]{date}"),
     MUL: ("x{j} = x{s1} * x{s2}", _RANGE, "t1, t2, k3 = rows[{i}]",
-          "c{j} = ((c{s1} - t1 - d) * (c{s2} - t2 - d) + k3 + d) % a"),
-    MOVE: ("x{j} = x{s1}", "c{j} = (c{s1} + rows[{i}][0]) % a"),
+          "c{j} = (c{s1} - t1{d1}) * (c{s2} - t2{d2}) + k3{dj}"),
+    MOVE: ("x{j} = x{s1}", "c{j} = c{s1} + rows[{i}][0]{date}"),
 }
-_STRIKE = "if hit == {j}: x{j}, c{j} = strike((x{j}, c{j}))"
+_REDUCE = "c{j} %= a"
+# An unreduced code field stays below _BOUND·A, 2^60 at the largest
+# key; a strike, whose code field is below 2A, at most doubles that.
+_BOUND = 1 << 12
+# The F1/F2 strike sees the dated, reduced code field, and an undated
+# variable stores the date back out.
+_STRIKE = ("if hit == {j}: x{j}, c{j} = strike((x{j}, (c{j} + d) % a)); "
+           "c{j} -= d", "if hit == {j}: x{j}, c{j} = strike((x{j}, c{j}))")
 # The end strike passes every variable's value, which only F3 reads;
 # output p's check is `coded_core.check` with the date reduced to d.
 _END_STRIKE = "if end == {j}: x{j}, c{j} = strike((x{j}, c{j}), values)"
@@ -292,21 +303,40 @@ def _compile_cycle(program: CodedProgram):
     from `rows[i]` of the `rows` argument, so F5's patched rows need no
     recompile.  The function reads no global name and is built in empty
     globals.
+
+    Outputs are dated and reduced where defined, as the end strike and
+    checks read them.  Any other code field is undated and is reduced
+    only by a MUL or where `bound`, on |cj| in multiples of A, would pass
+    `_BOUND`; the F1/F2 strike and F3's `values` see it as `(cj + d) % a`.
     """
     ir, index = program.ir, program.index
     first = len(ir.inputs) + len(ir.consts)
+    count = first + len(ir.instructions)
+    outputs = [index[name] for name in ir.outputs]
+    dated, bound = [0] * count, [1] * count
+    for j in outputs:
+        dated[j] = 1
     lines = [_HEAD]
     for j in range(first):
         head = _INPUT if j < len(ir.inputs) else _CONST
-        lines += (t.format(j=j) for t in (head, _RANGE, _ENCODE, _STRIKE))
+        lines += (t.format(j=j, dj=_DATE[dated[j]])
+                  for t in (head, _RANGE, _ENCODE, _STRIKE[dated[j]]))
     for i, ins in enumerate(ir.instructions):
-        lines += (t.format(i=i, j=first + i, s1=index[ins.src1],
-                           s2=index.get(ins.src2))  # None for MOVE
-                  for t in _ROW[ins.opcode] + (_STRIKE,))
-    count = first + len(ir.instructions)
-    pairs = "".join(f"(x{j}, c{j}), " for j in range(count))
+        j, op, row = first + i, ins.opcode, _ROW[ins.opcode]
+        s1, s2 = index[ins.src1], index.get(ins.src2)  # None for MOVE
+        d1, d2 = dated[s1], 0 if s2 is None else dated[s2]
+        date = dated[j] - d1 + (d2 if op == SUB else -d2)
+        b = bound[s1] + (0 if s2 is None else bound[s2]) + 1 + abs(date)
+        if op == MUL or dated[j] or b > _BOUND:
+            row += (_REDUCE,)
+        else:
+            bound[j] = b
+        fields = {"i": i, "j": j, "s1": s1, "s2": s2, "date": _DATE[date],
+                  "dj": _DATE[dated[j]], "d1": _DATE[-d1], "d2": _DATE[-d2]}
+        lines += (t.format_map(fields) for t in row + (_STRIKE[dated[j]],))
+    pairs = "".join(f"(x{j}, c{j}), " if dated[j] else
+                    f"(x{j}, (c{j} + d) % a), " for j in range(count))
     lines.append(f"values = ({pairs}) if values else None")
-    outputs = [index[name] for name in ir.outputs]
     lines += (_END_STRIKE.format(j=j) for j in dict.fromkeys(outputs))
     lines += (_CHECK.format(j=j, code=~p) for p, j in enumerate(outputs))
     lines.append(f"return ({''.join(f'x{j}, ' for j in outputs)})")

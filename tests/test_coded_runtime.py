@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -654,8 +655,10 @@ VALUES = st.one_of(st.integers(-1000, 1000), INT64,
 
 
 @st.composite
-def straight_line_programs(draw):
-    """(source, inputs): every variable is declared an output."""
+def straight_line_programs(draw, subset=False):
+    """(source, inputs): every variable is declared an output, in
+    canonical order, or with `subset` a drawn non-empty subset of them,
+    in a drawn order."""
     names = [f"i{n}" for n in range(draw(st.integers(1, 3)))]
     lines = [f"input {n};" for n in names]
     inputs = {n: draw(VALUES) for n in names}
@@ -671,6 +674,9 @@ def straight_line_programs(draw):
         else:
             lines.append(f"v{n} = {src1} {op} {draw(st.sampled_from(names))};")
         names.append(f"v{n}")
+    if subset:
+        names = draw(st.permutations(names))
+        names = names[:draw(st.integers(1, len(names)))]
     lines.extend(f"output {n};" for n in names)
     return "\n".join(lines), inputs
 
@@ -812,6 +818,69 @@ def colliding_selectors(program, key):
         yield "F5", {"instruction": i}
 
 
+def built(program_inputs, modulus, seed):
+    """(program, table, inputs, key) of a (source, inputs) pair."""
+    source, inputs = program_inputs
+    key = make_key(modulus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DuplicateSignatureWarning)
+        table, program = build(parse_program(source), key, seed)
+    return program, table, inputs, key
+
+
+def assert_matches_the_opels(program, table, inputs, key, cycle):
+    """Every variable's (x, c), fault-free and under every explicit
+    fault, against `reference_cycle`: the cycle hands them to its end
+    strike on the first declared output, which records them and strikes
+    nothing.  An output's must match exactly; any other variable's x
+    exactly and its c mod A, the only way anything later reads it.
+    Every code local then lies below 2^61.  On overflow both halt at the
+    same variable.  Then run_cycle's verdict against `reference_tail`.
+    """
+    compiled = coded_runtime._compile_cycle(program)
+    a, outputs = key.modulus, program.ir.outputs
+    dated = {program.index[name] for name in outputs}
+
+    def observed(values):
+        return [v if j in dated else (v[0], v[1] % a)
+                for j, v in enumerate(values)]
+
+    cases = [(None, {}), *colliding_selectors(program, key)]
+    for n, (model, selectors) in enumerate(cases):
+        rows, hit, end, fault = program.rows, -1, -1, None
+        if model:
+            fault = Fault(model, program, key, **selectors)
+            rows, hit, end = fault.draw(trial_rng("opels", n))
+        recorded = []
+
+        def strike(value, *values):
+            if not values:  # F1/F2, right after the definition
+                return fault.strike(value)
+            recorded.append(observed(values[0]))
+            cycle_locals = sys._getframe(1).f_locals
+            assert all(abs(c) < 1 << 61 for name, c in cycle_locals.items()
+                       if name[0] == "c" and name[1:].isdigit())
+            return value
+
+        code = compiled(inputs, program.ir.consts, table.signatures,
+                        program.variables, rows, cycle % a, a, hit,
+                        program.index[outputs[0]], strike, True, int)
+        expected = reference_cycle(program, table, inputs, cycle, key,
+                                   rows, hit, fault and fault.strike)
+        if type(expected) is int:
+            assert (code, recorded) == (expected, []), (model, selectors)
+        else:
+            assert recorded == [observed(expected)], (model, selectors)
+        result = run_cycle(
+            program, table, inputs, cycle, key,
+            model and Fault(model, program, key, **selectors),
+            trial_rng("opels", n))
+        assert (result.verdict, result.reason, result.variable,
+                result.outputs) == reference_tail(
+                    program, table, cycle, key, expected, fault, end), (
+                        model, selectors)
+
+
 class TestCompiledCycle:
     def test_colliding_names_match_interpret(self):
         ir = parse_program(COLLIDING_PROGRAM)
@@ -853,49 +922,31 @@ class TestCompiledCycle:
     @given(straight_line_programs(), st.sampled_from(KEYS),
            st.integers(0, 1 << 40), st.integers(0, (1 << 64) - 1))
     def test_matches_the_opels(self, program_inputs, modulus, cycle, seed):
-        # Every variable's (x, c), fault-free and under every explicit
-        # fault, against `reference_cycle`: the cycle hands them to its
-        # end strike, which records them and strikes nothing.  On
-        # overflow both halt at the same variable.  Then run_cycle's
-        # verdict against `reference_tail`.
-        source, inputs = program_inputs
-        key = make_key(modulus)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DuplicateSignatureWarning)
-            table, program = build(parse_program(source), key, seed)
-        compiled = coded_runtime._compile_cycle(program)
-        last = len(program.variables) - 1  # every variable is an output
-        cases = [(None, {}), *colliding_selectors(program, key)]
-        for n, (model, selectors) in enumerate(cases):
-            rows, hit, end, fault = program.rows, -1, -1, None
-            if model:
-                fault = Fault(model, program, key, **selectors)
-                rows, hit, end = fault.draw(trial_rng("opels", n))
-            recorded = []
+        # Every variable is an output, so every (x, c) must match exactly.
+        assert_matches_the_opels(*built(program_inputs, modulus, seed),
+                                 cycle)
 
-            def strike(value, *values):
-                if not values:  # F1/F2, right after the definition
-                    return fault.strike(value)
-                recorded.append(values[0])
-                return value
+    @settings(max_examples=200, deadline=None)
+    @given(straight_line_programs(subset=True), st.sampled_from(KEYS),
+           st.integers(0, 1 << 40), st.integers(0, (1 << 64) - 1))
+    def test_matches_the_opels_on_declared_outputs(
+            self, program_inputs, modulus, cycle, seed):
+        # Only the outputs, declared in a drawn order, are dated; every
+        # other code field is undated and reduced lazily.
+        assert_matches_the_opels(*built(program_inputs, modulus, seed),
+                                 cycle)
 
-            code = compiled(inputs, program.ir.consts, table.signatures,
-                            program.variables, rows, cycle % modulus,
-                            modulus, hit, last, strike, True, int)
-            expected = reference_cycle(program, table, inputs, cycle, key,
-                                       rows, hit, fault and fault.strike)
-            if type(expected) is int:
-                assert (code, recorded) == (expected, []), (model, selectors)
-            else:
-                assert recorded == [expected], (model, selectors)
-            result = run_cycle(
-                program, table, inputs, cycle, key,
-                model and Fault(model, program, key, **selectors),
-                trial_rng("opels", n))
-            assert (result.verdict, result.reason, result.variable,
-                    result.outputs) == reference_tail(
-                        program, table, cycle, key, expected, fault, end), (
-                            model, selectors)
+    @pytest.mark.parametrize("modulus", [2**31 - 1, 2**48 - 59])
+    def test_long_sums_stay_bounded(self, modulus):
+        # Unreduced, v40's code field would pass 2^61.  v5 is an output,
+        # so v6 drops two dates and r, from undated m and dated v5, adds
+        # two; the bound on the chain's code fields passes
+        # `coded_runtime._BOUND` at v16, v28 and v40, so each is reduced.
+        chain = "".join(f"v{n} = v{n - 1} + v{n - 1}; " for n in range(2, 41))
+        source = (f"input a; input b; v1 = a + a; {chain}m = v40 * b; "
+                  f"r = m - v5; output r; output v5;")
+        inputs = {"a": 3, "b": -5}
+        assert_matches_the_opels(*built((source, inputs), modulus, 6), 77)
 
     def test_compiled_on_first_cycle_only(self):
         ir, key, table, program = build_sample(251)
