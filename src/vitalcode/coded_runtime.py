@@ -26,14 +26,14 @@ of each one left unset, and a cycle then only draws from them.
 
 Fault models (one mutation per trial).  `Fault.draw` makes every draw a
 fault needs, before the cycle runs; `inject_fault` then maps the
-target's coded value to the struck one from the armed fault and the
-cycle's values alone, for every model but F5, whose row `draw` patches:
+target's coded value to the struck one from the armed fault alone, for
+every model but F5, whose row `draw` patches:
 
   F1  flip one bit of a variable's functional field, right after the
       variable is defined
   F2  flip one bit of a variable's code field, right after definition
   F3  operand substitution: at cycle end an output's coded value is
-      replaced by another variable's current coded value
+      replaced by another variable's, taken where that one is defined
   F4  stale data: at cycle end an output's code field is replaced by the
       code the same value had at an earlier date
   F5  corrupt one compensation constant of one instruction before the
@@ -129,7 +129,7 @@ class Fault:
     names once, here, when its donor is unset.  `draw` then picks one
     cycle's selectors and leaves them in `variable`, `donor`,
     `instruction`, `bit` and, for F6, `record`, where `inject_fault`
-    reads them.
+    reads them; F3's first strike keeps its donor's value in `record`.
     """
 
     __slots__ = ("model", "variable", "donor", "instruction", "bit",
@@ -181,8 +181,8 @@ class Fault:
     def draw(self, rng: TrialStream | None):
         """Make every draw of one cycle's fault from `rng` and return the
         rows the cycle runs, the index of the variable struck right after
-        its definition and the index of the one struck at cycle end, each
-        -1 for none.  Nothing else draws for the fault.
+        its definition (F3's donor) and the index of the one struck at
+        cycle end, each -1 for none.  Nothing else draws for the fault.
 
         Draw order: F1/F2 variable, then bit; F3 output, then donor from
         the other variables in sorted order; F4 output; F5 instruction,
@@ -207,6 +207,7 @@ class Fault:
             if self._bits is not None:
                 self.bit = rng.randrange(len(self._bits))
             return program.rows, j, -1
+        self.record = None  # F3's donor value, kept by its first strike
         if self._donors is not None:
             # Uniform over the sorted variables other than the target.
             names = self._donors
@@ -215,25 +216,26 @@ class Fault:
         elif self.model == F6:
             x = rng.getrandbits(FUNCTIONAL_BITS) - (1 << (FUNCTIONAL_BITS - 1))
             self.record = x, rng.randrange(self._key.modulus)
-        return program.rows, -1, j
+        return program.rows, program.index.get(self.donor, -1), j
 
-    def strike(self, value: CodedValue, values=()) -> CodedValue:
-        """The compiled cycle's strike hook, after an F1/F2 target's
-        definition and at cycle end for F3/F4/F6."""
-        return inject_fault(self, value, values)
+    def strike(self, value: CodedValue) -> CodedValue:
+        """The compiled cycle's strike hook, after an F1/F2 target's or
+        F3 donor's definition and at cycle end for F3/F4/F6."""
+        return inject_fault(self, value)
 
 
-def inject_fault(fault: Fault, value: CodedValue, values=()) -> CodedValue:
+def inject_fault(fault: Fault, value: CodedValue) -> CodedValue:
     """The struck value of a fault's target (F1-F4, F6).
 
     `fault` has drawn this cycle's selectors (`Fault.draw`); `value` is
-    the target's coded value at the injection point and `values` every
-    variable's, in canonical order, which only F3 reads.  F1 flips bit
-    `fault.bit` of the functional field's 64-bit two's-complement word,
-    F2 that bit of the code field; F3 returns the donor's value; F4
-    returns the code the same value had `fault.staleness` dates ago,
-    which on a well-formed value is its encoding at that date; F6
-    returns the record `draw` drew.  Nothing here draws.
+    the coded value at the injection point.  F1 flips bit `fault.bit` of
+    the functional field's 64-bit two's-complement word, F2 that bit of
+    the code field; F3's first strike keeps the donor's value in
+    `fault.record`, at its one definition and so as at cycle end, and
+    returns it unchanged, and its second, on the target, returns that
+    record; F4 returns the code the same value had `fault.staleness`
+    dates ago, which on a well-formed value is its encoding at that
+    date; F6 returns the record `draw` drew.  Nothing here draws.
     """
     x, c = value
     if fault.model == F1:
@@ -243,11 +245,11 @@ def inject_fault(fault: Fault, value: CodedValue, values=()) -> CodedValue:
         return word, c
     if fault.model == F2:
         return x, c ^ (1 << fault.bit)
-    if fault.model == F3:
-        return values[fault._program.index[fault.donor]]
+    if fault.model == F3 and fault.record is None:
+        fault.record = value
     if fault.model == F4:
         return x, (c - fault.staleness) % fault._key.modulus
-    return fault.record  # F6
+    return fault.record  # F3, F6
 
 
 # The generated cycle.  Variable j is the pair of locals xj, cj, and
@@ -257,7 +259,7 @@ def inject_fault(fault: Fault, value: CodedValue, values=()) -> CodedValue:
 # undated code field holds c - D, and each formula adds k·d, `_DATE[k]`,
 # for the dates of its operands and destination.
 _HEAD = ("def cycle(inputs, consts, sigs, names, rows, d, a, hit, end, "
-         "strike, values, int):")
+         "strike, int):")
 _RANGE = f"if not {INT64_MIN} <= x{{j}} <= {INT64_MAX}: return {{j}}"
 _DATE = {-2: " - d - d", -1: " - d", 0: "", 1: " + d", 2: " + d + d"}
 # Inputs and constants are encoded as `coded_core.encode` does, with the
@@ -281,13 +283,13 @@ _REDUCE = "c{j} %= a"
 # An unreduced code field stays below _BOUND·A, 2^60 at the largest
 # key; a strike, whose code field is below 2A, at most doubles that.
 _BOUND = 1 << 12
-# The F1/F2 strike sees the dated, reduced code field, and an undated
-# variable stores the date back out.
+# The F1/F2 strike and F3's capture of its donor see the dated,
+# reduced code field, and an undated variable stores the date back out.
 _STRIKE = ("if hit == {j}: x{j}, c{j} = strike((x{j}, (c{j} + d) % a)); "
            "c{j} -= d", "if hit == {j}: x{j}, c{j} = strike((x{j}, c{j}))")
-# The end strike passes every variable's value, which only F3 reads;
-# output p's check is `coded_core.check` with the date reduced to d.
-_END_STRIKE = "if end == {j}: x{j}, c{j} = strike((x{j}, c{j}), values)"
+# The end strike on an output, and output p's check, which is
+# `coded_core.check` with the date reduced to d.
+_END_STRIKE = "if end == {j}: x{j}, c{j} = strike((x{j}, c{j}))"
 _CHECK = "if c{j} != (x{j} + sigs[names[{j}]] + d) % a: return {code}"
 
 
@@ -307,7 +309,7 @@ def _compile_cycle(program: CodedProgram):
     Outputs are dated and reduced where defined, as the end strike and
     checks read them.  Any other code field is undated and is reduced
     only by a MUL or where `bound`, on |cj| in multiples of A, would pass
-    `_BOUND`; the F1/F2 strike and F3's `values` see it as `(cj + d) % a`.
+    `_BOUND`; the strike after its definition sees it as `(cj + d) % a`.
     """
     ir, index = program.ir, program.index
     first = len(ir.inputs) + len(ir.consts)
@@ -334,9 +336,6 @@ def _compile_cycle(program: CodedProgram):
         fields = {"i": i, "j": j, "s1": s1, "s2": s2, "date": _DATE[date],
                   "dj": _DATE[dated[j]], "d1": _DATE[-d1], "d2": _DATE[-d2]}
         lines += (t.format_map(fields) for t in row + (_STRIKE[dated[j]],))
-    pairs = "".join(f"(x{j}, c{j}), " if dated[j] else
-                    f"(x{j}, (c{j} + d) % a), " for j in range(count))
-    lines.append(f"values = ({pairs}) if values else None")
     lines += (_END_STRIKE.format(j=j) for j in dict.fromkeys(outputs))
     lines += (_CHECK.format(j=j, code=~p) for p, j in enumerate(outputs))
     lines.append(f"return ({''.join(f'x{j}, ' for j in outputs)})")
@@ -356,21 +355,22 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     (`_compile_cycle`).  A fault, armed against this program and key,
     makes all its draws from `rng` in `Fault.draw` before execution;
     exactly one mutation is applied: F5 runs its patched rows, and the
-    cycle calls `Fault.strike` right after the F1/F2 target is defined,
-    or at cycle end, before the checks, on an F3/F4/F6 target that is an
-    output (no check reads any other).  A value outside the 64-bit range,
-    input or result, is a safe halt that names the variable being defined.
+    cycle calls `Fault.strike` right after the F1/F2 target or F3 donor
+    is defined, and at cycle end, before the checks, on an F3/F4/F6
+    target that is an output (no check reads any other).  A value
+    outside the 64-bit range, input or result, is a safe halt that
+    names the variable being defined.
     """
     ir = program.ir
-    rows, hit, end, strike, values = program.rows, -1, -1, None, False
+    rows, hit, end, strike = program.rows, -1, -1, None
     if fault is not None:
         rows, hit, end = fault.draw(rng)
-        strike, values = fault.strike, fault.model == F3
+        strike = fault.strike
     a = key.modulus
     try:
         code = (program.compiled or _compile_cycle(program))(
             inputs, ir.consts, table.signatures, program.variables, rows,
-            cycle % a, a, hit, end, strike, values, int)
+            cycle % a, a, hit, end, strike, int)
     except KeyError as exc:
         name = exc.args[0]
         if name in ir.inputs and name not in inputs:

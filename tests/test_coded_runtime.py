@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 from operator import attrgetter
 
 import pytest
@@ -188,14 +189,14 @@ class TestFaultModels:
     def test_inject_fault_mutates_the_pair(self):
         # Each model's struck value, checked field by field on a fault
         # with every selector set, after the fault's draws: only F6's
-        # record, drawn in `draw`.
+        # record, drawn in `draw`.  F3 first strikes its donor, which
+        # it keeps and leaves unchanged.
         ir, key, table, program = build_sample(2**31 - 1)
         a, sigs, cycle = key.modulus, table.signatures, 1_000_003
         names = sorted(program.variables)
         plain = [INT64_MIN, -1, 0, 1, INT64_MAX, -123456789, 987654321]
         before = {name: encode(plain[i % len(plain)], sigs[name], cycle, key)
                   for i, name in enumerate(names)}
-        values = tuple(before[name] for name in program.variables)
         word = (1 << FUNCTIONAL_BITS) - 1
 
         def strike(model, stream="inject", **selectors):
@@ -205,7 +206,10 @@ class TestFaultModels:
             if model != "F6":
                 assert rng.getrandbits(64) \
                     == trial_rng(stream, 0).getrandbits(64)
-            struck = inject_fault(fault, before[fault.variable], values)
+            if model == "F3":
+                donor = before[fault.donor]
+                assert inject_fault(fault, donor) == donor
+            struck = inject_fault(fault, before[fault.variable])
             assert type(struck) is tuple
             return struck
 
@@ -484,6 +488,57 @@ class TestCampaign:
                 assert {o: getattr(group, o) for o in FaultOutcomes.names} \
                     == {o: tally[model, o] for o in FaultOutcomes.names}
             assert sum(tally.values()) == report.trials
+
+    def test_f3_rates_match_the_enumeration(self):
+        # ROADMAP item 3's F3 slice.  The header is one uniform draw and
+        # the cycle is uniform on [1, 2^20), so each date residue weighs
+        # its count there; the reference walker, with a fresh fault per
+        # strike, gives every (input, output, donor, residue) its exact
+        # outcome.  Seed 19 signs t and o alike, each the last name the
+        # other draws as a donor, so a substitution between them is
+        # accepted: a wrong output unless a = 0.
+        ir = parse_program("input a; const k = 3; t = a * k; o = t + a; "
+                           "output o; output t;")
+        key = make_key(13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateSignatureWarning)
+            table, program = build(ir, key, 19)
+        assert table.signatures["t"] == table.signatures["o"]
+        names = program.variables
+        weight = {r: Fraction(len(range(r or 13, 1 << 20, 13)), (1 << 20) - 1)
+                  for r in range(13)}
+        assert set(weight.values()) == {Fraction(n, (1 << 20) - 1)
+                                        for n in (80_659, 80_660)}
+        exact = Counter()
+        for a in range(-100, 101):
+            plain = interpret(ir, {"a": a})
+            for target in ir.outputs:
+                for donor in names:
+                    if donor == target:
+                        continue
+                    share = Fraction(1, 201 * len(ir.outputs)
+                                     * (len(names) - 1))
+                    for r in range(13):
+                        fault = Fault("F3", program, key, variable=target,
+                                      donor=donor)
+                        values = reference_cycle(
+                            program, table, {"a": a}, r, key, program.rows,
+                            program.index[donor], fault.strike)
+                        verdict, _, _, outputs = reference_tail(
+                            program, table, r, key, values, fault,
+                            program.index[target])
+                        outcome = ("detected" if verdict != ACCEPT else
+                                   "benign" if outputs == plain else
+                                   "undetected_wrong_output")
+                        exact[outcome] += share * weight[r]
+        assert sum(exact.values()) == 1
+        assert exact["undetected_wrong_output"] == Fraction(200, 201 * 3)
+        trials = 20_000
+        f3 = run_campaign(program, table, key, ["F3"], trials,
+                          seed=3).per_model["F3"]
+        for outcome in FaultOutcomes.names:
+            lo, hi = wilson_interval(getattr(f3, outcome), trials, z=3.89)
+            assert lo <= exact[outcome] <= hi, (outcome, f3.row())
 
     def test_f3_memory_stays_linear_in_outputs(self):
         # A donor tuple per target would hold outputs x variables names:
@@ -782,13 +837,15 @@ def reference_cycle(program, table, inputs, cycle, key, rows, hit, strike):
 
 def reference_tail(program, table, cycle, key, values, fault, end):
     """(verdict, reason, variable, outputs) of a cycle whose variables
-    `reference_cycle` gave as `values`: output `end` struck through
-    `inject_fault`, then `coded_core.check` on each declared output."""
+    `reference_cycle` gave as `values`, striking `fault`: output `end`
+    struck through `inject_fault` (F3 with the donor value its strike
+    in `reference_cycle` kept), then `coded_core.check` on each
+    declared output."""
     if type(values) is int:
         return SAFE_HALT, OVERFLOW, program.variables[values], None
     values = list(values)
     if end >= 0:
-        values[end] = inject_fault(fault, values[end], values)
+        values[end] = inject_fault(fault, values[end])
     outputs = {}
     for name in program.ir.outputs:
         value = values[program.index[name]]
@@ -830,20 +887,21 @@ def built(program_inputs, modulus, seed):
 
 def assert_matches_the_opels(program, table, inputs, key, cycle):
     """Every variable's (x, c), fault-free and under every explicit
-    fault, against `reference_cycle`: the cycle hands them to its end
-    strike on the first declared output, which records them and strikes
-    nothing.  An output's must match exactly; any other variable's x
-    exactly and its c mod A, the only way anything later reads it.
-    Every code local then lies below 2^61.  On overflow both halt at the
-    same variable.  Then run_cycle's verdict against `reference_tail`.
+    fault, against `reference_cycle`: the end strike on the first
+    declared output reads them from the cycle's locals, where an
+    undated code field holds c - D, and strikes nothing.  An output's
+    must match exactly; any other variable's x exactly and its c mod A,
+    the only way anything later reads it.  Every code local then lies
+    below 2^61.  On overflow both halt at the same variable.  Then
+    run_cycle's verdict against `reference_tail`.
     """
     compiled = coded_runtime._compile_cycle(program)
-    a, outputs = key.modulus, program.ir.outputs
+    a, outputs, d = key.modulus, program.ir.outputs, cycle % key.modulus
     dated = {program.index[name] for name in outputs}
 
-    def observed(values):
-        return [v if j in dated else (v[0], v[1] % a)
-                for j, v in enumerate(values)]
+    def observed(values, date=0):
+        return [(x, c if j in dated else (c + date) % a)
+                for j, (x, c) in enumerate(values)]
 
     cases = [(None, {}), *colliding_selectors(program, key)]
     for n, (model, selectors) in enumerate(cases):
@@ -851,20 +909,25 @@ def assert_matches_the_opels(program, table, inputs, key, cycle):
         if model:
             fault = Fault(model, program, key, **selectors)
             rows, hit, end = fault.draw(trial_rng("opels", n))
-        recorded = []
+        recorded, struck = [], []
 
-        def strike(value, *values):
-            if not values:  # F1/F2, right after the definition
+        def strike(value):
+            if hit >= 0 and not struck:  # F1/F2/F3, after the definition
+                struck.append(value)
                 return fault.strike(value)
-            recorded.append(observed(values[0]))
             cycle_locals = sys._getframe(1).f_locals
+            recorded.append(observed(
+                ((cycle_locals[f"x{j}"], cycle_locals[f"c{j}"])
+                 for j in range(len(program.variables))), d))
             assert all(abs(c) < 1 << 61 for name, c in cycle_locals.items()
                        if name[0] == "c" and name[1:].isdigit())
             return value
 
         code = compiled(inputs, program.ir.consts, table.signatures,
-                        program.variables, rows, cycle % a, a, hit,
-                        program.index[outputs[0]], strike, True, int)
+                        program.variables, rows, d, a, hit,
+                        program.index[outputs[0]], strike, int)
+        if model:  # a fresh capture for the reference's own F3 strikes
+            fault.draw(trial_rng("opels", n))
         expected = reference_cycle(program, table, inputs, cycle, key,
                                    rows, hit, fault and fault.strike)
         if type(expected) is int:
@@ -977,6 +1040,55 @@ class TestCompiledCycle:
                                        bit=62))
         assert (result.verdict, result.reason, result.variable) == (
             SAFE_HALT, OVERFLOW, "r")
+
+    @pytest.mark.parametrize("modulus", [13, 2**31 - 1])
+    def test_f3_capture_never_goes_stale(self, monkeypatch, modulus):
+        # One armed F3 fault per donor serves every cycle.  The second
+        # cycle keeps its donor, then halts at m; each later end strike
+        # must hand over the donor's value of its own cycle, the one the
+        # reference walker's fresh fault keeps.  r is defined after the
+        # target p, so its value is kept after p's definition.  At
+        # A = 13, seed 6 signs s, m and p alike, so substituting s or m
+        # is accepted.
+        ir = parse_program("input a; input b; const k = 3; s = a - b; "
+                           "m = s * b; p = m + k; r = a + b; "
+                           "output p; output r;")
+        key = make_key(modulus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateSignatureWarning)
+            table, program = build(ir, key, 6)
+        cycles = [({"a": 3, "b": 4}, 5), ({"a": 1 << 40, "b": 1 << 30}, 6),
+                  ({"a": -7, "b": 2}, 1000), ({"a": 0, "b": 0}, 3 * 13)]
+        calls = []
+
+        def spy(fault, value):
+            calls.append((value, inject_fault(fault, value)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(coded_runtime, "inject_fault", spy)
+        end, verdicts = program.index["p"], set()
+        for donor in ("a", "b", "k", "s", "m", "r"):
+            fault = Fault("F3", program, key, variable="p", donor=donor)
+            for inputs, cycle in cycles:
+                calls.clear()
+                result = run_cycle(program, table, inputs, cycle, key, fault)
+                strikes = calls[:]
+                ref = Fault("F3", program, key, variable="p", donor=donor)
+                values = reference_cycle(
+                    program, table, inputs, cycle, key, program.rows,
+                    program.index[donor], ref.strike)
+                kept = [ref.record] if ref.record else []
+                if type(values) is tuple:
+                    assert values[program.index[donor]] == ref.record
+                    kept *= 2
+                assert [struck for _, struck in strikes] == kept, donor
+                assert [value for value, _ in strikes[:1]] == kept[:1]
+                assert (result.verdict, result.reason, result.variable,
+                        result.outputs) == reference_tail(
+                            program, table, cycle, key, values, ref, end)
+                verdicts.add(result.verdict)
+        assert verdicts == {REJECT, SAFE_HALT} | (
+            {ACCEPT} if modulus == 13 else set())
 
     def test_missing_input_is_named(self):
         ir, key, table, program = build_sample(13)
