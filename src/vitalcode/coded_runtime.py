@@ -13,9 +13,12 @@ and kept on it: two locals per variable, its functional field and its
 code field, and per instruction in IR order the formula of its OPEL in
 `coded_core`, written inline and reading that instruction's row of
 residues, then the end strike and each output's check inline.  Only
-the checks read the date D, so only an output's code field is dated,
-and any other is reduced lazily.  The `coded_core` OPELs and `check`
-stay the reference arithmetic, and the tests hold the cycle to them.
+those checks read a code field, so only a variable whose code field
+reaches a declared output's check keeps one; every variable keeps its
+functional field, whose overflow is a safe halt.  Only the checks read
+the date D, so only an output's code field is dated, and any other is
+reduced lazily.  The `coded_core` OPELs and `check` stay the
+reference arithmetic, and the tests hold the cycle to them.
 Names, values and residues reach it as arguments, never as text, and
 `dsl.interpret` stays the separately written oracle.
 
@@ -252,12 +255,12 @@ def inject_fault(fault: Fault, value: CodedValue) -> CodedValue:
     return fault.record  # F3, F6
 
 
-# The generated cycle.  Variable j is the pair of locals xj, cj, and
-# its text is these templates filled with integers only: row i's
-# residues are read from the `rows` argument.  A functional value
-# outside the 64-bit range makes the cycle return j at once.  An
-# undated code field holds c - D, and each formula adds k·d, `_DATE[k]`,
-# for the dates of its operands and destination.
+# The generated cycle.  Variable j is the pair of locals xj, cj (xj
+# alone if it is not live), and its text is these templates filled with
+# integers only: row i's residues are read from the `rows` argument.  A
+# functional value outside the 64-bit range makes the cycle return j at
+# once.  An undated code field holds c - D, and each formula adds k·d,
+# `_DATE[k]`, for the dates of its operands and destination.
 _HEAD = ("def cycle(inputs, consts, sigs, names, rows, d, a, hit, end, "
          "strike, int):")
 _RANGE = f"if not {INT64_MIN} <= x{{j}} <= {INT64_MAX}: return {{j}}"
@@ -267,17 +270,19 @@ _DATE = {-2: " - d - d", -1: " - d", 0: "", 1: " + d", 2: " + d + d"}
 _INPUT = "x{j} = int(inputs[names[{j}]])"
 _CONST = "x{j} = consts[names[{j}]]"
 _ENCODE = "c{j} = (x{j} + sigs[names[{j}]]{dj}) % a"
-# Each row is `coded_core`'s OPEL formula with the date term folded in
-# as documented on sigtool.predetermine, so the constants stay
-# unreduced; `_REDUCE` follows where `_compile_cycle` reduces.
+# Each row is its functional line and range test, then `coded_core`'s
+# OPEL formula with the date term folded in as documented on
+# sigtool.predetermine, so the constants stay unreduced; `_REDUCE`
+# follows where `_compile_cycle` reduces.
 _ROW = {
-    ADD: ("x{j} = x{s1} + x{s2}", _RANGE,
-          "c{j} = c{s1} + c{s2} + rows[{i}][0]{date}"),
-    SUB: ("x{j} = x{s1} - x{s2}", _RANGE,
-          "c{j} = c{s1} - c{s2} + rows[{i}][0]{date}"),
-    MUL: ("x{j} = x{s1} * x{s2}", _RANGE, "t1, t2, k3 = rows[{i}]",
-          "c{j} = (c{s1} - t1{d1}) * (c{s2} - t2{d2}) + k3{dj}"),
-    MOVE: ("x{j} = x{s1}", "c{j} = c{s1} + rows[{i}][0]{date}"),
+    ADD: (("x{j} = x{s1} + x{s2}", _RANGE),
+          ("c{j} = c{s1} + c{s2} + rows[{i}][0]{date}",)),
+    SUB: (("x{j} = x{s1} - x{s2}", _RANGE),
+          ("c{j} = c{s1} - c{s2} + rows[{i}][0]{date}",)),
+    MUL: (("x{j} = x{s1} * x{s2}", _RANGE),
+          ("t1, t2, k3 = rows[{i}]",
+           "c{j} = (c{s1} - t1{d1}) * (c{s2} - t2{d2}) + k3{dj}")),
+    MOVE: (("x{j} = x{s1}",), ("c{j} = c{s1} + rows[{i}][0]{date}",)),
 }
 _REDUCE = "c{j} %= a"
 # An unreduced code field stays below _BOUND·A, 2^60 at the largest
@@ -287,6 +292,13 @@ _BOUND = 1 << 12
 # reduced code field, and an undated variable stores the date back out.
 _STRIKE = ("if hit == {j}: x{j}, c{j} = strike((x{j}, (c{j} + d) % a)); "
            "c{j} -= d", "if hit == {j}: x{j}, c{j} = strike((x{j}, c{j}))")
+# A variable whose code field reaches no declared output's check has no
+# cj.  Its strike hands over the encoding the OPELs would give it there,
+# where nothing has struck yet, and keeps only the struck x: F1's flip
+# still reaches the range tests of later rows, and F2's flip and an F5
+# patch of its row could reach no check.
+_DEAD_STRIKE = ("if hit == {j}: "
+                "x{j} = strike((x{j}, (x{j} + sigs[names[{j}]] + d) % a))[0]")
 # The end strike on an output, and output p's check, which is
 # `coded_core.check` with the date reduced to d.
 _END_STRIKE = "if end == {j}: x{j}, c{j} = strike((x{j}, c{j}))"
@@ -306,36 +318,51 @@ def _compile_cycle(program: CodedProgram):
     recompile.  The function reads no global name and is built in empty
     globals.
 
-    Outputs are dated and reduced where defined, as the end strike and
-    checks read them.  Any other code field is undated and is reduced
-    only by a MUL or where `bound`, on |cj| in multiples of A, would pass
-    `_BOUND`; the strike after its definition sees it as `(cj + d) % a`.
+    One backward pass over the instructions marks live the declared
+    outputs and every operand of a live instruction: only a live
+    variable's code field reaches a check.  A variable that is not live
+    gets its functional line, its range test and `_DEAD_STRIKE`, and no
+    code field.  Outputs are dated and reduced where defined, as the end
+    strike and checks read them.  Any other live code field is undated
+    and is reduced only by a MUL or where `bound`, on |cj| in multiples
+    of A, would pass `_BOUND`; the strike after its definition sees it as
+    `(cj + d) % a`.
     """
     ir, index = program.ir, program.index
     first = len(ir.inputs) + len(ir.consts)
     count = first + len(ir.instructions)
     outputs = [index[name] for name in ir.outputs]
-    dated, bound = [0] * count, [1] * count
+    dated, bound, live = [0] * count, [1] * count, set(outputs)
     for j in outputs:
         dated[j] = 1
+    for i in reversed(range(len(ir.instructions))):
+        ins = ir.instructions[i]
+        if first + i in live:
+            live.update(index[n] for n in (ins.src1, ins.src2)
+                        if n is not None)
     lines = [_HEAD]
     for j in range(first):
         head = _INPUT if j < len(ir.inputs) else _CONST
+        tail = (_ENCODE, _STRIKE[dated[j]]) if j in live else (_DEAD_STRIKE,)
         lines += (t.format(j=j, dj=_DATE[dated[j]])
-                  for t in (head, _RANGE, _ENCODE, _STRIKE[dated[j]]))
+                  for t in (head, _RANGE) + tail)
     for i, ins in enumerate(ir.instructions):
-        j, op, row = first + i, ins.opcode, _ROW[ins.opcode]
+        j, op = first + i, ins.opcode
+        functional, code = _ROW[op]
         s1, s2 = index[ins.src1], index.get(ins.src2)  # None for MOVE
         d1, d2 = dated[s1], 0 if s2 is None else dated[s2]
         date = dated[j] - d1 + (d2 if op == SUB else -d2)
         b = bound[s1] + (0 if s2 is None else bound[s2]) + 1 + abs(date)
-        if op == MUL or dated[j] or b > _BOUND:
-            row += (_REDUCE,)
+        if j not in live:
+            code = (_DEAD_STRIKE,)
+        elif op == MUL or dated[j] or b > _BOUND:
+            code += (_REDUCE, _STRIKE[dated[j]])
         else:
             bound[j] = b
+            code += (_STRIKE[dated[j]],)
         fields = {"i": i, "j": j, "s1": s1, "s2": s2, "date": _DATE[date],
                   "dj": _DATE[dated[j]], "d1": _DATE[-d1], "d2": _DATE[-d2]}
-        lines += (t.format_map(fields) for t in row + (_STRIKE[dated[j]],))
+        lines += (t.format_map(fields) for t in functional + code)
     lines += (_END_STRIKE.format(j=j) for j in dict.fromkeys(outputs))
     lines += (_CHECK.format(j=j, code=~p) for p, j in enumerate(outputs))
     lines.append(f"return ({''.join(f'x{j}, ' for j in outputs)})")

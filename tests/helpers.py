@@ -49,6 +49,17 @@ x = a * big; y = x + b; c = y; o = c - a;
 output o; output c;
 """
 
+# Only a, b, k, s, p and o reach a declared output.  The input spare,
+# the const big and a row of every opcode feed no check, and the dead
+# MUL u leaves int64 when |a| >= 91, so those cycles safe-halt.
+DEAD_PROGRAM = """
+input a; input b; input spare;
+const k = 5; const big = 102481911520608620;
+s = a + b; p = s * k; o = p - a;
+u = a * big; w = u + spare; m = w; y = spare - k; z = y * y;
+output o; output s;
+"""
+
 # Every keyless scheme family and HMAC under all eight threat kinds: the
 # channel grid whose report digests are pinned.
 CHANNEL_GRID = {

@@ -9,9 +9,10 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (MIXED_PROGRAM, OVERFLOW_PROGRAM, SAMPLE_CYCLE,
-                     SAMPLE_INPUTS, SAMPLE_PROGRAM, build_sample,
-                     random_straight_line_program, replay_campaign)
+from helpers import (DEAD_PROGRAM, MIXED_PROGRAM, OVERFLOW_PROGRAM,
+                     SAMPLE_CYCLE, SAMPLE_INPUTS, SAMPLE_PROGRAM,
+                     build_sample, random_straight_line_program,
+                     replay_campaign)
 from vitalcode import coded_runtime
 from vitalcode.coded_runtime import (ACCEPT, FAULT_MODELS, FUNCTIONAL_BITS,
                                      OUTPUT_INCOHERENT, OVERFLOW, REJECT,
@@ -490,13 +491,9 @@ class TestCampaign:
             assert sum(tally.values()) == report.trials
 
     def test_f3_rates_match_the_enumeration(self):
-        # ROADMAP item 3's F3 slice.  The header is one uniform draw and
-        # the cycle is uniform on [1, 2^20), so each date residue weighs
-        # its count there; the reference walker, with a fresh fault per
-        # strike, gives every (input, output, donor, residue) its exact
-        # outcome.  Seed 19 signs t and o alike, each the last name the
-        # other draws as a donor, so a substitution between them is
-        # accepted: a wrong output unless a = 0.
+        # ROADMAP item 3's F3 slice.  Seed 19 signs t and o alike, each
+        # the last name the other draws as a donor, so a substitution
+        # between them is accepted: a wrong output unless a = 0.
         ir = parse_program("input a; const k = 3; t = a * k; o = t + a; "
                            "output o; output t;")
         key = make_key(13)
@@ -504,41 +501,46 @@ class TestCampaign:
             warnings.simplefilter("ignore", DuplicateSignatureWarning)
             table, program = build(ir, key, 19)
         assert table.signatures["t"] == table.signatures["o"]
+        exact = exact_outcomes(program, table, key,
+                               {"F3": f3_cases(program, key)})
+        assert exact["F3"]["undetected_wrong_output"] == Fraction(200, 201 * 3)
+        assert_campaign_covers(program, table, key, exact, seed=3)
+
+    def test_dead_variable_rates_match_the_enumeration(self):
+        # ROADMAP item 3's F2, F3 and F5 slices on a program whose u
+        # reaches no declared output's check, so the compiled cycle keeps
+        # no code field for it and strikes it through its functional
+        # field alone.  Seed 3 signs u and o alike and t apart, so
+        # substituting u for o is accepted (a wrong output unless
+        # a = -3), and substituting u for t is detected on every date.
+        ir = parse_program("input a; const k = 3; t = a * k; o = t + a; "
+                           "u = t - k; output o; output t;")
+        key = make_key(13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateSignatureWarning)
+            table, program = build(ir, key, 3)
+        sigs = table.signatures
+        assert sigs["u"] == sigs["o"] != sigs["t"]
+        assert live_variables(program) == {program.index[n]
+                                           for n in ("a", "k", "t", "o")}
         names = program.variables
-        weight = {r: Fraction(len(range(r or 13, 1 << 20, 13)), (1 << 20) - 1)
-                  for r in range(13)}
-        assert set(weight.values()) == {Fraction(n, (1 << 20) - 1)
-                                        for n in (80_659, 80_660)}
-        exact = Counter()
-        for a in range(-100, 101):
-            plain = interpret(ir, {"a": a})
-            for target in ir.outputs:
-                for donor in names:
-                    if donor == target:
-                        continue
-                    share = Fraction(1, 201 * len(ir.outputs)
-                                     * (len(names) - 1))
-                    for r in range(13):
-                        fault = Fault("F3", program, key, variable=target,
-                                      donor=donor)
-                        values = reference_cycle(
-                            program, table, {"a": a}, r, key, program.rows,
-                            program.index[donor], fault.strike)
-                        verdict, _, _, outputs = reference_tail(
-                            program, table, r, key, values, fault,
-                            program.index[target])
-                        outcome = ("detected" if verdict != ACCEPT else
-                                   "benign" if outputs == plain else
-                                   "undetected_wrong_output")
-                        exact[outcome] += share * weight[r]
-        assert sum(exact.values()) == 1
-        assert exact["undetected_wrong_output"] == Fraction(200, 201 * 3)
-        trials = 20_000
-        f3 = run_campaign(program, table, key, ["F3"], trials,
-                          seed=3).per_model["F3"]
-        for outcome in FaultOutcomes.names:
-            lo, hi = wilson_interval(getattr(f3, outcome), trials, z=3.89)
-            assert lo <= exact[outcome] <= hi, (outcome, f3.row())
+        f2 = [(Fraction(1, len(names) * key.bit_width),
+               Fault("F2", program, key, variable=name, bit=bit), ())
+              for name in names for bit in range(key.bit_width)]
+        # A one-residue row draws no slot, only the delta.
+        f5 = [(Fraction(1, len(program.rows) * len(row) * 12),
+               Fault("F5", program, key, instruction=i),
+               (slot, delta) if len(row) > 1 else (delta,))
+              for i, row in enumerate(program.rows)
+              for slot in range(len(row)) for delta in range(1, 13)]
+        exact = exact_outcomes(program, table, key, {
+            "F2": f2, "F3": f3_cases(program, key), "F5": f5})
+        assert exact["F2"]["undetected_wrong_output"] == 0
+        assert exact["F5"]["undetected_wrong_output"] == 0
+        # An F2 flip of u, or an F5 patch of u's row, is never read.
+        assert exact["F2"]["benign"] > Fraction(1, len(names))
+        assert exact["F5"]["benign"] > Fraction(1, len(program.rows))
+        assert_campaign_covers(program, table, key, exact, seed=4)
 
     def test_f3_memory_stays_linear_in_outputs(self):
         # A donor tuple per target would hold outputs x variables names:
@@ -855,6 +857,76 @@ def reference_tail(program, table, cycle, key, values, fault, end):
     return ACCEPT, None, None, outputs
 
 
+class AnswerStream:
+    """The `TrialStream` subset `Fault.draw` reads for F2, F3 and F5:
+    each `randrange` call returns the next of the given answers."""
+
+    def __init__(self, answers):
+        self._answers = iter(answers)
+
+    def randrange(self, *bounds):
+        return next(self._answers)
+
+
+def f3_cases(program, key):
+    """(share, fault, answers) of every F3 (output, donor) pair, drawn
+    with the campaign's weights: uniform over the outputs, then over the
+    other variables."""
+    names, outputs = program.variables, program.ir.outputs
+    return [(Fraction(1, len(outputs) * (len(names) - 1)),
+             Fault("F3", program, key, variable=target, donor=donor), ())
+            for target in outputs for donor in names if donor != target]
+
+
+def exact_outcomes(program, table, key, cases):
+    """Each model's exact outcome fractions over an inject trial of a
+    one-input program at A = 13, from the reference walker.  The header
+    is one uniform draw and the cycle is uniform on [1, 2^20), so a is
+    uniform on [-100, 100] and each date residue weighs its count there.
+    `cases[model]` lists (share, fault, answers): an explicit fault
+    drawn, afresh for every cycle, from an `AnswerStream` of the
+    answers, with its share of the model's draws."""
+    [name] = program.ir.inputs
+    weight = [len(range(r or 13, 1 << 20, 13)) for r in range(13)]
+    assert set(weight) == {80_659, 80_660}
+    plain = {a: interpret(program.ir, {name: a}) for a in range(-100, 101)}
+    exact = {}
+    for model, model_cases in cases.items():
+        assert sum(share for share, _, _ in model_cases) == 1
+        exact[model] = Counter()
+        for share, fault, answers in model_cases:
+            counts = Counter()
+            for a, outputs_of_a in plain.items():
+                for r in range(13):
+                    rows, hit, end = fault.draw(AnswerStream(answers))
+                    values = reference_cycle(program, table, {name: a}, r,
+                                             key, rows, hit, fault.strike)
+                    verdict, _, _, outputs = reference_tail(
+                        program, table, r, key, values, fault, end)
+                    counts["detected" if verdict != ACCEPT else
+                           "benign" if outputs == outputs_of_a else
+                           "undetected_wrong_output"] += weight[r]
+            for outcome, n in counts.items():
+                exact[model][outcome] += share * Fraction(
+                    n, 201 * ((1 << 20) - 1))
+        assert sum(exact[model].values()) == 1
+    return exact
+
+
+def assert_campaign_covers(program, table, key, exact, seed):
+    """20,000 campaign trials of each model: every outcome's Wilson
+    interval at z = 3.89 covers its exact fraction."""
+    trials = 20_000
+    for model, fractions in exact.items():
+        group = run_campaign(program, table, key, [model], trials,
+                             seed=seed).per_model[model]
+        for outcome in FaultOutcomes.names:
+            lo, hi = wilson_interval(getattr(group, outcome), trials,
+                                     z=3.89)
+            assert lo <= fractions[outcome] <= hi, (model, outcome,
+                                                    group.row())
+
+
 def colliding_selectors(program, key):
     """(model, selectors) of explicit F1-F6 faults over every variable,
     output and row."""
@@ -885,23 +957,36 @@ def built(program_inputs, modulus, seed):
     return program, table, inputs, key
 
 
+def live_variables(program):
+    """Indices of the variables whose code field reaches a declared
+    output's check: the outputs and, walking the instructions from the
+    last, every operand of an instruction whose destination is live."""
+    live = set(program.ir.outputs)
+    for ins in reversed(program.ir.instructions):
+        if ins.dest in live:
+            live |= {ins.src1, ins.src2} - {None}
+    return {program.index[name] for name in live}
+
+
 def assert_matches_the_opels(program, table, inputs, key, cycle):
     """Every variable's (x, c), fault-free and under every explicit
     fault, against `reference_cycle`: the end strike on the first
     declared output reads them from the cycle's locals, where an
-    undated code field holds c - D, and strikes nothing.  An output's
-    must match exactly; any other variable's x exactly and its c mod A,
-    the only way anything later reads it.  Every code local then lies
-    below 2^61.  On overflow both halt at the same variable.  Then
+    undated code field holds c - D, and strikes nothing.  Every x must
+    match exactly.  Only a live variable (`live_variables`) has a code
+    local: an output's c must match exactly, and any other live one's
+    mod A, the only way anything later reads it.  Every code local then
+    lies below 2^61.  On overflow both halt at the same variable.  Then
     run_cycle's verdict against `reference_tail`.
     """
     compiled = coded_runtime._compile_cycle(program)
     a, outputs, d = key.modulus, program.ir.outputs, cycle % key.modulus
     dated = {program.index[name] for name in outputs}
+    live = live_variables(program)
 
     def observed(values, date=0):
-        return [(x, c if j in dated else (c + date) % a)
-                for j, (x, c) in enumerate(values)]
+        return [(x, c if j in dated else None if j not in live
+                 else (c + date) % a) for j, (x, c) in enumerate(values)]
 
     cases = [(None, {}), *colliding_selectors(program, key)]
     for n, (model, selectors) in enumerate(cases):
@@ -917,7 +1002,8 @@ def assert_matches_the_opels(program, table, inputs, key, cycle):
                 return fault.strike(value)
             cycle_locals = sys._getframe(1).f_locals
             recorded.append(observed(
-                ((cycle_locals[f"x{j}"], cycle_locals[f"c{j}"])
+                ((cycle_locals[f"x{j}"],
+                  cycle_locals[f"c{j}"] if j in live else None)
                  for j in range(len(program.variables))), d))
             assert all(abs(c) < 1 << 61 for name, c in cycle_locals.items()
                        if name[0] == "c" and name[1:].isdigit())
@@ -999,6 +1085,28 @@ class TestCompiledCycle:
         assert_matches_the_opels(*built(program_inputs, modulus, seed),
                                  cycle)
 
+    @pytest.mark.parametrize("modulus", KEYS)
+    @pytest.mark.parametrize("a", [7, -91])
+    def test_matches_the_opels_on_dead_rows(self, modulus, a):
+        # The dead MUL u leaves int64 at a = -91: a safe halt in a row no
+        # check reads.  At a = 7 every fault on a dead variable runs on.
+        inputs = {"a": a, "b": 4, "spare": -3}
+        assert_matches_the_opels(*built((DEAD_PROGRAM, inputs), modulus, 6),
+                                 77)
+
+    @settings(max_examples=200, deadline=None)
+    @given(straight_line_programs(subset=True))
+    def test_code_locals_are_the_live_variables(self, program_inputs):
+        # A code field that reaches no declared output's check can change
+        # no verdict, so only a live variable keeps a code local; every
+        # variable keeps its functional one.
+        program = built(program_inputs, 251, 0)[0]
+        local = coded_runtime._compile_cycle(program).__code__.co_varnames
+        n = len(program.variables)
+        assert {name for name in local if name[0] == "c"
+                and name[1:].isdigit()} == {f"c{j}"
+                                            for j in live_variables(program)}
+        assert {f"x{j}" for j in range(n)} <= set(local)
     @pytest.mark.parametrize("modulus", [2**31 - 1, 2**48 - 59])
     def test_long_sums_stay_bounded(self, modulus):
         # Unreduced, v40's code field would pass 2^61.  v5 is an output,

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (CHANNEL_GRID, MIXED_PROGRAM, OVERFLOW_PROGRAM,
-                     build_sample)
+from helpers import (CHANNEL_GRID, DEAD_PROGRAM, MIXED_PROGRAM,
+                     OVERFLOW_PROGRAM, build_sample)
 from vitalcode.campaign import parse_config, run_channel_campaign
 from vitalcode.cli import main
 from vitalcode.coded_core import make_key
@@ -84,6 +84,8 @@ CASES = {
     "inject-overflow-251": lambda: inject_source(OVERFLOW_PROGRAM, 251),
     "inject-overflow-mersenne":
         lambda: inject_source(OVERFLOW_PROGRAM, 2**31 - 1),
+    "inject-dead-251": lambda: inject_source(DEAD_PROGRAM, 251),
+    "inject-dead-mersenne": lambda: inject_source(DEAD_PROGRAM, 2**31 - 1),
     "run-accept": lambda: run_stdout(MIXED_PROGRAM,
                                      {"u": 12, "v": -5, "w": 9}),
     "run-safe-halt": lambda: run_stdout(OVERFLOW_PROGRAM, {"a": 5, "b": 1}),
@@ -100,6 +102,10 @@ DIGESTS = {
         "1ed7a35b3d858687aa207d44973b0870861b77092a352eed5931006d5589164c",
     "inject-mersenne-none":
         "ebc0aebf0b6fc579bb3927e8b027947cd193bd3acc9bd09cbf156fa0c9a0997f",
+    "inject-dead-251":
+        "c56916ed5c72446c325475ebdaf884e75f860945f7697f71884bce1058a64f25",
+    "inject-dead-mersenne":
+        "4274a9a1bd0e92c3d805b06fd6801cc87b1ab3ec76a817a38a4c7395849a28ea",
     "inject-mixed-251":
         "9daefc7ec67db89873795ffc8d2099a376e6ca51b4a2158647d2efc2e682f341",
     "inject-mixed-mersenne":
