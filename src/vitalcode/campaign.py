@@ -158,8 +158,9 @@ def parse_config(doc) -> CampaignConfig:
 
 def load_json(fh):
     """Read the JSON document in the open text file `fh`.  Invalid JSON,
-    nesting deeper than the decoder recurses and an integer longer than
-    int() converts are each a ConfigError at `fh.name`."""
+    nesting deeper than the decoder recurses, an integer longer than
+    int() converts and a key repeated in one object, which the decoder
+    would let the last one win, are each a ConfigError at `fh.name`."""
     path = fh.name
 
     def parse_int(digits: str) -> int:
@@ -168,8 +169,19 @@ def load_json(fh):
         except ValueError:
             raise ConfigError("integer too long to convert", path) from None
 
+    def unique_keys(pairs) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for name, _ in pairs:
+                if name in seen:
+                    raise ConfigError(f"repeated key {name!r}", path)
+                seen.add(name)
+        return obj
+
     try:
-        return json.load(fh, parse_int=parse_int)
+        return json.load(fh, parse_int=parse_int,
+                         object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, "
                           f"column {exc.colno}", path) from None

@@ -72,6 +72,11 @@ def _cmd_run(args) -> int:
             and all(type(inputs.get(n)) is int for n in names)):
         raise ConfigError(f"must be a JSON object giving an integer for "
                           f"each input of {names}", args.inputs)
+    declared = set(names)
+    undeclared = [name for name in inputs if name not in declared]
+    if undeclared:
+        raise ConfigError(f"{undeclared[0]!r} is not an input of the "
+                          f"program", args.inputs)
     status = EXIT_OK
     for cycle in range(args.cycles):
         result = rt.run_cycle(program, table, inputs, cycle, table.key)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 from .coded_core import (FUNCTIONAL_BITS, INT64_MAX, INT64_MIN, CodeKey,
                          CodedValue)
-from .dsl import ADD, MOVE, MUL, SUB, interpret
+from .dsl import ADD, MOVE, MUL, SUB, interpret, output_cone
 from .sigtool import CodedProgram, SignatureTable
 from .stats import (ConfigError, Outcomes, TrialStream, report_json,
                     run_trials, trial_rng)
@@ -455,7 +455,9 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
     then the cycle in [1, 2**20).  `run_cycle` then draws the fault's
     targets from the same stream.  An empty model list runs a fault-free
     baseline; any rejection there counts as a false alarm.  Only
-    accepted cycles are compared with the `interpret` oracle.  Each model
+    accepted cycles are compared with the `interpret` oracle, which walks
+    the outputs' cone (`dsl.output_cone`), built once per campaign: the
+    rows no output depends on still run in every cycle.  Each model
     is armed once, before the first trial, so an unknown model, a
     repeated one or one the program cannot host (e.g. F5 without
     instructions) raises ConfigError there, drawing nothing; an unknown
@@ -475,6 +477,7 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
                               f"this program ({exc})", "--model") from None
     stream = f"vitalcode:{seed}"
     ir = program.ir
+    cone = output_cone(ir)
     faults = armed or [None]
     span = _INPUT_VALUES ** len(ir.inputs) * len(faults) * _CYCLES
     # Inputs are peeled off 16 digits at a time: m inputs divide the long
@@ -500,7 +503,7 @@ def run_campaign(program: CodedProgram, table: SignatureTable, key: CodeKey,
         result = run_cycle(program, table, inputs, cycle, key, fault, rng)
         if result.verdict != ACCEPT:
             return model, "detected"
-        if result.outputs != interpret(ir, inputs):
+        if result.outputs != interpret(cone, inputs):
             return model, "undetected_wrong_output"
         return model, "benign"
 

@@ -1,4 +1,5 @@
-"""Straight-line arithmetic DSL: parser, three-address IR, interpreter.
+"""Straight-line arithmetic DSL: parser, three-address IR, interpreter,
+and the cone of instructions the declared outputs depend on.
 
 Source is UTF-8 text.  Only LF breaks a line and no token spans one, so
 a token's position is its line's number and its place in the line.
@@ -19,6 +20,11 @@ other character, a digit of another script too, is an error at its
 Assignments desugar to ADD/SUB/MUL/MOVE three-address instructions with
 fresh temporaries.  The body is executed once per cycle; there are no
 branches or loops and every destination is assigned exactly once.
+
+`interpret` is the plain reference semantics, the oracle that coded
+execution is held to.  `output_cone` drops the instructions no declared
+output depends on, so the oracle walks only what a cycle publishes; it
+is a walk of its own, sharing nothing with the coded executor.
 """
 
 from __future__ import annotations
@@ -319,6 +325,29 @@ def interpret(ir: ProgramIR, inputs: dict[str, int]) -> dict[str, int]:
         else:
             env[ins.dest] = env[ins.src1]
     return {name: env[name] for name in ir.outputs}
+
+
+def output_cone(ir: ProgramIR) -> ProgramIR:
+    """The program cut down to the instructions its declared outputs
+    depend on, kept in IR order; inputs, constants and outputs are
+    unchanged.  `interpret` gives the same outputs on it, walking fewer
+    rows.
+
+    One backward walk from the outputs: an instruction is kept when its
+    destination is needed, and its operands are then needed too.  Each
+    name is assigned once, so one pass from the last instruction is
+    exact.
+    """
+    needed = set(ir.outputs)
+    kept = []
+    for ins in reversed(ir.instructions):
+        if ins.dest in needed:
+            kept.append(ins)
+            needed.add(ins.src1)
+            needed.add(ins.src2)  # None for a MOVE, never a name
+    kept.reverse()
+    return ProgramIR(list(ir.inputs), dict(ir.consts), list(ir.outputs),
+                     kept)
 
 
 def canonical_ir_bytes(ir: ProgramIR) -> bytes:

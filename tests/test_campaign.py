@@ -214,6 +214,27 @@ class TestConfigParsing:
             return
         assert isinstance(config, CampaignConfig)
 
+    @given(key=st.sampled_from(FIELDS),
+           first=st.integers() | st.text(max_size=4),
+           second=st.integers() | st.text(max_size=4),
+           others=st.dictionaries(st.sampled_from(FIELDS), st.integers(),
+                                  max_size=4),
+           where=st.sampled_from(["@", '{"threats": [@], "trials": 3}',
+                                  "[[@]]"]))
+    @settings(max_examples=100, deadline=None)
+    def test_any_json_with_a_repeated_key_is_config_error(
+            self, key, first, second, others, where):
+        # The decoder would let the last of the two win; the loader
+        # refuses the document at its file, naming the key.
+        members = [(key, first), *others.items(), (key, second)]
+        text = where.replace("@", "{" + ", ".join(
+            f"{json.dumps(k)}: {json.dumps(v)}" for k, v in members) + "}")
+        fh = io.StringIO(text)
+        fh.name = "campaign.json"
+        with pytest.raises(ConfigError) as exc:
+            load_config(fh)
+        assert str(exc.value) == f"campaign.json: repeated key {key!r}"
+
     def test_repeated_scheme(self):
         with pytest.raises(ConfigError, match=r"^config\.schemes\[2\]: "):
             make_config(schemes=["crc8-atm", "hmac", "crc8-atm"])

@@ -229,6 +229,22 @@ class TestRun:
                      "--cycles", cycles]) == EXIT_CONFIG
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("inputs_text, message", [
+        # The decoder alone would let the last `speed` win.
+        ('{"speed": 1, "limit": 2, "speed": 5}', "repeated key 'speed'"),
+        # The program's inputs are speed and limit: a third name is a
+        # mistake in the file, as an unknown field is in a channel config.
+        ('{"speed": 1, "limit": 2, "gain": 3}',
+         "'gain' is not an input of the program"),
+    ], ids=["repeated", "undeclared"])
+    def test_refused_name(self, prom, tmp_path, capsys, inputs_text,
+                          message):
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(inputs_text)
+        assert main(["run", str(prom), "--inputs",
+                     str(inputs)]) == EXIT_CONFIG
+        assert assert_one_error_line(capsys) == f"error: {inputs}: {message}"
+
 
 class TestInject:
     def test_report_printed(self, prom, capsys):
@@ -312,6 +328,16 @@ class TestChannel:
         config = tmp_path / "campaign.json"
         config.write_text("{broken")
         assert main(["channel", "--config", str(config)]) == EXIT_CONFIG
+
+    def test_repeated_key(self, tmp_path, capsys):
+        # Without the check the last `trials` would win and 5 trials run.
+        config = tmp_path / "campaign.json"
+        config.write_text('{"schemes": ["parity"], "threats": '
+                          '[{"kind": "forge"}], "trials": 3, "trials": 5, '
+                          '"seed": 0}')
+        assert main(["channel", "--config", str(config)]) == EXIT_CONFIG
+        assert assert_one_error_line(capsys) == (
+            f"error: {config}: repeated key 'trials'")
 
     @pytest.mark.parametrize("threat", [
         {"kind": "brute_force"},
@@ -589,14 +615,24 @@ PAST_LIMITS = st.one_of(
     st.integers(2, 3_000).map(lambda n: sum_program(n).encode()))
 
 
+def _unique_members(pairs):
+    """A JSON object's members as a dict; a repeated name is invalid."""
+    names = [name for name, _ in pairs]
+    if len(set(names)) < len(names):
+        raise ValueError("repeated key")
+    return dict(pairs)
+
+
 def _valid(command: str, path: Path) -> bool:
     """Whether `path` is a valid file for `command`'s file argument."""
     try:
         if command == "sign":
             parse_program(path.read_text(encoding="utf-8"))
         elif command == "run --inputs":
-            inputs = json.loads(path.read_bytes())
-            return all(type(inputs[n]) is int for n in ("speed", "limit"))
+            inputs = json.loads(path.read_bytes(),
+                                object_pairs_hook=_unique_members)
+            return (sorted(inputs) == ["limit", "speed"]
+                    and all(type(v) is int for v in inputs.values()))
         elif command == "channel":
             with path.open(encoding="utf-8") as fh:
                 load_config(fh)

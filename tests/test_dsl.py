@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from vitalcode.dsl import (ADD, MAX_NESTING, DslError, Instruction, MOVE,
                            MUL, SUB, canonical_ir_bytes, interpret,
-                           ir_from_canonical, parse_program)
+                           ir_from_canonical, output_cone, parse_program)
 
 
 class TestParse:
@@ -165,6 +165,31 @@ class TestInterpret:
         ir = parse_program("input a; output o; o = a;")
         with pytest.raises(KeyError):
             interpret(ir, {})
+
+
+class TestOutputCone:
+    def test_drops_the_rows_no_output_reads(self):
+        # u and w feed no output, and v feeds o only through its second
+        # operand; the dead input `spare` and constant k stay declared.
+        ir = parse_program(
+            "input a; input spare; const k = 5; output o;"
+            "v = a * a; u = spare * k; o = a - v; w = u + o;")
+        cone = output_cone(ir)
+        assert cone.instructions == [Instruction(MUL, "v", "a", "a"),
+                                     Instruction(SUB, "o", "a", "v")]
+        assert (cone.inputs, cone.consts, cone.outputs) == (
+            ["a", "spare"], {"k": 5}, ["o"])
+        assert interpret(cone, {"a": 3, "spare": 1}) == {"o": -6}
+
+    def test_leaves_the_program_alone(self):
+        ir = parse_program("input a; output o; t = a + a; o = t - a; x = o;")
+        before = canonical_ir_bytes(ir)
+        output_cone(ir)
+        assert canonical_ir_bytes(ir) == before
+
+    def test_no_outputs_no_rows(self):
+        ir = parse_program("input a; t = a + a;")
+        assert output_cone(ir).instructions == []
 
 
 class TestCanonicalForm:
