@@ -1109,66 +1109,6 @@ class TestCompiledCycle:
                                             for j in live_variables(program)}
         assert {f"x{j}" for j in range(n)} <= set(local)
 
-
-class TestOutputCone:
-    """`dsl.output_cone`, the rows the `interpret` oracle walks."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(straight_line_programs(subset=True))
-    def test_interprets_to_the_same_outputs(self, program_inputs):
-        source, inputs = program_inputs
-        ir = parse_program(source)
-        cone = output_cone(ir)
-        assert (cone.inputs, cone.consts, cone.outputs) == (
-            ir.inputs, ir.consts, ir.outputs)
-        assert interpret(cone, inputs) == interpret(ir, inputs)
-
-    @settings(max_examples=200, deadline=None)
-    @given(straight_line_programs(subset=True))
-    def test_is_closed_and_in_ir_order(self, program_inputs):
-        ir = parse_program(program_inputs[0])
-        cone = output_cone(ir)
-        defined = {*cone.inputs, *cone.consts}
-        for ins in cone.instructions:
-            assert {ins.src1, ins.src2} - {None} <= defined, ins
-            defined.add(ins.dest)
-        assert set(cone.outputs) <= defined
-        rows = iter(ir.instructions)
-        assert all(ins in rows for ins in cone.instructions)
-
-    @settings(max_examples=100, deadline=None)
-    @given(straight_line_programs())
-    def test_keeps_a_program_without_dead_rows(self, program_inputs):
-        # Every variable is an output, so every row is kept.
-        ir = parse_program(program_inputs[0])
-        assert output_cone(ir).instructions == ir.instructions
-
-    @settings(max_examples=200, deadline=None)
-    @given(straight_line_programs(subset=True))
-    def test_rows_are_the_live_variables(self, program_inputs):
-        # Two walks written apart: the cone's rows are the rows whose
-        # destination the test-side liveness walk reports live.
-        program = built(program_inputs, 251, 0)[0]
-        cone = output_cone(program.ir)
-        rows = {program.index[ins.dest] for ins in program.ir.instructions}
-        assert {program.index[ins.dest] for ins in cone.instructions} == (
-            live_variables(program) & rows)
-
-    def test_campaign_oracle_walks_the_cone(self, monkeypatch):
-        # Every accepted cycle is compared with `interpret` over one cone,
-        # built once for the campaign; the dead rows u, w, m, y and z are
-        # not walked.
-        program, table, _, key = built((DEAD_PROGRAM, {}), 251, 6)
-        seen = []
-
-        def spy(ir, inputs):
-            seen.append(ir)
-            return interpret(ir, inputs)
-
-        monkeypatch.setattr(coded_runtime, "interpret", spy)
-        run_campaign(program, table, key, [], 50, 3)
-        assert seen and all(ir is seen[0] for ir in seen)
-        assert [ins.dest for ins in seen[0].instructions] == ["s", "p", "o"]
     @pytest.mark.parametrize("modulus", [2**31 - 1, 2**48 - 59])
     def test_long_sums_stay_bounded(self, modulus):
         # Unreduced, v40's code field would pass 2^61.  v5 is an output,
@@ -1264,3 +1204,64 @@ class TestOutputCone:
         ir, key, table, program = build_sample(13)
         with pytest.raises(KeyError, match="missing input 'gain'"):
             run_cycle(program, table, {"speed": 1, "limit": 2}, 0, key)
+
+
+class TestOutputCone:
+    """`dsl.output_cone`, the rows the `interpret` oracle walks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(straight_line_programs(subset=True))
+    def test_interprets_to_the_same_outputs(self, program_inputs):
+        source, inputs = program_inputs
+        ir = parse_program(source)
+        cone = output_cone(ir)
+        assert (cone.inputs, cone.consts, cone.outputs) == (
+            ir.inputs, ir.consts, ir.outputs)
+        assert interpret(cone, inputs) == interpret(ir, inputs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(straight_line_programs(subset=True))
+    def test_is_closed_and_in_ir_order(self, program_inputs):
+        ir = parse_program(program_inputs[0])
+        cone = output_cone(ir)
+        defined = {*cone.inputs, *cone.consts}
+        for ins in cone.instructions:
+            assert {ins.src1, ins.src2} - {None} <= defined, ins
+            defined.add(ins.dest)
+        assert set(cone.outputs) <= defined
+        rows = iter(ir.instructions)
+        assert all(ins in rows for ins in cone.instructions)
+
+    @settings(max_examples=100, deadline=None)
+    @given(straight_line_programs())
+    def test_keeps_a_program_without_dead_rows(self, program_inputs):
+        # Every variable is an output, so every row is kept.
+        ir = parse_program(program_inputs[0])
+        assert output_cone(ir).instructions == ir.instructions
+
+    @settings(max_examples=200, deadline=None)
+    @given(straight_line_programs(subset=True))
+    def test_rows_are_the_live_variables(self, program_inputs):
+        # Two walks written apart: the cone's rows are the rows whose
+        # destination the test-side liveness walk reports live.
+        program = built(program_inputs, 251, 0)[0]
+        cone = output_cone(program.ir)
+        rows = {program.index[ins.dest] for ins in program.ir.instructions}
+        assert {program.index[ins.dest] for ins in cone.instructions} == (
+            live_variables(program) & rows)
+
+    def test_campaign_oracle_walks_the_cone(self, monkeypatch):
+        # Every accepted cycle is compared with `interpret` over one cone,
+        # built once for the campaign; the dead rows u, w, m, y and z are
+        # not walked.
+        program, table, _, key = built((DEAD_PROGRAM, {}), 251, 6)
+        seen = []
+
+        def spy(ir, inputs):
+            seen.append(ir)
+            return interpret(ir, inputs)
+
+        monkeypatch.setattr(coded_runtime, "interpret", spy)
+        run_campaign(program, table, key, [], 50, 3)
+        assert seen and all(ir is seen[0] for ir in seen)
+        assert [ins.dest for ins in seen[0].instructions] == ["s", "p", "o"]
