@@ -67,11 +67,13 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"must be >= 1, got {args.cycles}", "--cycles")
     table, program = _file(args.prom, "rb", lambda fh: load_prom(fh.read()))
     inputs = _file(args.inputs, "r", ch.load_json)
+    if not isinstance(inputs, dict):
+        raise ConfigError("must be a JSON object", args.inputs)
     names = program.ir.inputs
-    if not (isinstance(inputs, dict)
-            and all(type(inputs.get(n)) is int for n in names)):
-        raise ConfigError(f"must be a JSON object giving an integer for "
-                          f"each input of {names}", args.inputs)
+    for name in names:
+        if type(inputs.get(name)) is not int:
+            problem = "is not an integer" if name in inputs else "is missing"
+            raise ConfigError(f"input {name!r} {problem}", args.inputs)
     declared = set(names)
     undeclared = [name for name in inputs if name not in declared]
     if undeclared:

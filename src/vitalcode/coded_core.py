@@ -14,8 +14,8 @@ check only if the error it leaves in the output is a multiple of A.
 
 The OPELs and `check` here are the reference arithmetic.
 `coded_runtime`'s compiled cycle writes the same formulas inline, with
-no call per instruction or per output and the date only on outputs, and
-its tests compare the two.
+no call per instruction or per output, and keeps every code field less
+D, which the OPELs cancel; its tests compare the two.
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ code field, and per instruction in IR order the formula of its OPEL in
 residues, then the end strike and each output's check inline.  Only
 those checks read a code field, so only a variable whose code field
 reaches a declared output's check keeps one; every variable keeps its
-functional field, whose overflow is a safe halt.  Only the checks read
-the date D, so only an output's code field is dated, and any other is
-reduced lazily.  The `coded_core` OPELs and `check` stay the
-reference arithmetic, and the tests hold the cycle to them.
+functional field, whose overflow is a safe halt.  Every OPEL cancels
+the date D, so every code field holds c - D, reduced lazily, and only a
+strike and a check add D back.  The `coded_core` OPELs and `check` stay
+the reference arithmetic, and the tests hold the cycle to them.
 Names, values and residues reach it as arguments, never as text, and
 `dsl.interpret` stays the separately written oracle.
 
@@ -259,39 +259,38 @@ def inject_fault(fault: Fault, value: CodedValue) -> CodedValue:
 # alone if it is not live), and its text is these templates filled with
 # integers only: row i's residues are read from the `rows` argument.  A
 # functional value outside the 64-bit range makes the cycle return j at
-# once.  An undated code field holds c - D, and each formula adds k·d,
-# `_DATE[k]`, for the dates of its operands and destination.
+# once.  Every code field holds c - D, which is x + B mod A: the OPELs'
+# date terms cancel, so only a strike and a check add the date d.
 _HEAD = ("def cycle(inputs, consts, sigs, names, rows, d, a, hit, end, "
          "strike, int):")
 _RANGE = f"if not {INT64_MIN} <= x{{j}} <= {INT64_MAX}: return {{j}}"
-_DATE = {-2: " - d - d", -1: " - d", 0: "", 1: " + d", 2: " + d + d"}
-# Inputs and constants are encoded as `coded_core.encode` does, with the
-# date reduced to d, or none.
+# Inputs and constants are encoded as `coded_core.encode` does, less D.
 _INPUT = "x{j} = int(inputs[names[{j}]])"
 _CONST = "x{j} = consts[names[{j}]]"
-_ENCODE = "c{j} = (x{j} + sigs[names[{j}]]{dj}) % a"
+_ENCODE = "c{j} = (x{j} + sigs[names[{j}]]) % a"
 # Each row is its functional line and range test, then `coded_core`'s
-# OPEL formula with the date term folded in as documented on
+# OPEL formula less its date terms, as documented on
 # sigtool.predetermine, so the constants stay unreduced; `_REDUCE`
 # follows where `_compile_cycle` reduces.
 _ROW = {
     ADD: (("x{j} = x{s1} + x{s2}", _RANGE),
-          ("c{j} = c{s1} + c{s2} + rows[{i}][0]{date}",)),
+          ("c{j} = c{s1} + c{s2} + rows[{i}][0]",)),
     SUB: (("x{j} = x{s1} - x{s2}", _RANGE),
-          ("c{j} = c{s1} - c{s2} + rows[{i}][0]{date}",)),
+          ("c{j} = c{s1} - c{s2} + rows[{i}][0]",)),
     MUL: (("x{j} = x{s1} * x{s2}", _RANGE),
           ("t1, t2, k3 = rows[{i}]",
-           "c{j} = (c{s1} - t1{d1}) * (c{s2} - t2{d2}) + k3{dj}")),
-    MOVE: (("x{j} = x{s1}",), ("c{j} = c{s1} + rows[{i}][0]{date}",)),
+           "c{j} = (c{s1} - t1) * (c{s2} - t2) + k3")),
+    MOVE: (("x{j} = x{s1}",), ("c{j} = c{s1} + rows[{i}][0]",)),
 }
 _REDUCE = "c{j} %= a"
 # An unreduced code field stays below _BOUND·A, 2^60 at the largest
 # key; a strike, whose code field is below 2A, at most doubles that.
 _BOUND = 1 << 12
-# The F1/F2 strike and F3's capture of its donor see the dated,
-# reduced code field, and an undated variable stores the date back out.
-_STRIKE = ("if hit == {j}: x{j}, c{j} = strike((x{j}, (c{j} + d) % a)); "
-           "c{j} -= d", "if hit == {j}: x{j}, c{j} = strike((x{j}, c{j}))")
+# The strike after a definition (`at` is hit), or on an output at cycle
+# end (`at` is end): the fault sees the dated, reduced code field, and
+# the date is stored back out.
+_STRIKE = ("if {at} == {j}: x{j}, c{j} = strike((x{j}, (c{j} + d) % a)); "
+           "c{j} -= d")
 # A variable whose code field reaches no declared output's check has no
 # cj.  Its strike hands over the encoding the OPELs would give it there,
 # where nothing has struck yet, and keeps only the struck x: F1's flip
@@ -299,10 +298,8 @@ _STRIKE = ("if hit == {j}: x{j}, c{j} = strike((x{j}, (c{j} + d) % a)); "
 # patch of its row could reach no check.
 _DEAD_STRIKE = ("if hit == {j}: "
                 "x{j} = strike((x{j}, (x{j} + sigs[names[{j}]] + d) % a))[0]")
-# The end strike on an output, and output p's check, which is
-# `coded_core.check` with the date reduced to d.
-_END_STRIKE = "if end == {j}: x{j}, c{j} = strike((x{j}, c{j}))"
-_CHECK = "if c{j} != (x{j} + sigs[names[{j}]] + d) % a: return {code}"
+# Output p's check: `coded_core.check`, with both sides less D.
+_CHECK = "if (c{j} - x{j} - sigs[names[{j}]]) % a: return {code}"
 
 
 def _compile_cycle(program: CodedProgram):
@@ -322,19 +319,14 @@ def _compile_cycle(program: CodedProgram):
     outputs and every operand of a live instruction: only a live
     variable's code field reaches a check.  A variable that is not live
     gets its functional line, its range test and `_DEAD_STRIKE`, and no
-    code field.  Outputs are dated and reduced where defined, as the end
-    strike and checks read them.  Any other live code field is undated
-    and is reduced only by a MUL or where `bound`, on |cj| in multiples
-    of A, would pass `_BOUND`; the strike after its definition sees it as
-    `(cj + d) % a`.
+    code field.  A live code field is reduced only by a MUL or where
+    `bound`, on |cj| in multiples of A, would pass `_BOUND`; a strike
+    sees it as `(cj + d) % a`.
     """
     ir, index = program.ir, program.index
     first = len(ir.inputs) + len(ir.consts)
-    count = first + len(ir.instructions)
     outputs = [index[name] for name in ir.outputs]
-    dated, bound, live = [0] * count, [1] * count, set(outputs)
-    for j in outputs:
-        dated[j] = 1
+    bound, live = [1] * (first + len(ir.instructions)), set(outputs)
     for i in reversed(range(len(ir.instructions))):
         ins = ir.instructions[i]
         if first + i in live:
@@ -343,27 +335,23 @@ def _compile_cycle(program: CodedProgram):
     lines = [_HEAD]
     for j in range(first):
         head = _INPUT if j < len(ir.inputs) else _CONST
-        tail = (_ENCODE, _STRIKE[dated[j]]) if j in live else (_DEAD_STRIKE,)
-        lines += (t.format(j=j, dj=_DATE[dated[j]])
-                  for t in (head, _RANGE) + tail)
+        tail = (_ENCODE, _STRIKE) if j in live else (_DEAD_STRIKE,)
+        lines += (t.format(j=j, at="hit") for t in (head, _RANGE) + tail)
     for i, ins in enumerate(ir.instructions):
         j, op = first + i, ins.opcode
         functional, code = _ROW[op]
         s1, s2 = index[ins.src1], index.get(ins.src2)  # None for MOVE
-        d1, d2 = dated[s1], 0 if s2 is None else dated[s2]
-        date = dated[j] - d1 + (d2 if op == SUB else -d2)
-        b = bound[s1] + (0 if s2 is None else bound[s2]) + 1 + abs(date)
+        b = bound[s1] + (0 if s2 is None else bound[s2]) + 1
         if j not in live:
             code = (_DEAD_STRIKE,)
-        elif op == MUL or dated[j] or b > _BOUND:
-            code += (_REDUCE, _STRIKE[dated[j]])
+        elif op == MUL or b > _BOUND:
+            code += (_REDUCE, _STRIKE)
         else:
             bound[j] = b
-            code += (_STRIKE[dated[j]],)
-        fields = {"i": i, "j": j, "s1": s1, "s2": s2, "date": _DATE[date],
-                  "dj": _DATE[dated[j]], "d1": _DATE[-d1], "d2": _DATE[-d2]}
-        lines += (t.format_map(fields) for t in functional + code)
-    lines += (_END_STRIKE.format(j=j) for j in dict.fromkeys(outputs))
+            code += (_STRIKE,)
+        lines += (t.format(i=i, j=j, s1=s1, s2=s2, at="hit")
+                  for t in functional + code)
+    lines += (_STRIKE.format(j=j, at="end") for j in dict.fromkeys(outputs))
     lines += (_CHECK.format(j=j, code=~p) for p, j in enumerate(outputs))
     lines.append(f"return ({''.join(f'x{j}, ' for j in outputs)})")
     namespace = {}
@@ -387,13 +375,23 @@ def run_cycle(program: CodedProgram, table: SignatureTable,
     target that is an output (no check reads any other).  A value
     outside the 64-bit range, input or result, is a safe halt that
     names the variable being defined.
+
+    Raises ValueError, running nothing, if `key`'s modulus is not the
+    table's, or if `fault` was armed against another program object or
+    a key of another modulus: its checks and strikes would then belong
+    to another build.
     """
+    a = key.modulus
+    if a != table.key.modulus:
+        raise ValueError(f"key {a} is not the table's key "
+                         f"{table.key.modulus}")
     ir = program.ir
     rows, hit, end, strike = program.rows, -1, -1, None
     if fault is not None:
+        if fault._program is not program or fault._key.modulus != a:
+            raise ValueError("fault armed against another program or key")
         rows, hit, end = fault.draw(rng)
         strike = fault.strike
-    a = key.modulus
     try:
         code = (program.compiled or _compile_cycle(program))(
             inputs, ir.consts, table.signatures, program.variables, rows,

@@ -117,17 +117,15 @@ def predetermine(ir: ProgramIR, table: SignatureTable) -> CodedProgram:
     A row holds the signature-only residues of the instruction's
     compensation constants, exactly as the PROM stores them: (kappa_sig,)
     for ADD, SUB and MOVE, (src1_sig, src2_sig, dest_sig) for MUL.  They
-    depend only on the signature table, never on runtime data;
-    `run_cycle`'s compiled cycle folds in the cycle-date term D, here
-    when the destination and sources are all dated (declared outputs):
+    depend only on the signature table, never on runtime data.  The
+    reference OPELs in `coded_core` take them with the cycle-date term D
+    folded in:
       ADD:  kappa = kappa_sig - D      (kappa_sig = B3 - B1 - B2)
       SUB:  kappa = kappa_sig + D      (kappa_sig = B3 - B1 + B2)
       MOVE: kappa = kappa_sig          (kappa_sig = B_dst - B_src)
       MUL:  t1 = src1_sig + D, t2 = src2_sig + D, k3 = dest_sig + D
-    Any other variable's code field omits D, so with δ = 1 for a dated
-    variable and 0 for an undated one, ADD's -D is (δ3 - δ1 - δ2)·D,
-    SUB's +D is (δ3 - δ1 + δ2)·D, MOVE adds (δ_dst - δ_src)·D and each
-    of MUL's D is its variable's δ·D.
+    `run_cycle`'s compiled cycle keeps every code field less D, so it
+    uses each row as stored.
     """
     a = table.key.modulus
     sigs = table.signatures

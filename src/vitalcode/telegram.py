@@ -233,12 +233,6 @@ class ReceiverWindow:
     current_date: int = 0
 
 
-def make_tag(t: Telegram, scheme: ProtectionScheme,
-             mac_key: MacKey | None = None) -> bytes:
-    """Compute the scheme's tag for a telegram."""
-    return scheme.tag(t, mac_key)
-
-
 def protect_telegram(t: Telegram, scheme: ProtectionScheme,
                      mac_key: MacKey | None = None) -> bytes:
     """Serialize a telegram with its protection tag appended."""

@@ -236,7 +236,12 @@ class TestRun:
         # mistake in the file, as an unknown field is in a channel config.
         ('{"speed": 1, "limit": 2, "gain": 3}',
          "'gain' is not an input of the program"),
-    ], ids=["repeated", "undeclared"])
+        # The first input at fault in program order is named, alone.
+        ('{"limit": "2"}', "input 'speed' is missing"),
+        ('{"speed": 1, "limit": true}', "input 'limit' is not an integer"),
+        ("[1, 2]", "must be a JSON object"),
+    ], ids=["repeated", "undeclared", "missing", "not-an-integer",
+            "not-an-object"])
     def test_refused_name(self, prom, tmp_path, capsys, inputs_text,
                           message):
         inputs = tmp_path / "inputs.json"
@@ -244,6 +249,25 @@ class TestRun:
         assert main(["run", str(prom), "--inputs",
                      str(inputs)]) == EXIT_CONFIG
         assert assert_one_error_line(capsys) == f"error: {inputs}: {message}"
+
+    def test_wide_program_names_one_input(self, tmp_path, capsys,
+                                          monkeypatch):
+        # A 3,000-input program missing its last input: one short line,
+        # not one that lists every input.
+        monkeypatch.chdir(tmp_path)
+        names = [f"v{n}" for n in range(3000)]
+        Path("wide.vc").write_text(
+            "".join(f"input {n}; output {n}; " for n in names))
+        inputs = dict.fromkeys(names[:-1], 1)
+        Path("inputs.json").write_text(json.dumps(inputs))
+        assert main(["sign", "wide.vc", "--key", "251",
+                     "-o", "wide.prom"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["run", "wide.prom", "--inputs",
+                     "inputs.json"]) == EXIT_CONFIG
+        line = assert_one_error_line(capsys)
+        assert line == "error: inputs.json: input 'v2999' is missing"
+        assert len(line.encode()) < 200
 
 
 class TestInject:

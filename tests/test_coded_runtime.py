@@ -82,6 +82,40 @@ class TestRunCycle:
                            fault=fault, rng=random.Random(0))
         assert result.verdict == REJECT and result.outputs is None
 
+    def test_key_of_another_table_is_refused(self):
+        # Signed at 251, run at 13: every check would fail, a false reject.
+        ir, key, table, program = build_sample(251)
+        with pytest.raises(ValueError, match="^key 13 is not the table's "
+                                             "key 251$"):
+            run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE,
+                      make_key(13))
+
+    @pytest.mark.parametrize("model", ["F1", "F4", "F5"])
+    @pytest.mark.parametrize("other", ["program", "key"])
+    def test_fault_armed_against_another_build_is_refused(self, model,
+                                                          other):
+        # Struck anyway, the fault's targets, bits and rows would be those
+        # of another build: a well-formed reject, or a crash in the cycle.
+        ir, key, table, program = build_sample(251)
+        if other == "program":
+            armed = built((MIXED_PROGRAM, {}), 251, 0)[0]
+            fault = Fault(model, armed, key)
+        else:
+            fault = Fault(model, program, make_key(13))
+        with pytest.raises(ValueError, match="^fault armed against another "
+                                             "program or key$"):
+            run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE, key,
+                      fault=fault, rng=random.Random(0))
+
+    def test_equal_keys_are_one_key(self):
+        # The key is compared by modulus: a loaded image's key, or one
+        # built afresh, is the key it was signed with.
+        ir, key, table, program = build_sample(251)
+        fault = Fault("F4", program, make_key(251))
+        result = run_cycle(program, table, SAMPLE_INPUTS, SAMPLE_CYCLE,
+                           make_key(251), fault=fault, rng=random.Random(0))
+        assert result.verdict == REJECT
+
 
 class TestFaultModels:
     def test_f1_single_bit_always_detected(self):
@@ -803,6 +837,12 @@ output rows; output hit; output encode;
 """
 COLLIDING_INPUTS = {"v0": 5, "key": -4, "d": 3}
 
+# v1 doubled 39 times, with the output v5 inside the chain: its code
+# fields must be reduced along the way (`test_long_sums_stay_bounded`).
+_CHAIN = "".join(f"v{n} = v{n - 1} + v{n - 1}; " for n in range(2, 41))
+LONG_SUMS = (f"input a; input b; v1 = a + a; {_CHAIN}m = v40 * b; "
+             f"r = m - v5; output r; output v5;", {"a": 3, "b": -5})
+
 
 def reference_cycle(program, table, inputs, cycle, key, rows, hit, strike):
     """Every variable's coded value in canonical order, from
@@ -972,22 +1012,21 @@ def live_variables(program):
 def assert_matches_the_opels(program, table, inputs, key, cycle):
     """Every variable's (x, c), fault-free and under every explicit
     fault, against `reference_cycle`: the end strike on the first
-    declared output reads them from the cycle's locals, where an
-    undated code field holds c - D, and strikes nothing.  Every x must
-    match exactly.  Only a live variable (`live_variables`) has a code
-    local: an output's c must match exactly, and any other live one's
-    mod A, the only way anything later reads it.  Every code local then
-    lies below 2^61.  On overflow both halt at the same variable.  Then
+    declared output reads them from the cycle's locals, where a code
+    field holds c - D, and strikes nothing.  Every x must match exactly.
+    Only a live variable (`live_variables`) has a code local, and its
+    (c + D) mod A must match the reference's c mod A exactly: that is
+    all a strike or a check reads of it.  Every code local then lies
+    below 2^61.  On overflow both halt at the same variable.  Then
     run_cycle's verdict against `reference_tail`.
     """
     compiled = coded_runtime._compile_cycle(program)
     a, outputs, d = key.modulus, program.ir.outputs, cycle % key.modulus
-    dated = {program.index[name] for name in outputs}
     live = live_variables(program)
 
     def observed(values, date=0):
-        return [(x, c if j in dated else None if j not in live
-                 else (c + date) % a) for j, (x, c) in enumerate(values)]
+        return [(x, (c + date) % a if j in live else None)
+                for j, (x, c) in enumerate(values)]
 
     cases = [(None, {}), *colliding_selectors(program, key)]
     for n, (model, selectors) in enumerate(cases):
@@ -1081,8 +1120,9 @@ class TestCompiledCycle:
            st.integers(0, 1 << 40), st.integers(0, (1 << 64) - 1))
     def test_matches_the_opels_on_declared_outputs(
             self, program_inputs, modulus, cycle, seed):
-        # Only the outputs, declared in a drawn order, are dated; every
-        # other code field is undated and reduced lazily.
+        # Only the outputs, a drawn subset in a drawn order, are checked,
+        # so some variables are dead; every live code field, an output's
+        # too, is reduced lazily.
         assert_matches_the_opels(*built(program_inputs, modulus, seed),
                                  cycle)
 
@@ -1111,15 +1151,25 @@ class TestCompiledCycle:
 
     @pytest.mark.parametrize("modulus", [2**31 - 1, 2**48 - 59])
     def test_long_sums_stay_bounded(self, modulus):
-        # Unreduced, v40's code field would pass 2^61.  v5 is an output,
-        # so v6 drops two dates and r, from undated m and dated v5, adds
-        # two; the bound on the chain's code fields passes
-        # `coded_runtime._BOUND` at v16, v28 and v40, so each is reduced.
-        chain = "".join(f"v{n} = v{n - 1} + v{n - 1}; " for n in range(2, 41))
-        source = (f"input a; input b; v1 = a + a; {chain}m = v40 * b; "
-                  f"r = m - v5; output r; output v5;")
-        inputs = {"a": 3, "b": -5}
-        assert_matches_the_opels(*built((source, inputs), modulus, 6), 77)
+        # Unreduced, v40's code field would pass 2^61.  v_n's bound is
+        # twice v_(n-1)'s plus one, for its constant, and no date: it
+        # passes `coded_runtime._BOUND` at v12, v24 and v36, so each of
+        # them is reduced, and v5, though an output, is not.
+        assert_matches_the_opels(*built(LONG_SUMS, modulus, 6), 77)
+
+    @pytest.mark.parametrize("modulus", KEYS)
+    @pytest.mark.parametrize("cycle", [lambda a: 0, lambda a: 3 * a - 1,
+                                       lambda a: a],
+                             ids=["0", "3A-1", "A"])
+    @pytest.mark.parametrize("program_inputs", [
+        (DEAD_PROGRAM, {"a": 7, "b": 4, "spare": -3}), LONG_SUMS],
+        ids=["dead", "long-sums"])
+    def test_matches_the_opels_at_the_date_edges(self, program_inputs,
+                                                 modulus, cycle):
+        # Dates 0 and A - 1, where a strike's (cj + d) % a and its
+        # cj -= d wrap; the cycle A has date 0 again.
+        assert_matches_the_opels(*built(program_inputs, modulus, 6),
+                                 cycle(modulus))
 
     def test_compiled_on_first_cycle_only(self):
         ir, key, table, program = build_sample(251)

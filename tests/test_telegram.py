@@ -22,9 +22,8 @@ from vitalcode.telegram import (ACCEPT, ATTACK_THREATS, BAD_CRC, BAD_PARITY,
                                 ReceiverWindow, Telegram, TelegramError,
                                 Threat, VerifyResult, WIRE_MAGIC,
                                 apply_attack, apply_channel_noise,
-                                make_tag, parse_wire,
-                                protect_telegram, serialize_wire,
-                                verify_telegram)
+                                parse_wire, protect_telegram,
+                                serialize_wire, verify_telegram)
 
 KEY = make_key(251)
 MAC = MacKey(b"test-mac-key-material")
@@ -140,7 +139,7 @@ class TestVerify:
         t = Telegram(1, 9, b"abc")
         scheme = SCHEMES["codedsig"]
         expected = (int.from_bytes(b"abc", "big") + 77 + 9) % 251
-        assert make_tag(t, scheme) == expected.to_bytes(8, "big")
+        assert scheme.tag(t, None) == expected.to_bytes(8, "big")
         wire = bytearray(protect_telegram(t, scheme))
         wire[16] ^= 0x01
         result = verify_telegram(bytes(wire), scheme)
@@ -223,7 +222,7 @@ class TestVerifyContract:
         # Before tags were recomputed, `none` accepted any tag and HMAC
         # called a tag of the wrong length BadTag.
         scheme = FUZZ_SCHEMES[name]
-        right = len(make_tag(GENUINE, scheme, MAC))
+        right = len(scheme.tag(GENUINE, MAC))
         for length in {0, right - 1, right + 1, 40} - {-1, right}:
             wire = retagged(name, bytes(range(length)))
             result = verify_telegram(wire, scheme, MAC)
@@ -232,7 +231,7 @@ class TestVerifyContract:
     @pytest.mark.parametrize("name", list(RECOMPUTED))
     def test_every_tag_bit_flip_gets_the_scheme_reason(self, name):
         scheme = FUZZ_SCHEMES[name]
-        true_tag = make_tag(GENUINE, scheme, MAC)
+        true_tag = scheme.tag(GENUINE, MAC)
         # The window accepts the genuine frame, so only the tag decides.
         window = ReceiverWindow(min_seq=3, current_date=9)
         for bit in range(8 * len(true_tag)):
@@ -247,7 +246,7 @@ class TestVerifyContract:
         window = ReceiverWindow(min_seq=5, current_date=100)
         for name in ("codedsig", "hmac-8"):
             scheme = FUZZ_SCHEMES[name]
-            tag = bytearray(make_tag(GENUINE, scheme, MAC))
+            tag = bytearray(scheme.tag(GENUINE, MAC))
             tag[-1] ^= 1
             result = verify_telegram(retagged(name, bytes(tag)), scheme, MAC,
                                      window)
@@ -321,7 +320,7 @@ class TestVerifyFuzz:
 def frame_of(telegram, name="none"):
     """The sender's frame of `telegram` under scheme `name`."""
     scheme = SCHEMES[name]
-    return telegram, scheme.wire_id, make_tag(telegram, scheme, MAC)
+    return telegram, scheme.wire_id, scheme.tag(telegram, MAC)
 
 
 def payload_frame(payload):
@@ -845,8 +844,8 @@ class TestSchemeTable:
         for payload in self.PAYLOADS:
             for seq, date in ((0, 0), (4, 9), (2**32 - 1, 2**32 - 1)):
                 t = Telegram(seq, date, payload)
-                assert scheme.tag(t, MAC) == make_tag(t, scheme, MAC) \
-                    == self.reference_tag(name, t), (payload, seq, date)
+                assert scheme.tag(t, MAC) == self.reference_tag(
+                    name, t), (payload, seq, date)
 
     def test_crc32_equal_params_tag_like_the_catalog_entry(self):
         twin = CrcParams(*dataclasses.astuple(CRC32_IEEE))
